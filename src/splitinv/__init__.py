@@ -29,7 +29,7 @@ from .factors import (
     half_on_divisible,
     restricted_galois_orbits,
 )
-from .matoracle import MatrixContext, ad, adprime, matrix_to_json, realize, verify_appendix
+from .matoracle import MatrixContext, ad, adprime, realize, verify_appendix
 from .rootdata import (
     PinnedAutomorphism,
     RestrictedRootSystem,

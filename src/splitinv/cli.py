@@ -252,10 +252,19 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _parse_arg(name: str, raw: str, parse):
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError):
+        raise SplitinvError(f"argument {name}: cannot parse {raw!r}") from None
+
+
 def cmd_hilbert(args) -> int:
+    a = _parse_arg("a", args.a, Fraction)
+    b = _parse_arg("b", args.b, Fraction)
     place = LocalPlace.real() if args.place == "real" else \
-        LocalPlace.padic(int(args.place))
-    value = hilbert_symbol(Fraction(args.a), Fraction(args.b), place)
+        LocalPlace.padic(_parse_arg("--place", args.place, int))
+    value = hilbert_symbol(a, b, place)
     print(value)
     return 0
 

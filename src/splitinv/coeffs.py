@@ -393,6 +393,8 @@ class PrimeField:
     def __init__(self, p: int):
         if p == 2:
             raise CoefficientError("characteristic 2 not supported: 2 is not invertible")
+        if p >= PRIME_BOUND:
+            raise CoefficientError(f"p={p} is not below the primality bound {PRIME_BOUND}")
         if p < 3 or not _is_prime(p):
             raise CoefficientError(f"p={p} is not an odd prime")
         self.p = p
@@ -431,11 +433,31 @@ def _is_square_int(n: int) -> bool:
     return r * r == n
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    for q in range(2, math.isqrt(n) + 1):
+    for q in _PRIME_BASES:
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -470,6 +492,8 @@ class LocalPlace:
 
     @staticmethod
     def padic(p: int, d: Optional[int] = None) -> "LocalPlace":
+        if p >= PRIME_BOUND:
+            raise PlaceError(f"{p} is not below the primality bound {PRIME_BOUND}")
         if not _is_prime(p):
             raise PlaceError(f"{p} is not prime")
         return LocalPlace(p, d)

@@ -32,18 +32,13 @@ def restricted_galois_orbits(rrs: RestrictedRootSystem,
                              descent: DescentDatum) -> Tuple[RestrictedOrbit, ...]:
     """Orbits of the Galois action on restricted roots; an orbit is symmetric
     when it contains the negative of each member."""
-    mats = [descent.restricted_action(k, rrs) for k in range(descent.order)]
-
-    def act(mat, v):
-        return tuple(sum(mat[i][j] * v[j] for j in range(len(v)))
-                     for i in range(len(v)))
-
+    acts = [descent.restricted_action(k, rrs) for k in range(descent.order)]
     seen = set()
     orbits: List[RestrictedOrbit] = []
     for v in sorted(rrs.restricted):
         if v in seen:
             continue
-        orbit = {act(m, v) for m in mats}
+        orbit = {act(v) for act in acts}
         if not orbit <= set(rrs.restricted):
             raise FactorError("Galois action does not preserve the restricted roots")
         seen |= orbit

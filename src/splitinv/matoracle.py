@@ -276,20 +276,6 @@ def realize(ctx: MatrixContext, x) -> Matrix:
     raise RealizationError(f"cannot realize {type(x).__name__}")
 
 
-def matrix_to_json(m: Matrix) -> list:
-    """Row-major exact serialization: entries as fraction strings, or
-    [u, v] pairs for elements of a quadratic extension."""
-    def enc(x):
-        if isinstance(x, Fraction):
-            return str(x)
-        if hasattr(x, "u") and hasattr(x, "v"):
-            return [str(x.u), str(x.v)]
-        if hasattr(x, "v") and hasattr(x, "p"):
-            return x.v
-        return str(x)
-    return [[enc(x) for x in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # rank-1 adjoint maps into SL(3)
 # ---------------------------------------------------------------------------
@@ -428,7 +414,7 @@ def fixed_group_lift(ctx: MatrixContext, rrs, omega: WeylElement) -> Matrix:
     word = rrs.res_word_of(omega)
     out = mat_identity(ctx.n, ctx.field)
     for gi in word:
-        beta = rrs.res_simple_list[gi]
+        beta = rrs.simple_restricted[gi]
         out = mat_mul(out, fixed_group_simple_lift(ctx, rrs, beta))
     return out
 

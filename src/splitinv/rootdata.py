@@ -237,18 +237,8 @@ class RootDatum:
     def weyl_group(self) -> Tuple["WeylElement", ...]:
         """All Weyl elements (cached)."""
         if self._weyl_cache is None:
-            seen = {self.identity_weyl(): None}
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for i in range(self.rank):
-                        w2 = w * self.simple_reflection(i)
-                        if w2 not in seen:
-                            seen[w2] = None
-                            nxt.append(w2)
-                frontier = nxt
-            self._weyl_cache = tuple(seen)
+            self._weyl_cache = _closure(
+                self.identity_weyl(), [self.simple_reflection(i) for i in range(self.rank)])
         return self._weyl_cache
 
     def longest_element(self) -> "WeylElement":
@@ -383,6 +373,23 @@ class WeylElement:
 
     def __repr__(self):
         return "w[" + ",".join(str(i + 1) for i in self.word) + "]" if self.word else "w[e]"
+
+
+def _closure(identity: WeylElement, gens: Sequence[WeylElement]) -> Tuple[WeylElement, ...]:
+    """The group generated by gens, in breadth-first order of right
+    multiplication by the generators in the given order."""
+    seen = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                w2 = w * g
+                if w2 not in seen:
+                    seen[w2] = None
+                    nxt.append(w2)
+        frontier = nxt
+    return tuple(seen)
 
 
 def analyze_weyl(datum: RootDatum, word: Sequence[int], one_based: bool = False) -> WeylElement:
@@ -527,10 +534,6 @@ class RootAutomorphism:
     def act_coroot(self, coords: Vec) -> Vec:
         return self.weyl.act_coroot(self.diagram.act_coroot(coords))
 
-    def commutes_with_pinned(self, theta: PinnedAutomorphism) -> bool:
-        return (theta.act_weyl(self.weyl) == self.weyl
-                and theta.compose(self.diagram).perm == self.diagram.compose(theta).perm)
-
     def __repr__(self):
         return f"RootAut({self.weyl!r}, {self.diagram!r})"
 
@@ -575,9 +578,19 @@ class RestrictedRootSystem:
         self.datum = datum
         self.theta = theta
         self.simple_orbits = theta.orbits()
-        self._assert_coinvariants_torsion_free()
+        # X*(T)/(theta-1)X*(T) needs no torsion check: theta permutes the
+        # fundamental-weight basis of X*(T), so the quotient is free on the
+        # theta-orbits, with restrict_weight as the quotient map.
         self._build_roots()
-        self._build_restricted_weyl()
+        # image of each simple restricted reflection in Omega^theta: the
+        # longest element of the Levi attached to the restricted line
+        self.levi_longest: Dict[Vec, WeylElement] = {}
+        for beta in self.simple_restricted:
+            w = levi_component(self, beta).longest
+            if not theta.commutes_with(w):
+                raise RootDatumError("restricted reflection image not theta-fixed")
+            self.levi_longest[beta] = w
+        self._fixed_weyl_cache: Optional[Tuple[WeylElement, ...]] = None
 
     def fixed_cocharacter_basis(self) -> Tuple[Vec, ...]:
         """Basis of the fixed cocharacter sublattice: orbit sums of simple
@@ -588,8 +601,8 @@ class RestrictedRootSystem:
 
     @property
     def coinvariant_rank(self) -> int:
-        """Rank of the coinvariant character lattice (free; torsion-freeness
-        is asserted at construction), equal to the number of orbits."""
+        """Rank of the coinvariant character lattice (free, see the
+        constructor), equal to the number of orbits."""
         return len(self.simple_orbits)
 
     # restriction of a character given by fundamental-weight coordinates
@@ -599,20 +612,6 @@ class RestrictedRootSystem:
 
     def restrict_root(self, coords: Vec) -> Vec:
         return self.restrict_weight(self.datum.weight_coords(coords))
-
-    def _assert_coinvariants_torsion_free(self):
-        # X*(T)/(theta-1)X*(T) must be free for the fixed subtorus to carry
-        # honest character coordinates; check elementary divisors of theta-1.
-        from sympy import Matrix
-        from sympy.matrices.normalforms import smith_normal_form
-        n = self.datum.rank
-        m = [[(1 if self.theta.perm[j] == i else 0) - (1 if i == j else 0)
-              for j in range(n)] for i in range(n)]
-        snf = smith_normal_form(Matrix(m))
-        divisors = {abs(snf[i, i]) for i in range(n)}
-        if not divisors <= {0, 1}:
-            raise RootDatumError("coinvariant character lattice has torsion; "
-                                 "datum outside the supported simply-connected range")
 
     def _build_roots(self):
         datum, theta = self.datum, self.theta
@@ -712,79 +711,35 @@ class RestrictedRootSystem:
 
     # -- fixed-subgroup Weyl group -------------------------------------------
 
-    def _res_matrix_of(self, act_weight) -> Mat:
-        """Matrix on restricted coordinates of a positivity-preserving action
-        on characters commuting with theta, given by its weight-coords action."""
-        n = self.datum.rank
-        cols = []
-        for orb in self.simple_orbits:
-            # one orbit representative restricts to the unit vector; the
-            # action descends, so any representative gives the same column
-            lam = tuple(1 if i == orb[0] else 0 for i in range(n))
-            cols.append(self.restrict_weight(act_weight(lam)))
-        return tuple(tuple(cols[j][i] for j in range(self.res_rank))
-                     for i in range(self.res_rank))
-
-    def restricted_action_of_weyl(self, w: WeylElement) -> Mat:
-        if not self.theta.commutes_with(w):
-            raise RootDatumError("Weyl element does not commute with theta")
-        return self._res_matrix_of(w.act_weight)
-
-    def _build_restricted_weyl(self):
-        datum = self.datum
-        # image of each simple restricted reflection: longest element of the
-        # Levi attached to the fiber of the restricted line
-        self.levi_longest: Dict[Vec, WeylElement] = {}
-        for beta in self.simple_restricted:
-            self.levi_longest[beta] = self._levi(beta).longest
-        # enumerate the restricted Weyl group by matrices with reduced words
-        gens = {beta: self._reflection_matrix(beta) for beta in self.simple_restricted}
-        ident = _ident(self.res_rank)
-        words: Dict[Mat, Tuple[int, ...]] = {ident: ()}
-        frontier = [ident]
-        simple_list = list(self.simple_restricted)
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for gi, beta in enumerate(simple_list):
-                    m2 = _mat_mul(m, gens[beta])
-                    if m2 not in words:
-                        words[m2] = words[m] + (gi,)
-                        nxt.append(m2)
-            frontier = nxt
-        self.res_weyl_words = words
-        self.res_simple_list = simple_list
-        # the isomorphism onto the theta-fixed Weyl subgroup
-        self.omega_theta: Dict[WeylElement, Mat] = {}
-        for m, word in words.items():
-            w = datum.identity_weyl()
-            for gi in word:
-                w = w * self.levi_longest[simple_list[gi]]
-            if not self.theta.commutes_with(w):
-                raise RootDatumError("restricted reflection image not theta-fixed")
-            if w in self.omega_theta:
-                raise RootDatumError("restricted Weyl map is not injective")
-            self.omega_theta[w] = m
-
-    def _reflection_matrix(self, beta: Vec) -> Mat:
-        cols = []
-        for i in range(self.res_rank):
-            e = tuple(1 if j == i else 0 for j in range(self.res_rank))
-            cols.append(self.reflect_restricted(e, beta))
-        return tuple(tuple(cols[j][i] for j in range(self.res_rank))
-                     for i in range(self.res_rank))
-
     def fixed_weyl_subgroup(self) -> Tuple[WeylElement, ...]:
-        """Omega^theta, enumerated through the restricted Weyl group."""
-        return tuple(self.omega_theta)
+        """Omega^theta, enumerated on first call by closure under the images
+        of the simple restricted reflections (cached)."""
+        if self._fixed_weyl_cache is None:
+            self._fixed_weyl_cache = _closure(
+                self.datum.identity_weyl(),
+                [self.levi_longest[beta] for beta in self.simple_restricted])
+        return self._fixed_weyl_cache
 
     def res_word_of(self, w: WeylElement) -> Tuple[int, ...]:
-        """Reduced word in simple restricted reflections for a theta-fixed w."""
-        try:
-            m = self.omega_theta[w]
-        except KeyError:
-            raise RootDatumError("element is not in the fixed Weyl subgroup") from None
-        return self.res_weyl_words[m]
+        """Reduced word in simple restricted reflections (indices into
+        ``simple_restricted``) for a theta-fixed w, lexicographically least:
+        peel off the first beta with w^{-1} beta < 0 as long as w != 1.
+
+        Omega^theta is a Coxeter group on the ``levi_longest`` elements
+        (Steinberg, Endomorphisms of linear algebraic groups, 1968), so this
+        is the descent rule of ``WeylElement.word``."""
+        if not self.theta.commutes_with(w):
+            raise RootDatumError("element is not in the fixed Weyl subgroup")
+        letters = []
+        ident = _ident(self.datum.rank)
+        inv = w.inv_mat  # tracks (s_beta ... w)^{-1} = w^{-1} s_beta ...
+        while inv != ident:
+            gi = next(gi for gi, beta in enumerate(self.simple_restricted)
+                      if not RootDatum._is_positive(
+                          _mat_vec(inv, self.restricted[beta].orbit[0])))
+            letters.append(gi)
+            inv = _mat_mul(inv, self.levi_longest[self.simple_restricted[gi]].inv_mat)
+        return tuple(letters)
 
     def res_inversions(self, act_res_inv) -> Tuple[Vec, ...]:
         """Positive indivisible restricted roots sent negative by the inverse
@@ -795,9 +750,6 @@ class RestrictedRootSystem:
             if act_res_inv(v) in neg:
                 out.append(v)
         return tuple(out)
-
-    def _levi(self, beta: Vec):
-        return levi_component(self, beta)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ with one, the torus values are computed and verified as honest matrices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -71,15 +71,6 @@ class ADatum:
             values[tuple(-c for c in v)] = -pos_values[v]
         return ADatum(values, one, half, "restricted", flavor, rrs)
 
-    @staticmethod
-    def symbolic_from_orbits(datum: RootDatum, descent,
-                             theta: Optional[PinnedAutomorphism] = None
-                             ) -> Tuple["ADatum", "SignedOrbitAction"]:
-        """Free symbolic a-data: one indeterminate per joint orbit of the
-        Galois action, the pinned automorphism, and negation, together with
-        the signed symbol action realizing the Galois equivariance."""
-        return _symbolic_adata(datum, descent, theta)
-
     # -- access -----------------------------------------------------------------
 
     def __getitem__(self, key: tuple):
@@ -119,11 +110,9 @@ class ADatum:
                         raise ADataError(
                             f"a-data not Galois-equivariant at {coords}, sigma^{k}")
             else:
-                mat = descent.restricted_action(k, self.system)
+                act = descent.restricted_action(k, self.system)
                 for coords, v in self.values.items():
-                    img = tuple(sum(mat[i][j] * coords[j] for j in range(len(coords)))
-                                for i in range(len(coords)))
-                    if self.values.get(img) != descent.field_apply(k, v):
+                    if self.values.get(act(coords)) != descent.field_apply(k, v):
                         raise ADataError(
                             f"restricted a-data not Galois-equivariant at {coords}, sigma^{k}")
 
@@ -313,15 +302,21 @@ class DescentDatum:
         return self.galois_on_torus_pinned(k, t).weyl_apply(self.weyl_part(k), one)
 
     def restricted_action(self, k: int, rrs: RestrictedRootSystem):
+        """The function applying sigma^k to restricted coordinates."""
         w, g = self._powers[k % self.order]
+        n = rrs.res_rank
+        cols = []
+        for orb in rrs.simple_orbits:
+            # one orbit representative restricts to the unit vector; the
+            # action descends, so any representative gives the same column
+            lam = [0] * self.datum.rank
+            lam[g.perm[orb[0]]] = 1
+            cols.append(rrs.restrict_weight(w.act_weight(tuple(lam))))
 
-        def act_weight(lam):
-            permuted = [0] * len(lam)
-            for i, v in enumerate(lam):
-                permuted[g.perm[i]] = v
-            return w.act_weight(tuple(permuted))
+        def act(v):
+            return tuple(sum(cols[j][i] * v[j] for j in range(n)) for i in range(n))
 
-        return rrs._res_matrix_of(act_weight)
+        return act
 
     def __repr__(self):
         return (f"DescentDatum(Z/{self.order}, omega={self.omega_T!r}, "
@@ -345,7 +340,6 @@ class SplittingCocycle:
     datum: RootDatum
     theta: Optional[PinnedAutomorphism] = None
     matrices: Optional[Dict[int, tuple]] = None   # honest in-T matrices
-    provenance: dict = field(default_factory=dict)
 
     def verify(self, one) -> None:
         n = self.descent.order
@@ -529,11 +523,7 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
     restricted = isinstance(system, RestrictedRootSystem)
     if restricted:
         keys = sorted(system.restricted)
-        mat = descent.restricted_action(1 % descent.order, system)
-
-        def sigma(v):
-            return tuple(sum(mat[i][j] * v[j] for j in range(len(v)))
-                         for i in range(len(v)))
+        sigma = descent.restricted_action(1 % descent.order, system)
     else:
         aut = descent.root_action(1 % descent.order)
         keys = sorted(r.coords for r in system.roots)
@@ -678,7 +668,6 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
 
 def _t_level(datum, descent, adata, m, realization, theta) -> SplittingCocycle:
     ctx = realization.ctx
-    f = ctx.field
     if ctx.datum is not datum:
         # same-type data built separately are fine; enforce equal Cartan data
         if ctx.datum.cartan != datum.cartan:
@@ -702,8 +691,7 @@ def _t_level(datum, descent, adata, m, realization, theta) -> SplittingCocycle:
             raise RealizationError("transport inconsistency in the t-level cocycle")
         matrices[k] = honest
     out = SplittingCocycle("t", values, "T^theta" if theta is not None else "T",
-                           descent, datum, theta, matrices,
-                           provenance={"field": f.name})
+                           descent, datum, theta, matrices)
     out.verify(adata.one)
     return out
 
@@ -839,22 +827,9 @@ class CompareReport:
 def restricted_inversions(rrs: RestrictedRootSystem, descent: DescentDatum,
                           k: int) -> Tuple[tuple, ...]:
     """Indivisible positive restricted roots sent negative by the inverse of
-    the k-th Galois action."""
-    from .matoracle import mat_inv as _mi
-    from .coeffs import RationalField
-    mat = descent.restricted_action(k, rrs)
-    fr = RationalField()
-    fmat = tuple(tuple(Fraction(v) for v in row) for row in mat)
-    inv = _mi(fmat, fr)
-
-    def act_inv(v):
-        out = tuple(sum(inv[i][j] * v[j] for j in range(len(v)))
-                    for i in range(len(v)))
-        if any(x.denominator != 1 for x in out):
-            raise RootDatumError("restricted action is not invertible over Z")
-        return tuple(int(x) for x in out)
-
-    return rrs.res_inversions(act_inv)
+    the k-th Galois action, which is the action of sigma^{-k} once the
+    descent datum is validated."""
+    return rrs.res_inversions(descent.restricted_action(-k, rrs))
 
 
 def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
@@ -883,12 +858,14 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     m = m_cocycle(datum, descent, tilde_full, theta=theta)
 
     m_prime: Dict[int, TitsElement] = {}
+    torus_parts: Dict[int, TorusElement] = {}
     for k in range(descent.order):
         omega_k = descent.weyl_part(k)
         torus = TorusElement.ones(datum.rank, one)
         for beta in restricted_inversions(rrs, descent, k):
             torus = torus * TorusElement.cochar_power(
                 rrs.restricted[beta].coroot, special_adata[beta], one)
+        torus_parts[k] = torus
         disc = lift_discrepancy(rrs, omega_k, one, special_adata.half)
         m_prime[k] = TitsElement(torus * disc, omega_k)
 
@@ -910,16 +887,12 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     t_cocycle = None
     t_prime_matrices = None
     if ctx is not None:
+        # rebuild the fixed-subgroup side genuinely: its own pinned lift
+        lifted = {}
         for k in range(descent.order):
-            omega_k = descent.weyl_part(k)
-            # rebuild the fixed-subgroup side genuinely: its own pinned lift
-            torus_part = TorusElement.ones(datum.rank, one)
-            for beta in restricted_inversions(rrs, descent, k):
-                torus_part = torus_part * TorusElement.cochar_power(
-                    rrs.restricted[beta].coroot, special_adata[beta], one)
-            lhs = mat_mul(realize(ctx, torus_part), fixed_group_lift(ctx, rrs, omega_k))
-            rhs = realize(ctx, m[k])
-            if not mat_eq(lhs, rhs):
+            lifted[k] = mat_mul(realize(ctx, torus_parts[k]),
+                                fixed_group_lift(ctx, rrs, descent.weyl_part(k)))
+            if not mat_eq(lifted[k], realize(ctx, m[k])):
                 raise RealizationError(
                     f"matrix comparison fails at sigma^{k}")
         matrix_checked = True
@@ -927,13 +900,7 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
             t_cocycle = lambda_twisted(datum, theta, descent, tilde_full, realization)
             t_prime_matrices = {}
             for k in range(descent.order):
-                omega_k = descent.weyl_part(k)
-                torus_part = TorusElement.ones(datum.rank, one)
-                for beta in restricted_inversions(rrs, descent, k):
-                    torus_part = torus_part * TorusElement.cochar_power(
-                        rrs.restricted[beta].coroot, special_adata[beta], one)
-                mk = mat_mul(realize(ctx, torus_part), fixed_group_lift(ctx, rrs, omega_k))
-                t_prime_matrices[k] = mat_prod(realization.h, mk,
+                t_prime_matrices[k] = mat_prod(realization.h, lifted[k],
                                                realization.sigma_h_inv(k))
                 if not mat_eq(t_prime_matrices[k], t_cocycle.matrices[k]):
                     raise RealizationError(

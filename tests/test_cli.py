@@ -1,6 +1,12 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from splitinv.cli import main
 
@@ -92,6 +98,20 @@ class TestRestrict:
         assert report["result"]["reduced"] is True
         assert report["result"]["fixed_weyl_order"] == 8
 
+    def test_runs_without_sympy(self, tmp_path):
+        # sympy is not a dependency: restriction must run with it unimportable
+        path = write(tmp_path, {"datum": [["A", 3]], "theta": {"perm": [3, 2, 1]}})
+        code = ("import sys\n"
+                "sys.modules['sympy'] = None\n"
+                "from splitinv.cli import main\n"
+                f"sys.exit(main(['restrict', {path!r}]))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["fixed_weyl_order"] == 8
+
 
 class TestHilbert:
     def test_known_value(self, capsys):
@@ -105,6 +125,20 @@ class TestHilbert:
     def test_fractions_accepted(self, capsys):
         assert main(["hilbert", "1/2", "5", "--place", "5"]) == 0
         assert capsys.readouterr().out.strip() == "-1"
+
+    @pytest.mark.parametrize("args,name", [
+        (["abc", "5", "--place", "5"], "a"),
+        (["2", "1/0", "--place", "5"], "b"),
+        (["2", "5", "--place", "x"], "--place"),
+    ])
+    def test_malformed_argument_exits_two(self, capsys, args, name):
+        assert main(["hilbert"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"argument {name}:" in err
+
+    def test_large_prime_place(self, capsys):
+        assert main(["hilbert", "2", "5", "--place", "1000000000000000003"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
 
 
 class TestFactors:

@@ -1,18 +1,61 @@
 """Coefficient layer: symbolic units, quadratic extensions, prime fields,
 and the Hilbert symbol against its brute-force norm-search oracle."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitinv.coeffs import (LocalPlace, PrimeField, QuadField,
-                             SignedSymbolMap, SymUnit, hilbert_symbol,
+from splitinv.coeffs import (PRIME_BOUND, LocalPlace, PrimeField, QuadField,
+                             SignedSymbolMap, SymUnit, _is_prime, hilbert_symbol,
                              hilbert_symbol_bruteforce, is_square_at,
                              legendre_symbol, quad_norm_sign)
 from splitinv.errors import CoefficientError, PlaceError
 
 nonzero_rational = st.fractions(min_value=-30, max_value=30).filter(lambda x: x != 0)
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n with no factor below 1000
+    (Pollard's rho with Brent's cycle search, one gcd per doubling)."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, ys, q = y, y, 1
+            for _ in range(r):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            r *= 2
+        if g == n:
+            # several factors met within one batch: repeat it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n):
+    """The prime divisors of n >= 1. Trial division alone takes hours on
+    the 100-bit numerators and denominators that hypothesis draws."""
+    primes = set()
+    for d in range(2, 1000):
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            primes.add(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return primes
 
 
 class TestSymbolicUnits:
@@ -80,6 +123,30 @@ class TestPrimeField:
         with pytest.raises(CoefficientError):
             PrimeField(9)
 
+    def test_beyond_primality_bound_rejected(self):
+        with pytest.raises(CoefficientError, match=str(PRIME_BOUND)):
+            PrimeField(PRIME_BOUND + 2)
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(10 ** 5):
+            expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+            assert _is_prime(n) == expected, n
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert not _is_prime(3215031751)
+        assert not _is_prime(3825123056546413051)
+
+    def test_large_primes(self):
+        assert _is_prime(10 ** 18 + 3)
+        assert _is_prime(2 ** 61 - 1)
+
+    def test_place_beyond_bound_rejected(self):
+        with pytest.raises(PlaceError, match=str(PRIME_BOUND)):
+            LocalPlace.padic(PRIME_BOUND)
+
 
 PLACES = [LocalPlace.real(), LocalPlace.padic(2), LocalPlace.padic(3),
           LocalPlace.padic(5), LocalPlace.padic(7)]
@@ -126,14 +193,14 @@ class TestHilbertSymbol:
         primes = set()
         for x in (a, b):
             for n in (abs(x.numerator), x.denominator):
-                d = 2
-                while d * d <= n:
-                    while n % d == 0:
-                        primes.add(d)
-                        n //= d
-                    d += 1
-                if n > 1:
-                    primes.add(n)
+                primes |= _prime_factors(n)
+        beyond = [p for p in primes if p >= PRIME_BOUND]
+        if beyond:
+            # the drawn denominators reach about 2^130; places at or above
+            # the primality bound are outside the library's domain
+            with pytest.raises(PlaceError, match=str(PRIME_BOUND)):
+                LocalPlace.padic(beyond[0])
+            return
         total = hilbert_symbol(a, b, LocalPlace.real())
         for p in primes | {2}:
             total *= hilbert_symbol(a, b, LocalPlace.padic(p))
@@ -142,6 +209,13 @@ class TestHilbertSymbol:
     def test_zero_rejected(self):
         with pytest.raises(PlaceError):
             hilbert_symbol(0, 3, LocalPlace.real())
+
+    def test_prime_factors_reference(self):
+        for n in range(1, 3000):
+            expected = {q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)}
+            assert _prime_factors(n) == expected, n
+        assert _prime_factors(1009 ** 2 * 1000003 * (2 ** 61 - 1)) == \
+            {1009, 1000003, 2 ** 61 - 1}
 
 
 class TestQuadNormSign:

@@ -250,3 +250,139 @@ class TestFixedLattice:
         for r in d.roots:
             res = rrs.restrict_root(r.coords)
             assert res == tuple(d.pairing(r.coords, mu) for mu in basis)
+
+
+RESTRICTION_CASES = [(f"A{n} flip", [("A", n)], tuple(range(n - 1, -1, -1)))
+                     for n in range(2, 7)] + [
+    ("D4 swap", [("D", 4)], (0, 1, 3, 2)),
+    ("D4 triality", [("D", 4)], (2, 1, 3, 0)),
+    ("A2xA2 swap", [("A", 2), ("A", 2)], (2, 3, 0, 1)),
+    ("A2xA2 order-4 twist", [("A", 2), ("A", 2)], (2, 3, 1, 0)),
+    ("A3 identity", [("A", 3)], (0, 1, 2)),
+]
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _restricted_reflection(rrs, beta):
+    n = rrs.res_rank
+    cols = [rrs.reflect_restricted(tuple(int(i == j) for j in range(n)), beta)
+            for i in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def _restricted_weyl_words(rrs):
+    """The lexicographically least reduced word of every element of the group
+    generated by the simple restricted reflection matrices: breadth-first
+    search in generator order reaches each element first along that word."""
+    gens = [_restricted_reflection(rrs, beta) for beta in rrs.simple_restricted]
+    n = rrs.res_rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gi, g in enumerate(gens):
+                m2 = _mat_mul(m, g)
+                if m2 not in words:
+                    words[m2] = words[m] + (gi,)
+                    nxt.append(m2)
+        frontier = nxt
+    return list(words.values())
+
+
+def _elementary_divisors(m):
+    """Diagonal of the Smith normal form of an integer matrix, by unimodular
+    row and column elimination."""
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0])
+    out = []
+    t = 0
+    while t < min(rows, cols):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+                   if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            q = a[i][t] // p
+            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, cols):
+            q = a[t][j] // p
+            for row in a:
+                row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+            continue  # a smaller remainder is left: pivot on it
+        bad = next((i for i in range(t + 1, rows)
+                    if any(x % p for x in a[i][t + 1:])), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            continue
+        out.append(abs(p))
+        t += 1
+    return out + [0] * (min(rows, cols) - len(out))
+
+
+class TestRestrictedWeyl:
+    @staticmethod
+    def _restrict(families, perm):
+        d = build_root_datum(families)
+        theta = PinnedAutomorphism(d, perm)
+        return d, theta, restrict_root_system(d, theta)
+
+    @staticmethod
+    def _from_word(rrs, word):
+        w = rrs.datum.identity_weyl()
+        for gi in word:
+            w = w * rrs.levi_longest[rrs.simple_restricted[gi]]
+        return w
+
+    @pytest.mark.parametrize("label,families,perm", RESTRICTION_CASES)
+    def test_words_are_lexicographically_least(self, label, families, perm):
+        _, _, rrs = self._restrict(families, perm)
+        for word in _restricted_weyl_words(rrs):
+            assert rrs.res_word_of(self._from_word(rrs, word)) == word
+
+    @pytest.mark.parametrize("label,families,perm", RESTRICTION_CASES)
+    def test_fixed_subgroup_is_the_restricted_weyl_group(self, label, families, perm):
+        _, _, rrs = self._restrict(families, perm)
+        words = _restricted_weyl_words(rrs)
+        images = {self._from_word(rrs, word) for word in words}
+        assert len(images) == len(words)  # the map onto Omega^theta is injective
+        fixed = rrs.fixed_weyl_subgroup()
+        assert len(fixed) == len(words) and set(fixed) == images
+
+    @pytest.mark.parametrize("label,families,perm",
+                             [c for c in RESTRICTION_CASES if c[2] != tuple(sorted(c[2]))])
+    def test_word_of_non_fixed_element_rejected(self, label, families, perm):
+        d, theta, rrs = self._restrict(families, perm)
+        moved = next(i for i in range(d.rank) if theta.perm[i] != i)
+        with pytest.raises(RootDatumError):
+            rrs.res_word_of(d.simple_reflection(moved))
+
+    @pytest.mark.parametrize("label,families,perm", RESTRICTION_CASES)
+    def test_coinvariants_torsion_free(self, label, families, perm):
+        # X/(theta-1)X is free of rank #orbits: no torsion check is needed
+        d, theta, rrs = self._restrict(families, perm)
+        n = d.rank
+        m = [[int(theta.perm[j] == i) - int(i == j) for j in range(n)] for i in range(n)]
+        divisors = _elementary_divisors(m)
+        assert set(divisors) <= {0, 1}
+        assert divisors.count(1) == n - len(theta.orbits())
+        assert divisors.count(0) == rrs.coinvariant_rank
+
+    def test_elementary_divisors_see_torsion(self):
+        assert _elementary_divisors([[2, 4], [6, 8]]) == [2, 4]
+        assert _elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
+
+    def test_a11_flip_longest_word(self):
+        d, _, rrs = self._restrict([("A", 11)], tuple(range(10, -1, -1)))
+        assert len(rrs.res_word_of(d.longest_element())) == 36
