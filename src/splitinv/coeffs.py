@@ -247,7 +247,8 @@ class QuadNum:
         return self.u == o.u and self.v == o.v
 
     def __hash__(self):
-        return hash((self.u, self.v, self.d))
+        # equal to the rational u when v == 0, so it must hash like u
+        return hash(self.u) if self.v == 0 else hash((self.u, self.v, self.d))
 
     def conj(self) -> "QuadNum":
         return QuadNum(self.u, -self.v, self.d)
@@ -366,12 +367,11 @@ class Fp:
         return Fp(pow(self.v, k, self.p), self.p)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, Fp) else other
-        if o is None:
+        # only elements of the same field compare equal: an int equal to
+        # Fp(1, 5) would have to equal 1 and 6 alike, and no hash allows that
+        if not isinstance(other, Fp):
             return NotImplemented
-        if isinstance(o, Fp) and o.p != self.p:
-            return False
-        return self.v == o.v
+        return self.p == other.p and self.v == other.v
 
     def __hash__(self):
         return hash((self.v, self.p))

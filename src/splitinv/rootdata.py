@@ -22,39 +22,6 @@ Mat = Tuple[Vec, ...]
 
 
 # ---------------------------------------------------------------------------
-# integer matrix helpers
-# ---------------------------------------------------------------------------
-
-def _ident(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def _perm_mat(perm: Sequence[int]) -> Mat:
-    n = len(perm)
-    return tuple(tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n))
-
-
-def _column_negative(mat: Mat, i: int) -> bool:
-    """Whether column i of a root-coordinate matrix is a negative root."""
-    for row in mat:
-        if row[i] > 0:
-            return False
-        if row[i] < 0:
-            return True
-    raise RootDatumError("zero column in a Weyl matrix")
-
-
-# ---------------------------------------------------------------------------
 # Cartan matrices
 # ---------------------------------------------------------------------------
 
@@ -82,6 +49,12 @@ def _cartan_block(family: str, rank: int) -> List[List[int]]:
         c[rank - 3][rank - 1] = -1
         c[rank - 1][rank - 3] = -1
     return c
+
+
+def _reflect(cartan: Mat, v: Vec, i: int) -> Vec:
+    """s_i in simple-root coordinates: v - <v, alpha_i_vee> alpha_i."""
+    k = sum(c * x for c, x in zip(cartan[i], v))
+    return v[:i] + (v[i] - k,) + v[i + 1:]
 
 
 _ROOT_COUNT = {
@@ -118,34 +91,27 @@ class RootDatum:
         self.families = tuple((f, int(r)) for f, r in families)
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
-        self._refl_root = tuple(self._simple_refl_matrix(i, transpose=False)
-                                for i in range(rank))
-        self._refl_coroot = tuple(self._simple_refl_matrix(i, transpose=True)
-                                  for i in range(rank))
         self.roots: Tuple[Root, ...] = self._generate_roots()
-        self._root_by_coords: Dict[Vec, Root] = {r.coords: r for r in self.roots}
         expected = sum(_ROOT_COUNT[f](r) for f, r in self.families)
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
+        # the tables of the Weyl kernel: positive roots come first in `roots`
+        self.root_index: Dict[Vec, int] = {r.coords: j for j, r in enumerate(self.roots)}
+        self.n_positive = sum(r.positive for r in self.roots)
+        self.simple_index: Tuple[int, ...] = tuple(
+            self.root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+        ident = tuple(range(len(self.roots)))
+        self._identity = WeylElement._from_perms(self, ident, ident)
+        reflections = [tuple(self.root_index[_reflect(self.cartan, r.coords, i)]
+                             for r in self.roots) for i in range(rank)]
+        self._simple = tuple(WeylElement._from_perms(self, p, p) for p in reflections)
         self._weyl_cache: Optional[Tuple["WeylElement", ...]] = None
 
     # -- construction ------------------------------------------------------
 
-    def _simple_refl_matrix(self, i: int, transpose: bool) -> Mat:
-        n = self.rank
-        c = self.cartan
-        rows = []
-        for k in range(n):
-            if k != i:
-                rows.append(tuple(1 if j == k else 0 for j in range(n)))
-            else:
-                # s_i subtracts <., alpha_i_vee> (root side) resp. <alpha_i, .>
-                # (coroot side) times the basis vector
-                rows.append(tuple((1 if j == i else 0) - (c[j][i] if transpose else c[i][j])
-                                  for j in range(n)))
-        return tuple(rows)
-
     def _generate_roots(self) -> Tuple[Root, ...]:
+        # coroots are the roots of the dual datum, whose Cartan matrix is the transpose
+        dual = tuple(zip(*self.cartan))
         seen: Dict[Vec, Vec] = {}
         frontier = []
         for i in range(self.rank):
@@ -156,9 +122,9 @@ class RootDatum:
             nxt = []
             for c, d in frontier:
                 for i in range(self.rank):
-                    c2 = _mat_vec(self._refl_root[i], c)
+                    c2 = _reflect(self.cartan, c, i)
                     if c2 not in seen:
-                        d2 = _mat_vec(self._refl_coroot[i], d)
+                        d2 = _reflect(dual, d, i)
                         seen[c2] = d2
                         nxt.append((c2, d2))
             frontier = nxt
@@ -182,16 +148,16 @@ class RootDatum:
 
     def root(self, coords: Vec) -> Root:
         try:
-            return self._root_by_coords[tuple(coords)]
+            return self.roots[self.root_index[tuple(coords)]]
         except KeyError:
             raise RootDatumError(f"{coords} is not a root") from None
 
     def is_root(self, coords: Vec) -> bool:
-        return tuple(coords) in self._root_by_coords
+        return tuple(coords) in self.root_index
 
     @property
     def positive_roots(self) -> Tuple[Root, ...]:
-        return tuple(r for r in self.roots if r.positive)
+        return self.roots[:self.n_positive]
 
     def simple_root(self, i: int) -> Root:
         return self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -209,30 +175,21 @@ class RootDatum:
 
     def reflection_in_root(self, coords: Vec) -> "WeylElement":
         """The reflection attached to an arbitrary root, as a Weyl element."""
-        r = self.root(coords)
-        n = self.rank
-        mat = tuple(tuple((1 if j == k else 0)
-                          - r.coords[k] * self.pairing(tuple(1 if t == j else 0 for t in range(n)),
-                                                       r.coroot)
-                          for j in range(n)) for k in range(n))
-        comat = tuple(tuple((1 if j == k else 0)
-                            - r.coroot[k] * self.pairing(r.coords,
-                                                         tuple(1 if t == j else 0 for t in range(n)))
-                            for j in range(n)) for k in range(n))
-        return WeylElement._from_matrices(self, mat, mat, comat, comat)
+        a = self.root(coords)
+        perm = tuple(self.root_index[tuple(x - self.pairing(b.coords, a.coroot) * y
+                                           for x, y in zip(b.coords, a.coords))]
+                     for b in self.roots)
+        return WeylElement._from_perms(self, perm, perm)
 
     # -- Weyl group ---------------------------------------------------------
 
     def identity_weyl(self) -> "WeylElement":
-        m = _ident(self.rank)
-        return WeylElement._from_matrices(self, m, m, m, m)
+        return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
         if not 0 <= i < self.rank:
             raise RootDatumError(f"simple reflection index {i} out of range")
-        m = self._refl_root[i]
-        cm = self._refl_coroot[i]
-        return WeylElement._from_matrices(self, m, m, cm, cm)
+        return self._simple[i]
 
     def weyl_group(self) -> Tuple["WeylElement", ...]:
         """All Weyl elements (cached)."""
@@ -244,8 +201,9 @@ class RootDatum:
     def longest_element(self) -> "WeylElement":
         w = self.identity_weyl()
         while True:
-            i = next((i for i in range(self.rank)
-                      if RootDatum._is_positive(w.act_root(self.simple_root(i).coords))), None)
+            # a right ascent: w alpha_i > 0
+            i = next((i for i, s in enumerate(self.simple_index)
+                      if w.perm[s] < self.n_positive), None)
             if i is None:
                 return w
             w = w * self.simple_reflection(i)
@@ -273,21 +231,24 @@ def build_root_datum(type_spec: Sequence[Tuple[str, int]]) -> RootDatum:
 
 
 class WeylElement:
-    """Weyl group element with canonical (lexicographically least) reduced word."""
+    """Weyl group element with canonical (lexicographically least) reduced word.
 
-    __slots__ = ("datum", "mat", "inv_mat", "comat", "inv_comat", "_word", "_inversions")
+    Stored as the permutation it induces on the indices of ``datum.roots``
+    (``perm[j]`` is the index of w(root j)) together with the permutation of
+    w^{-1}; everything else is read off these through the datum's tables
+    (Casselman, Machine calculations in Weyl groups, 1994)."""
+
+    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions")
 
     def __init__(self):
         raise RootDatumError("use datum.simple_reflection / analyze_weyl to build Weyl elements")
 
     @classmethod
-    def _from_matrices(cls, datum, mat, inv_mat, comat, inv_comat) -> "WeylElement":
+    def _from_perms(cls, datum, perm, inv_perm) -> "WeylElement":
         self = object.__new__(cls)
         self.datum = datum
-        self.mat = mat
-        self.inv_mat = inv_mat
-        self.comat = comat
-        self.inv_comat = inv_comat
+        self.perm = perm
+        self.inv_perm = inv_perm
         self._word = None
         self._inversions = None
         return self
@@ -297,64 +258,73 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.datum is not self.datum:
             raise RootDatumError("Weyl elements from different data")
-        return WeylElement._from_matrices(
-            self.datum,
-            _mat_mul(self.mat, other.mat),
-            _mat_mul(other.inv_mat, self.inv_mat),
-            _mat_mul(self.comat, other.comat),
-            _mat_mul(other.inv_comat, self.inv_comat),
-        )
+        return WeylElement._from_perms(self.datum,
+                                       tuple(map(self.perm.__getitem__, other.perm)),
+                                       tuple(map(other.inv_perm.__getitem__, self.inv_perm)))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement._from_matrices(self.datum, self.inv_mat, self.mat,
-                                          self.inv_comat, self.comat)
+        return WeylElement._from_perms(self.datum, self.inv_perm, self.perm)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.datum is other.datum \
-            and self.mat == other.mat
+            and self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.perm)
+
+    def inverts(self, j: int) -> bool:
+        """Whether w^{-1} sends root j (an index into ``datum.roots``) to a
+        negative root; for a simple root alpha_i, whether s_i w < w."""
+        return self.inv_perm[j] >= self.datum.n_positive
 
     # -- actions -------------------------------------------------------------
 
+    def root_images(self) -> Tuple[Vec, ...]:
+        """w(alpha_i) for each simple index i."""
+        roots = self.datum.roots
+        return tuple(roots[self.perm[s]].coords for s in self.datum.simple_index)
+
+    def coroot_images(self) -> Tuple[Vec, ...]:
+        """w(alpha_i_vee) for each simple index i: the coroot (w alpha_i)_vee."""
+        roots = self.datum.roots
+        return tuple(roots[self.perm[s]].coroot for s in self.datum.simple_index)
+
     def act_root(self, coords: Vec) -> Vec:
-        return _mat_vec(self.mat, coords)
+        return _combine(self.root_images(), coords)
 
     def act_root_inv(self, coords: Vec) -> Vec:
-        return _mat_vec(self.inv_mat, coords)
+        return _combine(self.inverse().root_images(), coords)
 
     def act_coroot(self, coords: Vec) -> Vec:
-        return _mat_vec(self.comat, coords)
+        return _combine(self.coroot_images(), coords)
 
     def act_coroot_inv(self, coords: Vec) -> Vec:
-        return _mat_vec(self.inv_comat, coords)
+        return _combine(self.inverse().coroot_images(), coords)
 
     def act_weight(self, weight: Vec) -> Vec:
-        """Action on the fundamental-weight coordinates of a character."""
-        n = self.datum.rank
-        cols = [self.act_coroot_inv(tuple(1 if k == i else 0 for k in range(n)))
-                for i in range(n)]
-        return tuple(sum(weight[j] * cols[i][j] for j in range(n)) for i in range(n))
+        """Action on the fundamental-weight coordinates of a character:
+        <w lambda, alpha_i_vee> = <lambda, w^{-1} alpha_i_vee>."""
+        return tuple(sum(x * y for x, y in zip(weight, img))
+                     for img in self.inverse().coroot_images())
 
     # -- reduced words -------------------------------------------------------
 
     @property
     def is_identity(self) -> bool:
-        return self.mat == _ident(self.datum.rank)
+        return self.perm == self.datum._identity.perm
 
     @property
     def word(self) -> Tuple[int, ...]:
         """Canonical reduced word (0-based indices), lexicographically least."""
         if self._word is None:
+            datum = self.datum
+            npos, simple = datum.n_positive, datum.simple_index
             letters = []
-            n = self.datum.rank
-            ident = _ident(n)
-            inv = self.inv_mat  # tracks (s_i ... w)^{-1} = w^{-1} s_i ...
-            while inv != ident:
-                i = next(i for i in range(n) if _column_negative(inv, i))
+            inv = self.inv_perm  # tracks (s_i ... w)^{-1} = w^{-1} s_i ...
+            while inv != datum._identity.perm:
+                i = next(i for i, s in enumerate(simple) if inv[s] >= npos)
                 letters.append(i)
-                inv = _mat_mul(inv, self.datum._refl_root[i])
+                inv = tuple(map(inv.__getitem__, datum._simple[i].perm))
             self._word = tuple(letters)
         return self._word
 
@@ -366,13 +336,23 @@ class WeylElement:
     def inversions(self) -> Tuple[Root, ...]:
         """R(w) = positive roots sent negative by w^{-1}."""
         if self._inversions is None:
-            self._inversions = tuple(
-                r for r in self.datum.positive_roots
-                if not RootDatum._is_positive(self.act_root_inv(r.coords)))
+            roots, npos = self.datum.roots, self.datum.n_positive
+            self._inversions = tuple(roots[j] for j in range(npos)
+                                     if self.inv_perm[j] >= npos)
         return self._inversions
 
     def __repr__(self):
         return "w[" + ",".join(str(i + 1) for i in self.word) + "]" if self.word else "w[e]"
+
+
+def _combine(images: Sequence[Vec], coords: Vec) -> Vec:
+    """sum_i coords[i] * images[i]."""
+    out = [0] * len(coords)
+    for x, img in zip(coords, images):
+        if x:
+            for k, y in enumerate(img):
+                out[k] += x * y
+    return tuple(out)
 
 
 def _closure(identity: WeylElement, gens: Sequence[WeylElement]) -> Tuple[WeylElement, ...]:
@@ -424,12 +404,11 @@ class PinnedAutomorphism:
                     raise RootDatumError("permutation does not preserve the Cartan matrix")
         self.datum = datum
         self.perm = perm
-        self.mat = _perm_mat(perm)
         inv = [0] * len(perm)
         for i, p in enumerate(perm):
             inv[p] = i
         self.inv_perm = tuple(inv)
-        self.inv_mat = _perm_mat(self.inv_perm)
+        self._root_perms: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     @staticmethod
     def identity(datum: RootDatum) -> "PinnedAutomorphism":
@@ -449,23 +428,29 @@ class PinnedAutomorphism:
         return self.perm == tuple(range(self.datum.rank))
 
     def act_root(self, coords: Vec) -> Vec:
-        return _mat_vec(self.mat, coords)
+        """alpha_i -> alpha_{perm[i]}."""
+        return tuple(coords[i] for i in self.inv_perm)
 
     def act_root_inv(self, coords: Vec) -> Vec:
-        return _mat_vec(self.inv_mat, coords)
+        return tuple(coords[i] for i in self.perm)
 
     act_coroot = act_root
     act_coroot_inv = act_root_inv
 
     def act_weyl(self, w: WeylElement) -> WeylElement:
-        """Conjugation w -> theta w theta^{-1}."""
-        return WeylElement._from_matrices(
-            self.datum,
-            _mat_mul(self.mat, _mat_mul(w.mat, self.inv_mat)),
-            _mat_mul(self.mat, _mat_mul(w.inv_mat, self.inv_mat)),
-            _mat_mul(self.mat, _mat_mul(w.comat, self.inv_mat)),
-            _mat_mul(self.mat, _mat_mul(w.inv_comat, self.inv_mat)),
-        )
+        """Conjugation w -> theta w theta^{-1}, through theta's permutation
+        of the roots (built on first use)."""
+        if self._root_perms is None:
+            index = self.datum.root_index
+            fwd = tuple(index[self.act_root(r.coords)] for r in self.datum.roots)
+            back = [0] * len(fwd)
+            for j, k in enumerate(fwd):
+                back[k] = j
+            self._root_perms = (fwd, tuple(back))
+        fwd, back = self._root_perms
+        return WeylElement._from_perms(self.datum,
+                                       tuple(fwd[w.perm[j]] for j in back),
+                                       tuple(fwd[w.inv_perm[j]] for j in back))
 
     def act_word(self, word: Sequence[int]) -> Tuple[int, ...]:
         return tuple(self.perm[i] for i in word)
@@ -528,9 +513,6 @@ class RootAutomorphism:
     def act_root(self, coords: Vec) -> Vec:
         return self.weyl.act_root(self.diagram.act_root(coords))
 
-    def act_root_inv(self, coords: Vec) -> Vec:
-        return self.diagram.act_root_inv(self.weyl.act_root_inv(coords))
-
     def act_coroot(self, coords: Vec) -> Vec:
         return self.weyl.act_coroot(self.diagram.act_coroot(coords))
 
@@ -540,16 +522,13 @@ class RootAutomorphism:
 
 def inversion_domain(zeta) -> Tuple[Root, ...]:
     """R(zeta) = positive roots alpha with zeta^{-1}(alpha) negative, in the
-    fixed (height, lexicographic) iteration order."""
-    if isinstance(zeta, WeylElement):
-        zeta = RootAutomorphism(zeta)
-    elif isinstance(zeta, PinnedAutomorphism):
-        zeta = RootAutomorphism(zeta.datum.identity_weyl(), zeta)
-    datum = zeta.datum
-    out = [r for r in datum.positive_roots
-           if not RootDatum._is_positive(zeta.act_root_inv(r.coords))]
-    out.sort(key=lambda r: (r.height, r.coords))
-    return tuple(out)
+    fixed (height, lexicographic) order of ``datum.roots``.  A pinned
+    automorphism keeps the positive roots positive, so R(w g) = R(w)."""
+    if isinstance(zeta, PinnedAutomorphism):
+        return ()
+    if isinstance(zeta, RootAutomorphism):
+        zeta = zeta.weyl
+    return zeta.inversions
 
 
 # ---------------------------------------------------------------------------
@@ -730,15 +709,13 @@ class RestrictedRootSystem:
         is the descent rule of ``WeylElement.word``."""
         if not self.theta.commutes_with(w):
             raise RootDatumError("element is not in the fixed Weyl subgroup")
+        index = self.datum.root_index
+        descent = [index[self.restricted[beta].orbit[0]] for beta in self.simple_restricted]
         letters = []
-        ident = _ident(self.datum.rank)
-        inv = w.inv_mat  # tracks (s_beta ... w)^{-1} = w^{-1} s_beta ...
-        while inv != ident:
-            gi = next(gi for gi, beta in enumerate(self.simple_restricted)
-                      if not RootDatum._is_positive(
-                          _mat_vec(inv, self.restricted[beta].orbit[0])))
+        while not w.is_identity:
+            gi = next(gi for gi, j in enumerate(descent) if w.inverts(j))
             letters.append(gi)
-            inv = _mat_mul(inv, self.levi_longest[self.simple_restricted[gi]].inv_mat)
+            w = self.levi_longest[self.simple_restricted[gi]].inverse() * w
         return tuple(letters)
 
     def res_inversions(self, act_res_inv) -> Tuple[Vec, ...]:

@@ -56,7 +56,8 @@ class CheckRecord:
 
 def _check(records: List[CheckRecord], name: str, fn: Callable[[], object],
            expected=None) -> None:
-    """Run a check body; exceptions count as failures with the message kept."""
+    """Run a check body; exceptions count as failures with the message kept,
+    and any exception other than a SplitinvError also with its type."""
     try:
         actual = fn()
         passed = bool(actual) if expected is None else (actual == expected)
@@ -64,6 +65,9 @@ def _check(records: List[CheckRecord], name: str, fn: Callable[[], object],
                                    None if passed else actual))
     except SplitinvError as exc:
         records.append(CheckRecord(name, False, expected, None, str(exc)))
+    except Exception as exc:  # a fault in the check body: record it, run on
+        records.append(CheckRecord(name, False, expected, None,
+                                   f"{type(exc).__name__}: {exc}"))
 
 
 _FLIP_CASES: Tuple[Tuple[str, Sequence[Tuple[str, int]], Sequence[int]], ...] = (
@@ -115,9 +119,7 @@ def _random_reduced_word(w: WeylElement, rng: random.Random) -> Tuple[int, ...]:
     letters = []
     cur = w
     while not cur.is_identity:
-        descents = [i for i in range(datum.rank)
-                    if not RootDatum._is_positive(
-                        cur.act_root_inv(datum.simple_root(i).coords))]
+        descents = [i for i in range(datum.rank) if cur.inverts(datum.simple_index[i])]
         i = rng.choice(descents)
         letters.append(i)
         cur = datum.simple_reflection(i) * cur

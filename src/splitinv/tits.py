@@ -48,11 +48,9 @@ class TorusElement:
         return TorusElement(tuple(f(c) for c in self.coords))
 
     def weyl_apply(self, w: WeylElement, one) -> "TorusElement":
-        """w(t): push each coroot coordinate through the lattice action."""
-        n = len(self.coords)
-        out = [one] * n
-        for i, c in enumerate(self.coords):
-            img = w.act_coroot(tuple(1 if k == i else 0 for k in range(n)))
+        """w(t): the coordinate on alpha_i_vee moves to w(alpha_i_vee)."""
+        out = [one] * len(self.coords)
+        for c, img in zip(self.coords, w.coroot_images()):
             for j, e in enumerate(img):
                 if e:
                     out[j] = out[j] * (c ** e)
@@ -119,17 +117,17 @@ class TitsElement:
         datum = self.datum
         t = self.torus * other.torus.weyl_apply(self.weyl, one)
         # peel the letters of w1 onto n(w2) from the right; a letter crosses a
-        # wall exactly when it is a left descent of the running product
-        from .rootdata import _column_negative
-        c = TorusElement.ones(datum.rank, one)
+        # wall exactly when it is a left descent of the running product and
+        # then contributes (-1)^{alpha_i_vee}; the correction is (-1)^mu
+        mu = (0,) * datum.rank
         v = other.weyl
         for i in reversed(self.weyl.word):
             s = datum.simple_reflection(i)
-            c = c.weyl_apply(s, one)
-            if _column_negative(v.inv_mat, i):
-                alpha = datum.simple_root(i)
-                c = c * TorusElement.cochar_power(alpha.coroot, -one, one)
+            mu = s.act_coroot(mu)
+            if v.inverts(datum.simple_index[i]):
+                mu = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
             v = s * v
+        c = TorusElement.cochar_power([m % 2 for m in mu], -one, one)
         return TitsElement(t * c, v)
 
     def inverse(self) -> "TitsElement":
@@ -182,14 +180,11 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
     models; the product multiplication does not use it.
     """
     w12 = w1 * w2
-    out = TorusElement.ones(datum.rank, one)
-    for r in datum.positive_roots:
-        if RootDatum._is_positive(w1.act_root_inv(r.coords)):
-            continue
-        if not RootDatum._is_positive(w12.act_root_inv(r.coords)):
-            continue
-        out = out * TorusElement.cochar_power(r.coroot, -one, one)
-    return out
+    mu = [0] * datum.rank
+    for j in range(datum.n_positive):
+        if w1.inverts(j) and not w12.inverts(j):
+            mu = [m + k for m, k in zip(mu, datum.roots[j].coroot)]
+    return TorusElement.cochar_power([m % 2 for m in mu], -one, one)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from splitinv import suites
 from splitinv.cli import main
 
 A2_FLIP_SCENARIO = {
@@ -45,6 +46,23 @@ class TestVerify:
         assert main(["verify", "--suite", "steinberg"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] and all(c["pass"] for c in report["checks"])
+
+    def test_unexpected_exception_is_a_failed_check(self, capsys, monkeypatch):
+        assert main(["verify", "--suite", "steinberg"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+
+        def broken(rrs, beta):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, "levi_component", broken)
+        assert main(["verify", "--suite", "steinberg"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == names  # the run carried on
+        failed = [c for c in checks if not c["pass"]]
+        assert failed and all(c["name"].startswith("steinberg/6-levi-structure/")
+                              for c in failed)
+        assert all(c["counterexample"] == repr("ZeroDivisionError: division by zero")
+                   for c in failed)
 
 
 class TestInvariant:
@@ -111,6 +129,13 @@ class TestRestrict:
                               env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["fixed_weyl_order"] == 8
+
+    def test_a9_flip(self, tmp_path, capsys):
+        # |W^theta| = 2^5 * 5! for the restricted type C5 (BC5)
+        path = write(tmp_path, {"datum": [["A", 9]],
+                                "theta": {"perm": list(range(9, 0, -1))}})
+        assert main(["restrict", path]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["fixed_weyl_order"] == 3840
 
 
 class TestHilbert:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitinv.coeffs import (PRIME_BOUND, LocalPlace, PrimeField, QuadField,
+from splitinv.coeffs import (PRIME_BOUND, Fp, LocalPlace, PrimeField, QuadField, QuadNum,
                              SignedSymbolMap, SymUnit, _is_prime, hilbert_symbol,
                              hilbert_symbol_bruteforce, is_square_at,
                              legendre_symbol, quad_norm_sign)
@@ -126,6 +126,36 @@ class TestPrimeField:
     def test_beyond_primality_bound_rejected(self):
         with pytest.raises(CoefficientError, match=str(PRIME_BOUND)):
             PrimeField(PRIME_BOUND + 2)
+
+
+small_fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+coefficient = st.one_of(
+    st.integers(-3, 3),
+    small_fraction,
+    st.builds(QuadNum.make, small_fraction, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+              st.sampled_from([5, -1])),
+    st.builds(lambda k, p: Fp(k % p, p), st.integers(-6, 6), st.sampled_from([3, 5])),
+)
+
+
+class TestEqualityAndHash:
+    @settings(max_examples=500)
+    @given(coefficient, coefficient)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert b == a
+            assert hash(a) == hash(b)
+
+    def test_rational_quadnum_is_its_rational(self):
+        assert QuadNum.make(1, 0, 5) == 1
+        assert len({QuadNum.make(1, 0, 5), 1, Fraction(1)}) == 1
+        assert QuadNum.make(Fraction(1, 2), 0, -1) in {Fraction(1, 2)}
+        assert QuadNum.make(1, 1, 5) != 1
+
+    def test_fp_equals_only_its_own_field(self):
+        assert Fp(1, 5) == Fp(1, 5) and Fp(1, 5) != Fp(1, 3)
+        assert Fp(1, 5) != 1 and Fp(1, 5) != 6 and Fp(0, 5) != Fraction(0)
+        assert len({Fp(1, 5), 1, 6}) == 3
 
 
 class TestIsPrime:

@@ -1,5 +1,7 @@
 """Root data, Weyl elements, pinned automorphisms, and restriction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -386,3 +388,166 @@ class TestRestrictedWeyl:
     def test_a11_flip_longest_word(self):
         d, _, rrs = self._restrict([("A", 11)], tuple(range(10, -1, -1)))
         assert len(rrs.res_word_of(d.longest_element())) == 36
+
+
+# ---------------------------------------------------------------------------
+# the root-permutation kernel against dense matrices
+# ---------------------------------------------------------------------------
+
+KERNEL_CASES = [
+    ("A1", [("A", 1)], (0,)),
+    ("A2", [("A", 2)], (1, 0)),
+    ("A3", [("A", 3)], (2, 1, 0)),
+    ("A4", [("A", 4)], (3, 2, 1, 0)),
+    ("B2", [("B", 2)], (0, 1)),
+    ("B3", [("B", 3)], (0, 1, 2)),
+    ("C2", [("C", 2)], (0, 1)),
+    ("C3", [("C", 3)], (0, 1, 2)),
+    ("D4", [("D", 4)], (2, 1, 3, 0)),
+    ("A2xA2", [("A", 2), ("A", 2)], (2, 3, 0, 1)),
+]
+
+
+def _simple_reflection_matrices(cartan, coroot):
+    """s_i on simple-root coordinates, alpha_k -> alpha_k - <alpha_k, alpha_i_vee>
+    alpha_i, or on simple-coroot coordinates, alpha_k_vee -> alpha_k_vee -
+    <alpha_i, alpha_k_vee> alpha_i_vee; column k is the image of basis vector k."""
+    n = len(cartan)
+    out = []
+    for i in range(n):
+        m = [[int(r == k) for k in range(n)] for r in range(n)]
+        for k in range(n):
+            m[i][k] -= cartan[k][i] if coroot else cartan[i][k]
+        out.append(tuple(map(tuple, m)))
+    return out
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def _transpose(m):
+    return tuple(zip(*m))
+
+
+class MatrixWeyl:
+    """The Weyl group of a datum as dense integer matrices, built from the
+    Cartan matrix alone: every element as (root matrix, its inverse, coroot
+    matrix, its inverse), keyed by root matrix, with the lexicographically
+    least reduced word from a breadth-first search in generator order."""
+
+    def __init__(self, cartan):
+        n = len(cartan)
+        gens = list(zip(_simple_reflection_matrices(cartan, False),
+                        _simple_reflection_matrices(cartan, True)))
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.elements = {ident: (ident, ident, ident, ())}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                m, m_inv, c, c_inv, word = (m,) + self.elements[m]
+                for i, (g, gc) in enumerate(gens):
+                    m2 = _mat_mul(m, g)
+                    if m2 not in self.elements:
+                        self.elements[m2] = (_mat_mul(g, m_inv), _mat_mul(c, gc),
+                                             _mat_mul(gc, c_inv), word + (i,))
+                        nxt.append(m2)
+            frontier = nxt
+
+    def word(self, m):
+        return self.elements[m][3]
+
+
+_MATRIX_WEYL = {}
+
+
+def _kernel_case(label, families):
+    d = build_root_datum(families)
+    if label not in _MATRIX_WEYL:
+        _MATRIX_WEYL[label] = MatrixWeyl(d.cartan)
+    ref = _MATRIX_WEYL[label]
+    return d, ref, {m: analyze_weyl(d, ref.word(m)) for m in ref.elements}
+
+
+def _is_negative(v):
+    return next(x for x in v if x) < 0
+
+
+class TestWeylKernel:
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_words_are_lexicographically_least(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        assert len(d.weyl_group()) == len(ref.elements)
+        for m, w in lib.items():
+            assert w.word == ref.word(m)
+        for w in d.weyl_group():
+            assert analyze_weyl(d, w.word) == w
+
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_actions_are_the_matrix_action(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        basis = [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
+        vectors = basis + [r.coords for r in d.roots] + [tuple(range(2, d.rank + 2))]
+        covectors = basis + [r.coroot for r in d.roots] + [tuple(range(-1, d.rank - 1))]
+        for m, w in lib.items():
+            m_inv, c, c_inv, _ = ref.elements[m]
+            for v in vectors:
+                assert w.act_root(v) == _mat_vec(m, v)
+                assert w.act_root_inv(v) == _mat_vec(m_inv, v)
+            for v in covectors:
+                assert w.act_coroot(v) == _mat_vec(c, v)
+                assert w.act_coroot_inv(v) == _mat_vec(c_inv, v)
+                # <w lambda, alpha_i_vee> = <lambda, w^-1 alpha_i_vee>
+                assert w.act_weight(v) == _mat_vec(_transpose(c_inv), v)
+                assert w.inverse().act_weight(v) == _mat_vec(_transpose(c), v)
+
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_products_and_inverses_are_matrix_products(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        keys = list(lib)
+        partners = keys if len(keys) <= 48 else random.Random(0).sample(keys, 24)
+        for m, w in lib.items():
+            inv = w.inverse()
+            assert inv.word == ref.word(ref.elements[m][0])
+            assert inv * w == d.identity_weyl() == w * inv
+            for m2 in partners:
+                prod = w * lib[m2]
+                assert prod.word == ref.word(_mat_mul(m, m2))
+                assert prod == lib[_mat_mul(m, m2)]
+
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_inversions_are_the_matrix_inversions(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        for m, w in lib.items():
+            m_inv = ref.elements[m][0]
+            want = [r for r in d.positive_roots if _is_negative(_mat_vec(m_inv, r.coords))]
+            assert list(w.inversions) == want
+            assert len(w.word) == len(w.inversions) == w.length
+            assert w.is_identity == (not w.word)
+
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_equality_and_hash_follow_the_matrix(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        assert len(set(lib.values())) == len(lib)  # distinct matrices, distinct elements
+        keys = list(lib)
+        rng = random.Random(1)
+        for m, w in lib.items():
+            # the same matrix reached along another route
+            m2 = rng.choice(keys)
+            m3 = ref.elements[m2][0]
+            other = (w * lib[m2]) * lib[m3]
+            assert other == w and hash(other) == hash(w)
+            assert (other != lib[m2]) == (m != m2)
+
+    @pytest.mark.parametrize("label,families,perm", KERNEL_CASES)
+    def test_act_weyl_is_conjugation(self, label, families, perm):
+        d, ref, lib = _kernel_case(label, families)
+        theta = PinnedAutomorphism(d, perm)
+        n = d.rank
+        p = tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
+        for m, w in lib.items():
+            conj = _mat_mul(p, _mat_mul(m, _transpose(p)))
+            assert theta.act_weyl(w) == lib[conj]
+            assert theta.act_weyl(w).word == ref.word(conj)
+            assert theta.commutes_with(w) == (conj == m)
