@@ -187,10 +187,17 @@ class QuadNum:
             return QuadNum(Fraction(other), Fraction(0), self.d)
         return None
 
+    # the arithmetic below pays only for nonzero parts: most entries of the
+    # oracle's matrices are zero or rational (v == 0)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o:
+            return self
+        if not self:
+            return o
         return QuadNum(self.u + o.u, self.v + o.v, self.d)
 
     __radd__ = __add__
@@ -199,6 +206,10 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o:
+            return self
+        if not self:
+            return -o
         return QuadNum(self.u - o.u, self.v - o.v, self.d)
 
     def __rsub__(self, other):
@@ -208,8 +219,16 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(self.u * o.u + self.d * self.v * o.v,
-                       self.u * o.v + self.v * o.u, self.d)
+        u, v, ou, ov = self.u, self.v, o.u, o.v
+        if not (u or v):
+            return self
+        if not (ou or ov):
+            return o
+        if not v:
+            return QuadNum(u * ou, u * ov if ov else ov, self.d)
+        if not ov:
+            return QuadNum(u * ou, v * ou, self.d)
+        return QuadNum(u * ou + self.d * v * ov, u * ov + v * ou, self.d)
 
     __rmul__ = __mul__
 
@@ -253,9 +272,8 @@ class QuadNum:
     def conj(self) -> "QuadNum":
         return QuadNum(self.u, -self.v, self.d)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+    def __bool__(self):
+        return bool(self.u) or bool(self.v)
 
     def __repr__(self):
         if self.v == 0:
@@ -376,9 +394,8 @@ class Fp:
     def __hash__(self):
         return hash((self.v, self.p))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.v == 0
+    def __bool__(self):
+        return self.v != 0
 
     def __repr__(self):
         return f"{self.v}(mod {self.p})"

@@ -51,29 +51,40 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_scalar(a: Matrix, c) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(c * x if x else x for x in row) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _eliminate(work: List[list], col: int, prow: int) -> None:
+    """Scale row prow of work to a pivot 1 in column col and clear column col
+    from every other row, touching only the nonzero entries of the pivot row
+    (subtracting a zero multiple changes no value)."""
+    pivot = work[prow]
+    inv_p = pivot[col] ** -1
+    for j, x in enumerate(pivot):
+        if x:
+            pivot[j] = x * inv_p
+    support = [(j, y) for j, y in enumerate(pivot) if y]
+    for r, row in enumerate(work):
+        f = row[col]
+        if r != prow and f:
+            for j, y in support:
+                row[j] = row[j] - f * y
+
+
 def mat_inv(a: Matrix, field) -> Matrix:
     """Gauss-Jordan over an exact field."""
     n = len(a)
-    zero = field.zero()
     work = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(n, field))]
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
+        piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
             raise RealizationError("singular matrix")
         work[col], work[piv] = work[piv], work[col]
-        inv_p = work[col][col] ** -1
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+        _eliminate(work, col, col)
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -145,6 +156,7 @@ class MatrixContext:
         self.datum = build_root_datum([("A", n - 1)])
         self.twisted = twisted
         self._lift_cache = {}
+        self._pinning_cache = {}   # (fiber, coroot) -> restricted_root_vectors
         if twisted:
             perm = tuple(n - 2 - i for i in range(n - 1))
             self.theta = PinnedAutomorphism(self.datum, perm)
@@ -329,6 +341,16 @@ def restricted_root_vectors(ctx: MatrixContext, rrs, beta) -> Tuple[Matrix, Matr
     if beta not in rrs.simple_restricted:
         raise RealizationError(f"{beta} is not a simple restricted root")
     rr = rrs.restricted[beta]
+    key = (rr.orbit, rr.coroot)
+    triple = ctx._pinning_cache.get(key)
+    if triple is None:
+        triple = ctx._pinning_cache[key] = _solve_pinning(ctx, rr)
+    return triple
+
+
+def _solve_pinning(ctx: MatrixContext, rr) -> Tuple[Matrix, Matrix, Matrix]:
+    """The sl(2) triple of restricted_root_vectors from the fiber and the
+    coroot of rr, which are all it reads."""
     f = ctx.field
     zero = f.zero()
     simple_idx = []
@@ -368,31 +390,25 @@ def _solve_exact(brackets, target, field, n, k):
     for r in range(n):
         for c in range(n):
             row = [brackets[t][r][c] for t in range(k)]
-            if any(v != field.zero() for v in row) or target[r][c] != field.zero():
+            if any(row) or target[r][c]:
                 rows.append(row)
                 rhs.append(target[r][c])
     # Gaussian elimination on the k-column system
     m = len(rows)
     sol = [field.zero()] * k
-    piv_rows = []
     used_cols = []
     work = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     rank = 0
     for col in range(k):
-        piv = next((r for r in range(rank, m) if work[r][col] != field.zero()), None)
+        piv = next((r for r in range(rank, m) if work[r][col]), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv_p = work[rank][col] ** -1
-        work[rank] = [v * inv_p for v in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col] != field.zero():
-                fct = work[r][col]
-                work[r] = [v - fct * w for v, w in zip(work[r], work[rank])]
+        _eliminate(work, col, rank)
         used_cols.append(col)
         rank += 1
     for r in range(rank, m):
-        if work[r][k] != field.zero():
+        if work[r][k]:
             raise RealizationError("no sl(2) completion over the given positions")
     for r, col in enumerate(used_cols):
         sol[col] = work[r][k]

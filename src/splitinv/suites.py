@@ -60,14 +60,18 @@ def _check(records: List[CheckRecord], name: str, fn: Callable[[], object],
     and any exception other than a SplitinvError also with its type."""
     try:
         actual = fn()
-        passed = bool(actual) if expected is None else (actual == expected)
-        records.append(CheckRecord(name, passed, expected, actual,
-                                   None if passed else actual))
-    except SplitinvError as exc:
-        records.append(CheckRecord(name, False, expected, None, str(exc)))
     except Exception as exc:  # a fault in the check body: record it, run on
-        records.append(CheckRecord(name, False, expected, None,
-                                   f"{type(exc).__name__}: {exc}"))
+        records.append(_raised(name, exc, expected))
+        return
+    passed = bool(actual) if expected is None else (actual == expected)
+    records.append(CheckRecord(name, passed, expected, actual,
+                               None if passed else actual))
+
+
+def _raised(name: str, exc: Exception, expected=None) -> CheckRecord:
+    """The failed record of a check whose computation raised exc."""
+    detail = str(exc) if isinstance(exc, SplitinvError) else f"{type(exc).__name__}: {exc}"
+    return CheckRecord(name, False, expected, None, detail)
 
 
 _FLIP_CASES: Tuple[Tuple[str, Sequence[Tuple[str, int]], Sequence[int]], ...] = (
@@ -90,12 +94,13 @@ def _braid_length(c_ij: int, c_ji: int) -> int:
 def suite_appendix(seed: int = 0) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     rng = random.Random(seed)
-    ctx = MatrixContext(3, twisted=True)
-    for name, ok in verify_appendix(ctx, rng).checks:
-        records.append(CheckRecord(f"appendix/Q/{name}", ok))
-    ctx5 = MatrixContext(3, PrimeField(5), twisted=True)
-    for name, ok in verify_appendix(ctx5, rng).checks:
-        records.append(CheckRecord(f"appendix/F5/{name}", ok))
+    for label, fld in (("Q", None), ("F5", PrimeField(5))):
+        try:
+            checks = verify_appendix(MatrixContext(3, fld, twisted=True), rng).checks
+        except Exception as exc:  # one failed record for the whole report
+            records.append(_raised(f"appendix/{label}", exc))
+            continue
+        records.extend(CheckRecord(f"appendix/{label}/{name}", ok) for name, ok in checks)
     _check(records, "appendix/F5/one-half-is-three",
            lambda: PrimeField(5).half().v, expected=3)
 
@@ -188,7 +193,7 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
         _check(records, f"tits/pinned-equivariance/{name}", equivariance_ok)
 
     # matrix multiplicativity and the closed-form cocycle, SL(4) and SL(5)
-    for n in (4, 5):
+    def multiplicativity_failures(n):
         ctx = MatrixContext(n)
         datum = ctx.datum
         group = list(datum.weyl_group())
@@ -208,9 +213,11 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
             lift_prod = tits_lift(datum, w1, one) * tits_lift(datum, w2, one)
             if lift_prod.torus != tits_cocycle(datum, w1, w2, one):
                 failures += 1
-        records.append(CheckRecord(
-            f"tits/matrix-multiplicativity-and-cocycle/SL{n}",
-            failures == 0, expected=0, actual=failures))
+        return failures
+
+    for n in (4, 5):
+        _check(records, f"tits/matrix-multiplicativity-and-cocycle/SL{n}",
+               lambda n=n: multiplicativity_failures(n), expected=0)
     return records
 
 

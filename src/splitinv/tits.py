@@ -135,7 +135,10 @@ class TitsElement:
         rough = TitsElement(self.torus.inv().weyl_apply(self.weyl.inverse(), one),
                             self.weyl.inverse())
         defect = (self * rough).torus  # self * rough is torus-valued
-        return rough * TitsElement.from_torus(defect.inv(), self.datum)
+        # rough * defect^-1: no letter of w^-1 crosses a wall against n(1),
+        # so the product is the torus part moved through w^-1
+        return TitsElement(rough.torus * defect.inv().weyl_apply(rough.weyl, one),
+                           rough.weyl)
 
     def theta_apply(self, theta: PinnedAutomorphism) -> "TitsElement":
         return TitsElement(self.torus.diagram_apply(theta), theta.act_weyl(self.weyl))

@@ -64,6 +64,23 @@ class TestVerify:
         assert all(c["counterexample"] == repr("ZeroDivisionError: division by zero")
                    for c in failed)
 
+    @pytest.mark.parametrize("suite, target, names", [
+        ("appendix", "verify_appendix", ["appendix/Q", "appendix/F5"]),
+        ("tits", "realize", ["tits/matrix-multiplicativity-and-cocycle/SL4",
+                             "tits/matrix-multiplicativity-and-cocycle/SL5"]),
+    ])
+    def test_exception_outside_a_check_body_is_a_failed_check(
+            self, capsys, monkeypatch, suite, target, names):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, target, broken)
+        assert main(["verify", "--suite", suite]) == 1
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == names
+        assert all(c["counterexample"] == repr("ZeroDivisionError: division by zero")
+                   for c in failed)
+
 
 class TestInvariant:
     def test_symbolic_scenario(self, tmp_path, capsys):

@@ -158,6 +158,54 @@ class TestEqualityAndHash:
         assert len({Fp(1, 5), 1, 6}) == 3
 
 
+quad_part = st.one_of(st.just(Fraction(0)), small_fraction)
+
+
+@st.composite
+def quad_pairs(draw):
+    """Two elements of one Q(sqrt(d)), often with u or v (or both) zero."""
+    d = draw(st.sampled_from([5, -1, 2]))
+    return tuple(QuadNum.make(draw(quad_part), draw(quad_part), d) for _ in range(2))
+
+
+class TestScalarPaths:
+    """The zero-skipping arithmetic against the full (u, v) formulas."""
+
+    @staticmethod
+    def assert_quad(z, d, u, v):
+        assert type(z) is QuadNum and z.d == d
+        assert type(z.u) is Fraction and type(z.v) is Fraction
+        assert (z.u, z.v) == (u, v)
+
+    @settings(max_examples=400)
+    @given(quad_pairs())
+    def test_quad_against_full_formulas(self, pair):
+        x, y = pair
+        d = x.d
+        self.assert_quad(x + y, d, x.u + y.u, x.v + y.v)
+        self.assert_quad(x - y, d, x.u - y.u, x.v - y.v)
+        self.assert_quad(x * y, d, x.u * y.u + d * x.v * y.v, x.u * y.v + x.v * y.u)
+        assert bool(x) == (x.u != 0 or x.v != 0)
+        assert bool(-x) == bool(x) and bool(x - x) is False
+
+    @settings(max_examples=200)
+    @given(quad_pairs(), st.one_of(st.integers(-3, 3), quad_part))
+    def test_quad_with_rational_operand(self, pair, k):
+        x, d = pair[0], pair[0].d
+        k_ = Fraction(k)
+        self.assert_quad(x + k, d, x.u + k_, x.v)
+        self.assert_quad(k + x, d, x.u + k_, x.v)
+        self.assert_quad(x - k, d, x.u - k_, x.v)
+        self.assert_quad(k - x, d, k_ - x.u, -x.v)
+        self.assert_quad(x * k, d, x.u * k_, x.v * k_)
+        self.assert_quad(k * x, d, x.u * k_, x.v * k_)
+
+    @given(st.integers(-20, 20), st.sampled_from([3, 5, 7]))
+    def test_fp_bool(self, k, p):
+        assert bool(Fp(0, p)) is False
+        assert bool(Fp(k % p, p)) == (k % p != 0)
+
+
 class TestIsPrime:
     def test_agrees_with_trial_division(self):
         for n in range(10 ** 5):

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from splitinv.coeffs import PrimeField
+from splitinv.coeffs import PrimeField, QuadField, RationalField
 from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, exp_nilpotent,
                                 fixed_group_simple_lift, mat_det, mat_eq,
-                                mat_identity, mat_mul, realize,
+                                mat_identity, mat_inv, mat_mul, realize,
                                 restricted_root_vectors, verify_appendix)
 from splitinv.rootdata import restrict_root_system
 from splitinv.tits import TitsElement, TorusElement
@@ -196,6 +196,91 @@ class TestFixedGroupPinning:
                 bracket = tuple(tuple(a - b for a, b in zip(ra, rb))
                                 for ra, rb in zip(lhs, rhs))
                 assert mat_eq(bracket, h)
+
+
+def dense_inverse(a, field):
+    """Reference Gauss-Jordan that updates every entry of every row; None
+    for a singular matrix."""
+    n = len(a)
+    work = [list(row) + [field.one() if i == j else field.zero() for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != field.zero()), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        inv_p = work[col][col] ** -1
+        work[col] = [x * inv_p for x in work[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _random_entry(rng, field):
+    if rng.random() < 0.6:
+        return field.zero()
+    x = field.embed(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if not field.char
+                    else rng.randint(0, field.char - 1))
+    if isinstance(field, QuadField) and rng.random() < 0.5:
+        x = x + field.gen() * field.from_int(rng.randint(-3, 3))
+    return x
+
+
+class TestSparseElimination:
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(7)],
+                             ids=["Q", "Q(sqrt5)", "F7"])
+    def test_mat_inv_matches_dense_gauss_jordan(self, field):
+        rng = random.Random(3)
+        inverted = singular = 0
+        while inverted < 40:
+            n = rng.randint(2, 6)
+            a = tuple(tuple(_random_entry(rng, field) for _ in range(n)) for _ in range(n))
+            want = dense_inverse(a, field)
+            if want is None:
+                singular += 1
+                with pytest.raises(RealizationError):
+                    mat_inv(a, field)
+                continue
+            got = mat_inv(a, field)
+            assert got == want
+            assert [type(x) for row in got for x in row] == \
+                [type(x) for row in want for x in row]
+            assert mat_eq(mat_mul(a, got), mat_identity(n, field))
+            inverted += 1
+        assert singular  # the draws are sparse enough to hit singular matrices
+
+
+class TestPinningCache:
+    CASES = [(n, f) for n in (3, 4, 5, 6) for f in (RationalField(), QuadField(5))]
+
+    @pytest.mark.parametrize("n, field", CASES)
+    def test_warm_cache_matches_fresh_context(self, n, field):
+        warm = MatrixContext(n, field, twisted=True)
+        rrs = restrict_root_system(warm.datum, warm.theta)
+        for beta in rrs.simple_restricted:
+            first = restricted_root_vectors(warm, rrs, beta)
+            again = restricted_root_vectors(warm, rrs, beta)
+            assert again is first
+            fresh = MatrixContext(n, field, twisted=True)
+            assert restricted_root_vectors(fresh, rrs, beta) == first
+            x, h, y = again
+            bracket = tuple(tuple(a - b for a, b in zip(ra, rb))
+                            for ra, rb in zip(mat_mul(x, y), mat_mul(y, x)))
+            assert mat_eq(bracket, h)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_warm_cache_still_rejects_non_simple_roots(self, n):
+        ctx = MatrixContext(n, twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        for beta in rrs.simple_restricted:
+            restricted_root_vectors(ctx, rrs, beta)
+        others = [b for b in rrs.restricted if b not in rrs.simple_restricted]
+        assert others
+        for beta in others:
+            with pytest.raises(RealizationError, match="not a simple restricted root"):
+                restricted_root_vectors(ctx, rrs, beta)
 
 
 class TestAppendixVerification:

@@ -77,15 +77,18 @@ class TestLifts:
                 tits_lift(d, w).theta_apply(theta)
 
     def test_inverse(self):
-        d = build_root_datum([("A", 2)])
+        # every element of W, with random tori, on both sides
         rng = random.Random(1)
-        for _ in range(20):
-            w = rng.choice(d.weyl_group())
-            t = TorusElement(tuple(Fraction(rng.randint(1, 5)) for _ in range(2)))
-            x = TitsElement(t, w)
-            assert (x * x.inverse()).torus.is_one
-            assert (x * x.inverse()).weyl.is_identity
-            assert (x.inverse() * x).torus.is_one
+        for family in [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
+            d = build_root_datum([family])
+            one = TitsElement.identity(d, ONE)
+            for w in d.weyl_group():
+                t = TorusElement(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                       * rng.choice([1, -1]) for _ in range(d.rank)))
+                x = TitsElement(t, w)
+                inv = x.inverse()
+                assert inv.weyl == w.inverse()
+                assert x * inv == one and inv * x == one
 
 
 class TestXOf:
