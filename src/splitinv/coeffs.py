@@ -6,7 +6,11 @@ Three kinds of scalars are used throughout the package:
   indeterminates together with the distinguished generator ``2``), so that
   negation and exact division by 2 are available without a field;
 * exact field elements: ``Fraction``, quadratic extensions Q(sqrt(d)) with
-  their conjugation, and prime fields F_p for odd p;
+  their conjugation, and prime fields F_p for odd p.  An element of
+  Q(sqrt(d)) is held as integers, (a + b*sqrt(d))/c with c > 0 and
+  gcd(a, b, c) = 1 (Cohen, A Course in Computational Algebraic Number
+  Theory, 4.2): sums and products run on plain ints with one gcd each, and
+  the normal form is unique, so equality compares integers;
 * the sign characters of local class field theory for quadratic extensions,
   computed through the Hilbert symbol over Q_p and R.
 """
@@ -166,39 +170,75 @@ class RationalField:
     conj_order = 1
 
 
-@dataclass(frozen=True)
 class QuadNum:
-    """u + v*sqrt(d) with exact rational u, v."""
+    """u + v*sqrt(d) with exact rational u, v, stored as (a + b*sqrt(d))/c.
 
-    u: Fraction
-    v: Fraction
-    d: int
+    ``a``, ``b``, ``c`` are integers with c > 0 and gcd(a, b, c) = 1, so a
+    value has exactly one representation: equality compares the integers,
+    and arithmetic runs on them with one gcd per result.  ``u`` and ``v``
+    are ``Fraction`` properties.  Instances are immutable.
+    """
+
+    __slots__ = ("_v",)  # the tuple (a, b, c, d)
+
+    def __new__(cls, u: Rat, v: Rat, d: int) -> "QuadNum":
+        u, v = Fraction(u), Fraction(v)
+        return _reduced(u.numerator * v.denominator, v.numerator * u.denominator,
+                        u.denominator * v.denominator, d)
 
     @staticmethod
     def make(u: Rat, v: Rat, d: int) -> "QuadNum":
-        return QuadNum(Fraction(u), Fraction(v), d)
+        return QuadNum(u, v, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadNum is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadNum is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (QuadNum, (self.u, self.v, self.d))
+
+    a = property(lambda self: self._v[0])
+    b = property(lambda self: self._v[1])
+    c = property(lambda self: self._v[2])
+    d = property(lambda self: self._v[3])
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self._v[0], self._v[2])
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self._v[1], self._v[2])
 
     def _coerce(self, other):
         if isinstance(other, QuadNum):
-            if other.d != self.d:
+            if other._v[3] != self._v[3]:
                 raise CoefficientError("mixed quadratic extensions")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(Fraction(other), Fraction(0), self.d)
+        if isinstance(other, int):
+            return _new_quad(other, 0, 1, self._v[3])
+        if isinstance(other, Fraction):
+            return _new_quad(other.numerator, 0, other.denominator, self._v[3])
         return None
 
-    # the arithmetic below pays only for nonzero parts: most entries of the
-    # oracle's matrices are zero or rational (v == 0)
+    # zero operands return at once: most entries of the oracle's matrices
+    # are zero
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o:
+        a, b, c, d = self._v
+        oa, ob, oc, _ = o._v
+        if not (oa or ob):
             return self
-        if not self:
+        if not (a or b):
             return o
-        return QuadNum(self.u + o.u, self.v + o.v, self.d)
+        if c == oc:
+            return _reduced(a + oa, b + ob, c, d)
+        return _reduced(a * oc + oa * c, b * oc + ob * c, c * oc, d)
 
     __radd__ = __add__
 
@@ -206,11 +246,7 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o:
-            return self
-        if not self:
-            return -o
-        return QuadNum(self.u - o.u, self.v - o.v, self.d)
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -219,27 +255,35 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        u, v, ou, ov = self.u, self.v, o.u, o.v
-        if not (u or v):
+        a, b, c, d = self._v
+        if not (a or b):
             return self
-        if not (ou or ov):
+        oa, ob, oc, _ = o._v
+        if not (oa or ob):
             return o
-        if not v:
-            return QuadNum(u * ou, u * ov if ov else ov, self.d)
-        if not ov:
-            return QuadNum(u * ou, v * ou, self.d)
-        return QuadNum(u * ou + self.d * v * ov, u * ov + v * ou, self.d)
+        return _reduced(a * oa + d * b * ob, a * ob + b * oa, c * oc, d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadNum(-self.u, -self.v, self.d)
+        a, b, c, d = self._v
+        return _new_quad(-a, -b, c, d)
+
+    def norm(self) -> Fraction:
+        """The norm u^2 - d*v^2 to Q."""
+        a, b, c, d = self._v
+        return Fraction(a * a - d * b * b, c * c)
 
     def inv(self) -> "QuadNum":
-        nrm = self.u * self.u - self.d * self.v * self.v
-        if nrm == 0:
+        nrm = self.norm()
+        if not nrm:
             raise CoefficientError("inverse of zero in Q(sqrt(d))")
-        return QuadNum(self.u / nrm, -self.v / nrm, self.d)
+        # 1/x = conj(x)/N(x); with N(x) = p/q this is (a - b*sqrt(d))*q/(c*p)
+        a, b, c, d = self._v
+        p, q = nrm.numerator, nrm.denominator
+        if p < 0:
+            p, q = -p, -q
+        return _reduced(a * q, -b * q, c * p, d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -251,34 +295,50 @@ class QuadNum:
         return self.inv() * other
 
     def __pow__(self, k: int):
-        base = self if k >= 0 else self.inv()
-        out = QuadNum(Fraction(1), Fraction(0), self.d)
+        a, b, c, d = (self if k >= 0 else self.inv())._v
+        pa, pb = 1, 0
         for _ in range(abs(k)):
-            out = out * base
-        return out
+            pa, pb = pa * a + d * pb * b, pa * b + pb * a
+        return _reduced(pa, pb, c ** abs(k), d)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, QuadNum) else other
-        if o is None:
-            return NotImplemented
-        if isinstance(o, QuadNum) and o.d != self.d:
-            return False
-        return self.u == o.u and self.v == o.v
+        if isinstance(other, QuadNum):
+            return self._v == other._v
+        if isinstance(other, (int, Fraction)):
+            a, b, c, _ = self._v
+            return not b and a == other.numerator and c == other.denominator
+        return NotImplemented
 
     def __hash__(self):
         # equal to the rational u when v == 0, so it must hash like u
-        return hash(self.u) if self.v == 0 else hash((self.u, self.v, self.d))
+        return hash(self.u) if not self._v[1] else hash((self.u, self.v, self.d))
 
     def conj(self) -> "QuadNum":
-        return QuadNum(self.u, -self.v, self.d)
+        a, b, c, d = self._v
+        return _new_quad(a, -b, c, d)
 
     def __bool__(self):
-        return bool(self.u) or bool(self.v)
+        return bool(self._v[0] or self._v[1])
 
     def __repr__(self):
-        if self.v == 0:
+        if not self._v[1]:
             return str(self.u)
         return f"({self.u}+{self.v}*sqrt({self.d}))"
+
+
+def _new_quad(a: int, b: int, c: int, d: int) -> QuadNum:
+    """The QuadNum (a + b*sqrt(d))/c of integers already in normal form."""
+    x = object.__new__(QuadNum)
+    object.__setattr__(x, "_v", (a, b, c, d))
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadNum:
+    """The QuadNum (a + b*sqrt(d))/c of integers with c > 0."""
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return _new_quad(a, b, c, d)
 
 
 class QuadField:
@@ -292,12 +352,14 @@ class QuadField:
             raise CoefficientError(f"d={d} is a square; extension is not quadratic")
         self.d = d
         self.name = f"Q(sqrt({d}))"
+        self._zero = _new_quad(0, 0, 1, d)
+        self._one = _new_quad(1, 0, 1, d)
 
     def zero(self):
-        return QuadNum.make(0, 0, self.d)
+        return self._zero
 
     def one(self):
-        return QuadNum.make(1, 0, self.d)
+        return self._one
 
     def from_int(self, k: int):
         return QuadNum.make(k, 0, self.d)
@@ -307,13 +369,13 @@ class QuadField:
             if x.d != self.d:
                 raise CoefficientError("mixed quadratic extensions")
             return x
-        return QuadNum.make(Fraction(x), 0, self.d)
+        return QuadNum.make(x, 0, self.d)
 
     def gen(self):
-        return QuadNum.make(0, 1, self.d)
+        return _new_quad(0, 1, 1, self.d)
 
     def half(self):
-        return QuadNum.make(Fraction(1, 2), 0, self.d)
+        return _new_quad(1, 0, 2, self.d)
 
     def conj(self, x: QuadNum) -> QuadNum:
         return self.embed(x).conj()

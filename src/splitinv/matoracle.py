@@ -90,20 +90,19 @@ def mat_inv(a: Matrix, field) -> Matrix:
 
 def mat_det(a: Matrix, field):
     n = len(a)
-    zero = field.zero()
     work = [list(row) for row in a]
     det = field.one()
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
+        piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
-            return zero
+            return field.zero()
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             det = -det
         det = det * work[col][col]
         inv_p = work[col][col] ** -1
         for r in range(col + 1, n):
-            if work[r][col] != zero:
+            if work[r][col]:
                 f = work[r][col] * inv_p
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return det
@@ -117,8 +116,7 @@ def mat_conj_entries(a: Matrix, field, k: int = 1) -> Matrix:
 
 
 def mat_is_diagonal(a: Matrix, field) -> bool:
-    zero = field.zero()
-    return all(a[i][j] == zero for i in range(len(a)) for j in range(len(a)) if i != j)
+    return not any(a[i][j] for i in range(len(a)) for j in range(len(a)) if i != j)
 
 
 def exp_nilpotent(x: Matrix, field) -> Matrix:
@@ -129,7 +127,7 @@ def exp_nilpotent(x: Matrix, field) -> Matrix:
     fact = 1
     for k in range(1, n + 1):
         term = mat_mul(term, x)
-        if all(v == field.zero() for row in term for v in row):
+        if not any(v for row in term for v in row):
             break
         fact *= k
         if field.char and fact % field.char == 0:
@@ -274,7 +272,7 @@ def _generic_probe(ctx: MatrixContext) -> Matrix:
     vals = [[ctx.field.from_int(1 if i == j else 0) + ctx.field.from_int((i + 2 * j) % 3)
              for j in range(ctx.n)] for i in range(ctx.n)]
     m = tuple(tuple(row) for row in vals)
-    if mat_det(m, ctx.field) == ctx.field.zero():
+    if not mat_det(m, ctx.field):
         m = mat_add(m, mat_identity(ctx.n, ctx.field))
     return m
 

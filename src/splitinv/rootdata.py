@@ -452,9 +452,6 @@ class PinnedAutomorphism:
                                        tuple(fwd[w.perm[j]] for j in back),
                                        tuple(fwd[w.inv_perm[j]] for j in back))
 
-    def act_word(self, word: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(self.perm[i] for i in word)
-
     def orbits(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits on simple-root indices, each sorted, ordered by least element."""
         seen, out = set(), []

@@ -614,7 +614,7 @@ def _random_torus_matrix(ctx: MatrixContext, rng: random.Random,
         while True:
             val = f.embed(Fraction(rng.randint(-4, 4))) \
                 + f.gen() * f.from_int(rng.randint(-2, 2))
-            if val != f.zero() and (val.u * val.u - f.d * val.v * val.v) != 0:
+            if val.norm():
                 break
         for i in orb:
             coords[i] = val

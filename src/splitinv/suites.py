@@ -74,6 +74,17 @@ def _raised(name: str, exc: Exception, expected=None) -> CheckRecord:
     return CheckRecord(name, False, expected, None, detail)
 
 
+def _set_up(records: List[CheckRecord], name: str, build: Callable[[], object]):
+    """Run set-up code that the checks after it share.  When it raises,
+    record one failed check called name and return None, so that the caller
+    skips those checks and the run carries on."""
+    try:
+        return build()
+    except Exception as exc:  # a fault in the set-up: record it, run on
+        records.append(_raised(name, exc))
+        return None
+
+
 _FLIP_CASES: Tuple[Tuple[str, Sequence[Tuple[str, int]], Sequence[int]], ...] = (
     ("A2 flip", [("A", 2)], (1, 0)),
     ("A3 flip", [("A", 3)], (2, 1, 0)),
@@ -87,6 +98,12 @@ def _braid_length(c_ij: int, c_ji: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[c_ij * c_ji]
 
 
+def _twisted_sl(n: int, field=None) -> Tuple[MatrixContext, RestrictedRootSystem]:
+    """SL(n) with the pinned flip, and its restricted root system."""
+    ctx = MatrixContext(n, field, twisted=True)
+    return ctx, restrict_root_system(ctx.datum, ctx.theta)
+
+
 # ---------------------------------------------------------------------------
 # appendix suite
 # ---------------------------------------------------------------------------
@@ -95,12 +112,11 @@ def suite_appendix(seed: int = 0) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     rng = random.Random(seed)
     for label, fld in (("Q", None), ("F5", PrimeField(5))):
-        try:
-            checks = verify_appendix(MatrixContext(3, fld, twisted=True), rng).checks
-        except Exception as exc:  # one failed record for the whole report
-            records.append(_raised(f"appendix/{label}", exc))
+        report = _set_up(records, f"appendix/{label}",
+                         lambda: verify_appendix(MatrixContext(3, fld, twisted=True), rng))
+        if report is None:
             continue
-        records.extend(CheckRecord(f"appendix/{label}/{name}", ok) for name, ok in checks)
+        records.extend(CheckRecord(f"appendix/{label}/{name}", ok) for name, ok in report.checks)
     _check(records, "appendix/F5/one-half-is-three",
            lambda: PrimeField(5).half().v, expected=3)
 
@@ -166,7 +182,9 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
 
         _check(records, f"tits/square-is-minus-one-coroot/{name}", squares_ok)
 
-        group = datum.weyl_group()
+        group = _set_up(records, f"tits/weyl-group/{name}", datum.weyl_group)
+        if group is None:
+            continue
         # exhaustive through rank 4; sampled beyond that
         sample = list(group) if len(group) <= 200 else rng.sample(list(group),
                                                                   sample_elements)
@@ -227,7 +245,10 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
 
 def _steinberg_case(records: List[CheckRecord], label: str, datum: RootDatum,
                     theta: PinnedAutomorphism) -> None:
-    rrs = restrict_root_system(datum, theta)
+    rrs = _set_up(records, f"steinberg/restrict/{label}",
+                  lambda: restrict_root_system(datum, theta))
+    if rrs is None:
+        return
 
     def root_system_ok():
         allres = set(rrs.restricted)
@@ -343,7 +364,10 @@ def suite_steinberg() -> List[CheckRecord]:
                                      ("A", 4, (3, 2, 1, 0), False),
                                      ("A", 5, (4, 3, 2, 1, 0), True)):
         datum = build_root_datum([(fam, rank)])
-        rrs = restrict_root_system(datum, PinnedAutomorphism(datum, perm))
+        rrs = _set_up(records, f"steinberg/reduced-pattern/{fam}{rank} flip",
+                      lambda: restrict_root_system(datum, PinnedAutomorphism(datum, perm)))
+        if rrs is None:
+            continue
         _check(records, f"steinberg/reduced-pattern/{fam}{rank} flip",
                lambda rrs=rrs, reduced=reduced: rrs.is_reduced == reduced)
         if not reduced:
@@ -354,9 +378,8 @@ def suite_steinberg() -> List[CheckRecord]:
     # a product datum: plain swap stays reduced, swap-with-flip does not
     prod = build_root_datum([("A", 2), ("A", 2)])
     swap = PinnedAutomorphism(prod, (2, 3, 0, 1))
-    rrs_swap = restrict_root_system(prod, swap)
     _check(records, "steinberg/product-swap-reduced",
-           lambda: rrs_swap.is_reduced)
+           lambda: restrict_root_system(prod, swap).is_reduced)
     twist = PinnedAutomorphism(prod, (2, 3, 1, 0))
     _check(records, "steinberg/product-swap-order4-nonreduced",
            lambda: (twist.order == 4
@@ -371,25 +394,26 @@ def suite_steinberg() -> List[CheckRecord]:
 def suite_nn() -> List[CheckRecord]:
     records: List[CheckRecord] = []
     for n in (3, 4, 5):
-        ctx = MatrixContext(n, twisted=True)
-        rrs = restrict_root_system(ctx.datum, ctx.theta)
-
-        def all_ok(ctx=ctx, rrs=rrs):
+        def all_ok(n=n):
+            ctx, rrs = _twisted_sl(n)
             for w in rrs.fixed_weyl_subgroup():
                 check_nn_prime(rrs, w, ctx)
             return True
 
         _check(records, f"nn/lift-comparison/SL{n}", all_ok)
-    ctx3 = MatrixContext(3, twisted=True)
-    rrs3 = restrict_root_system(ctx3.datum, ctx3.theta)
-    _check(records, "nn/SL3-long-element-discrepancy",
-           lambda: check_nn_prime(rrs3, ctx3.datum.longest_element(), ctx3).coords,
+
+    def sl3_discrepancy():
+        ctx, rrs = _twisted_sl(3)
+        return check_nn_prime(rrs, ctx.datum.longest_element(), ctx).coords
+
+    _check(records, "nn/SL3-long-element-discrepancy", sl3_discrepancy,
            expected=(Fraction(1, 2), Fraction(1, 2)))
-    ctx4 = MatrixContext(4, twisted=True)
-    rrs4 = restrict_root_system(ctx4.datum, ctx4.theta)
-    _check(records, "nn/SL4-no-divisible-roots-trivial",
-           lambda: all(check_nn_prime(rrs4, w, ctx4).is_one
-                       for w in rrs4.fixed_weyl_subgroup()))
+
+    def sl4_trivial():
+        ctx, rrs = _twisted_sl(4)
+        return all(check_nn_prime(rrs, w, ctx).is_one for w in rrs.fixed_weyl_subgroup())
+
+    _check(records, "nn/SL4-no-divisible-roots-trivial", sl4_trivial)
     return records
 
 
@@ -423,8 +447,11 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
     for dval in (5, -1):
         fieldq = QuadField(dval)
         for n in (3, 5):
-            ctx = MatrixContext(n, fieldq, twisted=True)
-            rrs = restrict_root_system(ctx.datum, ctx.theta)
+            built = _set_up(records, f"main/matrix-compare/SL{n}-d{dval}",
+                            lambda: _twisted_sl(n, fieldq))
+            if built is None:
+                continue
+            ctx, rrs = built
             b = rrs.simple_restricted
             seedsets = [[], [(b[0], None)]]
             if len(b) > 1:
@@ -453,11 +480,9 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
     # one without a matrix model
     fieldq = QuadField(5)
     for name, families, perm in _FLIP_CASES:
-        datum = build_root_datum(families)
-        theta = PinnedAutomorphism(datum, perm)
-        rrs = restrict_root_system(datum, theta)
-
-        def abstract_case(datum=datum, theta=theta, rrs=rrs):
+        def abstract_case(families=families, perm=perm):
+            datum = build_root_datum(families)
+            rrs = restrict_root_system(datum, PinnedAutomorphism(datum, perm))
             for omega in (datum.longest_element(),
                           rrs.levi_longest[rrs.simple_restricted[0]]):
                 desc = DescentDatum(datum, 2, omega, field_action=QuadConj(fieldq))
@@ -474,8 +499,7 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
     def refinement_ok():
         fieldq = QuadField(5)
         for n in (3, 4):
-            ctx = MatrixContext(n, fieldq, twisted=True)
-            rrs = restrict_root_system(ctx.datum, ctx.theta)
+            ctx, rrs = _twisted_sl(n, fieldq)
             h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
             real = Realization(ctx, h, use_theta=True)
             adata = equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng,
@@ -520,8 +544,7 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
     # class independence from the conjugator: torus translation is a coboundary
     def h_class_ok():
         fieldq = QuadField(5)
-        ctx = MatrixContext(3, fieldq, twisted=True)
-        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        ctx, rrs = _twisted_sl(3, fieldq)
         h1 = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
         real1 = Realization(ctx, h1, use_theta=True)
         adata = equivariant_quad_adata(ctx.datum, real1.descent, fieldq, rng,

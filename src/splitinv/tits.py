@@ -146,10 +146,6 @@ class TitsElement:
     def theta_fixed(self, theta: PinnedAutomorphism) -> bool:
         return self.theta_apply(theta) == self
 
-    @property
-    def is_torus_valued(self) -> bool:
-        return self.weyl.is_identity
-
     def __repr__(self):
         return f"({self.torus!r}, {self.weyl!r})"
 

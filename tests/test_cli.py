@@ -82,6 +82,59 @@ class TestVerify:
                    for c in failed)
 
 
+    @pytest.mark.parametrize("suite, names", [
+        ("nn", ["nn/lift-comparison/SL3", "nn/lift-comparison/SL4",
+                "nn/lift-comparison/SL5", "nn/SL3-long-element-discrepancy",
+                "nn/SL4-no-divisible-roots-trivial"]),
+        ("steinberg", ["steinberg/restrict/A3 identity", "steinberg/restrict/A2 flip",
+                       "steinberg/restrict/A3 flip", "steinberg/restrict/A4 flip",
+                       "steinberg/restrict/A5 flip", "steinberg/restrict/D4 swap",
+                       "steinberg/reduced-pattern/A2 flip",
+                       "steinberg/reduced-pattern/A3 flip",
+                       "steinberg/reduced-pattern/A4 flip",
+                       "steinberg/reduced-pattern/A5 flip",
+                       "steinberg/product-swap-reduced",
+                       "steinberg/product-swap-order4-nonreduced"]),
+        ("aa", ["aa/ratio-vs-change-sign"]),
+    ])
+    def test_exception_in_set_up_is_a_failed_check(self, capsys, monkeypatch, suite, names):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, "restrict_root_system", broken)
+        assert main(["verify", "--suite", suite]) == 1
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == names
+        assert all(c["counterexample"] == repr("ZeroDivisionError: division by zero")
+                   for c in failed)
+
+    def test_weyl_group_failure_in_tits_set_up_is_a_failed_check(self, capsys, monkeypatch):
+        def broken(self):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites.RootDatum, "weyl_group", broken)
+        assert main(["verify", "--suite", "tits"]) == 1
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == \
+            [f"tits/weyl-group/{name}" for name, _, _ in suites._FLIP_CASES] + \
+            [f"tits/matrix-multiplicativity-and-cocycle/SL{n}" for n in (4, 5)]
+        assert all(c["counterexample"] == repr("ZeroDivisionError: division by zero")
+                   for c in failed)
+
+    @pytest.mark.parametrize("target", ["restrict_root_system", "MatrixContext"])
+    def test_exception_in_main_set_up_is_a_failed_check(self, capsys, monkeypatch, target):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, target, broken)
+        assert main(["verify", "--suite", "main"]) == 1
+        failed = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]
+                  if not c["pass"]}
+        for n, d in ((3, 5), (5, 5), (3, -1), (5, -1)):
+            assert failed[f"main/matrix-compare/SL{n}-d{d}"]["counterexample"] \
+                == repr("ZeroDivisionError: division by zero")
+        assert "main/matrix-compare/scenario-count" in failed
+
 class TestInvariant:
     def test_symbolic_scenario(self, tmp_path, capsys):
         path = write(tmp_path, A2_FLIP_SCENARIO)

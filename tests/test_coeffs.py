@@ -1,8 +1,10 @@
 """Coefficient layer: symbolic units, quadratic extensions, prime fields,
 and the Hilbert symbol against its brute-force norm-search oracle."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -204,6 +206,116 @@ class TestScalarPaths:
     def test_fp_bool(self, k, p):
         assert bool(Fp(0, p)) is False
         assert bool(Fp(k % p, p)) == (k % p != 0)
+
+
+wide_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+
+
+@st.composite
+def quad_values(draw):
+    """A d and the (u, v) of an element of Q(sqrt(d)), u or v often zero."""
+    d = draw(st.sampled_from([5, -1, 2, -3, 13]))
+    part = st.one_of(st.just(Fraction(0)), wide_fraction)
+    return d, draw(part), draw(part)
+
+
+class TestQuadNormalForm:
+    """The integer representation (a + b*sqrt(d))/c against the (u, v) formulas."""
+
+    @staticmethod
+    def assert_normal(x):
+        assert type(x.a) is int and type(x.b) is int and type(x.c) is int
+        assert x.c > 0 and math.gcd(x.a, x.b, x.c) == 1
+
+    @settings(max_examples=300)
+    @given(quad_values(), st.integers(1, 12))
+    def test_normal_form_is_unique(self, value, k):
+        d, u, v = value
+        x = QuadNum.make(u, v, d)
+        self.assert_normal(x)
+        assert (x.u, x.v, x.d) == (u, v, d)
+        assert type(x.u) is Fraction and type(x.v) is Fraction
+        assert Fraction(x.a, x.c) == u and Fraction(x.b, x.c) == v
+        # the same value reached by arithmetic has the same fields
+        y = (x * k + QuadNum.make(0, Fraction(1, k), d)) / k - QuadNum.make(0, Fraction(1, k * k), d)
+        self.assert_normal(y)
+        assert (y.a, y.b, y.c, y.d) == (x.a, x.b, x.c, x.d)
+        assert y == x and hash(y) == hash(x)
+        twice = QuadNum.make(2 * u, 2 * v, d)
+        for z in (x + x, x - (-x), x * 2, 2 * x):
+            self.assert_normal(z)
+            assert (z.a, z.b, z.c) == (twice.a, twice.b, twice.c)
+
+    @settings(max_examples=300)
+    @given(quad_values(), quad_values())
+    def test_inverse_division_conj_norm(self, value, other):
+        d, u, v = value
+        _, s, t = other
+        x, y = QuadNum.make(u, v, d), QuadNum.make(s, t, d)
+        nrm = u * u - d * v * v
+        assert x.norm() == nrm and type(x.norm()) is Fraction
+        self.assert_normal(x.conj())
+        assert (x.conj().u, x.conj().v) == (u, -v)
+        if not x:
+            with pytest.raises(CoefficientError):
+                x.inv()
+            with pytest.raises(CoefficientError):
+                y / x
+            return
+        inv = x.inv()
+        self.assert_normal(inv)
+        assert (inv.u, inv.v) == (u / nrm, -v / nrm)
+        q = y / x
+        self.assert_normal(q)
+        assert (q.u, q.v) == ((s * u - d * t * v) / nrm, (t * u - s * v) / nrm)
+        r = 3 / x
+        assert (r.u, r.v) == (3 * u / nrm, -3 * v / nrm)
+
+    @settings(max_examples=200)
+    @given(quad_values(), st.integers(-4, 4))
+    def test_power(self, value, k):
+        d, u, v = value
+        x = QuadNum.make(u, v, d)
+        if k < 0 and not x:
+            with pytest.raises(CoefficientError):
+                x ** k
+            return
+        pu, pv = Fraction(1), Fraction(0)
+        bu, bv = (u, v) if k >= 0 else (u / (u * u - d * v * v), -v / (u * u - d * v * v))
+        for _ in range(abs(k)):
+            pu, pv = pu * bu + d * pv * bv, pu * bv + pv * bu
+        z = x ** k
+        self.assert_normal(z)
+        assert (z.u, z.v, z.d) == (pu, pv, d)
+
+    def test_immutable(self):
+        x = QuadNum.make(1, 2, 5)
+        for name in ("u", "v", "d", "a", "b", "c", "_v", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            del x.a
+        assert x == QuadNum.make(1, 2, 5)
+
+    def test_copy_and_pickle_keep_the_value(self):
+        x = QuadNum.make(Fraction(1, 2), Fraction(-3, 4), -1)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is QuadNum and y == x and repr(y) == repr(x)
+
+    def test_mixed_extensions_raise(self):
+        x, y = QuadNum.make(1, 1, 5), QuadNum.make(1, 1, -1)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+                   lambda: QuadField(5).embed(y)):
+            with pytest.raises(CoefficientError):
+                op()
+        assert x != y
+
+    def test_field_constants(self):
+        f = QuadField(5)
+        assert f.zero() is f.zero() and f.one() is f.one()
+        assert (f.zero().a, f.zero().b, f.zero().c) == (0, 0, 1)
+        assert f.one() == 1 and not f.zero() and f.zero() == 0
+        assert repr(f.half()) == "1/2" and repr(f.gen() / 2) == "(0+1/2*sqrt(5))"
 
 
 class TestIsPrime:
