@@ -60,11 +60,29 @@ class ScenarioError(Exception):
 def _load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError("<file>", f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError("<json>", str(exc)) from None
+    if not isinstance(doc, dict):
+        raise ScenarioError("<json>", f"expected an object, got {type(doc).__name__}")
+    return doc
+
+
+def _object(doc: dict, key: str, field: str) -> Optional[dict]:
+    """doc[key] when it is a JSON object, None when it is absent or null."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ScenarioError(field, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _integer(raw, field: str) -> int:
+    """A JSON integer; a float or a boolean is not silently truncated."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ScenarioError(field, f"expected an integer, got {raw!r}")
+    return raw
 
 
 def _parse_datum(doc: dict):
@@ -72,7 +90,7 @@ def _parse_datum(doc: dict):
     if spec is None:
         raise ScenarioError("datum", "missing")
     try:
-        datum = RootDatum([(str(f), int(r)) for f, r in spec])
+        datum = RootDatum([(str(f), _integer(r, "datum")) for f, r in spec])
     except (TypeError, ValueError, SplitinvError) as exc:
         raise ScenarioError("datum", str(exc)) from None
     theta_doc = doc.get("theta")
@@ -85,18 +103,18 @@ def _parse_datum(doc: dict):
 
 def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField],
                   symbolic_action=None) -> DescentDatum:
-    gal = doc.get("galois")
+    gal = _object(doc, "galois", "galois")
     if gal is None:
         raise ScenarioError("galois", "missing")
-    try:
-        order = int(gal["order"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError("galois.order", "missing or not an integer") from None
+    if "order" not in gal:
+        raise ScenarioError("galois.order", "missing")
+    order = _integer(gal["order"], "galois.order")
     word = gal.get("omega_T", [])
     if not isinstance(word, list):
         raise ScenarioError("galois.omega_T", "expected a list of 1-based indices")
     try:
-        omega = analyze_weyl(datum, [int(i) for i in word], one_based=True)
+        omega = analyze_weyl(datum, [_integer(i, "galois.omega_T") for i in word],
+                             one_based=True)
     except (SplitinvError, ValueError, IndexError) as exc:
         raise ScenarioError("galois.omega_T", str(exc)) from None
     sigma_doc = gal.get("sigma_T")
@@ -131,11 +149,11 @@ def _parse_value(raw, fieldq: Optional[QuadField]):
 def cmd_invariant(args) -> int:
     doc = _load_scenario(args.scenario)
     datum, theta = _parse_datum(doc)
-    adoc = doc.get("adata")
+    adoc = _object(doc, "adata", "adata")
     if adoc is None or "mode" not in adoc:
         raise ScenarioError("adata.mode", "missing")
-    gal = doc.get("galois") or {}
-    fdoc = gal.get("field")
+    gal = _object(doc, "galois", "galois") or {}
+    fdoc = _object(gal, "field", "galois.field")
     checks: List[CheckRecord] = []
     if adoc["mode"] == "symbolic":
         base = _parse_galois(doc, datum, None)
@@ -151,7 +169,7 @@ def cmd_invariant(args) -> int:
         if not fdoc or "d" not in fdoc:
             raise ScenarioError("galois.field.d", "missing (required for value mode)")
         try:
-            fieldq = QuadField(int(fdoc["d"]))
+            fieldq = QuadField(_integer(fdoc["d"], "galois.field.d"))
         except SplitinvError as exc:
             raise ScenarioError("galois.field.d", str(exc)) from None
         descent = _parse_galois(doc, datum, fieldq)
@@ -159,12 +177,16 @@ def cmd_invariant(args) -> int:
         if not isinstance(raw, dict):
             raise ScenarioError("adata.values", "expected an object keyed by root coords")
         values = {}
-        try:
-            for key, v in raw.items():
+        for key, v in raw.items():
+            try:
                 coords = tuple(int(c) for c in key.split(","))
-                values[coords] = _parse_value(v, fieldq)
-        except ValueError as exc:
-            raise ScenarioError("adata.values", str(exc)) from None
+                val = _parse_value(v, fieldq)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise ScenarioError("adata.values", f"at {key!r}: cannot parse {v!r}: "
+                                    f"{type(exc).__name__}: {exc}") from None
+            if not val:
+                raise ScenarioError("adata.values", f"at {key!r}: an a-value must be nonzero")
+            values[coords] = val
         try:
             adata = ADatum.from_positive(datum, values, fieldq.one(), fieldq.half(),
                                          flavor="twisted" if not theta.is_identity
@@ -216,6 +238,8 @@ def cmd_restrict(args) -> int:
     checks: List[CheckRecord] = []
     try:
         rrs = restrict_root_system(datum, theta)
+        # |W^theta| from the restricted type; W^theta is never enumerated here
+        weyl_order = rrs.fixed_weyl_order()
         ok = True
         detail = None
     except SplitinvError as exc:
@@ -231,7 +255,7 @@ def cmd_restrict(args) -> int:
             ],
             "simple": [list(v) for v in rrs.simple_restricted],
             "reduced": rrs.is_reduced,
-            "fixed_weyl_order": len(rrs.fixed_weyl_subgroup()),
+            "fixed_weyl_order": weyl_order,
         }
     report = _report(["restrict", args.scenario], checks, None, result,
                      time.time() - t0 if args.timing else None)

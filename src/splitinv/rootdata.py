@@ -12,6 +12,8 @@ coroots, which form a basis of the fixed cocharacter lattice.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,9 +53,15 @@ def _cartan_block(family: str, rank: int) -> List[List[int]]:
     return c
 
 
-def _reflect(cartan: Mat, v: Vec, i: int) -> Vec:
-    """s_i in simple-root coordinates: v - <v, alpha_i_vee> alpha_i."""
-    k = sum(c * x for c, x in zip(cartan[i], v))
+def _sparse_rows(cartan: Mat) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The nonzero entries (j, cartan[i][j]) of each row: at most four."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan)
+
+
+def _reflect(row: Sequence[Tuple[int, int]], v: Vec, i: int) -> Vec:
+    """s_i in simple-root coordinates, given row i of the Cartan matrix as
+    its nonzero entries: v - <v, alpha_i_vee> alpha_i."""
+    k = sum(c * v[j] for j, c in row)
     return v[:i] + (v[i] - k,) + v[i + 1:]
 
 
@@ -91,7 +99,7 @@ class RootDatum:
         self.families = tuple((f, int(r)) for f, r in families)
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
-        self.roots: Tuple[Root, ...] = self._generate_roots()
+        self.roots, reflections = self._generate_roots()
         expected = sum(_ROOT_COUNT[f](r) for f, r in self.families)
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
@@ -102,38 +110,43 @@ class RootDatum:
             self.root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
         ident = tuple(range(len(self.roots)))
         self._identity = WeylElement._from_perms(self, ident, ident)
-        reflections = [tuple(self.root_index[_reflect(self.cartan, r.coords, i)]
-                             for r in self.roots) for i in range(rank)]
         self._simple = tuple(WeylElement._from_perms(self, p, p) for p in reflections)
         self._weyl_cache: Optional[Tuple["WeylElement", ...]] = None
 
     # -- construction ------------------------------------------------------
 
-    def _generate_roots(self) -> Tuple[Root, ...]:
+    def _generate_roots(self) -> Tuple[Tuple[Root, ...], List[Tuple[int, ...]]]:
+        """The roots, by breadth-first search from the simple roots under the
+        simple reflections, sorted; and each simple reflection as the
+        permutation of root indices read off the edges that search walked."""
+        rows = _sparse_rows(self.cartan)
         # coroots are the roots of the dual datum, whose Cartan matrix is the transpose
-        dual = tuple(zip(*self.cartan))
-        seen: Dict[Vec, Vec] = {}
-        frontier = []
+        dual = _sparse_rows(tuple(zip(*self.cartan)))
+        found: List[Tuple[Vec, Vec]] = []     # (root, coroot) in order of discovery
+        ids: Dict[Vec, int] = {}
+        edges: List[Tuple[int, ...]] = []     # edges[k][i]: id of s_i(root k)
         for i in range(self.rank):
             e = tuple(1 if j == i else 0 for j in range(self.rank))
-            seen[e] = e
-            frontier.append((e, e))
-        while frontier:
-            nxt = []
-            for c, d in frontier:
-                for i in range(self.rank):
-                    c2 = _reflect(self.cartan, c, i)
-                    if c2 not in seen:
-                        d2 = _reflect(dual, d, i)
-                        seen[c2] = d2
-                        nxt.append((c2, d2))
-            frontier = nxt
-        out = []
-        for c, d in seen.items():
-            pos = self._is_positive(c)
-            out.append(Root(c, d, pos, sum(c)))
-        out.sort(key=lambda r: (not r.positive, r.height if r.positive else -r.height, r.coords))
-        return tuple(out)
+            ids[e] = len(found)
+            found.append((e, e))
+        for c, d in found:      # the list grows while it is walked: a FIFO queue
+            out = []
+            for i in range(self.rank):
+                c2 = _reflect(rows[i], c, i)
+                if c2 not in ids:
+                    ids[c2] = len(found)
+                    found.append((c2, _reflect(dual[i], d, i)))
+                out.append(ids[c2])
+            edges.append(tuple(out))
+        roots = [Root(c, d, self._is_positive(c), sum(c)) for c, d in found]
+        # positive roots by height, then negative roots by depth
+        order = sorted(range(len(roots)), key=lambda k: (
+            not roots[k].positive, abs(roots[k].height), roots[k].coords))
+        position = [0] * len(order)
+        for j, k in enumerate(order):
+            position[k] = j
+        reflections = [tuple(position[edges[k][i]] for k in order) for i in range(self.rank)]
+        return tuple(roots[k] for k in order), reflections
 
     @staticmethod
     def _is_positive(coords: Vec) -> bool:
@@ -162,11 +175,14 @@ class RootDatum:
     def simple_root(self, i: int) -> Root:
         return self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
 
+    def _coroot_row(self, coroot_coords: Vec) -> Vec:
+        """The values <alpha_j, mu_vee> of a cocharacter on the simple roots."""
+        terms = [(x, row) for x, row in zip(coroot_coords, self.cartan) if x]
+        return tuple(sum(x * row[j] for x, row in terms) for j in range(self.rank))
+
     def pairing(self, root_coords: Vec, coroot_coords: Vec) -> int:
         """<alpha, mu_vee> for alpha in the root basis, mu_vee in the coroot basis."""
-        c = self.cartan
-        return sum(coroot_coords[i] * c[i][j] * root_coords[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return sum(map(operator.mul, self._coroot_row(coroot_coords), root_coords))
 
     def weight_coords(self, root_coords: Vec) -> Vec:
         """Coordinates of a root-lattice element in the fundamental-weight basis."""
@@ -174,11 +190,17 @@ class RootDatum:
                      for i in range(self.rank))
 
     def reflection_in_root(self, coords: Vec) -> "WeylElement":
-        """The reflection attached to an arbitrary root, as a Weyl element."""
+        """The reflection s_a attached to an arbitrary root a, as a Weyl
+        element: b -> b - <b, a_vee> a, with a_vee's row of pairings on the
+        simple roots computed once."""
         a = self.root(coords)
-        perm = tuple(self.root_index[tuple(x - self.pairing(b.coords, a.coroot) * y
-                                           for x, y in zip(b.coords, a.coords))]
-                     for b in self.roots)
+        row = self._coroot_row(a.coroot)
+        index, mul = self.root_index, operator.mul
+        perm = []
+        for j, b in enumerate(self.roots):
+            k = sum(map(mul, row, b.coords))
+            perm.append(index[tuple(x - k * y for x, y in zip(b.coords, a.coords))] if k else j)
+        perm = tuple(perm)
         return WeylElement._from_perms(self, perm, perm)
 
     # -- Weyl group ---------------------------------------------------------
@@ -437,9 +459,9 @@ class PinnedAutomorphism:
     act_coroot = act_root
     act_coroot_inv = act_root_inv
 
-    def act_weyl(self, w: WeylElement) -> WeylElement:
-        """Conjugation w -> theta w theta^{-1}, through theta's permutation
-        of the roots (built on first use)."""
+    def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """theta's permutation of the indices of ``datum.roots`` and its
+        inverse, built on first use."""
         if self._root_perms is None:
             index = self.datum.root_index
             fwd = tuple(index[self.act_root(r.coords)] for r in self.datum.roots)
@@ -447,7 +469,17 @@ class PinnedAutomorphism:
             for j, k in enumerate(fwd):
                 back[k] = j
             self._root_perms = (fwd, tuple(back))
-        fwd, back = self._root_perms
+        return self._root_perms
+
+    @property
+    def root_perm(self) -> Tuple[int, ...]:
+        """``root_perm[j]`` is the index of theta(root j)."""
+        return self._perms()[0]
+
+    def act_weyl(self, w: WeylElement) -> WeylElement:
+        """Conjugation w -> theta w theta^{-1}, through theta's permutation
+        of the roots."""
+        fwd, back = self._perms()
         return WeylElement._from_perms(self.datum,
                                        tuple(fwd[w.perm[j]] for j in back),
                                        tuple(fwd[w.inv_perm[j]] for j in back))
@@ -478,7 +510,10 @@ class PinnedAutomorphism:
         return out
 
     def commutes_with(self, w: WeylElement) -> bool:
-        return self.act_weyl(w) == w
+        """Whether theta w = w theta: both sides are linear, so it is enough
+        that theta(w alpha_i) = w(theta alpha_i) on the simple roots."""
+        fwd, perm = self.root_perm, w.perm
+        return all(fwd[perm[s]] == perm[fwd[s]] for s in self.datum.simple_index)
 
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm]}
@@ -506,6 +541,8 @@ class RootAutomorphism:
         self.diagram = diagram if diagram is not None \
             else PinnedAutomorphism.identity(weyl.datum)
         self.datum = weyl.datum
+        # perm[j] is the index of w(g(root j))
+        self.perm: Tuple[int, ...] = tuple(map(weyl.perm.__getitem__, self.diagram.root_perm))
 
     def act_root(self, coords: Vec) -> Vec:
         return self.weyl.act_root(self.diagram.act_root(coords))
@@ -591,15 +628,16 @@ class RestrictedRootSystem:
 
     def _build_roots(self):
         datum, theta = self.datum, self.theta
-        by_res: Dict[Vec, List[Vec]] = {}
-        for r in datum.roots:
-            by_res.setdefault(self.restrict_root(r.coords), []).append(r.coords)
+        roots = datum.roots
+        res_of = [self.restrict_root(r.coords) for r in roots]
+        by_res: Dict[Vec, List[int]] = {}
+        for j, res in enumerate(res_of):
+            by_res.setdefault(res, []).append(j)
         if any(v == tuple([0] * len(self.simple_orbits)) for v in by_res):
             raise RootDatumError("a root restricts to zero")
         all_res = set(by_res)
-        pos_res = {self.restrict_root(r.coords) for r in datum.positive_roots}
-        neg_res = {self.restrict_root(r.coords) for r in datum.roots if not r.positive}
-        if pos_res & neg_res:
+        pos_res = set(res_of[:datum.n_positive])
+        if pos_res & set(res_of[datum.n_positive:]):
             raise RootDatumError("restriction does not separate positive and negative roots")
 
         def halved(v: Vec) -> Optional[Vec]:
@@ -607,18 +645,16 @@ class RestrictedRootSystem:
                 return tuple(x // 2 for x in v)
             return None
 
+        fwd = theta.root_perm
         restricted = {}
-        for res, orbit_roots in sorted(by_res.items()):
-            orbit = tuple(sorted(orbit_roots))
+        for res, fiber in sorted(by_res.items()):
+            orbit = tuple(sorted(roots[j].coords for j in fiber))
             # the theta-orbit of any preimage must be the whole fiber
-            fiber = set(orbit)
-            probe = {orbit[0]}
-            while True:
-                nxt = {theta.act_root(c) for c in probe} | probe
-                if nxt == probe:
-                    break
-                probe = nxt
-            if probe != fiber:
+            probe, j = set(), fiber[0]
+            while j not in probe:
+                probe.add(j)
+                j = fwd[j]
+            if probe != set(fiber):
                 raise RootDatumError("orbit/fiber mismatch in restriction")
             double = tuple(2 * x for x in res)
             half = halved(res)
@@ -628,8 +664,7 @@ class RestrictedRootSystem:
                 rtype = R3
             else:
                 rtype = R1
-            nsum = tuple(sum(datum.root(c).coroot[i] for c in orbit)
-                         for i in range(datum.rank))
+            nsum = tuple(map(sum, zip(*(roots[j].coroot for j in fiber))))
             coroot = nsum if rtype in (R1, R3) else tuple(2 * x for x in nsum)
             restricted[res] = RestrictedRoot(res, rtype, res in pos_res, orbit, coroot)
         self.restricted: Dict[Vec, RestrictedRoot] = restricted
@@ -638,7 +673,7 @@ class RestrictedRootSystem:
             if self.pair_restricted(rr.coords, rr.coroot) != 2:
                 raise RootDatumError("restricted coroot normalization failed")
         self.simple_restricted: Tuple[Vec, ...] = tuple(sorted(
-            {self.restrict_root(datum.simple_root(i).coords) for i in range(datum.rank)}))
+            {res_of[s] for s in datum.simple_index}))
         indecomposable = self._indecomposable_positives()
         if set(self.simple_restricted) != indecomposable:
             raise RootDatumError("images of simple roots are not the simple restricted roots")
@@ -695,6 +730,14 @@ class RestrictedRootSystem:
                 self.datum.identity_weyl(),
                 [self.levi_longest[beta] for beta in self.simple_restricted])
         return self._fixed_weyl_cache
+
+    def fixed_weyl_order(self) -> int:
+        """|Omega^theta|, which is the order of the Weyl group of the
+        restricted root system, read off the type of its Cartan matrix
+        <beta_j, beta_i_vee> without enumerating the group."""
+        simple = self.simple_restricted
+        return weyl_group_order([[self.pair_restricted(b, self.restricted[a].coroot)
+                                  for b in simple] for a in simple])
 
     def res_word_of(self, w: WeylElement) -> Tuple[int, ...]:
         """Reduced word in simple restricted reflections (indices into
@@ -793,15 +836,78 @@ def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
     per_comp = 2 if kind == "A1" else 6
     if len(roots) != per_comp * len(components):
         raise RootDatumError("Levi root count does not match its diagram")
-    # longest element of the Levi Weyl group
+    # longest element of the Levi Weyl group: multiply by the reflection in a
+    # Levi simple root that w still sends to a positive root, while there is one
+    index, npos = datum.root_index, datum.n_positive
+    reflections = [(index[c], datum.reflection_in_root(c)) for c in simples]
     w = datum.identity_weyl()
     while True:
-        delta = next((c for c in simples
-                      if RootDatum._is_positive(w.act_root(c))), None)
-        if delta is None:
+        s = next((s for j, s in reflections if w.perm[j] < npos), None)
+        if s is None:
             break
-        w = w * datum.reflection_in_root(delta)
+        w = w * s
     return LeviComponent(beta, roots, simples, components, kind, w)
+
+
+def weyl_group_order(cartan: Sequence[Sequence[int]]) -> int:
+    """Order of the Weyl group of a Cartan matrix, as the product over its
+    irreducible components (Bourbaki, Lie Groups VI, Plates I-IX): (k+1)! for
+    A_k, 2^k k! for B_k and C_k, 2^(k-1) k! for D_k and 12 for G_2.  Any
+    other matrix raises RootDatumError."""
+    n = len(cartan)
+    bonds: Dict[Tuple[int, int], int] = {}     # i < j -> a_ij a_ji, for linked i, j
+    for i in range(n):
+        if cartan[i][i] != 2:
+            raise RootDatumError(f"Cartan matrix has {cartan[i][i]} on the diagonal")
+        for j in range(i + 1, n):
+            a, b = cartan[i][j], cartan[j][i]
+            if a or b:
+                if not (a < 0 and b < 0 and a * b <= 3):
+                    raise RootDatumError(
+                        f"Cartan entries {a}, {b} at {i}, {j} are not of finite type")
+                bonds[i, j] = a * b
+    order, seen = 1, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j not in comp and (min(i, j), max(i, j)) in bonds:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        order *= _component_weyl_order(
+            len(comp), {e: m for e, m in bonds.items() if e[0] in comp})
+    return order
+
+
+def _component_weyl_order(k: int, bonds: Dict[Tuple[int, int], int]) -> int:
+    """Weyl group order of a connected Dynkin diagram with k nodes, given by
+    its bonds (pair of nodes -> a_ij a_ji)."""
+    fact = math.factorial(k)
+    degree: Dict[int, int] = {}
+    for i, j in bonds:
+        degree[i] = degree.get(i, 0) + 1
+        degree[j] = degree.get(j, 0) + 1
+    doubles = [e for e, m in bonds.items() if m == 2]
+    top = max(degree.values(), default=0)
+    branches = [i for i, d in degree.items() if d == 3]
+    # finite type needs a tree, and a triple bond only occurs in G_2
+    if len(bonds) == k - 1 and (k == 2 or 3 not in bonds.values()):
+        if 3 in bonds.values():
+            return 12                                   # G_2
+        if top <= 2 and not doubles:
+            return fact * (k + 1)                       # A_k: a path
+        if top <= 2 and len(doubles) == 1 and 1 in (degree[i] for i in doubles[0]):
+            return 2 ** k * fact                        # B_k, C_k: the double bond at an end
+        if top == 3 and not doubles and len(branches) == 1:
+            b = branches[0]
+            if sum(degree[i + j - b] == 1 for i, j in bonds if b in (i, j)) >= 2:
+                return 2 ** (k - 1) * fact              # D_k: two arms of length 1
+    raise RootDatumError(f"Dynkin diagram with bonds {sorted(bonds.items())} "
+                         "is not of type A, B, C, D or G2")
 
 
 def _integer_ratio(v: Vec, beta: Vec) -> Optional[int]:

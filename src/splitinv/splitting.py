@@ -103,10 +103,14 @@ class ADatum:
     def validate_equivariant(self, descent) -> None:
         for k in range(descent.order):
             if self.domain == "roots":
-                aut = descent.root_action(k)
+                # images by root index: aut.perm[j] is the index of aut(root j)
+                roots, index = descent.datum.roots, descent.datum.root_index
+                perm = descent.root_action(k).perm
                 for coords, v in self.values.items():
-                    img = aut.act_root(coords)
-                    if self.values.get(tuple(img)) != descent.field_apply(k, v):
+                    if coords not in index:
+                        raise ADataError(f"a-datum at {coords}, which is not a root")
+                    img = roots[perm[index[coords]]].coords
+                    if self.values.get(img) != descent.field_apply(k, v):
                         raise ADataError(
                             f"a-data not Galois-equivariant at {coords}, sigma^{k}")
             else:

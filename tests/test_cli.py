@@ -10,6 +10,7 @@ import pytest
 
 from splitinv import suites
 from splitinv.cli import main
+from splitinv.rootdata import RestrictedRootSystem
 
 A2_FLIP_SCENARIO = {
     "datum": [["A", 2]],
@@ -177,6 +178,42 @@ class TestInvariant:
         path.write_text("{not json")
         assert main(["invariant", str(path)]) == 2
 
+    # hand-made malformed scenarios, each of which once ended in a traceback
+    # or was silently misread; each must exit 2 naming the offending field
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: [1, 2], "<json>"),
+        (lambda doc: dict(doc, galois=[1]), "galois"),
+        (lambda doc: dict(doc, adata=["mode"]), "adata"),
+        (lambda doc: dict(doc, galois=dict(doc["galois"], field={"d": "x"})), "galois.field.d"),
+        (lambda doc: dict(doc, adata={"mode": "values",
+                                      "values": dict(doc["adata"]["values"], **{"1,0": "1/0"})}),
+         "adata.values"),
+        (lambda doc: dict(doc, adata={"mode": "values",
+                                      "values": dict(doc["adata"]["values"], **{"1,0": "0"})}),
+         "adata.values"),
+        (lambda doc: dict(doc, galois=dict(doc["galois"], omega_T=[1]),
+                          adata={"mode": "values", "values": {"1,0": "0", "0,1": "0",
+                                                              "1,1": "0"}}),
+         "adata.values"),
+        (lambda doc: dict(doc, datum=[["A", 2.5]]), "datum"),
+    ], ids=["top-level-list", "galois-list", "adata-list", "field-d-not-integer",
+            "value-one-over-zero", "zero-value-unused", "zero-value-with-short-omega",
+            "fractional-rank"])
+    def test_malformed_input_names_its_field(self, tmp_path, capsys, change, field):
+        doc = {
+            "datum": [["A", 2]],
+            "theta": {"perm": [2, 1]},
+            "galois": {"order": 2, "omega_T": [1, 2, 1], "field": {"d": 5}},
+            "adata": {"mode": "values",
+                      "values": {"1,0": [0, 1], "0,1": [0, 1], "1,1": [0, 1]}},
+        }
+        assert main(["invariant", write(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        assert main(["invariant", write(tmp_path, change(doc), "bad.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field {field!r}:")
+
 
 class TestRestrict:
     def test_report(self, tmp_path, capsys):
@@ -199,6 +236,17 @@ class TestRestrict:
                               env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["fixed_weyl_order"] == 8
+
+    def test_a13_flip_order_from_the_restricted_type(self, tmp_path, capsys, monkeypatch):
+        # C7: 2^7 * 7! = 645120 elements, reported without enumerating them
+        def broken(self):
+            raise AssertionError("W^theta enumerated")
+
+        monkeypatch.setattr(RestrictedRootSystem, "fixed_weyl_subgroup", broken)
+        path = write(tmp_path, {"datum": [["A", 13]],
+                                "theta": {"perm": list(range(13, 0, -1))}})
+        assert main(["restrict", path]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["fixed_weyl_order"] == 645120
 
     def test_a9_flip(self, tmp_path, capsys):
         # |W^theta| = 2^5 * 5! for the restricted type C5 (BC5)

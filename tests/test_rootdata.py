@@ -1,14 +1,15 @@
 """Root data, Weyl elements, pinned automorphisms, and restriction."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitinv.errors import RootDatumError
-from splitinv.rootdata import (PinnedAutomorphism, analyze_weyl,
+from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, analyze_weyl,
                                build_root_datum, datum_and_theta_from_json,
-                               levi_component, restrict_root_system)
+                               levi_component, restrict_root_system, weyl_group_order)
 
 
 class TestBuild:
@@ -551,3 +552,116 @@ class TestWeylKernel:
             assert theta.act_weyl(w) == lib[conj]
             assert theta.act_weyl(w).word == ref.word(conj)
             assert theta.commutes_with(w) == (conj == m)
+
+
+# ---------------------------------------------------------------------------
+# |W^theta| from the restricted type against the enumerated group
+# ---------------------------------------------------------------------------
+
+FIXED_ORDER_CASES = [(f"A{n} flip", [("A", n)], tuple(range(n - 1, -1, -1)))
+                     for n in range(2, 10)] + [
+    ("D4 swap", [("D", 4)], (0, 1, 3, 2)),
+    ("D4 triality", [("D", 4)], (2, 1, 3, 0)),
+    ("D5 swap", [("D", 5)], (0, 1, 2, 4, 3)),
+    ("A2xA2 swap", [("A", 2), ("A", 2)], (2, 3, 0, 1)),
+    ("A3xA3 swap", [("A", 3), ("A", 3)], (3, 4, 5, 0, 1, 2)),
+    ("A3 identity", [("A", 3)], (0, 1, 2)),
+    ("B3 identity", [("B", 3)], (0, 1, 2)),
+    ("C3 identity", [("C", 3)], (0, 1, 2)),
+    ("D4 identity", [("D", 4)], (0, 1, 2, 3)),
+]
+
+
+class TestFixedWeylOrder:
+    @pytest.mark.parametrize("label,families,perm", FIXED_ORDER_CASES)
+    def test_formula_is_the_enumerated_order(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        assert rrs.fixed_weyl_order() == len(rrs.fixed_weyl_subgroup())
+
+    @pytest.mark.parametrize("families", [[("A", 1)], [("A", 4)], [("B", 2)], [("B", 3)],
+                                          [("C", 4)], [("D", 4)], [("A", 2), ("B", 2)]])
+    def test_formula_on_ambient_cartan_matrices(self, families):
+        d = build_root_datum(families)
+        assert weyl_group_order(d.cartan) == len(d.weyl_group())
+
+    @pytest.mark.parametrize("label,cartan", [
+        ("G2", [[2, -1], [-3, 2]]),
+        ("G2 transposed", [[2, -3], [-1, 2]]),
+    ])
+    def test_g2(self, label, cartan):
+        assert weyl_group_order(cartan) == 12
+
+    @pytest.mark.parametrize("label,cartan", [
+        ("F4", [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]),
+        ("E6", [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+                [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]),
+        ("affine A2", [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
+        ("affine D4", [[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0],
+                       [-1, 0, 0, 2, 0], [-1, 0, 0, 0, 2]]),
+        ("G2 with a tail", [[2, -1, 0], [-3, 2, -1], [0, -1, 2]]),
+        ("two double bonds", [[2, -2, 0], [-1, 2, -1], [0, -2, 2]]),
+        ("quadruple bond", [[2, -4], [-1, 2]]),
+        ("asymmetric zero", [[2, 0], [-1, 2]]),
+        ("bad diagonal", [[1]]),
+    ])
+    def test_other_types_rejected(self, label, cartan):
+        with pytest.raises(RootDatumError):
+            weyl_group_order(cartan)
+
+
+# ---------------------------------------------------------------------------
+# the index-table routes against their coordinate formulas
+# ---------------------------------------------------------------------------
+
+TABLE_CASES = [("A3", [("A", 3)]), ("A4", [("A", 4)]), ("B3", [("B", 3)]),
+               ("C3", [("C", 3)]), ("D4", [("D", 4)]), ("D5", [("D", 5)]),
+               ("A2xA2", [("A", 2), ("A", 2)])]
+
+
+def _diagram_automorphisms(d):
+    """Every permutation of the simple roots that keeps the Cartan matrix."""
+    n = d.rank
+    return [PinnedAutomorphism(d, p) for p in itertools.permutations(range(n))
+            if all(d.cartan[p[i]][p[j]] == d.cartan[i][j] for i in range(n) for j in range(n))]
+
+
+def _pairing(cartan, b, a_vee):
+    """<b, a_vee> = sum_ij a_vee[i] cartan[i][j] b[j]."""
+    n = len(cartan)
+    return sum(a_vee[i] * cartan[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+class TestTableRoutes:
+    @pytest.mark.parametrize("label,families", TABLE_CASES)
+    def test_reflection_in_root_is_the_coordinate_reflection(self, label, families):
+        d = build_root_datum(families)
+        for a in d.roots:
+            s = d.reflection_in_root(a.coords)
+            for j, b in enumerate(d.roots):
+                k = _pairing(d.cartan, b.coords, a.coroot)
+                want = tuple(x - k * y for x, y in zip(b.coords, a.coords))
+                assert d.roots[s.perm[j]].coords == want
+                assert d.pairing(b.coords, a.coroot) == k
+            assert s * s == d.identity_weyl() and s.inverse() == s
+
+    @pytest.mark.parametrize("label,families", TABLE_CASES)
+    def test_commutes_with_is_equality_under_conjugation(self, label, families):
+        d = build_root_datum(families)
+        thetas = _diagram_automorphisms(d)
+        assert len(thetas) == {"D4": 6, "A2xA2": 8}.get(label, 2 if label[0] in "AD" else 1)
+        for theta in thetas:
+            fixed = [w for w in d.weyl_group() if theta.commutes_with(w)]
+            assert fixed == [w for w in d.weyl_group() if theta.act_weyl(w) == w]
+            assert len(fixed) == restrict_root_system(d, theta).fixed_weyl_order()
+
+    @pytest.mark.parametrize("label,families", TABLE_CASES)
+    def test_root_automorphism_index_action_is_act_root(self, label, families):
+        d = build_root_datum(families)
+        group = d.weyl_group()
+        sample = random.Random(0).sample(group, min(len(group), 40))
+        for theta in _diagram_automorphisms(d):
+            for w in sample:
+                aut = RootAutomorphism(w, theta)
+                assert [d.roots[k].coords for k in aut.perm] == \
+                    [aut.act_root(r.coords) for r in d.roots]
