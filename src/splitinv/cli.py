@@ -5,6 +5,7 @@ calculus, all emitting deterministic JSON reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -90,7 +91,7 @@ def _parse_datum(doc: dict):
     if spec is None:
         raise ScenarioError("datum", "missing")
     try:
-        datum = RootDatum([(str(f), _integer(r, "datum")) for f, r in spec])
+        datum = RootDatum([(str(f), r) for f, r in spec])
     except (TypeError, ValueError, SplitinvError) as exc:
         raise ScenarioError("datum", str(exc)) from None
     theta_doc = doc.get("theta")
@@ -218,9 +219,8 @@ def cmd_invariant(args) -> int:
             "ambient": cocycle.ambient,
             "values": {
                 str(k): {
-                    "torus": [repr(c) for c in
-                              (v.torus.coords if cocycle.level == "m" else v.coords)],
-                    "weyl": [i + 1 for i in v.weyl.word] if cocycle.level == "m" else [],
+                    "torus": [repr(c) for c in v.torus.coords],
+                    "weyl": [i + 1 for i in v.weyl.word],
                 }
                 for k, v in cocycle.values.items()
             },
@@ -304,7 +304,10 @@ def cmd_factors(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every `main` call, so
+    each subcommand's `cmd_*` is bound at the first call."""
     p = argparse.ArgumentParser(
         prog="splitinv",
         description="exact splitting-invariant computations and verification suites")

@@ -108,11 +108,13 @@ class SignedSymbolMap:
                 raise CoefficientError("symbol image sign must be +-1")
 
     def __call__(self, u: SymUnit) -> SymUnit:
-        out = SymUnit(u.sign, ())
+        # (s * img)^e = s^e * img^e: exponents add up per image symbol
+        sign, acc = u.sign, {}
         for name, e in u.exps:
             s, img = self.mapping.get(name, (1, name))
-            out = out * SymUnit.gen(img, e, 1) * SymUnit(s ** (e % 2) if s == -1 else 1, ())
-        return out
+            acc[img] = acc.get(img, 0) + e
+            sign *= s ** (e % 2)
+        return SymUnit(sign, tuple(sorted((n, e) for n, e in acc.items() if e)))
 
     @property
     def order(self) -> int:

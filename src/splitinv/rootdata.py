@@ -30,6 +30,14 @@ Mat = Tuple[Vec, ...]
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
+def _int_field(raw, field: str) -> int:
+    """A rank or a permutation entry; a float, bool or string is rejected,
+    never truncated."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise RootDatumError(f"field {field!r}: expected an integer, got {raw!r}")
+    return raw
+
+
 def _cartan_block(family: str, rank: int) -> List[List[int]]:
     if family not in _MIN_RANK:
         raise RootDatumError(f"unsupported family {family!r}; expected one of A, B, C, D")
@@ -87,6 +95,7 @@ class RootDatum:
     def __init__(self, families: Sequence[Tuple[str, int]]):
         if not families:
             raise RootDatumError("empty type specification")
+        families = tuple((f, _int_field(r, "type")) for f, r in families)
         blocks = [_cartan_block(f, r) for f, r in families]
         rank = sum(len(b) for b in blocks)
         cartan = [[0] * rank for _ in range(rank)]
@@ -96,7 +105,7 @@ class RootDatum:
                 for j, v in enumerate(row):
                     cartan[off + i][off + j] = v
             off += len(b)
-        self.families = tuple((f, int(r)) for f, r in families)
+        self.families = families
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
         self.roots, reflections = self._generate_roots()
@@ -238,7 +247,7 @@ class RootDatum:
     @staticmethod
     def from_json(doc: dict) -> "RootDatum":
         try:
-            fams = [(str(f), int(r)) for f, r in doc["type"]]
+            fams = [(str(f), r) for f, r in doc["type"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise RootDatumError(f"malformed root datum document: field 'type': {exc}") from None
         return build_root_datum(fams)
@@ -417,7 +426,7 @@ class PinnedAutomorphism:
     """
 
     def __init__(self, datum: RootDatum, perm: Sequence[int]):
-        perm = tuple(perm)
+        perm = tuple(_int_field(p, "perm") for p in perm)
         if sorted(perm) != list(range(datum.rank)):
             raise RootDatumError(f"not a permutation of 0..{datum.rank - 1}: {perm}")
         for i in range(datum.rank):
@@ -523,10 +532,10 @@ class PinnedAutomorphism:
         if doc is None:
             return PinnedAutomorphism.identity(datum)
         try:
-            perm = [int(p) - 1 for p in doc["perm"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            raw = list(doc["perm"])
+        except (KeyError, TypeError) as exc:
             raise RootDatumError(f"malformed automorphism document: field 'perm': {exc}") from None
-        return PinnedAutomorphism(datum, perm)
+        return PinnedAutomorphism(datum, [_int_field(p, "perm") - 1 for p in raw])
 
     def __repr__(self):
         return f"theta{tuple(p + 1 for p in self.perm)}"

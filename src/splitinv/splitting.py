@@ -346,21 +346,18 @@ class SplittingCocycle:
     matrices: Optional[Dict[int, tuple]] = None   # honest in-T matrices
 
     def verify(self, one) -> None:
+        """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them."""
         n = self.descent.order
         for j in range(n):
             for k in range(n):
                 lhs = self.values[(j + k) % n]
-                if self.level == "t":
-                    rhs = self.values[j] * self.descent.galois_on_torus_twisted(
-                        j, self.values[k], one)
-                else:
-                    rhs = self.values[j] * self.descent.galois_on_tits(j, self.values[k])
+                rhs = self.values[j] * self.descent.galois_on_torus_twisted(
+                    j, self.values[k], one)
                 if lhs != rhs:
                     raise ADataError(f"cocycle identity fails at ({j},{k})")
         if self.ambient == "T^theta" and self.theta is not None:
             for k, v in self.values.items():
-                t = v.torus if self.level == "m" else v
-                if not t.theta_fixed(self.theta):
+                if not v.theta_fixed(self.theta):
                     raise ADataError(f"value at sigma^{k} is not theta-fixed")
 
     def fixed_coords(self, k: int) -> tuple:
@@ -636,9 +633,7 @@ def lambda_untwisted(datum: RootDatum, descent: DescentDatum, adata: ADatum,
     then m-level)."""
     m = m_cocycle(datum, descent, adata, theta=None)
     if realization is None:
-        out = SplittingCocycle("m", m, "T", descent, datum)
-        out.verify(adata.one)
-        return out
+        return SplittingCocycle("m", m, "T", descent, datum)
     return _t_level(datum, descent, adata, m, realization, theta=None)
 
 
@@ -657,9 +652,7 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
         raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
     m = m_cocycle(datum, descent, adata, theta=theta)
     if realization is None:
-        out = SplittingCocycle("m", m, "T^theta", descent, datum, theta)
-        out.verify(adata.one)
-        return out
+        return SplittingCocycle("m", m, "T^theta", descent, datum, theta)
     cocycle = _t_level(datum, descent, adata, m, realization, theta=theta)
     for k in range(descent.order):
         if not cocycle.values[k].theta_fixed(theta):
@@ -723,7 +716,6 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     if theta is not None and not theta.commutes_with(mu):
         raise RootDatumError("mu is not fixed by the automorphism")
     one = adata.one
-    adata.validate()
     witness = x_of(datum, mu, adata, one)
     if theta is not None and not witness.theta_fixed(theta):
         raise ADataError("coboundary witness is not theta-fixed")

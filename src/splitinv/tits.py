@@ -193,9 +193,11 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
 def x_of(datum: RootDatum, zeta, adata, one=None) -> TorusElement:
     """The torus element prod_{alpha in R(zeta)} a_alpha^{alpha_vee}, where
     R(zeta) consists of the positive roots sent negative by zeta^{-1}."""
-    if one is None:
-        one = adata.one
     adata.validate()
+    return _x_of(datum, zeta, adata, adata.one if one is None else one)
+
+
+def _x_of(datum: RootDatum, zeta, adata, one) -> TorusElement:  # a-data validated
     out = TorusElement.ones(datum.rank, one)
     for r in inversion_domain(zeta):
         out = out * TorusElement.cochar_power(r.coroot, adata[r.coords], one)
@@ -220,8 +222,7 @@ def m_cocycle(datum: RootDatum, descent, adata,
     values: Dict[int, TitsElement] = {}
     for k in range(descent.order):
         aut = descent.root_action(k)
-        xk = x_of(datum, aut, adata, one)
-        values[k] = TitsElement(xk, aut.weyl)
+        values[k] = TitsElement(_x_of(datum, aut, adata, one), aut.weyl)
     _verify_m_cocycle(values, descent)
     if theta is not None:
         for k, mk in values.items():

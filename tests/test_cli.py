@@ -11,6 +11,7 @@ import pytest
 from splitinv import suites
 from splitinv.cli import main
 from splitinv.rootdata import RestrictedRootSystem
+from splitinv.splitting import ADatum
 
 A2_FLIP_SCENARIO = {
     "datum": [["A", 2]],
@@ -214,8 +215,56 @@ class TestInvariant:
         assert captured.out == ""
         assert captured.err.startswith(f"error: field {field!r}:")
 
+    # one parser serves every main call of a process: what one call parsed,
+    # or failed to parse, must not reach the next
+    def test_repeated_calls_are_independent(self, tmp_path, capsys):
+        path = write(tmp_path, A2_FLIP_SCENARIO)
+        for command in ("invariant", "restrict"):
+            assert main([command, path]) == 0
+            first = capsys.readouterr().out
+            out = str(tmp_path / f"{command}-report.json")
+            assert main([command, path, "--timing", "--out", out]) == 0
+            assert "wall_time_s" in json.loads(Path(out).read_text())
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "bogus"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert main([command, path]) == 0
+            assert capsys.readouterr().out == first
+
+    def test_failed_cocycle_identity_is_reported(self, tmp_path, capsys,
+                                                 negated_galois_on_tits):
+        assert main(["invariant", write(tmp_path, A2_FLIP_SCENARIO)]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["name"] == "invariant/cocycle-and-fixedness"
+        assert not check["pass"]
+        assert "cocycle identity fails at (sigma^0, sigma^0)" in check["counterexample"]
+
+    def test_value_not_theta_fixed_is_reported(self, tmp_path, capsys, monkeypatch):
+        # equivariant for omega_T = w0 but a(alpha_1) != a(alpha_2), with the
+        # theta-invariance check on the a-data switched off
+        monkeypatch.setattr(ADatum, "validate_twisted", lambda self, theta: None)
+        doc = dict(A2_FLIP_SCENARIO, galois={"order": 2, "omega_T": [1, 2, 1],
+                                             "field": {"d": 5}},
+                   adata={"mode": "values", "values": {"1,0": "1", "0,1": "-1",
+                                                       "1,1": [0, 1]}})
+        assert main(["invariant", write(tmp_path, doc)]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["name"] == "invariant/cocycle-and-fixedness"
+        assert not check["pass"]
+        assert "m(sigma^1) is not theta-fixed" in check["counterexample"]
+
 
 class TestRestrict:
+    def test_fractional_perm_exits_two(self, tmp_path, capsys):
+        # [3.7, 2, 1] was once truncated to the A3 flip
+        path = write(tmp_path, {"datum": [["A", 3]], "theta": {"perm": [3.7, 2, 1]}})
+        assert main(["restrict", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'theta':")
+        assert "field 'perm'" in captured.err and "3.7" in captured.err
+
     def test_report(self, tmp_path, capsys):
         path = write(tmp_path, {"datum": [["A", 3]], "theta": {"perm": [3, 2, 1]}})
         assert main(["restrict", path]) == 0

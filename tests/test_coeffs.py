@@ -88,6 +88,24 @@ class TestSymbolicUnits:
         assert m(b) == SymUnit.gen("c")
         assert m.order == 2
 
+    # the one-pass map against the product it replaced: one SymUnit product
+    # per symbol for img^e and one for the sign s^e.  Images may collide,
+    # so exponents of different symbols add up or cancel; "d" is unmapped
+    @settings(deadline=None, max_examples=300)
+    @given(st.dictionaries(st.sampled_from("abc2"),
+                           st.tuples(st.sampled_from([1, -1]), st.sampled_from("abcd2"))),
+           st.sampled_from([1, -1]),
+           st.dictionaries(st.sampled_from("abcd2"),
+                           st.integers(-6, 6).filter(lambda e: e != 0)))
+    def test_signed_map_matches_the_product_formula(self, mapping, sign, exps):
+        m = SignedSymbolMap(mapping)
+        u = SymUnit(sign, tuple(sorted(exps.items())))
+        want = SymUnit(u.sign, ())
+        for name, e in u.exps:
+            s, img = mapping.get(name, (1, name))
+            want = want * SymUnit.gen(img, e, 1) * SymUnit(s ** (e % 2) if s == -1 else 1, ())
+        assert m(u) == want
+
 
 class TestQuadField:
     def test_arithmetic(self):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitinv.errors import RootDatumError
-from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, analyze_weyl,
-                               build_root_datum, datum_and_theta_from_json,
+from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum,
+                               analyze_weyl, build_root_datum, datum_and_theta_from_json,
                                levi_component, restrict_root_system, weyl_group_order)
 
 
@@ -226,6 +226,30 @@ class TestSerialization:
             datum_and_theta_from_json({"type": "A2"})
         with pytest.raises(RootDatumError):
             datum_and_theta_from_json({"type": [["A", 2]], "theta": {"perm": [1]}})
+
+    # a rank or a permutation entry that is not an int is rejected, never
+    # truncated: ("A", 2.5) once built A2 from JSON and [3.7, 2, 1] the A3 flip
+    @pytest.mark.parametrize("rank", [2.5, True, "3"])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(RootDatumError, match="field 'type'"):
+            RootDatum([("A", rank)])
+
+    @pytest.mark.parametrize("rank", [2.5, True, "2"])
+    def test_json_rank_must_be_an_integer(self, rank):
+        with pytest.raises(RootDatumError, match="field 'type'"):
+            RootDatum.from_json({"type": [["A", rank]]})
+
+    @pytest.mark.parametrize("perm", [[3.7, 2, 1], [3.0, 2, 1], [3, 2, True], ["3", 2, 1]])
+    def test_json_perm_must_be_integers(self, perm):
+        d = build_root_datum([("A", 3)])
+        with pytest.raises(RootDatumError, match="field 'perm'"):
+            PinnedAutomorphism.from_json(d, {"perm": perm})
+
+    @pytest.mark.parametrize("perm", [(2.0, 1, 0), (2, 1, False)])
+    def test_perm_must_be_integers(self, perm):
+        d = build_root_datum([("A", 3)])
+        with pytest.raises(RootDatumError, match="field 'perm'"):
+            PinnedAutomorphism(d, perm)
 
 
 class TestFixedLattice:

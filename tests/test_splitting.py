@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitinv.coeffs import QuadField, SignedSymbolMap, SymUnit
+from splitinv.coeffs import QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
 from splitinv.matoracle import (MatrixContext, mat_det, mat_eq, mat_identity,
                                 realize)
@@ -195,6 +195,34 @@ class TestLambdaTwisted:
                                      flavor="twisted")
         coc = lambda_twisted(ctx.datum, ctx.theta, real.descent, adata, real)
         assert all(v.is_one for v in coc.values.values())
+
+    # the m-level cocycle identity and theta-fixedness are checked once, in
+    # m_cocycle; with a fault put in, lambda_twisted must still raise
+    def test_m_level_cocycle_identity_still_checked(self, request):
+        d = build_root_datum([("A", 2)])
+        theta = PinnedAutomorphism(d, [1, 0])
+        base = DescentDatum(d, 2, analyze_weyl(d, [0, 1, 0]))
+        adata, info = _symbolic_adata(d, base, theta)
+        desc = DescentDatum(d, 2, base.omega_T, None, info.field_action)
+        lambda_twisted(d, theta, desc, adata)
+        request.getfixturevalue("negated_galois_on_tits")
+        with pytest.raises(ADataError, match=r"\(sigma\^0, sigma\^0\)"):
+            lambda_twisted(d, theta, desc, adata)
+
+    def test_m_level_theta_fixedness_still_checked(self, monkeypatch):
+        # Galois-equivariant over Q(sqrt 5) for omega_T = w0, so the cocycle
+        # identity holds, but a(alpha_1) != a(alpha_2): x(sigma) is not
+        # theta-fixed once the theta-invariance check on the a-data is off
+        d = build_root_datum([("A", 2)])
+        theta = PinnedAutomorphism(d, [1, 0])
+        f = QuadField(5)
+        desc = DescentDatum(d, 2, analyze_weyl(d, [0, 1, 0]), None, QuadConj(f))
+        adata = ADatum.from_positive(d, {(1, 0): f.one(), (0, 1): -f.one(),
+                                         (1, 1): f.gen()}, f.one(), f.half())
+        lambda_untwisted(d, desc, adata)
+        monkeypatch.setattr(ADatum, "validate_twisted", lambda self, theta: None)
+        with pytest.raises(ADataError, match=r"m\(sigma\^1\) is not theta-fixed"):
+            lambda_twisted(d, theta, desc, adata)
 
     def test_non_fixed_h_rejected(self):
         f = QuadField(5)
