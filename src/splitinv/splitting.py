@@ -236,7 +236,11 @@ _ALLOWED_ORDERS = (1, 2, 3, 4, 6)
 
 class DescentDatum:
     """Finite cyclic Galois action: the generator acts on the pinned torus by
-    a Weyl twist, a diagram automorphism, and a coefficient automorphism."""
+    a Weyl twist, a diagram automorphism, and a coefficient automorphism.
+
+    The constructor validates: a DescentDatum that exists is a homomorphism
+    from Z/order, so its consumers do not check it again.
+    """
 
     def __init__(self, datum: RootDatum, order: int, omega_T: WeylElement,
                  sigma_T: Optional[PinnedAutomorphism] = None, field_action=None):
@@ -248,21 +252,22 @@ class DescentDatum:
         self.sigma_T = sigma_T if sigma_T is not None else PinnedAutomorphism.identity(datum)
         self.field_action = field_action if field_action is not None else IdentityAction()
         self._powers = self._compute_powers()
+        self.validate()
 
     def _compute_powers(self):
+        """The powers 0 .. order of the generator; the last one closes the
+        cycle and is what ``validate`` checks."""
         powers = [(self.datum.identity_weyl(), PinnedAutomorphism.identity(self.datum))]
         w, g = self.omega_T, self.sigma_T
         cur_w, cur_g = powers[0]
-        for _ in range(self.order - 1):
+        for _ in range(self.order):
             # (w, g) * (cur_w, cur_g) = (w * g(cur_w), g cur_g)
             cur_w, cur_g = w * g.act_weyl(cur_w), g.compose(cur_g)
             powers.append((cur_w, cur_g))
         return powers
 
     def validate(self) -> None:
-        w, g = self.omega_T, self.sigma_T
-        n_w, n_g = self._powers[-1]
-        final_w, final_g = w * g.act_weyl(n_w), g.compose(n_g)
+        final_w, final_g = self._powers[self.order]
         if not final_w.is_identity or not final_g.is_identity:
             raise DescentError("sigma_T is not a homomorphism: generator has wrong order")
         fo = getattr(self.field_action, "order", 1)
@@ -388,16 +393,16 @@ class Realization:
         if use_theta:
             if not ctx.twisted:
                 raise RealizationError("context carries no automorphism")
-            if not mat_eq(ctx.theta_apply(h), h):
+            if not ctx.theta_fixed(h):
                 raise RealizationError("h is not fixed by the automorphism")
         self.h_inv = mat_inv(h, f)
         self.order = 2
         u = mat_mul(self.h_inv, ctx.galois_apply(h, 1))
         self.u = {0: mat_identity(ctx.n, f), 1: u}
         self.omega = self._weyl_from_monomial(u)
+        self._u_inv = {0: self.u[0], 1: mat_inv(u, f)}
         self.descent = DescentDatum(ctx.datum, 2, self.omega,
                                     field_action=QuadConj(f))
-        self.descent.validate()
 
     def _weyl_from_monomial(self, u) -> WeylElement:
         f = self.ctx.field
@@ -432,12 +437,13 @@ class Realization:
         raise RealizationError("could not match the Weyl part of h^{-1} sigma(h)")
 
     def sigma_h_inv(self, k: int):
-        return mat_inv(self.ctx.galois_apply(self.h, k), self.ctx.field)
+        """sigma^k(h)^{-1}, which is sigma^k(h^{-1}): the Galois action is
+        entrywise, so it commutes with inversion."""
+        return self.ctx.galois_apply(self.h_inv, k)
 
     def transported_diagonal(self, m_matrix, k: int):
         """h^{-1} t(sigma^k) h = realize(m(sigma^k)) * u_k^{-1}."""
-        u_k = self.u[k % 2]
-        return mat_mul(m_matrix, mat_inv(u_k, self.ctx.field))
+        return mat_mul(m_matrix, self._u_inv[k % 2])
 
 
 # -- h construction ----------------------------------------------------------
@@ -490,23 +496,23 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
     transported torus is a product of fixed-subgroup reflections.  Each seed
     is (simple restricted root, conjugating fixed Weyl element or None)."""
     f = ctx.field
-    seed = mat_identity(ctx.n, f)
+    factors = []
     for beta, conj in seeds:
         block = sl2_embed(ctx, rrs, beta, _h2_seed(f))
         if conj is not None:
             c = fixed_group_lift(ctx, rrs, conj)
             block = mat_prod(c, block, mat_inv(c, f))
-        seed = mat_mul(seed, block)
-    left = mat_identity(ctx.n, f)
+        factors.append(block)
+    left = []
     betas = list(rrs.simple_restricted)
     for _ in range(4):
         b = betas[rng.randrange(len(betas))]
         x, _, y = restricted_root_vectors(ctx, rrs, b)
         gen = x if rng.random() < 0.5 else y
         c = f.from_int(rng.randint(-2, 2))
-        left = mat_mul(left, exp_nilpotent(mat_scalar(gen, c), f))
+        left.append(exp_nilpotent(mat_scalar(gen, c), f))
     right = _random_torus_matrix(ctx, rng, theta=rrs.theta)
-    return mat_prod(left, seed, right)
+    return mat_prod(*left, *factors, right)
 
 
 # -- equivariant a-data over quadratic extensions -----------------------------
@@ -657,8 +663,7 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
     for k in range(descent.order):
         if not cocycle.values[k].theta_fixed(theta):
             raise ADataError(f"t(sigma^{k}) is not theta-fixed")
-        if not mat_eq(realization.ctx.theta_apply(cocycle.matrices[k]),
-                      cocycle.matrices[k]):
+        if not realization.ctx.theta_fixed(cocycle.matrices[k]):
             raise RealizationError(f"matrix t(sigma^{k}) is not theta-fixed")
     return cocycle
 
@@ -724,7 +729,6 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     omega_prime = mu.inverse() * descent.omega_T * descent.sigma_T.act_weyl(mu)
     descent_prime = DescentDatum(datum, descent.order, omega_prime, descent.sigma_T,
                                  descent.field_action)
-    descent_prime.validate()
     adata_prime = adata.translate(mu)
     m = m_cocycle(datum, descent, adata, theta=theta)
     m_prime = m_cocycle(datum, descent_prime, adata_prime, theta=theta)
@@ -766,7 +770,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
             if not mat_eq(c2.matrices[k], want):
                 raise RealizationError(
                     f"matrix coboundary identity fails at sigma^{k}")
-        if theta is not None and not mat_eq(ctx.theta_apply(w_mat), w_mat):
+        if theta is not None and not ctx.theta_fixed(w_mat):
             raise RealizationError("matrix witness is not theta-fixed")
         checked_matrices = True
     return BorelReport(witness, mu, True, checked_matrices, c1, c2)

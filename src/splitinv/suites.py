@@ -486,7 +486,6 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
             for omega in (datum.longest_element(),
                           rrs.levi_longest[rrs.simple_restricted[0]]):
                 desc = DescentDatum(datum, 2, omega, field_action=QuadConj(fieldq))
-                desc.validate()
                 spec = equivariant_quad_adata(rrs, desc, fieldq, rng, special=True)
                 rep = compare_fixed_vs_twisted(rrs, desc, spec)
                 if not rep.equal_on_the_nose:

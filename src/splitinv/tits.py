@@ -209,10 +209,9 @@ def m_cocycle(datum: RootDatum, descent, adata,
     """The normalizer-valued 1-cocycle k -> x(sigma_T^k) n(omega_T(sigma^k)).
 
     Verifies the cocycle identity against the Galois action carried by the
-    descent datum, and theta-fixedness of every value when a pinned
-    automorphism is supplied.
+    descent datum (which validated itself when it was built), and
+    theta-fixedness of every value when a pinned automorphism is supplied.
     """
-    descent.validate()
     adata.validate()
     adata.validate_equivariant(descent)
     if theta is not None and not theta.is_identity:

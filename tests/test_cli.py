@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from splitinv import suites
 from splitinv.cli import main
-from splitinv.rootdata import RestrictedRootSystem
-from splitinv.splitting import ADatum
+from splitinv.rootdata import (PinnedAutomorphism, RestrictedRootSystem, build_root_datum,
+                               restrict_root_system)
+from splitinv.splitting import ADatum, DescentDatum
 
 A2_FLIP_SCENARIO = {
     "datum": [["A", 2]],
@@ -253,6 +255,78 @@ class TestInvariant:
         assert check["name"] == "invariant/cocycle-and-fixedness"
         assert not check["pass"]
         assert "m(sigma^1) is not theta-fixed" in check["counterexample"]
+
+    # sha256 over the exit code and stdout of each symbolic invariant of
+    # flip_scenarios(n), in order, run from the scenario's directory: the
+    # reports must not depend on how often the descent datum is built
+    FLIP_DIGESTS = {
+        2: "b62f3a2aebd024eedbe0abe4cb7ef7207076447a17dff1a755bb218d9ea7c3a1",
+        3: "9250df195e2b3e44255a36dd07ff284c0497b8d335158ead79bb431940844f27",
+        4: "3e4dc74d08898cf0d0a787f2bed340751be32b8c4604a00efd4d5aa26b6636ab",
+        5: "3b7d5ad901300a888ddbbd0f1b4048689b1ec53e1004ac8364c996c3ccd796a9",
+        6: "0b90aa6a3a81cdbc8deff993d2a18be9b53991295b25cb06e4f1b31c5d3d49f0",
+        7: "e2de991808b01f8f6470c5aab2c7ea34c26264c9003007b2c378ed5cedd1c255",
+        8: "ab39efbf4c9f64541d649f1720dc12c808244568d9bcfac8d8f1a8bf1fad171d",
+    }
+
+    @staticmethod
+    def flip_scenarios(n):
+        """Symbolic invariants on the A_n flip: omega_T the longest element
+        and the longest element of each simple restricted root's Levi, then
+        the quasi-split sigma_T = theta with omega_T = 1."""
+        perm = list(range(n, 0, -1))
+        datum = build_root_datum([("A", n)])
+        rrs = restrict_root_system(datum, PinnedAutomorphism(datum, [p - 1 for p in perm]))
+        omegas = [datum.longest_element()] + [rrs.levi_longest[b]
+                                              for b in rrs.simple_restricted]
+        base = {"datum": [["A", n]], "theta": {"perm": perm}, "adata": {"mode": "symbolic"}}
+        docs = [dict(base, galois={"order": 2, "omega_T": [i + 1 for i in w.word]})
+                for w in omegas]
+        docs.append(dict(base, galois={"order": 2, "omega_T": [], "sigma_T": perm}))
+        return docs
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_symbolic_descent_built_and_validated_once(self, tmp_path, capsys,
+                                                       monkeypatch, n):
+        calls = []
+        honest = DescentDatum.validate
+
+        def counted(self):
+            calls.append(self)
+            honest(self)
+
+        monkeypatch.setattr(DescentDatum, "validate", counted)
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for i, doc in enumerate(self.flip_scenarios(n)):
+            name = f"A{n}-{i}.json"
+            write(tmp_path, doc, name)
+            calls.clear()
+            rc = main(["invariant", name])
+            assert rc == 0
+            assert len(calls) == 1, doc["galois"]
+            digest.update(f"{rc}\n".encode() + capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.FLIP_DIGESTS[n]
+
+    # a rejected symbolic descent exits 2 with the message of the check it
+    # failed, under field 'galois'
+    @pytest.mark.parametrize("galois,err", [
+        ({"order": 2, "omega_T": [1, 2]},
+         "error: field 'galois': sigma_T is not a homomorphism: generator has wrong order"),
+        ({"order": 5, "omega_T": []},
+         "error: field 'galois': group order 5 not in (1, 2, 3, 4, 6)"),
+        ({"order": 2, "omega_T": [1]},
+         "error: field 'galois': omega_T(sigma) does not commute with theta"),
+        ({"order": 3, "omega_T": [1, 2]},
+         "error: field 'galois': omega_T(sigma) does not commute with theta"),
+    ], ids=["wrong-order", "order-five", "not-theta-fixed", "rotation-not-theta-fixed"])
+    def test_rejected_symbolic_descent_names_galois(self, tmp_path, capsys, galois, err):
+        doc = {"datum": [["A", 3]], "theta": {"perm": [3, 2, 1]}, "galois": galois,
+               "adata": {"mode": "symbolic"}}
+        assert main(["invariant", write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err + "\n"
 
 
 class TestRestrict:

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from splitinv.coeffs import PrimeField, QuadField, RationalField
+from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, exp_nilpotent,
                                 fixed_group_simple_lift, mat_det, mat_eq,
@@ -315,3 +316,79 @@ def test_exp_nilpotent_factorial_guard():
         x[i][i + 1] = f.one()
     with pytest.raises(RealizationError):
         exp_nilpotent(tuple(tuple(r) for r in x), f)
+
+
+# -- Q(sqrt d) products as integer dot products ----------------------------------
+
+def generic_mat_mul(a, b):
+    """The entrywise sum of products that mat_mul keeps over Q and F_p: the
+    reference for its Q(sqrt d) path."""
+    n, m, k = len(a), len(b[0]), len(b)
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(1, k)),
+                           a[i][0] * b[0][j]) for j in range(m)) for i in range(n))
+
+
+small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def quad_entry(draw, d):
+    """Mostly zeros (in all three types), then int and Fraction entries,
+    rational-only QuadNums and general ones with mixed denominators."""
+    kind = draw(st.sampled_from(["zero", "zero", "zero", "int", "fraction",
+                                 "rational", "quad", "quad"]))
+    if kind == "zero":
+        return draw(st.sampled_from([0, Fraction(0), QuadNum.make(0, 0, d)]))
+    if kind == "int":
+        return draw(st.integers(-9, 9))
+    if kind == "fraction":
+        return draw(small_fraction)
+    if kind == "rational":
+        return QuadNum.make(draw(small_fraction), 0, d)
+    return QuadNum.make(draw(small_fraction), draw(small_fraction), d)
+
+
+@st.composite
+def quad_product(draw):
+    """(d, a, b) with a n x k and b k x m; the first entry of a or of b is a
+    QuadNum, which is what selects the Q(sqrt d) path."""
+    d = draw(st.sampled_from([5, -1]))
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(quad_entry(d)) for _ in range(k)] for _ in range(n)]
+    b = [[draw(quad_entry(d)) for _ in range(m)] for _ in range(k)]
+    corner = a if draw(st.booleans()) else b
+    corner[0][0] = QuadField(d).embed(corner[0][0])
+    return d, tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+class TestQuadMatMul:
+    @settings(max_examples=200, deadline=None)
+    @given(quad_product())
+    def test_matches_the_generic_sum_bit_for_bit(self, case):
+        d, a, b = case
+        got = mat_mul(a, b)
+        want = generic_mat_mul(a, b)
+        assert (len(got), len(got[0])) == (len(a), len(b[0]))
+        field = QuadField(d)
+        for got_row, want_row in zip(got, want):
+            for x, y in zip(got_row, want_row):
+                y = field.embed(y)
+                assert type(x) is QuadNum
+                assert (x.a, x.b, x.c, x.d) == (y.a, y.b, y.c, y.d)
+                assert x == y and hash(x) == hash(y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(quad_product(), st.data())
+    def test_mixed_extensions_raise(self, case, data):
+        d, a, b = case
+        # a nonzero QuadNum of the other d anywhere but the corners, which
+        # keep the QuadNum of d that selects the path
+        places = [(side, i, j) for side, m in (("a", a), ("b", b))
+                  for i in range(len(m)) for j in range(len(m[0])) if (i, j) != (0, 0)]
+        assume(places)
+        side, i, j = data.draw(st.sampled_from(places))
+        rows = [list(row) for row in (a if side == "a" else b)]
+        rows[i][j] = QuadNum.make(data.draw(small_fraction), 1, -1 if d == 5 else 5)
+        rows = tuple(map(tuple, rows))
+        with pytest.raises(CoefficientError, match="mixed quadratic extensions"):
+            mat_mul(rows, b) if side == "a" else mat_mul(a, rows)

@@ -9,7 +9,7 @@ import pytest
 from splitinv.coeffs import QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
 from splitinv.matoracle import (MatrixContext, mat_det, mat_eq, mat_identity,
-                                realize)
+                                mat_inv, mat_mul, realize)
 from splitinv.rootdata import (PinnedAutomorphism, analyze_weyl, build_root_datum,
                                restrict_root_system)
 from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
@@ -385,3 +385,69 @@ def test_lift_discrepancy_matches_tilde_ratio():
     assert disc == expected
     assert disc.coords == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4),
                            Fraction(1, 2))
+
+
+class TestRealizationShortcuts:
+    """The matrices a Realization reads off instead of computing: theta-
+    fixedness as g J g^T = J, and sigma^k(h)^{-1} as the conjugate of h^{-1}."""
+
+    CASES = [(3, 5), (4, -1), (5, 5), (6, -1)]
+
+    @staticmethod
+    def samples(ctx, rrs, rng):
+        """theta-fixed conjugators, conjugators of the plain torus (not
+        fixed in general), their products, a sparse random matrix and a
+        singular one."""
+        b = rrs.simple_restricted
+        for seeds in ([], [(b[0], None)], [(b[-1], None)]):
+            fixed = sample_h_twisted(ctx, rrs, rng, seeds=seeds)
+            plain = sample_h_untwisted(ctx, rng, seeds=[rng.randrange(ctx.n - 1)])
+            yield from (fixed, plain, mat_mul(fixed, plain))
+            f = ctx.field
+            sparse = tuple(tuple(f.from_int(rng.choice([0, 0, 0, 1, -1, 2]))
+                                 for _ in range(ctx.n)) for _ in range(ctx.n))
+            yield sparse
+            yield sparse[:-1] + sparse[:1]
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_theta_fixed_agrees_with_theta_apply(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        rng = random.Random(n * d)
+        seen = set()
+        for g in self.samples(ctx, rrs, rng):
+            try:
+                want = mat_eq(ctx.theta_apply(g), g)
+            except RealizationError:  # singular: theta_apply has no inverse
+                want = None
+            got = ctx.theta_fixed(g)
+            assert got is (want is True)
+            seen.add(want)
+        assert seen == {True, False, None}
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_non_fixed_h_is_rejected(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        rng = random.Random(n)
+        h = sample_h_untwisted(ctx, rng, seeds=[0])
+        assert mat_det(h, ctx.field) == ctx.field.one()
+        assert not mat_eq(ctx.theta_apply(h), h)
+        with pytest.raises(RealizationError, match="not fixed by the automorphism"):
+            Realization(ctx, h, use_theta=True)
+        Realization(ctx, h)  # the same h without the automorphism is fine
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_sigma_h_inv_is_the_inverse_of_sigma_h(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        rng = random.Random(n + d)
+        b = rrs.simple_restricted
+        for use_theta, h in ((True, sample_h_twisted(ctx, rrs, rng, seeds=[(b[0], None)])),
+                             (True, sample_h_twisted(ctx, rrs, rng)),
+                             (False, sample_h_untwisted(ctx, rng, seeds=[n - 2]))):
+            real = Realization(ctx, h, use_theta=use_theta)
+            for k in range(4):
+                want = mat_inv(ctx.galois_apply(h, k), ctx.field)
+                assert real.sigma_h_inv(k) == want
+                assert real.transported_diagonal(mat_identity(n, ctx.field), k) \
+                    == mat_inv(real.u[k % 2], ctx.field)
