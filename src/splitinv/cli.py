@@ -46,8 +46,12 @@ def _report(command: List[str], checks: List[CheckRecord], seed: Optional[int],
 def _emit(report: dict, out_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SplitinvError(
+                f"argument --out: cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -60,10 +64,15 @@ class ScenarioError(Exception):
 
 def _load_scenario(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError("<file>", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ScenarioError("<file>", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("<file>", f"{path} is not UTF-8 text: {exc.reason} "
+                                      f"at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError("<json>", str(exc)) from None
     if not isinstance(doc, dict):

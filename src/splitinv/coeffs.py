@@ -10,7 +10,10 @@ Three kinds of scalars are used throughout the package:
   Q(sqrt(d)) is held as integers, (a + b*sqrt(d))/c with c > 0 and
   gcd(a, b, c) = 1 (Cohen, A Course in Computational Algebraic Number
   Theory, 4.2): sums and products run on plain ints with one gcd each, and
-  the normal form is unique, so equality compares integers;
+  the normal form is unique, so equality compares integers.
+  ``quad_parts`` reads an entry as those integers and ``_reduced`` builds
+  a value from them, which is how ``matoracle.mat_mul`` multiplies
+  Q(sqrt(d)) matrices with one gcd per nonzero entry;
 * the sign characters of local class field theory for quadratic extensions,
   computed through the Hilbert symbol over Q_p and R.
 """
@@ -356,32 +359,6 @@ def quad_parts(x, d: int) -> Tuple[int, int, int, int]:
     if isinstance(x, Fraction):
         return (x.numerator, 0, x.denominator, d)
     raise CoefficientError(f"{x!r} is not an element of Q(sqrt({d}))")
-
-
-def quad_dot(xs, ys) -> QuadNum:
-    """sum_i xs[i] * ys[i] for two nonempty equal-length sequences of
-    ``quad_parts`` tuples of one d.
-
-    The products (a + b*sqrt(d))/c * (a' + b'*sqrt(d))/c' are added up as
-    integer numerators over one running denominator, skipping every product
-    with a zero factor, and a single QuadNum is built from the total with one
-    gcd.  Since the (a, b, c) normal form is unique, the result has the same
-    integers as the sum of QuadNum products in any order, bit for bit.
-    """
-    d = xs[0][3]
-    ta, tb, tc = 0, 0, 1
-    for (a, b, c, _), (oa, ob, oc, _) in zip(xs, ys):
-        if not (a or b) or not (oa or ob):
-            continue
-        pa, pb, pc = a * oa + d * b * ob, a * ob + b * oa, c * oc
-        if pc == tc:
-            ta, tb = ta + pa, tb + pb
-        else:
-            # the running denominator becomes lcm(tc, pc)
-            g = math.gcd(tc, pc)
-            s, t = pc // g, tc // g
-            ta, tb, tc = ta * s + pa * t, tb * s + pb * t, tc * s
-    return _reduced(ta, tb, tc, d)
 
 
 class QuadField:

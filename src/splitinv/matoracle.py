@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
-from .coeffs import QuadNum, RationalField, quad_dot, quad_parts
+from .coeffs import QuadNum, RationalField, _reduced, quad_parts
 from .errors import RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
@@ -32,25 +33,58 @@ def mat_identity(n: int, field) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a*b.
 
-    When the first entry of a or b is a QuadNum, every entry is one integer
-    dot product (``coeffs.quad_dot``) on the (a, b, c, d) integers of a row
-    of a and a column of b, each converted once; int and Fraction entries
-    count as rationals, and a QuadNum of another d raises CoefficientError.
-    Over Q and F_p every entry stays the generic sum of products, zeros
-    included.  Skipping the zeros there speeds up the Weyl-matrix products
-    of the Tits checks, but the benchmark harness keeps data for every
-    operation it completes, so more operations read as a higher peak RSS
-    (ROADMAP item 1); that path waits for the harness to change.
+    When the first entry of a or b is a QuadNum, the product is
+    ``_quad_mat_mul``, which pays only for pairs of nonzero entries.  Over Q
+    and F_p every entry stays the generic sum of products, zeros included.
+    Skipping the zeros there speeds up the Weyl-matrix products of the Tits
+    checks, but the benchmark harness keeps data for every operation it
+    completes, so more operations read as a higher peak RSS (ROADMAP item
+    1); that path waits for the harness to change.
     """
     a00, b00 = a[0][0], b[0][0]
     if isinstance(a00, QuadNum) or isinstance(b00, QuadNum):
-        d = a00.d if isinstance(a00, QuadNum) else b00.d
-        rows = [[quad_parts(x, d) for x in row] for row in a]
-        cols = [[quad_parts(x, d) for x in col] for col in zip(*b)]
-        return tuple(tuple(quad_dot(row, col) for col in cols) for row in rows)
+        return _quad_mat_mul(a, b, a00.d if isinstance(a00, QuadNum) else b00.d)
     n, m, k = len(a), len(b[0]), len(b)
     return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(1, k)),
                            a[i][0] * b[0][j]) for j in range(m)) for i in range(n))
+
+
+def _nonzero_parts(row, d: int) -> list:
+    """(column, a, b, c) for each nonzero entry (a + b*sqrt(d))/c of row; every
+    entry, zeros included, goes through ``quad_parts``, so an entry of another
+    d raises CoefficientError."""
+    return [(j, p[0], p[1], p[2]) for j, p in enumerate(quad_parts(x, d) for x in row)
+            if p[0] or p[1]]
+
+
+def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
+    """a*b over Q(sqrt(d)), row by row (Gustavson 1978, ACM TOMS 4(3)): for
+    each nonzero a[i][t], the products with the nonzero entries of row t of b
+    are added into per-column integer numerators over a running denominator,
+    the lcm so far, and each column that got a nonzero total becomes one
+    QuadNum through ``_reduced``.  The (a, b, c) normal form is unique, so
+    every entry has the integers of the generic sum of QuadNum products, bit
+    for bit; an entry with no nonzero total is the zero (0, 0, 1, d)."""
+    m = len(b[0])
+    b_rows = [_nonzero_parts(row, d) for row in b]
+    zero = _reduced(0, 0, 1, d)
+    out = []
+    for row in a:
+        ta, tb, tc = [0] * m, [0] * m, [1] * m
+        for t, xa, xb, xc in _nonzero_parts(row, d):
+            for j, ya, yb, yc in b_rows[t]:
+                pa, pb, pc = xa * ya + d * xb * yb, xa * yb + xb * ya, xc * yc
+                c = tc[j]
+                if pc == c:
+                    ta[j] += pa
+                    tb[j] += pb
+                else:
+                    g = gcd(c, pc)
+                    s, u = pc // g, c // g
+                    ta[j], tb[j], tc[j] = ta[j] * s + pa * u, tb[j] * s + pb * u, c * s
+        out.append(tuple(_reduced(ta[j], tb[j], tc[j], d) if ta[j] or tb[j] else zero
+                         for j in range(m)))
+    return tuple(out)
 
 
 def mat_prod(*ms: Matrix) -> Matrix:
@@ -173,7 +207,7 @@ class MatrixContext:
         self.datum = build_root_datum([("A", n - 1)])
         self.twisted = twisted
         self._lift_cache = {}
-        self._pinning_cache = {}   # (fiber, coroot) -> restricted_root_vectors
+        self._pinning_cache = {}   # (fiber, coroot) -> ((X, H, Y), simple lift)
         if twisted:
             perm = tuple(n - 2 - i for i in range(n - 1))
             self.theta = PinnedAutomorphism(self.datum, perm)
@@ -362,15 +396,25 @@ def restricted_root_vectors(ctx: MatrixContext, rrs, beta) -> Tuple[Matrix, Matr
     sum of the pinned root vectors over the fiber of beta, H_beta the
     derivative of the restricted coroot, and Y_beta the unique lower
     completion to an sl(2) triple."""
+    return _pinning(ctx, rrs, beta)[0]
+
+
+def _pinning(ctx: MatrixContext, rrs, beta) -> Tuple[Tuple[Matrix, Matrix, Matrix], Matrix]:
+    """The triple of restricted_root_vectors and the fixed-group simple lift
+    exp(X) exp(-Y) exp(X) built from it, computed once per context: both read
+    only the fiber and the coroot of beta, which key the cache."""
     beta = tuple(beta)
     if beta not in rrs.simple_restricted:
         raise RealizationError(f"{beta} is not a simple restricted root")
     rr = rrs.restricted[beta]
     key = (rr.orbit, rr.coroot)
-    triple = ctx._pinning_cache.get(key)
-    if triple is None:
-        triple = ctx._pinning_cache[key] = _solve_pinning(ctx, rr)
-    return triple
+    entry = ctx._pinning_cache.get(key)
+    if entry is None:
+        x, h, y = triple = _solve_pinning(ctx, rr)
+        ex = exp_nilpotent(x, ctx.field)
+        ey = exp_nilpotent(mat_scalar(y, -ctx.field.one()), ctx.field)
+        entry = ctx._pinning_cache[key] = (triple, mat_prod(ex, ey, ex))
+    return entry
 
 
 def _solve_pinning(ctx: MatrixContext, rr) -> Tuple[Matrix, Matrix, Matrix]:
@@ -443,10 +487,7 @@ def _solve_exact(brackets, target, field, n, k):
 def fixed_group_simple_lift(ctx: MatrixContext, rrs, beta) -> Matrix:
     """The canonical lift in the fixed subgroup attached to a simple
     restricted root, via exp(X) exp(-Y) exp(X)."""
-    x, _, y = restricted_root_vectors(ctx, rrs, beta)
-    ex = exp_nilpotent(x, ctx.field)
-    ey = exp_nilpotent(mat_scalar(y, -ctx.field.one()), ctx.field)
-    return mat_prod(ex, ey, ex)
+    return _pinning(ctx, rrs, beta)[1]
 
 
 def fixed_group_lift(ctx: MatrixContext, rrs, omega: WeylElement) -> Matrix:

@@ -508,8 +508,19 @@ class PinnedAutomorphism:
         return tuple(sorted(out))
 
     def compose(self, other: "PinnedAutomorphism") -> "PinnedAutomorphism":
-        return PinnedAutomorphism(self.datum, tuple(self.perm[other.perm[i]]
-                                                    for i in range(self.datum.rank)))
+        """self after other.  On one datum both factors passed the Cartan
+        check, so the composite is read off their permutations of the
+        simple roots and of the roots without checking or acting again."""
+        perm = tuple(map(self.perm.__getitem__, other.perm))
+        if other.datum is not self.datum:
+            return PinnedAutomorphism(self.datum, perm)
+        (fwd, back), (ofwd, oback) = self._perms(), other._perms()
+        out = object.__new__(PinnedAutomorphism)
+        out.datum, out.perm = self.datum, perm
+        out.inv_perm = tuple(map(other.inv_perm.__getitem__, self.inv_perm))
+        out._root_perms = (tuple(map(fwd.__getitem__, ofwd)),
+                           tuple(map(oback.__getitem__, back)))
+        return out
 
     def power(self, k: int) -> "PinnedAutomorphism":
         k %= self.order

@@ -649,17 +649,25 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
     """The refinement landing in the fixed subtorus: with invariant a-data
     every value is fixed by the pinned automorphism, which is checked, as is
     the cocycle identity."""
-    if theta.is_identity:
-        out = lambda_untwisted(datum, descent, adata, realization)
-        out.ambient = "T^theta"
-        out.theta = theta
-        return out
-    if realization is not None and not realization.use_theta:
-        raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
-    m = m_cocycle(datum, descent, adata, theta=theta)
     if realization is None:
-        return SplittingCocycle("m", m, "T^theta", descent, datum, theta)
-    cocycle = _t_level(datum, descent, adata, m, realization, theta=theta)
+        return SplittingCocycle("m", m_cocycle(datum, descent, adata, theta=theta),
+                                "T^theta", descent, datum, theta)
+    return _twisted_t_level(datum, theta, descent, adata, realization)
+
+
+def _twisted_t_level(datum, theta, descent, adata, realization, m=None,
+                     realized=None) -> SplittingCocycle:
+    """lambda_twisted with a realization: unless theta is the identity, the
+    conjugator, every t-value and every t-matrix must be theta-fixed.  m is
+    m_cocycle(datum, descent, adata, theta) and realized[k] is
+    realize(ctx, m[k]); each is computed here unless the caller has it."""
+    if not (theta.is_identity or realization.use_theta):
+        raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
+    if m is None:
+        m = m_cocycle(datum, descent, adata, theta=theta)
+    cocycle = _t_level(datum, descent, adata, m, realization, theta, realized)
+    if theta.is_identity:
+        return cocycle
     for k in range(descent.order):
         if not cocycle.values[k].theta_fixed(theta):
             raise ADataError(f"t(sigma^{k}) is not theta-fixed")
@@ -668,7 +676,8 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
     return cocycle
 
 
-def _t_level(datum, descent, adata, m, realization, theta) -> SplittingCocycle:
+def _t_level(datum, descent, adata, m, realization, theta,
+             realized=None) -> SplittingCocycle:
     ctx = realization.ctx
     if ctx.datum is not datum:
         # same-type data built separately are fine; enforce equal Cartan data
@@ -683,7 +692,7 @@ def _t_level(datum, descent, adata, m, realization, theta) -> SplittingCocycle:
     values: Dict[int, TorusElement] = {}
     matrices: Dict[int, tuple] = {}
     for k in range(descent.order):
-        mk = realize(ctx, m[k])
+        mk = realized[k] if realized is not None else realize(ctx, m[k])
         diag = realization.transported_diagonal(mk, k)
         tk = ctx.torus_coords_of_diagonal(diag)
         values[k] = tk
@@ -888,16 +897,18 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     t_prime_matrices = None
     if ctx is not None:
         # rebuild the fixed-subgroup side genuinely: its own pinned lift
-        lifted = {}
+        lifted, realized = {}, {}
         for k in range(descent.order):
             lifted[k] = mat_mul(realize(ctx, torus_parts[k]),
                                 fixed_group_lift(ctx, rrs, descent.weyl_part(k)))
-            if not mat_eq(lifted[k], realize(ctx, m[k])):
+            realized[k] = realize(ctx, m[k])
+            if not mat_eq(lifted[k], realized[k]):
                 raise RealizationError(
                     f"matrix comparison fails at sigma^{k}")
         matrix_checked = True
         if realization is not None:
-            t_cocycle = lambda_twisted(datum, theta, descent, tilde_full, realization)
+            t_cocycle = _twisted_t_level(datum, theta, descent, tilde_full, realization,
+                                         m, realized)
             t_prime_matrices = {}
             for k in range(descent.order):
                 t_prime_matrices[k] = mat_prod(realization.h, lifted[k],

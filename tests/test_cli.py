@@ -164,11 +164,13 @@ class TestInvariant:
 
     def test_malformed_scenario_exits_two(self, tmp_path, capsys):
         doc = dict(A2_FLIP_SCENARIO)
-        doc["galois"] = {"order": 2, "omega_T": [1]}  # generator of wrong order
+        # s_1 is an involution, but theta swaps s_1 and s_2
+        doc["galois"] = {"order": 2, "omega_T": [1]}
         path = write(tmp_path, doc)
         assert main(["invariant", path]) == 2
         err = capsys.readouterr().err
         assert "galois" in err
+        assert "does not commute with theta" in err
 
     def test_missing_field_named(self, tmp_path, capsys):
         doc = {"datum": [["A", 2]], "adata": {"mode": "symbolic"}}
@@ -377,6 +379,44 @@ class TestRestrict:
                                 "theta": {"perm": list(range(9, 0, -1))}})
         assert main(["restrict", path]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["fixed_weyl_order"] == 3840
+
+
+class TestFileErrors:
+    """An unreadable scenario file or an unwritable --out path exits 2 with
+    one line naming the file or the argument, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["invariant", "restrict"])
+    def test_scenario_path_is_a_directory(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field '<file>': cannot read")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["invariant", "restrict"])
+    def test_scenario_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"datum": [["A", 2]], "note": "caf\xe9"}')
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field '<file>':")
+        assert "not UTF-8" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("command", ["restrict", "invariant", "verify", "factors"])
+    def test_unwritable_out(self, tmp_path, capsys, command, target):
+        scenario = write(tmp_path, A2_FLIP_SCENARIO)
+        out = str(tmp_path if target == "directory" else tmp_path / "missing" / "r.json")
+        argv = {"restrict": ["restrict", scenario],
+                "invariant": ["invariant", scenario],
+                "verify": ["verify", "--suite", "nn"],
+                "factors": ["factors", "--variant", "delta_d"]}[command]
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument --out: cannot write {out}:")
+        assert captured.err.count("\n") == 1
 
 
 class TestHilbert:

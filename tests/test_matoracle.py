@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, exp_nilpotent,
-                                fixed_group_simple_lift, mat_det, mat_eq,
+                                fixed_group_lift, fixed_group_simple_lift, mat_det, mat_eq,
                                 mat_identity, mat_inv, mat_mul, realize,
                                 restricted_root_vectors, verify_appendix)
 from splitinv.rootdata import restrict_root_system
@@ -271,6 +271,22 @@ class TestPinningCache:
                             for ra, rb in zip(mat_mul(x, y), mat_mul(y, x)))
             assert mat_eq(bracket, h)
 
+    # the simple lifts are cached beside the pinning; a lift through a warm
+    # context is the one a fresh context builds, entry types included
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (3, 4, 5, 6) for d in (5, -1)])
+    def test_warm_fixed_group_lift_matches_fresh_context(self, n, d):
+        warm = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(warm.datum, warm.theta)
+        omegas = rrs.fixed_weyl_subgroup()
+        for omega in omegas:
+            fixed_group_lift(warm, rrs, omega)
+        for omega in omegas:
+            got = fixed_group_lift(warm, rrs, omega)
+            want = fixed_group_lift(MatrixContext(n, QuadField(d), twisted=True), rrs, omega)
+            assert got == want
+            assert all(type(x) is QuadNum for row in got for x in row)
+            assert all(type(x) is QuadNum for row in want for x in row)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_warm_cache_still_rejects_non_simple_roots(self, n):
         ctx = MatrixContext(n, twisted=True)
@@ -318,7 +334,7 @@ def test_exp_nilpotent_factorial_guard():
         exp_nilpotent(tuple(tuple(r) for r in x), f)
 
 
-# -- Q(sqrt d) products as integer dot products ----------------------------------
+# -- Q(sqrt d) products by the sparse row kernel ---------------------------------
 
 def generic_mat_mul(a, b):
     """The entrywise sum of products that mat_mul keeps over Q and F_p: the
@@ -331,6 +347,10 @@ def generic_mat_mul(a, b):
 small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+def zero_entry(d):
+    return st.sampled_from([0, Fraction(0), QuadNum.make(0, 0, d)])
+
+
 @st.composite
 def quad_entry(draw, d):
     """Mostly zeros (in all three types), then int and Fraction entries,
@@ -338,7 +358,7 @@ def quad_entry(draw, d):
     kind = draw(st.sampled_from(["zero", "zero", "zero", "int", "fraction",
                                  "rational", "quad", "quad"]))
     if kind == "zero":
-        return draw(st.sampled_from([0, Fraction(0), QuadNum.make(0, 0, d)]))
+        return draw(zero_entry(d))
     if kind == "int":
         return draw(st.integers(-9, 9))
     if kind == "fraction":
@@ -348,23 +368,34 @@ def quad_entry(draw, d):
     return QuadNum.make(draw(small_fraction), draw(small_fraction), d)
 
 
+SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+THIN_SHAPES = st.sampled_from([(1, k, 1) for k in (1, 2, 5)] + [(1, 4, 3), (3, 4, 1),
+                                                               (5, 1, 5), (4, 1, 1),
+                                                               (1, 1, 4)])
+
+
 @st.composite
-def quad_product(draw):
+def quad_product(draw, shape=SHAPES):
     """(d, a, b) with a n x k and b k x m; the first entry of a or of b is a
     QuadNum, which is what selects the Q(sqrt d) path."""
     d = draw(st.sampled_from([5, -1]))
-    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    n, k, m = draw(shape)
     a = [[draw(quad_entry(d)) for _ in range(k)] for _ in range(n)]
     b = [[draw(quad_entry(d)) for _ in range(m)] for _ in range(k)]
+    # all-zero rows of a and columns of b, in the three types of zero
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        a[i] = [draw(zero_entry(d)) for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, m - 1))):
+        for row in b:
+            row[j] = draw(zero_entry(d))
     corner = a if draw(st.booleans()) else b
     corner[0][0] = QuadField(d).embed(corner[0][0])
     return d, tuple(map(tuple, a)), tuple(map(tuple, b))
 
 
 class TestQuadMatMul:
-    @settings(max_examples=200, deadline=None)
-    @given(quad_product())
-    def test_matches_the_generic_sum_bit_for_bit(self, case):
+    @staticmethod
+    def check_bit_for_bit(case):
         d, a, b = case
         got = mat_mul(a, b)
         want = generic_mat_mul(a, b)
@@ -377,18 +408,34 @@ class TestQuadMatMul:
                 assert (x.a, x.b, x.c, x.d) == (y.a, y.b, y.c, y.d)
                 assert x == y and hash(x) == hash(y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(quad_product())
+    def test_matches_the_generic_sum_bit_for_bit(self, case):
+        self.check_bit_for_bit(case)
+
+    # 1 x k, k x 1 and 1 x 1 factors, where a row kernel has one row or
+    # one column to fill
+    @settings(max_examples=100, deadline=None)
+    @given(quad_product(THIN_SHAPES))
+    def test_thin_shapes_match_the_generic_sum_bit_for_bit(self, case):
+        self.check_bit_for_bit(case)
+
     @settings(max_examples=50, deadline=None)
     @given(quad_product(), st.data())
     def test_mixed_extensions_raise(self, case, data):
         d, a, b = case
-        # a nonzero QuadNum of the other d anywhere but the corners, which
-        # keep the QuadNum of d that selects the path
+        # a QuadNum of the other d anywhere but the corners, which keep the
+        # QuadNum of d that selects the path; a zero of the other d raises
+        # too, though it contributes no product
         places = [(side, i, j) for side, m in (("a", a), ("b", b))
                   for i in range(len(m)) for j in range(len(m[0])) if (i, j) != (0, 0)]
         assume(places)
         side, i, j = data.draw(st.sampled_from(places))
-        rows = [list(row) for row in (a if side == "a" else b)]
-        rows[i][j] = QuadNum.make(data.draw(small_fraction), 1, -1 if d == 5 else 5)
-        rows = tuple(map(tuple, rows))
-        with pytest.raises(CoefficientError, match="mixed quadratic extensions"):
-            mat_mul(rows, b) if side == "a" else mat_mul(a, rows)
+        other = -1 if d == 5 else 5
+        for alien in (QuadNum.make(data.draw(small_fraction), 1, other),
+                      QuadNum.make(0, 0, other)):
+            rows = [list(row) for row in (a if side == "a" else b)]
+            rows[i][j] = alien
+            rows = tuple(map(tuple, rows))
+            with pytest.raises(CoefficientError, match="mixed quadratic extensions"):
+                mat_mul(rows, b) if side == "a" else mat_mul(a, rows)

@@ -679,6 +679,29 @@ class TestTableRoutes:
             assert fixed == [w for w in d.weyl_group() if theta.act_weyl(w) == w]
             assert len(fixed) == restrict_root_system(d, theta).fixed_weyl_order()
 
+    # compose reads the composite off the factors' permutations; the
+    # validating constructor and act_root on every root are the reference
+    @pytest.mark.parametrize("label,families", TABLE_CASES)
+    def test_compose_matches_the_validating_constructor(self, label, families):
+        d = build_root_datum(families)
+        thetas = _diagram_automorphisms(d)
+        for s in thetas:
+            for o in thetas:
+                got = s.compose(o)
+                want = PinnedAutomorphism(d, [s.perm[o.perm[i]] for i in range(d.rank)])
+                assert got.datum is d
+                assert (got.perm, got.inv_perm) == (want.perm, want.inv_perm)
+                fwd = tuple(d.root_index[want.act_root(r.coords)] for r in d.roots)
+                assert got.root_perm == fwd
+                assert [fwd[j] for j in got._perms()[1]] == list(range(len(d.roots)))
+                assert got.order == want.order and got.is_identity == want.is_identity
+        # a factor on a separately built datum goes through the constructor
+        twin = build_root_datum(families)
+        for s in thetas:
+            for o in thetas:
+                got = s.compose(PinnedAutomorphism(twin, o.perm))
+                assert got.datum is d and got.root_perm == s.compose(o).root_perm
+
     @pytest.mark.parametrize("label,families", TABLE_CASES)
     def test_root_automorphism_index_action_is_act_root(self, label, families):
         d = build_root_datum(families)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import splitinv.splitting as splitting
 from splitinv.coeffs import QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
 from splitinv.matoracle import (MatrixContext, mat_det, mat_eq, mat_identity,
@@ -18,7 +19,7 @@ from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
                                 lambda_twisted, lambda_untwisted, lift_discrepancy,
                                 sample_h_twisted, sample_h_untwisted,
                                 verify_borel_independence)
-from splitinv.tits import TorusElement
+from splitinv.tits import TitsElement, TorusElement
 
 ONE = Fraction(1)
 
@@ -310,6 +311,49 @@ class TestCompare:
                                            realization=real)
             assert rep.equal_on_the_nose and rep.matrix_checked
             assert rep.t_cocycle is not None
+
+    @staticmethod
+    def matrix_case(n=4, dval=5, seed=3):
+        f = QuadField(dval)
+        ctx = MatrixContext(n, f, twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        rng = random.Random(seed)
+        h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
+        real = Realization(ctx, h, use_theta=True)
+        spec = equivariant_quad_adata(rrs, real.descent, f, rng, special=True)
+        return ctx, rrs, h, real, spec
+
+    # the comparison builds the m-level cocycle once and realizes each of its
+    # values once, for its own matrix check and for the t-level
+    @pytest.mark.parametrize("n, dval", [(3, 5), (4, -1), (5, 5)])
+    def test_m_cocycle_and_its_matrices_computed_once(self, monkeypatch, n, dval):
+        ctx, rrs, _, real, spec = self.matrix_case(n, dval)
+        calls = {"m_cocycle": 0, "realize_m": 0}
+        m_cocycle = splitting.m_cocycle
+
+        def counted_m_cocycle(*args, **kwargs):
+            calls["m_cocycle"] += 1
+            return m_cocycle(*args, **kwargs)
+
+        def counted_realize(ctx_, x):
+            calls["realize_m"] += isinstance(x, TitsElement)
+            return realize(ctx_, x)
+
+        monkeypatch.setattr(splitting, "m_cocycle", counted_m_cocycle)
+        monkeypatch.setattr(splitting, "realize", counted_realize)
+        rep = compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
+        assert rep.t_cocycle is not None
+        assert calls == {"m_cocycle": 1, "realize_m": real.descent.order}
+
+    # the t-level checks of lambda_twisted still run on the comparison's path
+    def test_t_level_checks_run_in_the_comparison(self, monkeypatch):
+        ctx, rrs, h, real, spec = self.matrix_case()
+        plain = Realization(ctx, h, use_theta=False)
+        with pytest.raises(RealizationError, match="conjugator fixed by the automorphism"):
+            compare_fixed_vs_twisted(rrs, plain.descent, spec, ctx=ctx, realization=plain)
+        monkeypatch.setattr(ctx, "theta_fixed", lambda g: False)
+        with pytest.raises(RealizationError, match=r"matrix t\(sigma\^0\) is not theta-fixed"):
+            compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
 
     def test_non_special_rejected(self):
         d = build_root_datum([("A", 2)])
