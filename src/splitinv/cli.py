@@ -43,15 +43,20 @@ def _report(command: List[str], checks: List[CheckRecord], seed: Optional[int],
     return out
 
 
+def _write_out(out_path: str, text: str, mode: str = "w") -> None:
+    """Write text to --out; "" in mode "a" tests the path and keeps its file."""
+    try:
+        with open(out_path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SplitinvError(
+            f"argument --out: cannot write {out_path}: {exc.strerror}") from None
+
+
 def _emit(report: dict, out_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SplitinvError(
-                f"argument --out: cannot write {out_path}: {exc.strerror}") from None
+        _write_out(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -266,6 +271,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out:   # an unwritable --out is found before the suite runs
+        _write_out(args.out, "", "a")
     t0 = time.time()
     try:
         checks = run_suite(args.suite, args.seed)

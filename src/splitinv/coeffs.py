@@ -11,9 +11,10 @@ Three kinds of scalars are used throughout the package:
   gcd(a, b, c) = 1 (Cohen, A Course in Computational Algebraic Number
   Theory, 4.2): sums and products run on plain ints with one gcd each, and
   the normal form is unique, so equality compares integers.
-  ``quad_parts`` reads an entry as those integers and ``_reduced`` builds
-  a value from them, which is how ``matoracle.mat_mul`` multiplies
-  Q(sqrt(d)) matrices with one gcd per nonzero entry;
+  ``matoracle.mat_mul`` multiplies Q(sqrt(d)) matrices on those integers:
+  it reads a QuadNum's integers in place (``quad_parts`` for an int or a
+  Fraction entry) and builds each nonzero result entry in place with one
+  gcd, as ``_reduced`` does;
 * the sign characters of local class field theory for quadratic extensions,
   computed through the Hilbert symbol over Q_p and R.
 """

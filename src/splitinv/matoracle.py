@@ -14,11 +14,13 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .coeffs import QuadNum, RationalField, _reduced, quad_parts
-from .errors import RealizationError
+from .errors import CoefficientError, RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
 
 Matrix = Tuple[tuple, ...]
+
+_new, _set = object.__new__, object.__setattr__   # a QuadNum built in place
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +36,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a*b.
 
     When the first entry of a or b is a QuadNum, the product is
-    ``_quad_mat_mul``, which pays only for pairs of nonzero entries.  Over Q
-    and F_p every entry stays the generic sum of products, zeros included.
-    Skipping the zeros there speeds up the Weyl-matrix products of the Tits
-    checks, but the benchmark harness keeps data for every operation it
-    completes, so more operations read as a higher peak RSS (ROADMAP item
-    1); that path waits for the harness to change.
+    ``_quad_mat_mul``, which reads the integers of each entry in place and
+    pays only for pairs of nonzero entries.  Over Q and F_p every entry
+    stays the generic sum of products, zeros included.  Skipping the zeros
+    there speeds up the Weyl-matrix products of the Tits checks, but the
+    benchmark harness keeps data for every operation it completes, so more
+    operations read as a higher peak RSS (ROADMAP item 1); that path waits
+    for the harness to change.
     """
     a00, b00 = a[0][0], b[0][0]
     if isinstance(a00, QuadNum) or isinstance(b00, QuadNum):
@@ -50,21 +53,29 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _nonzero_parts(row, d: int) -> list:
-    """(column, a, b, c) for each nonzero entry (a + b*sqrt(d))/c of row; every
-    entry, zeros included, goes through ``quad_parts``, so an entry of another
-    d raises CoefficientError."""
-    return [(j, p[0], p[1], p[2]) for j, p in enumerate(quad_parts(x, d) for x in row)
-            if p[0] or p[1]]
+    """(column, a, b, c) for each nonzero entry (a + b*sqrt(d))/c of row.  A
+    QuadNum's integers are read in place; any other entry goes through
+    ``quad_parts``.  Every entry, zeros included, is checked, so an entry of
+    another d or outside the field raises CoefficientError."""
+    out = []
+    for j, x in enumerate(row):
+        p = x._v if type(x) is QuadNum else quad_parts(x, d)
+        if p[3] != d:
+            raise CoefficientError("mixed quadratic extensions")
+        if p[0] or p[1]:
+            out.append((j, p[0], p[1], p[2]))
+    return out
 
 
 def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
     """a*b over Q(sqrt(d)), row by row (Gustavson 1978, ACM TOMS 4(3)): for
     each nonzero a[i][t], the products with the nonzero entries of row t of b
     are added into per-column integer numerators over a running denominator,
-    the lcm so far, and each column that got a nonzero total becomes one
-    QuadNum through ``_reduced``.  The (a, b, c) normal form is unique, so
-    every entry has the integers of the generic sum of QuadNum products, bit
-    for bit; an entry with no nonzero total is the zero (0, 0, 1, d)."""
+    the lcm so far.  Each column that got a nonzero total becomes one QuadNum
+    in place, with one gcd and no further call, as ``_reduced`` would build
+    it.  The (a, b, c) normal form is unique, so every entry has the
+    integers of the generic sum of QuadNum products, bit for bit; an entry
+    with no nonzero total is the zero (0, 0, 1, d)."""
     m = len(b[0])
     b_rows = [_nonzero_parts(row, d) for row in b]
     zero = _reduced(0, 0, 1, d)
@@ -82,8 +93,15 @@ def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
                     g = gcd(c, pc)
                     s, u = pc // g, c // g
                     ta[j], tb[j], tc[j] = ta[j] * s + pa * u, tb[j] * s + pb * u, c * s
-        out.append(tuple(_reduced(ta[j], tb[j], tc[j], d) if ta[j] or tb[j] else zero
-                         for j in range(m)))
+        new_row = []
+        for ea, eb, ec in zip(ta, tb, tc):
+            x = zero
+            if ea or eb:
+                g = gcd(ea, eb, ec)
+                x = _new(QuadNum)
+                _set(x, "_v", (ea // g, eb // g, ec // g, d) if g != 1 else (ea, eb, ec, d))
+            new_row.append(x)
+        out.append(tuple(new_row))
     return tuple(out)
 
 
@@ -167,10 +185,6 @@ def mat_conj_entries(a: Matrix, field, k: int = 1) -> Matrix:
     return out
 
 
-def mat_is_diagonal(a: Matrix, field) -> bool:
-    return not any(a[i][j] for i in range(len(a)) for j in range(len(a)) if i != j)
-
-
 def exp_nilpotent(x: Matrix, field) -> Matrix:
     """exp of a nilpotent matrix; the factorials that occur must be units."""
     n = len(x)
@@ -207,7 +221,8 @@ class MatrixContext:
         self.datum = build_root_datum([("A", n - 1)])
         self.twisted = twisted
         self._lift_cache = {}
-        self._pinning_cache = {}   # (fiber, coroot) -> ((X, H, Y), simple lift)
+        # (fiber, coroot) -> ((X, H, Y), simple lift, {key: pinned_factor})
+        self._pinning_cache = {}
         if twisted:
             perm = tuple(n - 2 - i for i in range(n - 1))
             self.theta = PinnedAutomorphism(self.datum, perm)
@@ -266,7 +281,7 @@ class MatrixContext:
                      for i in range(self.n))
 
     def torus_coords_of_diagonal(self, m: Matrix) -> TorusElement:
-        if not mat_is_diagonal(m, self.field):
+        if any(m[i][j] for i in range(self.n) for j in range(self.n) if i != j):
             raise RealizationError("matrix is not diagonal")
         acc = self.field.one()
         coords = []
@@ -399,10 +414,11 @@ def restricted_root_vectors(ctx: MatrixContext, rrs, beta) -> Tuple[Matrix, Matr
     return _pinning(ctx, rrs, beta)[0]
 
 
-def _pinning(ctx: MatrixContext, rrs, beta) -> Tuple[Tuple[Matrix, Matrix, Matrix], Matrix]:
-    """The triple of restricted_root_vectors and the fixed-group simple lift
-    exp(X) exp(-Y) exp(X) built from it, computed once per context: both read
-    only the fiber and the coroot of beta, which key the cache."""
+def _pinning(ctx: MatrixContext, rrs, beta) -> Tuple[tuple, Matrix, dict]:
+    """The triple of restricted_root_vectors, the fixed-group simple lift
+    exp(X) exp(-Y) exp(X) built from it, and the dict of ``pinned_factor``,
+    computed once per context: all read only the fiber and the coroot of
+    beta, which key the cache."""
     beta = tuple(beta)
     if beta not in rrs.simple_restricted:
         raise RealizationError(f"{beta} is not a simple restricted root")
@@ -413,75 +429,46 @@ def _pinning(ctx: MatrixContext, rrs, beta) -> Tuple[Tuple[Matrix, Matrix, Matri
         x, h, y = triple = _solve_pinning(ctx, rr)
         ex = exp_nilpotent(x, ctx.field)
         ey = exp_nilpotent(mat_scalar(y, -ctx.field.one()), ctx.field)
-        entry = ctx._pinning_cache[key] = (triple, mat_prod(ex, ey, ex))
+        entry = ctx._pinning_cache[key] = (triple, mat_prod(ex, ey, ex), {})
     return entry
+
+
+def pinned_factor(ctx: MatrixContext, rrs, beta, key, build) -> Matrix:
+    """build(), a matrix that depends only on ctx, beta and key, built once
+    per context and kept beside the pinning of beta."""
+    built = _pinning(ctx, rrs, beta)[2]
+    out = built.get(key)
+    if out is None:
+        out = built[key] = build()
+    return out
 
 
 def _solve_pinning(ctx: MatrixContext, rr) -> Tuple[Matrix, Matrix, Matrix]:
     """The sl(2) triple of restricted_root_vectors from the fiber and the
-    coroot of rr, which are all it reads."""
-    f = ctx.field
-    zero = f.zero()
+    coroot of rr, which are all it reads.  X is the sum of E_{i,i+1} over
+    the simple indices i of the fiber.  [E_{i,i+1}, E_{j+1,j}] is
+    E_ii - E_{i+1,i+1} for i = j and zero otherwise, so Y = sum y_i E_{i+1,i}
+    over the fiber has [X, Y] = H = sum_i coroot_i (E_ii - E_{i+1,i+1})
+    exactly when y is the coroot and the coroot lives on the fiber."""
+    f, n, coroot = ctx.field, ctx.n, rr.coroot
     simple_idx = []
     for coords in rr.orbit:
-        i = next((k for k, c in enumerate(coords) if c), None)
         if sum(abs(c) for c in coords) != 1:
             raise RealizationError("fiber of a simple restricted root is not simple")
-        simple_idx.append(i)
-    x = tuple(tuple(sum((1 if (r == i and c == i + 1) else 0) for i in simple_idx)
-                    for c in range(ctx.n)) for r in range(ctx.n))
-    x = tuple(tuple(f.from_int(v) for v in row) for row in x)
-    h_exps = rr.coroot
-    diag = [0] * ctx.n
-    for i, e in enumerate(h_exps):
+        simple_idx.append(next(k for k, c in enumerate(coords) if c))
+    if any(e for i, e in enumerate(coroot) if i not in simple_idx):
+        raise RealizationError("no sl(2) completion over the given positions")
+    diag = [0] * n
+    for i, e in enumerate(coroot):
         diag[i] += e
         diag[i + 1] -= e
-    h = tuple(tuple(f.from_int(diag[r]) if r == c else zero for c in range(ctx.n))
-              for r in range(ctx.n))
-    # solve [x, sum y_i E_{i+1,i}] = h over the same simple positions
-    k = len(simple_idx)
-    basis = [tuple(tuple(f.one() if (r == i + 1 and c == i) else zero
-                         for c in range(ctx.n)) for r in range(ctx.n))
-             for i in simple_idx]
-    brackets = [mat_add(mat_mul(x, bi), mat_scalar(mat_mul(bi, x), -f.one()))
-                for bi in basis]
-    # equations indexed by matrix positions
-    sols = _solve_exact(brackets, h, f, ctx.n, k)
-    y = tuple(tuple(sum((sols[t] * basis[t][r][c] for t in range(1, k)),
-                        sols[0] * basis[0][r][c]) for c in range(ctx.n))
-              for r in range(ctx.n))
-    return x, h, y
 
+    def matrix(entry):
+        return tuple(tuple(f.from_int(entry(r, c)) for c in range(n)) for r in range(n))
 
-def _solve_exact(brackets, target, field, n, k):
-    """Solve sum_t c_t * brackets[t] == target entrywise."""
-    rows, rhs = [], []
-    for r in range(n):
-        for c in range(n):
-            row = [brackets[t][r][c] for t in range(k)]
-            if any(row) or target[r][c]:
-                rows.append(row)
-                rhs.append(target[r][c])
-    # Gaussian elimination on the k-column system
-    m = len(rows)
-    sol = [field.zero()] * k
-    used_cols = []
-    work = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    rank = 0
-    for col in range(k):
-        piv = next((r for r in range(rank, m) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        _eliminate(work, col, rank)
-        used_cols.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if work[r][k]:
-            raise RealizationError("no sl(2) completion over the given positions")
-    for r, col in enumerate(used_cols):
-        sol[col] = work[r][k]
-    return sol
+    return (matrix(lambda r, c: int(c == r + 1 and r in simple_idx)),
+            matrix(lambda r, c: diag[r] if r == c else 0),
+            matrix(lambda r, c: coroot[c] if r == c + 1 and c in simple_idx else 0))
 
 
 def fixed_group_simple_lift(ctx: MatrixContext, rrs, beta) -> Matrix:

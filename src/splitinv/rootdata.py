@@ -108,6 +108,9 @@ class RootDatum:
         self.families = families
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
+        # s_i on coroot coordinates: coroots are the roots of the dual datum,
+        # whose Cartan matrix is the transpose
+        self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
         self.roots, reflections = self._generate_roots()
         expected = sum(_ROOT_COUNT[f](r) for f, r in self.families)
         if len(self.roots) != expected:
@@ -128,9 +131,7 @@ class RootDatum:
         """The roots, by breadth-first search from the simple roots under the
         simple reflections, sorted; and each simple reflection as the
         permutation of root indices read off the edges that search walked."""
-        rows = _sparse_rows(self.cartan)
-        # coroots are the roots of the dual datum, whose Cartan matrix is the transpose
-        dual = _sparse_rows(tuple(zip(*self.cartan)))
+        rows, dual = _sparse_rows(self.cartan), self.dual_rows
         found: List[Tuple[Vec, Vec]] = []     # (root, coroot) in order of discovery
         ids: Dict[Vec, int] = {}
         edges: List[Tuple[int, ...]] = []     # edges[k][i]: id of s_i(root k)
@@ -173,9 +174,6 @@ class RootDatum:
             return self.roots[self.root_index[tuple(coords)]]
         except KeyError:
             raise RootDatumError(f"{coords} is not a root") from None
-
-    def is_root(self, coords: Vec) -> bool:
-        return tuple(coords) in self.root_index
 
     @property
     def positive_roots(self) -> Tuple[Root, ...]:
@@ -269,7 +267,7 @@ class WeylElement:
     w^{-1}; everything else is read off these through the datum's tables
     (Casselman, Machine calculations in Weyl groups, 1994)."""
 
-    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions")
+    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows")
 
     def __init__(self):
         raise RootDatumError("use datum.simple_reflection / analyze_weyl to build Weyl elements")
@@ -282,6 +280,7 @@ class WeylElement:
         self.inv_perm = inv_perm
         self._word = None
         self._inversions = None
+        self._coroot_rows = None
         return self
 
     # -- group structure ----------------------------------------------------
@@ -319,6 +318,14 @@ class WeylElement:
         """w(alpha_i_vee) for each simple index i: the coroot (w alpha_i)_vee."""
         roots = self.datum.roots
         return tuple(roots[self.perm[s]].coroot for s in self.datum.simple_index)
+
+    def coroot_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """w(alpha_i_vee) for each simple index i as its nonzero (index,
+        exponent) entries (cached)."""
+        if self._coroot_rows is None:
+            self._coroot_rows = tuple(tuple((j, e) for j, e in enumerate(img) if e)
+                                      for img in self.coroot_images())
+        return self._coroot_rows
 
     def act_root(self, coords: Vec) -> Vec:
         return _combine(self.root_images(), coords)
@@ -624,19 +631,6 @@ class RestrictedRootSystem:
                 raise RootDatumError("restricted reflection image not theta-fixed")
             self.levi_longest[beta] = w
         self._fixed_weyl_cache: Optional[Tuple[WeylElement, ...]] = None
-
-    def fixed_cocharacter_basis(self) -> Tuple[Vec, ...]:
-        """Basis of the fixed cocharacter sublattice: orbit sums of simple
-        coroots, in simple-coroot coordinates."""
-        n = self.datum.rank
-        return tuple(tuple(1 if i in orb else 0 for i in range(n))
-                     for orb in self.simple_orbits)
-
-    @property
-    def coinvariant_rank(self) -> int:
-        """Rank of the coinvariant character lattice (free, see the
-        constructor), equal to the number of orbits."""
-        return len(self.simple_orbits)
 
     # restriction of a character given by fundamental-weight coordinates
     # (the quotient map onto the coinvariant lattice in orbit coordinates)

@@ -20,8 +20,8 @@ from .coeffs import IdentityAction, QuadConj, QuadField, SymUnit
 from .errors import ADataError, DescentError, RealizationError, RootDatumError
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
                         mat_conj_entries, mat_det, mat_eq, mat_identity,
-                        mat_inv, mat_mul, mat_prod, mat_scalar, realize,
-                        restricted_root_vectors, sl2_embed)
+                        mat_inv, mat_mul, mat_prod, mat_scalar, pinned_factor,
+                        realize, restricted_root_vectors, sl2_embed)
 from .rootdata import (PinnedAutomorphism, RestrictedRootSystem,
                        RootAutomorphism, RootDatum, WeylElement)
 from .tits import TitsElement, TorusElement, m_cocycle, tits_lift, x_of
@@ -494,25 +494,32 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
                      seeds: Sequence = ()):
     """Conjugator inside the fixed subgroup; the Galois twist of the
     transported torus is a product of fixed-subgroup reflections.  Each seed
-    is (simple restricted root, conjugating fixed Weyl element or None)."""
+    is (simple restricted root, conjugating fixed Weyl element or None).
+    The seed blocks and the unipotent factors exp(c X_beta), exp(c Y_beta)
+    depend on the context alone and are built once per context."""
     f = ctx.field
-    factors = []
-    for beta, conj in seeds:
-        block = sl2_embed(ctx, rrs, beta, _h2_seed(f))
-        if conj is not None:
-            c = fixed_group_lift(ctx, rrs, conj)
-            block = mat_prod(c, block, mat_inv(c, f))
-        factors.append(block)
+    factors = [pinned_factor(ctx, rrs, beta, ("seed", conj),
+                             lambda: _seed_block(ctx, rrs, beta, conj))
+               for beta, conj in seeds]
     left = []
     betas = list(rrs.simple_restricted)
     for _ in range(4):
         b = betas[rng.randrange(len(betas))]
         x, _, y = restricted_root_vectors(ctx, rrs, b)
-        gen = x if rng.random() < 0.5 else y
-        c = f.from_int(rng.randint(-2, 2))
-        left.append(exp_nilpotent(mat_scalar(gen, c), f))
+        upper = rng.random() < 0.5
+        c = rng.randint(-2, 2)
+        left.append(pinned_factor(ctx, rrs, b, (upper, c), lambda: exp_nilpotent(
+            mat_scalar(x if upper else y, f.from_int(c)), f)))
     right = _random_torus_matrix(ctx, rng, theta=rrs.theta)
     return mat_prod(*left, *factors, right)
+
+
+def _seed_block(ctx: MatrixContext, rrs: RestrictedRootSystem, beta, conj):
+    block = sl2_embed(ctx, rrs, beta, _h2_seed(ctx.field))
+    if conj is None:
+        return block
+    c = fixed_group_lift(ctx, rrs, conj)
+    return mat_prod(c, block, mat_inv(c, ctx.field))
 
 
 # -- equivariant a-data over quadratic extensions -----------------------------
@@ -823,7 +830,13 @@ def check_nn_prime(rrs: RestrictedRootSystem, omega: WeylElement,
 
 @dataclass
 class CompareReport:
-    """Outcome of the fixed-subgroup vs twisted comparison."""
+    """Outcome of the fixed-subgroup vs twisted comparison.
+
+    ``t_prime_matrices[k]`` is h lifted[k] sigma^k(h)^-1, with lifted[k] the
+    fixed-subgroup lift.  The comparison has checked that lifted[k] equals
+    realize(m(sigma^k)), so this is the product of equal factors that the
+    t-level cocycle forms: it is ``t_cocycle.matrices``, not a recomputation.
+    """
 
     m_values: Dict[int, TitsElement]
     m_prime_values: Dict[int, TitsElement]
@@ -894,26 +907,19 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
 
     matrix_checked = False
     t_cocycle = None
-    t_prime_matrices = None
     if ctx is not None:
         # rebuild the fixed-subgroup side genuinely: its own pinned lift
-        lifted, realized = {}, {}
+        realized = {}
         for k in range(descent.order):
-            lifted[k] = mat_mul(realize(ctx, torus_parts[k]),
-                                fixed_group_lift(ctx, rrs, descent.weyl_part(k)))
+            lifted = mat_mul(realize(ctx, torus_parts[k]),
+                             fixed_group_lift(ctx, rrs, descent.weyl_part(k)))
             realized[k] = realize(ctx, m[k])
-            if not mat_eq(lifted[k], realized[k]):
+            if not mat_eq(lifted, realized[k]):
                 raise RealizationError(
                     f"matrix comparison fails at sigma^{k}")
         matrix_checked = True
         if realization is not None:
             t_cocycle = _twisted_t_level(datum, theta, descent, tilde_full, realization,
                                          m, realized)
-            t_prime_matrices = {}
-            for k in range(descent.order):
-                t_prime_matrices[k] = mat_prod(realization.h, lifted[k],
-                                               realization.sigma_h_inv(k))
-                if not mat_eq(t_prime_matrices[k], t_cocycle.matrices[k]):
-                    raise RealizationError(
-                        f"t-level cocycles differ at sigma^{k}")
-    return CompareReport(m, m_prime, True, matrix_checked, t_cocycle, t_prime_matrices)
+    return CompareReport(m, m_prime, True, matrix_checked, t_cocycle,
+                         t_cocycle.matrices if t_cocycle is not None else None)

@@ -48,12 +48,17 @@ class TorusElement:
         return TorusElement(tuple(f(c) for c in self.coords))
 
     def weyl_apply(self, w: WeylElement, one) -> "TorusElement":
-        """w(t): the coordinate on alpha_i_vee moves to w(alpha_i_vee)."""
+        """w(t): the coordinate on alpha_i_vee moves to w(alpha_i_vee), read
+        as sparse (index, exponent) rows; a negative exponent raises the
+        coordinate's inverse, taken once."""
         out = [one] * len(self.coords)
-        for c, img in zip(self.coords, w.coroot_images()):
-            for j, e in enumerate(img):
-                if e:
-                    out[j] = out[j] * (c ** e)
+        for c, row in zip(self.coords, w.coroot_rows()):
+            inv = None
+            for j, e in row:
+                if e < 0 and inv is None:
+                    inv = c ** -1
+                out[j] = out[j] * (c if e == 1 else c ** e if e > 0 else
+                                   inv if e == -1 else inv ** -e)
         return TorusElement(tuple(out))
 
     def diagram_apply(self, g: PinnedAutomorphism) -> "TorusElement":
@@ -117,18 +122,18 @@ class TitsElement:
         datum = self.datum
         t = self.torus * other.torus.weyl_apply(self.weyl, one)
         # peel the letters of w1 onto n(w2) from the right; a letter crosses a
-        # wall exactly when it is a left descent of the running product and
-        # then contributes (-1)^{alpha_i_vee}; the correction is (-1)^mu
-        mu = (0,) * datum.rank
-        v = other.weyl
+        # wall exactly when it is a left descent of the running product v and
+        # then contributes (-1)^{alpha_i_vee}; the correction is (-1)^mu.
+        # s_i acts on mu through row i of the transposed Cartan matrix.
+        mu = [0] * datum.rank
+        v_inv = other.weyl.inv_perm        # of the running v = s ... s w2
+        npos, simple, dual = datum.n_positive, datum.simple_index, datum.dual_rows
         for i in reversed(self.weyl.word):
-            s = datum.simple_reflection(i)
-            mu = s.act_coroot(mu)
-            if v.inverts(datum.simple_index[i]):
-                mu = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
-            v = s * v
+            # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
+            mu[i] += (v_inv[simple[i]] >= npos) - sum(c * mu[j] for j, c in dual[i])
+            v_inv = tuple(map(v_inv.__getitem__, datum.simple_reflection(i).perm))
         c = TorusElement.cochar_power([m % 2 for m in mu], -one, one)
-        return TitsElement(t * c, v)
+        return TitsElement(t * c, self.weyl * other.weyl)
 
     def inverse(self) -> "TitsElement":
         one = self._one()

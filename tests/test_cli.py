@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from splitinv import suites
+from splitinv import cli, suites
 from splitinv.cli import main
 from splitinv.rootdata import (PinnedAutomorphism, RestrictedRootSystem, build_root_datum,
                                restrict_root_system)
@@ -417,6 +417,25 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument --out: cannot write {out}:")
         assert captured.err.count("\n") == 1
+
+    # the path is tried before the suite runs, which here would fail the test
+    def test_verify_finds_unwritable_out_before_the_suite(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("the suite ran before --out was found unwritable")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["verify", "--suite", "all", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument --out: cannot write {out}:")
+        # a writable path is tried without clobbering what it holds
+        kept = tmp_path / "kept.json"
+        kept.write_text("an earlier report\n")
+        with pytest.raises(AssertionError, match="the suite ran"):
+            main(["verify", "--suite", "all", "--out", str(kept)])
+        assert kept.read_text() == "an earlier report\n"
 
 
 class TestHilbert:

@@ -12,6 +12,23 @@ from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum,
                                levi_component, restrict_root_system, weyl_group_order)
 
 
+def is_root(d, coords):
+    return tuple(coords) in d.root_index
+
+
+def fixed_cocharacter_basis(rrs):
+    """Basis of the fixed cocharacter sublattice: orbit sums of simple
+    coroots, in simple-coroot coordinates."""
+    n = rrs.datum.rank
+    return tuple(tuple(1 if i in orb else 0 for i in range(n)) for orb in rrs.simple_orbits)
+
+
+def coinvariant_rank(rrs):
+    """Rank of the coinvariant character lattice, which is free (see the
+    RestrictedRootSystem constructor): the number of theta-orbits."""
+    return len(rrs.simple_orbits)
+
+
 class TestBuild:
     def test_a1_identity_case(self):
         d = build_root_datum([("A", 1)])
@@ -53,7 +70,7 @@ class TestBuild:
         for r in d.roots:
             for i in range(d.rank):
                 img = d.simple_reflection(i).act_root(r.coords)
-                assert d.is_root(img)
+                assert is_root(d, img)
 
     def test_coroot_pairing_is_two(self):
         for spec in ([("A", 3)], [("C", 2)], [("D", 4)]):
@@ -257,14 +274,14 @@ class TestFixedLattice:
         d = build_root_datum([("A", 3)])
         theta = PinnedAutomorphism(d, [2, 1, 0])
         rrs = restrict_root_system(d, theta)
-        assert rrs.fixed_cocharacter_basis() == ((1, 0, 1), (0, 1, 0))
-        assert rrs.coinvariant_rank == 2
+        assert fixed_cocharacter_basis(rrs) == ((1, 0, 1), (0, 1, 0))
+        assert coinvariant_rank(rrs) == 2
 
     def test_basis_elements_are_fixed(self):
         d = build_root_datum([("A", 4)])
         theta = PinnedAutomorphism(d, [3, 2, 1, 0])
         rrs = restrict_root_system(d, theta)
-        for v in rrs.fixed_cocharacter_basis():
+        for v in fixed_cocharacter_basis(rrs):
             assert theta.act_coroot(v) == v
 
     def test_restriction_pairs_with_basis(self):
@@ -273,7 +290,7 @@ class TestFixedLattice:
         d = build_root_datum([("A", 4)])
         theta = PinnedAutomorphism(d, [3, 2, 1, 0])
         rrs = restrict_root_system(d, theta)
-        basis = rrs.fixed_cocharacter_basis()
+        basis = fixed_cocharacter_basis(rrs)
         for r in d.roots:
             res = rrs.restrict_root(r.coords)
             assert res == tuple(d.pairing(r.coords, mu) for mu in basis)
@@ -404,7 +421,7 @@ class TestRestrictedWeyl:
         divisors = _elementary_divisors(m)
         assert set(divisors) <= {0, 1}
         assert divisors.count(1) == n - len(theta.orbits())
-        assert divisors.count(0) == rrs.coinvariant_rank
+        assert divisors.count(0) == coinvariant_rank(rrs)
 
     def test_elementary_divisors_see_torsion(self):
         assert _elementary_divisors([[2, 4], [6, 8]]) == [2, 4]

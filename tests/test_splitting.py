@@ -9,8 +9,10 @@ import pytest
 import splitinv.splitting as splitting
 from splitinv.coeffs import QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
-from splitinv.matoracle import (MatrixContext, mat_det, mat_eq, mat_identity,
-                                mat_inv, mat_mul, realize)
+from splitinv.matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
+                                mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
+                                mat_prod, mat_scalar, realize, restricted_root_vectors,
+                                sl2_embed)
 from splitinv.rootdata import (PinnedAutomorphism, analyze_weyl, build_root_datum,
                                restrict_root_system)
 from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
@@ -495,3 +497,87 @@ class TestRealizationShortcuts:
                 assert real.sigma_h_inv(k) == want
                 assert real.transported_diagonal(mat_identity(n, ctx.field), k) \
                     == mat_inv(real.u[k % 2], ctx.field)
+
+
+def descent_seed_sets(rrs):
+    """The seed sets of the descent benchmark: (simple restricted root,
+    conjugating fixed Weyl element or None) pairs."""
+    b, levi = rrs.simple_restricted, rrs.levi_longest
+    if len(b) == 1:
+        return [[(b[0], None)], []]
+    return [[(b[0], None)], [(b[-1], None)], [(b[0], levi[b[1]])],
+            [(b[1], None), (b[1], levi[b[0]])], []]
+
+
+def uncached_seed_block(ctx, rrs, beta, conj):
+    block = sl2_embed(ctx, rrs, beta, _h2_seed(ctx.field))
+    if conj is None:
+        return block
+    c = fixed_group_lift(ctx, rrs, conj)
+    return mat_prod(c, block, mat_inv(c, ctx.field))
+
+
+def uncached_sample_h_twisted(ctx, rrs, rng, seeds):
+    """sample_h_twisted with every factor rebuilt, drawing from rng in the
+    same order."""
+    f = ctx.field
+    factors = [uncached_seed_block(ctx, rrs, beta, conj) for beta, conj in seeds]
+    left = []
+    betas = list(rrs.simple_restricted)
+    for _ in range(4):
+        b = betas[rng.randrange(len(betas))]
+        x, _, y = restricted_root_vectors(ctx, rrs, b)
+        gen = x if rng.random() < 0.5 else y
+        left.append(exp_nilpotent(mat_scalar(gen, f.from_int(rng.randint(-2, 2))), f))
+    right = splitting._random_torus_matrix(ctx, rng, theta=rrs.theta)
+    return mat_prod(*left, *factors, right)
+
+
+def entries(m):
+    """The stored integers and the type of every entry."""
+    return [(type(x), x.a, x.b, x.c, x.d) for row in m for x in row]
+
+
+class TestContextFactors:
+    """The factors of sample_h_twisted that depend on the context alone are
+    built once per MatrixContext; h does not depend on whether they were."""
+
+    CASES = [(n, d) for n in (3, 4, 5) for d in (5, -1)]
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_warm_context_gives_the_fresh_h(self, n, d):
+        warm = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(warm.datum, warm.theta)
+        for rep in range(2):   # the second pass runs on a warm context
+            for i, seeds in enumerate(descent_seed_sets(rrs)):
+                op_seed = 1000 * n + 10 * i + d
+                got = sample_h_twisted(warm, rrs, random.Random(op_seed), seeds)
+                fresh = MatrixContext(n, QuadField(d), twisted=True)
+                want = sample_h_twisted(fresh, rrs, random.Random(op_seed), seeds)
+                rebuilt = uncached_sample_h_twisted(
+                    MatrixContext(n, QuadField(d), twisted=True), rrs,
+                    random.Random(op_seed), seeds)
+                assert entries(got) == entries(want) == entries(rebuilt)
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_cached_factors_equal_fresh_ones(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        f = ctx.field
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        rng = random.Random(n - d)
+        for _ in range(10):
+            for seeds in descent_seed_sets(rrs):
+                sample_h_twisted(ctx, rrs, rng, seeds)
+        seen = set()
+        for beta in rrs.simple_restricted:
+            rr = rrs.restricted[beta]
+            (x, _, y), _, built = ctx._pinning_cache[rr.orbit, rr.coroot]
+            for key, m in built.items():
+                if key[0] == "seed":
+                    want = uncached_seed_block(ctx, rrs, beta, key[1])
+                else:
+                    upper, c = key
+                    want = exp_nilpotent(mat_scalar(x if upper else y, f.from_int(c)), f)
+                assert entries(m) == entries(want)
+                seen.add(key[0])
+        assert seen == {"seed", True, False}

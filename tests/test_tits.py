@@ -259,3 +259,47 @@ class TestFixedPointLemma:
             for w in rrs.fixed_weyl_subgroup():
                 aut = RootAutomorphism(w, theta)
                 assert x_of(d, aut, adata).theta_fixed(theta)
+
+
+def dense_weyl_apply(t, w, one):
+    """w(t) from the dense coroot images: the coordinate on alpha_i_vee is
+    raised to each entry of w(alpha_i_vee), zeros skipped."""
+    out = [one] * len(t.coords)
+    for c, img in zip(t.coords, w.coroot_images()):
+        for j, e in enumerate(img):
+            if e:
+                out[j] = out[j] * (c ** e)
+    return TorusElement(tuple(out))
+
+
+class TestWeylApply:
+    """weyl_apply reads sparse coroot rows and inverts each coordinate once;
+    it agrees with the dense formula on whole Weyl groups."""
+
+    @staticmethod
+    def coordinates(kind, rank, rng):
+        if kind == "fraction":
+            return ONE, [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                         for _ in range(rank)]
+        if kind == "quad":
+            f = QuadField(5)
+            return f.one(), [f.embed(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+                             + f.gen() * f.from_int(rng.randint(-2, 2))
+                             for _ in range(rank)]
+        names = "abcdefg"
+        return SymUnit.one(), [SymUnit.gen(names[i], rng.choice([1, 2, -1]),
+                                           rng.choice([1, -1])) for i in range(rank)]
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("kind", ["fraction", "quad", "symunit"])
+    def test_matches_the_dense_formula(self, spec, kind):
+        d = build_root_datum([spec])
+        rng = random.Random(f"{spec}{kind}")
+        group = d.weyl_group()
+        assert d.identity_weyl() in group
+        for w in group:
+            one, coords = self.coordinates(kind, d.rank, rng)
+            t = TorusElement(tuple(coords))
+            got = t.weyl_apply(w, one)
+            assert got == dense_weyl_apply(t, w, one)
+            assert [type(c) for c in got.coords] == [type(one)] * d.rank
