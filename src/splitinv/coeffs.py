@@ -491,6 +491,8 @@ class PrimeField:
     conj_order = 1
 
     def __init__(self, p: int):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise CoefficientError(f"p={p!r} is not an integer")
         if p == 2:
             raise CoefficientError("characteristic 2 not supported: 2 is not invertible")
         if p >= PRIME_BOUND:
@@ -592,6 +594,8 @@ class LocalPlace:
 
     @staticmethod
     def padic(p: int, d: Optional[int] = None) -> "LocalPlace":
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise PlaceError(f"p={p!r} is not an integer")
         if p >= PRIME_BOUND:
             raise PlaceError(f"{p} is not below the primality bound {PRIME_BOUND}")
         if not _is_prime(p):

@@ -112,6 +112,8 @@ class EndoscopicSignDatum:
             if v not in self.values:
                 raise FactorError(f"missing sign value at restricted root {v}")
         for v, val in self.values.items():
+            if v not in rrs.restricted:
+                raise FactorError(f"sign value at {v}, which is not a restricted root")
             neg = tuple(-c for c in v)
             if self.values[neg] != val.inv():
                 raise FactorError(f"sign values at {v} and {neg} are not inverse")

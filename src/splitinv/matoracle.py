@@ -145,37 +145,34 @@ def _eliminate(work: List[list], col: int, prow: int) -> None:
                 row[j] = row[j] - f * y
 
 
-def mat_inv(a: Matrix, field) -> Matrix:
-    """Gauss-Jordan over an exact field."""
+def mat_det_inv(a: Matrix, field):
+    """Gauss-Jordan over an exact field: det(a) and a^-1 from one
+    elimination, or zero and None when a is singular.  The determinant is
+    the product of the pivots, negated once per row swap."""
     n = len(a)
     work = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(n, field))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise RealizationError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        _eliminate(work, col, col)
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def mat_det(a: Matrix, field):
-    n = len(a)
-    work = [list(row) for row in a]
     det = field.one()
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
-            return field.zero()
+            return field.zero(), None
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             det = -det
         det = det * work[col][col]
-        inv_p = work[col][col] ** -1
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv_p
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+        _eliminate(work, col, col)
+    return det, tuple(tuple(row[n:]) for row in work)
+
+
+def mat_inv(a: Matrix, field) -> Matrix:
+    inv = mat_det_inv(a, field)[1]
+    if inv is None:
+        raise RealizationError("singular matrix")
+    return inv
+
+
+def mat_det(a: Matrix, field):
+    return mat_det_inv(a, field)[0]
 
 
 def mat_conj_entries(a: Matrix, field, k: int = 1) -> Matrix:

@@ -19,12 +19,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from .coeffs import IdentityAction, QuadConj, QuadField, SymUnit
 from .errors import ADataError, DescentError, RealizationError, RootDatumError
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
-                        mat_conj_entries, mat_det, mat_eq, mat_identity,
+                        mat_conj_entries, mat_det_inv, mat_eq, mat_identity,
                         mat_inv, mat_mul, mat_prod, mat_scalar, pinned_factor,
                         realize, restricted_root_vectors, sl2_embed)
 from .rootdata import (PinnedAutomorphism, RestrictedRootSystem,
                        RootAutomorphism, RootDatum, WeylElement)
-from .tits import TitsElement, TorusElement, m_cocycle, tits_lift, x_of
+from .tits import (TitsElement, TorusElement, m_cocycle, tits_lift,
+                   verify_cocycle_identity, x_of)
 
 R3 = "R3"
 
@@ -352,14 +353,9 @@ class SplittingCocycle:
 
     def verify(self, one) -> None:
         """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them."""
-        n = self.descent.order
-        for j in range(n):
-            for k in range(n):
-                lhs = self.values[(j + k) % n]
-                rhs = self.values[j] * self.descent.galois_on_torus_twisted(
-                    j, self.values[k], one)
-                if lhs != rhs:
-                    raise ADataError(f"cocycle identity fails at ({j},{k})")
+        verify_cocycle_identity(
+            self.values, self.descent.order,
+            lambda j, t: self.descent.galois_on_torus_twisted(j, t, one))
         if self.ambient == "T^theta" and self.theta is not None:
             for k, v in self.values.items():
                 if not v.theta_fixed(self.theta):
@@ -388,23 +384,29 @@ class Realization:
         self.h = h
         self.use_theta = use_theta
         f = ctx.field
-        if mat_det(h, f) != f.one():
+        det, self.h_inv = mat_det_inv(h, f)
+        if det != f.one():
             raise RealizationError("h does not have determinant 1")
         if use_theta:
             if not ctx.twisted:
                 raise RealizationError("context carries no automorphism")
             if not ctx.theta_fixed(h):
                 raise RealizationError("h is not fixed by the automorphism")
-        self.h_inv = mat_inv(h, f)
         self.order = 2
         u = mat_mul(self.h_inv, ctx.galois_apply(h, 1))
         self.u = {0: mat_identity(ctx.n, f), 1: u}
-        self.omega = self._weyl_from_monomial(u)
-        self._u_inv = {0: self.u[0], 1: mat_inv(u, f)}
+        self.omega, perm = self._weyl_from_monomial(u)
+        # u e_j = u[perm[j]][j] e_perm[j], so u^-1 has 1/u[perm[j]][j] at (j, perm[j])
+        zero = f.zero()
+        u_inv = tuple(tuple(u[i][j] ** -1 if i == perm[j] else zero for i in range(ctx.n))
+                      for j in range(ctx.n))
+        self._u_inv = {0: self.u[0], 1: u_inv}
         self.descent = DescentDatum(ctx.datum, 2, self.omega,
                                     field_action=QuadConj(f))
 
-    def _weyl_from_monomial(self, u) -> WeylElement:
+    def _weyl_from_monomial(self, u) -> Tuple[WeylElement, list]:
+        """The Weyl element whose lift has the zero pattern of u, read off a
+        bubble sort of perm, and perm: u is nonzero exactly at (perm[j], j)."""
         f = self.ctx.field
         n = self.ctx.n
         perm = [None] * n
@@ -417,24 +419,19 @@ class Realization:
             perm[j] = nz[0]
         word = []
         p = list(perm)
-        guard = 0
-        while p != sorted(p):
+        while p != sorted(p):  # each swap removes one inversion
             for i in range(n - 1):
                 if p[i] > p[i + 1]:
                     p[i], p[i + 1] = p[i + 1], p[i]
                     word.append(i)
                     break
-            guard += 1
-            if guard > n * n:
-                raise RealizationError("monomial decomposition failed")
         from .rootdata import analyze_weyl
-        for candidate in (analyze_weyl(self.ctx.datum, tuple(reversed(word))),
-                          analyze_weyl(self.ctx.datum, tuple(word))):
-            pattern = self.ctx.weyl_lift_matrix(candidate)
-            if all((pattern[i][j] != f.zero()) == (u[i][j] != f.zero())
+        omega = analyze_weyl(self.ctx.datum, tuple(reversed(word)))
+        pattern = self.ctx.weyl_lift_matrix(omega)
+        if not all((pattern[i][j] != f.zero()) == (u[i][j] != f.zero())
                    for i in range(n) for j in range(n)):
-                return candidate
-        raise RealizationError("could not match the Weyl part of h^{-1} sigma(h)")
+            raise RealizationError("could not match the Weyl part of h^{-1} sigma(h)")
+        return omega, perm
 
     def sigma_h_inv(self, k: int):
         """sigma^k(h)^{-1}, which is sigma^k(h^{-1}): the Galois action is

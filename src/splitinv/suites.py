@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .coeffs import (LocalPlace, PrimeField, QuadConj, QuadField,
                      SignedSymbolMap, SymUnit, hilbert_symbol,
@@ -25,9 +25,10 @@ from .rootdata import (PinnedAutomorphism, RestrictedRootSystem, RootDatum,
                        WeylElement, build_root_datum, levi_component,
                        restrict_root_system)
 from .splitting import (ADatum, DescentDatum, Realization, check_nn_prime,
-                        compare_fixed_vs_twisted, equivariant_quad_adata,
-                        lambda_twisted, lambda_untwisted, sample_h_twisted,
-                        sample_h_untwisted, verify_borel_independence)
+                        _random_torus_matrix, compare_fixed_vs_twisted,
+                        equivariant_quad_adata, lambda_twisted, lambda_untwisted,
+                        sample_h_twisted, sample_h_untwisted,
+                        verify_borel_independence)
 from .tits import (TitsElement, TorusElement, lift_along_word,
                    tits_cocycle, tits_lift)
 
@@ -66,6 +67,28 @@ def _check(records: List[CheckRecord], name: str, fn: Callable[[], object],
     passed = bool(actual) if expected is None else (actual == expected)
     records.append(CheckRecord(name, passed, expected, actual,
                                None if passed else actual))
+
+
+def _check_each(records: List[CheckRecord], name: str,
+                cases: Callable[[], Iterator[Tuple[object, bool]]], expected=None) -> None:
+    """Record one check over the (case, holds) pairs that cases() yields one at
+    a time, so that draws from a shared random.Random come as in a plain loop.
+    It passes when every case holds, stopping at the first that fails; with
+    expected given it draws every case and passes when that many fail.  The
+    first failing case is the counterexample; a raise gives _raised's record."""
+    failing = []
+    try:
+        for case, holds in cases():
+            if not holds:
+                failing.append(case)
+                if expected is None:
+                    break
+    except Exception as exc:  # a fault in a case or the set-up: record it, run on
+        records.append(_raised(name, exc, expected))
+        return
+    actual = not failing if expected is None else len(failing)
+    passed = actual if expected is None else actual == expected
+    records.append(CheckRecord(name, passed, expected, actual, failing[0] if failing else None))
 
 
 def _raised(name: str, exc: Exception, expected=None) -> CheckRecord:
@@ -120,14 +143,14 @@ def suite_appendix(seed: int = 0) -> List[CheckRecord]:
     _check(records, "appendix/F5/one-half-is-three",
            lambda: PrimeField(5).half().v, expected=3)
 
-    def reject_f2():
+    def f2_accepted():
         try:
             PrimeField(2)
         except CoefficientError:
-            return True
-        return False
+            return
+        yield 2, False  # characteristic 2 was accepted
 
-    _check(records, "appendix/F2-rejected", reject_f2)
+    _check_each(records, "appendix/F2-rejected", f2_accepted)
     return records
 
 
@@ -156,7 +179,7 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
         datum = build_root_datum(families)
         theta = PinnedAutomorphism(datum, perm)
 
-        def braid_ok(datum=datum):
+        def braids():
             for i in range(datum.rank):
                 for j in range(i + 1, datum.rank):
                     m = _braid_length(datum.cartan[i][j], datum.cartan[j][i])
@@ -164,23 +187,18 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
                     right = lift_along_word(datum, [j, i] * m, one)
                     lw = lift_along_word(datum, ([i, j] * m)[:m], one)
                     rw = lift_along_word(datum, ([j, i] * m)[:m], one)
-                    if lw != rw:
-                        return False
-                    if not (left.weyl.is_identity and right.weyl.is_identity):
-                        return False
-            return True
+                    yield (i, j), (lw == rw and left.weyl.is_identity
+                                   and right.weyl.is_identity)
 
-        _check(records, f"tits/braid/{name}", braid_ok)
+        _check_each(records, f"tits/braid/{name}", braids)
 
-        def squares_ok(datum=datum):
+        def squares():
             for i in range(datum.rank):
                 sq = lift_along_word(datum, [i, i], one)
                 want = TorusElement.cochar_power(datum.simple_root(i).coroot, -one, one)
-                if not (sq.weyl.is_identity and sq.torus == want):
-                    return False
-            return True
+                yield i, sq.weyl.is_identity and sq.torus == want
 
-        _check(records, f"tits/square-is-minus-one-coroot/{name}", squares_ok)
+        _check_each(records, f"tits/square-is-minus-one-coroot/{name}", squares)
 
         group = _set_up(records, f"tits/weyl-group/{name}", datum.weyl_group)
         if group is None:
@@ -189,54 +207,45 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
         sample = list(group) if len(group) <= 200 else rng.sample(list(group),
                                                                   sample_elements)
 
-        def words_ok(sample=sample, datum=datum):
+        def reduced_words():
             for w in sample:
                 base = tits_lift(datum, w, one)
                 for _ in range(6):
                     word = _random_reduced_word(w, rng)
-                    if lift_along_word(datum, word, one) != base:
-                        return False
-            return True
+                    yield (w, word), lift_along_word(datum, word, one) == base
 
-        _check(records, f"tits/reduced-word-independence/{name}", words_ok)
+        _check_each(records, f"tits/reduced-word-independence/{name}", reduced_words)
 
-        def equivariance_ok(sample=sample, datum=datum, theta=theta):
+        def equivariance():
             for w in sample:
-                lhs = tits_lift(datum, theta.act_weyl(w), one)
-                rhs = tits_lift(datum, w, one).theta_apply(theta)
-                if lhs != rhs:
-                    return False
-            return True
+                yield w, (tits_lift(datum, theta.act_weyl(w), one)
+                          == tits_lift(datum, w, one).theta_apply(theta))
 
-        _check(records, f"tits/pinned-equivariance/{name}", equivariance_ok)
+        _check_each(records, f"tits/pinned-equivariance/{name}", equivariance)
 
     # matrix multiplicativity and the closed-form cocycle, SL(4) and SL(5)
-    def multiplicativity_failures(n):
+    def products(n):
         ctx = MatrixContext(n)
         datum = ctx.datum
         group = list(datum.weyl_group())
-        failures = 0
         for _ in range(matrix_pairs // 2):
             w1, w2 = rng.choice(group), rng.choice(group)
-            t1 = TorusElement(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3))
-                                    * rng.choice([1, -1]) for _ in range(datum.rank)))
-            t2 = TorusElement(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3))
-                                    * rng.choice([1, -1]) for _ in range(datum.rank)))
+            t1, t2 = _random_torus(rng, datum.rank), _random_torus(rng, datum.rank)
             x1, x2 = TitsElement(t1, w1), TitsElement(t2, w2)
-            prod = x1 * x2
-            if not mat_eq(mat_mul(realize(ctx, x1), realize(ctx, x2)),
-                          realize(ctx, prod)):
-                failures += 1
-                continue
-            lift_prod = tits_lift(datum, w1, one) * tits_lift(datum, w2, one)
-            if lift_prod.torus != tits_cocycle(datum, w1, w2, one):
-                failures += 1
-        return failures
+            yield (w1, w2, t1, t2), (
+                mat_eq(mat_mul(realize(ctx, x1), realize(ctx, x2)), realize(ctx, x1 * x2))
+                and (tits_lift(datum, w1, one) * tits_lift(datum, w2, one)).torus
+                == tits_cocycle(datum, w1, w2, one))
 
     for n in (4, 5):
-        _check(records, f"tits/matrix-multiplicativity-and-cocycle/SL{n}",
-               lambda n=n: multiplicativity_failures(n), expected=0)
+        _check_each(records, f"tits/matrix-multiplicativity-and-cocycle/SL{n}",
+                    lambda: products(n), expected=0)
     return records
+
+
+def _random_torus(rng: random.Random, rank: int) -> TorusElement:
+    return TorusElement(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                              * rng.choice([1, -1]) for _ in range(rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,81 +259,66 @@ def _steinberg_case(records: List[CheckRecord], label: str, datum: RootDatum,
     if rrs is None:
         return
 
-    def root_system_ok():
-        allres = set(rrs.restricted)
+    def reflections():
         for beta, rb in rrs.restricted.items():
-            for gamma in allres:
-                k = rrs.pair_restricted(gamma, rb.coroot)  # integrality
-                img = rrs.reflect_restricted(gamma, beta)
-                if img not in allres:
-                    return False
-        return True
+            for gamma in rrs.restricted:
+                rrs.pair_restricted(gamma, rb.coroot)  # integrality
+                yield (beta, gamma), rrs.reflect_restricted(gamma, beta) in rrs.restricted
 
-    _check(records, f"steinberg/1-root-system/{label}", root_system_ok)
+    _check_each(records, f"steinberg/1-root-system/{label}", reflections)
 
-    def positive_system_ok():
+    def positive_system():
         pos = set(rrs.positive_restricted)
         neg = {tuple(-c for c in v) for v in pos}
-        if pos & neg or pos | neg != set(rrs.restricted):
-            return False
+        # the positive and negative roots partition the restricted roots
+        for v in pos | neg | set(rrs.restricted):
+            yield v, v in rrs.restricted and (v in pos) != (v in neg)
         for u in pos:
             for v in pos:
                 s = tuple(a + b for a, b in zip(u, v))
-                if s in rrs.restricted and s not in pos:
-                    return False
-        return True
+                yield (u, v), s not in rrs.restricted or s in pos
 
-    _check(records, f"steinberg/2-positive-system/{label}", positive_system_ok)
+    _check_each(records, f"steinberg/2-positive-system/{label}", positive_system)
 
-    def simples_ok():
-        images = {rrs.restrict_root(datum.simple_root(i).coords)
-                  for i in range(datum.rank)}
-        if images != set(rrs.simple_restricted):
-            return False
-        preimage_simples = {r.coords for v in rrs.simple_restricted
-                            for r in (datum.root(c) for c in rrs.restricted[v].orbit)}
-        ambient_simples = {datum.simple_root(i).coords for i in range(datum.rank)}
-        return preimage_simples == ambient_simples
+    def simples():
+        yield from _same_members({rrs.restrict_root(datum.simple_root(i).coords)
+                                  for i in range(datum.rank)}, set(rrs.simple_restricted))
+        yield from _same_members({datum.root(c).coords for v in rrs.simple_restricted
+                                  for c in rrs.restricted[v].orbit},
+                                 {datum.simple_root(i).coords for i in range(datum.rank)})
 
-    _check(records, f"steinberg/3-simples-correspond/{label}", simples_ok)
+    _check_each(records, f"steinberg/3-simples-correspond/{label}", simples)
 
     _check(records, f"steinberg/4-orbit-bijection/{label}",
            lambda: len({tuple(rr.orbit) for rr in rrs.restricted.values()})
            == len(rrs.restricted))
 
-    def weyl_iso_ok():
-        fixed = {w for w in datum.weyl_group() if theta.commutes_with(w)}
-        image = set(rrs.fixed_weyl_subgroup())
-        if image != fixed:
-            return False
+    def weyl_isomorphism():
+        yield from _same_members({w for w in datum.weyl_group() if theta.commutes_with(w)},
+                                 set(rrs.fixed_weyl_subgroup()))
         # equivariance of the restriction map for every generator
         for beta in rrs.simple_restricted:
             w_beta = rrs.levi_longest[beta]
             for i in range(datum.rank):
                 lam = tuple(1 if j == i else 0 for j in range(datum.rank))
-                lhs = rrs.restrict_weight(w_beta.act_weight(lam))
-                rhs = rrs.reflect_restricted(rrs.restrict_weight(lam), beta)
-                if lhs != rhs:
-                    return False
+                yield (beta, "weight", lam), (
+                    rrs.restrict_weight(w_beta.act_weight(lam))
+                    == rrs.reflect_restricted(rrs.restrict_weight(lam), beta))
             for r in datum.roots:
-                lhs = rrs.restrict_root(w_beta.act_root(r.coords))
-                rhs = rrs.reflect_restricted(rrs.restrict_root(r.coords), beta)
-                if lhs != rhs:
-                    return False
-        return True
+                yield (beta, "root", r.coords), (
+                    rrs.restrict_root(w_beta.act_root(r.coords))
+                    == rrs.reflect_restricted(rrs.restrict_root(r.coords), beta))
 
-    _check(records, f"steinberg/5-weyl-isomorphism/{label}", weyl_iso_ok)
+    _check_each(records, f"steinberg/5-weyl-isomorphism/{label}", weyl_isomorphism)
 
-    def levi_ok():
+    def levi_structures():
         for beta in rrs.simple_restricted:
             lev = levi_component(rrs, beta)
             divisible = tuple(2 * c for c in beta) in rrs.restricted
-            if lev.kind != ("A2" if divisible else "A1"):
-                return False
+            yield (beta, "kind"), lev.kind == ("A2" if divisible else "A1")
             comps = [frozenset(c) for c in lev.components]
             imgs = [frozenset(tuple(theta.act_root(v)) for v in c) for c in comps]
-            if sorted(map(sorted, comps)) != sorted(map(sorted, imgs)):
-                return False
+            yield (beta, "components"), sorted(map(sorted, comps)) == sorted(map(sorted, imgs))
             # transitivity of the component permutation
             idx = {c: k for k, c in enumerate(comps)}
             reach = {0}
@@ -332,22 +326,22 @@ def _steinberg_case(records: List[CheckRecord], label: str, datum: RootDatum,
             for _ in range(len(comps)):
                 cur = idx[imgs[cur]]
                 reach.add(cur)
-            if len(reach) != len(comps):
-                return False
+            yield (beta, "transitively"), len(reach) == len(comps)
             if lev.kind == "A2":
-                r = len(comps)
-                pr = theta.power(r)
+                pr = theta.power(len(comps))
                 for c in comps:
-                    moved = {tuple(pr.act_root(v)) for v in c}
-                    if moved != set(c):
-                        return False
-                    if all(tuple(pr.act_root(v)) == v for v in c):
-                        return False
-            if not theta.commutes_with(lev.longest):
-                return False
-        return True
+                    moved = {v: tuple(pr.act_root(v)) for v in c}
+                    # the stabilizer of a component acts on it, and not trivially
+                    yield (beta, tuple(sorted(c))), \
+                        set(moved.values()) == c and any(moved[v] != v for v in c)
+            yield (beta, "longest element theta-fixed"), theta.commutes_with(lev.longest)
 
-    _check(records, f"steinberg/6-levi-structure/{label}", levi_ok)
+    _check_each(records, f"steinberg/6-levi-structure/{label}", levi_structures)
+
+
+def _same_members(a: set, b: set) -> Iterator[Tuple[object, bool]]:
+    """The cases of a == b: each member of either set holds when in both."""
+    return ((x, x in a and x in b) for x in a | b)
 
 
 def suite_steinberg() -> List[CheckRecord]:
@@ -394,13 +388,13 @@ def suite_steinberg() -> List[CheckRecord]:
 def suite_nn() -> List[CheckRecord]:
     records: List[CheckRecord] = []
     for n in (3, 4, 5):
-        def all_ok(n=n):
+        def lift_comparisons():
             ctx, rrs = _twisted_sl(n)
             for w in rrs.fixed_weyl_subgroup():
-                check_nn_prime(rrs, w, ctx)
-            return True
+                check_nn_prime(rrs, w, ctx)  # raises unless the lifts match in SL(n)
+                yield w, True
 
-        _check(records, f"nn/lift-comparison/SL{n}", all_ok)
+        _check_each(records, f"nn/lift-comparison/SL{n}", lift_comparisons)
 
     def sl3_discrepancy():
         ctx, rrs = _twisted_sl(3)
@@ -409,11 +403,12 @@ def suite_nn() -> List[CheckRecord]:
     _check(records, "nn/SL3-long-element-discrepancy", sl3_discrepancy,
            expected=(Fraction(1, 2), Fraction(1, 2)))
 
-    def sl4_trivial():
+    def sl4_discrepancies():
         ctx, rrs = _twisted_sl(4)
-        return all(check_nn_prime(rrs, w, ctx).is_one for w in rrs.fixed_weyl_subgroup())
+        for w in rrs.fixed_weyl_subgroup():
+            yield w, check_nn_prime(rrs, w, ctx).is_one
 
-    _check(records, "nn/SL4-no-divisible-roots-trivial", sl4_trivial)
+    _check_each(records, "nn/SL4-no-divisible-roots-trivial", sl4_discrepancies)
     return records
 
 
@@ -480,92 +475,76 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
     # one without a matrix model
     fieldq = QuadField(5)
     for name, families, perm in _FLIP_CASES:
-        def abstract_case(families=families, perm=perm):
+        def abstract_cases():
             datum = build_root_datum(families)
             rrs = restrict_root_system(datum, PinnedAutomorphism(datum, perm))
             for omega in (datum.longest_element(),
                           rrs.levi_longest[rrs.simple_restricted[0]]):
                 desc = DescentDatum(datum, 2, omega, field_action=QuadConj(fieldq))
                 spec = equivariant_quad_adata(rrs, desc, fieldq, rng, special=True)
-                rep = compare_fixed_vs_twisted(rrs, desc, spec)
-                if not rep.equal_on_the_nose:
-                    return False
-            return True
+                yield omega, compare_fixed_vs_twisted(rrs, desc, spec).equal_on_the_nose
 
-        _check(records, f"main/abstract-compare/{name}", abstract_case)
+        _check_each(records, f"main/abstract-compare/{name}", abstract_cases)
 
     # twisted refinement and theta-fixedness
-    def refinement_ok():
-        fieldq = QuadField(5)
+    def refinements():
         for n in (3, 4):
-            ctx, rrs = _twisted_sl(n, fieldq)
-            h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
-            real = Realization(ctx, h, use_theta=True)
-            adata = equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng,
-                                           theta=ctx.theta)
+            ctx, _, real, adata = _sampled_realization(n, QuadField(5), rng)
             tw = lambda_twisted(ctx.datum, ctx.theta, real.descent, adata, real)
             untw = lambda_untwisted(ctx.datum, real.descent, adata, real)
             for k in range(2):
-                if tw.values[k] != untw.values[k]:
-                    return False
+                yield (n, k), tw.values[k] == untw.values[k]
                 tw.fixed_coords(k)  # raises unless theta-fixed
-        return True
 
-    _check(records, "main/twisted-refinement", refinement_ok)
+    _check_each(records, "main/twisted-refinement", refinements)
 
     # Borel independence: every fixed mu, rank <= 3
-    def borel_ok():
+    def borel_cases():
         fieldq = QuadField(5)
         for n, twisted in ((2, False), (3, False), (4, False), (3, True), (4, True)):
-            ctx = MatrixContext(n, fieldq, twisted=twisted)
             if twisted:
-                rrs = restrict_root_system(ctx.datum, ctx.theta)
-                h = sample_h_twisted(ctx, rrs, rng,
-                                     seeds=[(rrs.simple_restricted[0], None)])
-                real = Realization(ctx, h, use_theta=True)
-                adata = equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng,
-                                               theta=ctx.theta)
+                ctx, rrs, real, adata = _sampled_realization(n, fieldq, rng)
                 mus = rrs.fixed_weyl_subgroup()
-                for mu in mus:
-                    verify_borel_independence(ctx.datum, real.descent, adata, mu,
-                                              theta=ctx.theta, realization=real)
             else:
-                h = sample_h_untwisted(ctx, rng, seeds=[0])
-                real = Realization(ctx, h)
+                ctx = MatrixContext(n, fieldq)
+                real = Realization(ctx, sample_h_untwisted(ctx, rng, seeds=[0]))
                 adata = equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng)
-                for mu in ctx.datum.weyl_group():
-                    verify_borel_independence(ctx.datum, real.descent, adata, mu,
-                                              realization=real)
-        return True
+                mus = ctx.datum.weyl_group()
+            theta = ctx.theta if twisted else None
+            for mu in mus:
+                # raises unless the two cocycles differ by the coboundary
+                verify_borel_independence(ctx.datum, real.descent, adata, mu,
+                                          theta=theta, realization=real)
+                yield (n, twisted, mu), True
 
-    _check(records, "main/borel-independence", borel_ok)
+    _check_each(records, "main/borel-independence", borel_cases)
 
     # class independence from the conjugator: torus translation is a coboundary
-    def h_class_ok():
-        fieldq = QuadField(5)
-        ctx, rrs = _twisted_sl(3, fieldq)
-        h1 = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
-        real1 = Realization(ctx, h1, use_theta=True)
-        adata = equivariant_quad_adata(ctx.datum, real1.descent, fieldq, rng,
-                                       theta=ctx.theta)
-        from .splitting import _random_torus_matrix
+    def h_classes():
+        ctx, _, real1, adata = _sampled_realization(3, QuadField(5), rng)
         y = _random_torus_matrix(ctx, rng, theta=ctx.theta)
-        h2 = mat_mul(h1, y)
-        real2 = Realization(ctx, h2, use_theta=True)
-        if real2.omega != real1.omega:
-            return False
+        real2 = Realization(ctx, mat_mul(real1.h, y), use_theta=True)
+        yield "omega_T", real2.omega == real1.omega
         c1 = lambda_twisted(ctx.datum, ctx.theta, real1.descent, adata, real1)
         c2 = lambda_twisted(ctx.datum, ctx.theta, real2.descent, adata, real2)
         yt = ctx.torus_coords_of_diagonal(y)
-        one = fieldq.one()
+        one = ctx.field.one()
         for k in range(2):
             cob = yt * real1.descent.galois_on_torus_twisted(k, yt, one).inv()
-            if c2.values[k] != c1.values[k] * cob:
-                return False
-        return True
+            yield f"sigma^{k}", c2.values[k] == c1.values[k] * cob
 
-    _check(records, "main/h-class-independence", h_class_ok)
+    _check_each(records, "main/h-class-independence", h_classes)
     return records
+
+
+def _sampled_realization(n: int, fieldq: QuadField, rng: random.Random):
+    """Twisted SL(n) over fieldq, its restricted roots, the realization of a
+    theta-fixed h seeded at the first simple restricted root, and a-data."""
+    ctx, rrs = _twisted_sl(n, fieldq)
+    h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
+    real = Realization(ctx, h, use_theta=True)
+    return ctx, rrs, real, equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng,
+                                                  theta=ctx.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +571,18 @@ def suite_aa(seed: int = 0, pairs: int = 1000, product_pairs: int = 100,
     for place in _PLACES:
         tag = "real" if place.is_real else f"p{place.p}"
 
-        def props_ok(place=place):
+        def hilbert_laws():
             for _ in range(pairs):
                 a, b, c = (_random_rational(rng) for _ in range(3))
-                if hilbert_symbol(a, b, place) != hilbert_symbol(b, a, place):
-                    return False
-                if hilbert_symbol(a * b, c, place) != \
-                        hilbert_symbol(a, c, place) * hilbert_symbol(b, c, place):
-                    return False
-                if hilbert_symbol(a, -a, place) != 1:
-                    return False
-            return True
+                yield (a, b, c), (
+                    hilbert_symbol(a, b, place) == hilbert_symbol(b, a, place)
+                    and hilbert_symbol(a * b, c, place)
+                    == hilbert_symbol(a, c, place) * hilbert_symbol(b, c, place)
+                    and hilbert_symbol(a, -a, place) == 1)
 
-        _check(records, f"aa/hilbert-properties/{tag}", props_ok)
+        _check_each(records, f"aa/hilbert-properties/{tag}", hilbert_laws)
 
-    def product_formula_ok():
+    def product_formula():
         for _ in range(product_pairs):
             a, b = _random_rational(rng, 1, 20), _random_rational(rng, 1, 20)
             primes = {2}
@@ -623,41 +599,34 @@ def suite_aa(seed: int = 0, pairs: int = 1000, product_pairs: int = 100,
             total = hilbert_symbol(a, b, LocalPlace.real())
             for p in primes:
                 total *= hilbert_symbol(a, b, LocalPlace.padic(p))
-            if total != 1:
-                return False
-        return True
+            yield (a, b), total == 1
 
-    _check(records, "aa/product-formula", product_formula_ok)
+    _check_each(records, "aa/product-formula", product_formula)
 
-    def oracle_ok():
+    def oracle_cases():
         values = (1, -1, 2, -2, 3, 5, -5, 6, 10, Fraction(1, 2), Fraction(3, 4))
         for place in (LocalPlace.padic(2), LocalPlace.padic(3), LocalPlace.padic(5),
                       LocalPlace.real()):
             for a in values:
                 for b in values:
-                    if hilbert_symbol(a, b, place) != \
-                            hilbert_symbol_bruteforce(a, b, place):
-                        return False
-        return True
+                    yield (a, b, place), \
+                        hilbert_symbol(a, b, place) == hilbert_symbol_bruteforce(a, b, place)
 
-    _check(records, "aa/closed-form-vs-bruteforce", oracle_ok)
+    _check_each(records, "aa/closed-form-vs-bruteforce", oracle_cases)
 
-    def norm_sign_ok():
+    def norm_signs():
         for place in (LocalPlace.padic(5, 2), LocalPlace.padic(3, -1),
                       LocalPlace.padic(2, 5), LocalPlace.real(-1)):
             for _ in range(60):
                 x, y = _random_rational(rng), _random_rational(rng)
-                if quad_norm_sign(x * y, place) != \
-                        quad_norm_sign(x, place) * quad_norm_sign(y, place):
-                    return False
+                yield ("product", place, x, y), quad_norm_sign(x * y, place) == \
+                    quad_norm_sign(x, place) * quad_norm_sign(y, place)
                 # norms evaluate to +1
                 u, v = _random_rational(rng), _random_rational(rng)
                 nrm = u * u - place.d * v * v
-                if nrm != 0 and quad_norm_sign(nrm, place) != 1:
-                    return False
-        return True
+                yield ("norm", place, u, v), nrm == 0 or quad_norm_sign(nrm, place) == 1
 
-    _check(records, "aa/norm-sign-character", norm_sign_ok)
+    _check_each(records, "aa/norm-sign-character", norm_signs)
 
     # frozen small values: the key sign at 2, and unramified vs ramified cases
     _check(records, "aa/hilbert(-1,-1)-real",
@@ -672,39 +641,31 @@ def suite_aa(seed: int = 0, pairs: int = 1000, product_pairs: int = 100,
            lambda: quad_norm_sign(2, LocalPlace.padic(5, 5)), expected=-1)
 
     # the ratio identity against the a-data change sign
-    def ratio_consistency_ok():
-        cases = []
+    def sign_data_cases():
         for fam, rank, perm in (("A", 2, (1, 0)), ("A", 4, (3, 2, 1, 0))):
             datum = build_root_datum([(fam, rank)])
-            theta = PinnedAutomorphism(datum, perm)
-            rrs = restrict_root_system(datum, theta)
-            descents = [DescentDatum(datum, 2, datum.longest_element())]
-            beta0 = rrs.simple_restricted[0]
-            descents.append(DescentDatum(datum, 2, rrs.levi_longest[beta0]))
-            cases.append((rrs, descents))
-        for rrs, descents in cases:
+            rrs = restrict_root_system(datum, PinnedAutomorphism(datum, perm))
+            descents = [DescentDatum(datum, 2, datum.longest_element()),
+                        DescentDatum(datum, 2, rrs.levi_longest[rrs.simple_restricted[0]])]
             for _ in range(sign_data):
                 desc = descents[rng.randrange(len(descents))]
                 sd = _random_sign_datum(rrs, desc, rng)
-                if delta_i_ratio(rrs, sd) != \
-                        adata_change_sign(rrs, sd, half_on_divisible(rrs)):
-                    return False
+                drawn = (desc, sd.values, sd.places)
+                yield ("ratio", *drawn), delta_i_ratio(rrs, sd) == \
+                    adata_change_sign(rrs, sd, half_on_divisible(rrs))
                 # multiplicativity in the a-data multiplier
                 orbits = restricted_galois_orbits(rrs, desc)
                 b1 = _random_multiplier(rrs, orbits, rng)
                 b2 = _random_multiplier(rrs, orbits, rng)
                 b12 = {k: b1[k] * b2[k] for k in b1}
-                if adata_change_sign(rrs, sd, b12) != \
-                        adata_change_sign(rrs, sd, b1) * adata_change_sign(rrs, sd, b2):
-                    return False
+                yield ("multiplier", *drawn, b1, b2), adata_change_sign(rrs, sd, b12) == \
+                    adata_change_sign(rrs, sd, b1) * adata_change_sign(rrs, sd, b2)
                 # membership is constant on Galois orbits
                 for orbit in orbits:
-                    flags = {comes_from_h(rrs, sd, w) for w in orbit.members}
-                    if len(flags) != 1:
-                        return False
-        return True
+                    yield ("orbit", *drawn, orbit.members), \
+                        len({comes_from_h(rrs, sd, w) for w in orbit.members}) == 1
 
-    _check(records, "aa/ratio-vs-change-sign", ratio_consistency_ok)
+    _check_each(records, "aa/ratio-vs-change-sign", sign_data_cases)
 
     # factor-expression calculus
     _check(records, "aa/delta-d-chi-invariant",
@@ -724,28 +685,19 @@ def suite_aa(seed: int = 0, pairs: int = 1000, product_pairs: int = 100,
 
 def _random_sign_datum(rrs: RestrictedRootSystem, desc: DescentDatum,
                        rng: random.Random) -> EndoscopicSignDatum:
-    orbits = restricted_galois_orbits(rrs, desc)
     values: Dict[tuple, RootOfUnity] = {}
     places = {}
-    done = set()
-    for orbit in orbits:
-        if orbit.members in done:
+    for orbit in restricted_galois_orbits(rrs, desc):
+        if orbit.members[0] in values:  # the opposite of an orbit drawn before
             continue
         if orbit.symmetric:
             val = rng.choice([RootOfUnity.one(), RootOfUnity.minus_one()])
-            for w in orbit.members:
-                values[w] = val
             places[orbit.members] = rng.choice(_PLACE_POOL)
-            done.add(orbit.members)
         else:
-            neg_members = tuple(sorted(tuple(-c for c in w) for w in orbit.members))
             val = RootOfUnity.make(Fraction(rng.randrange(6), 6))
-            for w in orbit.members:
-                values[w] = val
-            for w in neg_members:
-                values[w] = val.inv()
-            done.add(orbit.members)
-            done.add(neg_members)
+        for w in orbit.members:
+            values[w] = val
+            values[tuple(-c for c in w)] = val.inv()
     return EndoscopicSignDatum(rrs, desc, values, places)
 
 
@@ -779,10 +731,7 @@ SUITES: Dict[str, Callable[..., List[CheckRecord]]] = {
 
 def run_suite(name: str, seed: int = 0) -> List[CheckRecord]:
     if name == "all":
-        out: List[CheckRecord] = []
-        for key in ("appendix", "tits", "steinberg", "nn", "main", "aa"):
-            out.extend(SUITES[key](seed))
-        return out
+        return [record for key in SUITES for record in SUITES[key](seed)]
     if name not in SUITES:
         raise SplitinvError(f"unknown suite {name!r}")
     return SUITES[name](seed)

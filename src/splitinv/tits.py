@@ -227,7 +227,7 @@ def m_cocycle(datum: RootDatum, descent, adata,
     for k in range(descent.order):
         aut = descent.root_action(k)
         values[k] = TitsElement(_x_of(datum, aut, adata, one), aut.weyl)
-    _verify_m_cocycle(values, descent)
+    verify_cocycle_identity(values, descent.order, descent.galois_on_tits)
     if theta is not None:
         for k, mk in values.items():
             if not mk.theta_fixed(theta):
@@ -235,12 +235,13 @@ def m_cocycle(datum: RootDatum, descent, adata,
     return values
 
 
-def _verify_m_cocycle(values: Dict[int, TitsElement], descent) -> None:
-    n = descent.order
-    for j in range(n):
-        for k in range(n):
-            lhs = values[(j + k) % n]
-            rhs = values[j] * descent.galois_on_tits(j, values[k])
+def verify_cocycle_identity(values: Dict[int, object], order: int, act) -> None:
+    """Check values[j + k] = values[j] * act(j, values[k]) for j, k mod order,
+    act(j, v) applying sigma^j; a failure names the pair and both sides."""
+    for j in range(order):
+        for k in range(order):
+            lhs = values[(j + k) % order]
+            rhs = values[j] * act(j, values[k])
             if lhs != rhs:
                 raise ADataError(
                     f"cocycle identity fails at (sigma^{j}, sigma^{k}): {lhs} != {rhs}")

@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,12 @@ class TestPrimeField:
     def test_beyond_primality_bound_rejected(self):
         with pytest.raises(CoefficientError, match=str(PRIME_BOUND)):
             PrimeField(PRIME_BOUND + 2)
+
+    @pytest.mark.parametrize("p", [5.0, True, "5"])
+    def test_non_integer_rejected(self, p):
+        # 5.0 used to pass the primality test and fail later in half()
+        with pytest.raises(CoefficientError, match=re.escape(f"p={p!r}")):
+            PrimeField(p)
 
 
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
@@ -354,6 +361,12 @@ class TestIsPrime:
     def test_place_beyond_bound_rejected(self):
         with pytest.raises(PlaceError, match=str(PRIME_BOUND)):
             LocalPlace.padic(PRIME_BOUND)
+
+    @pytest.mark.parametrize("p", [5.0, True, "5"])
+    def test_place_with_non_integer_prime_rejected(self, p):
+        # 5.0 used to pass the primality test and fail later in hilbert_symbol
+        with pytest.raises(PlaceError, match=re.escape(f"p={p!r}")):
+            LocalPlace.padic(p)
 
 
 PLACES = [LocalPlace.real(), LocalPlace.padic(2), LocalPlace.padic(3),

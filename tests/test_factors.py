@@ -2,6 +2,7 @@
 and the factor-expression calculus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,14 @@ class TestSignDatum:
         orbits = restricted_galois_orbits(rrs, desc)
         places = {o.members: LocalPlace.padic(5, 2) for o in orbits}
         with pytest.raises(FactorError):
+            EndoscopicSignDatum(rrs, desc, values, places)
+
+    def test_value_at_a_non_root_rejected(self):
+        rrs, desc = a2_flip_setup()
+        values = {(1,): ONE, (-1,): ONE, (2,): MINUS, (-2,): MINUS, (7,): ONE}
+        places = {o.members: LocalPlace.padic(5, 2)
+                  for o in restricted_galois_orbits(rrs, desc)}
+        with pytest.raises(FactorError, match=re.escape("(7,)")):
             EndoscopicSignDatum(rrs, desc, values, places)
 
     def test_missing_place_rejected(self):

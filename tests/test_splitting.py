@@ -2,6 +2,7 @@
 comparison, and the fixed-subgroup vs twisted comparison."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,20 @@ class TestLambdaUntwisted:
         assert set(coc.values) == {0, 1}
         # honest matrices live in the transported torus and are nontrivial here
         assert not mat_eq(coc.matrices[1], mat_identity(3, f))
+
+    def test_t_level_cocycle_failure_names_the_pair(self):
+        f = QuadField(5)
+        ctx = MatrixContext(3, f)
+        rng = random.Random(0)
+        real = Realization(ctx, sample_h_untwisted(ctx, rng, seeds=[0]))
+        adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
+        coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
+        coc.verify(f.one())
+        # omega_T = s_1 here, so t sigma_T(t) != 1 for t = (1, 2)
+        coc.values[1] = coc.values[1] * TorusElement((f.one(), f.from_int(2)))
+        with pytest.raises(ADataError, match=re.escape(
+                f"cocycle identity fails at (sigma^1, sigma^1): {coc.values[0]!r} != ")):
+            coc.verify(f.one())
 
     def test_wrong_h_rejected(self):
         f = QuadField(5)
