@@ -165,14 +165,13 @@ def cmd_invariant(args) -> int:
     if adoc["mode"] == "symbolic":
         descent = _parse_galois(doc, datum, None)
         try:
-            adata, info = _symbolic_adata(datum, descent,
-                                          None if theta.is_identity else theta)
+            # the symbolic coefficient action permutes the root classes as the
+            # validated generator permutes the roots, so its order divides the
+            # group order and the descent datum stays valid
+            adata, descent.field_action = _symbolic_adata(
+                datum, descent, None if theta.is_identity else theta)
         except SplitinvError as exc:
             raise ScenarioError("galois", str(exc)) from None
-        # the symbolic coefficient action permutes the root classes as the
-        # validated generator permutes the roots, so its order divides the
-        # group order and the descent datum stays valid
-        descent.field_action = info.field_action
     elif adoc["mode"] == "values":
         if not fdoc or "d" not in fdoc:
             raise ScenarioError("galois.field.d", "missing (required for value mode)")
@@ -196,9 +195,7 @@ def cmd_invariant(args) -> int:
                 raise ScenarioError("adata.values", f"at {key!r}: an a-value must be nonzero")
             values[coords] = val
         try:
-            adata = ADatum.from_positive(datum, values, fieldq.one(), fieldq.half(),
-                                         flavor="twisted" if not theta.is_identity
-                                         else "plain")
+            adata = ADatum.from_positive(datum, values, fieldq.one(), fieldq.half())
         except SplitinvError as exc:
             raise ScenarioError("adata.values", str(exc)) from None
     else:

@@ -588,18 +588,23 @@ class LocalPlace:
     p: Optional[int] = None  # None means the real place
     d: Optional[int] = None  # non-square class defining the extension
 
+    def __post_init__(self):
+        p = self.p
+        if p is None:
+            return
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise PlaceError(f"p={p!r} is not an integer")
+        if p >= PRIME_BOUND:
+            raise PlaceError(f"p={p} is not below the primality bound {PRIME_BOUND}")
+        if not _is_prime(p):
+            raise PlaceError(f"p={p} is not prime")
+
     @staticmethod
     def real(d: Optional[int] = None) -> "LocalPlace":
         return LocalPlace(None, d)
 
     @staticmethod
     def padic(p: int, d: Optional[int] = None) -> "LocalPlace":
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise PlaceError(f"p={p!r} is not an integer")
-        if p >= PRIME_BOUND:
-            raise PlaceError(f"{p} is not below the primality bound {PRIME_BOUND}")
-        if not _is_prime(p):
-            raise PlaceError(f"{p} is not prime")
         return LocalPlace(p, d)
 
     @property

@@ -8,7 +8,6 @@ the rank-1 adjoint maps into SL(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
@@ -510,39 +509,27 @@ def sl2_embed(ctx: MatrixContext, rrs, beta, g2: Sequence[Sequence]) -> Matrix:
 # appendix-style verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AppendixReport:
-    checks: List[Tuple[str, bool]] = field(default_factory=list)
-
-    def record(self, name: str, ok: bool):
-        self.checks.append((name, ok))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
-    """The SL(3) ground-truth computations: the standard lift of the long
-    Weyl element, its counterpart through the fixed subgroup's pinning, the
-    relating half-coroot factor, the swap of the two rank-1 pinnings, and the
-    fixed Weyl subgroup."""
+def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
+    """The SL(3) ground-truth computations, as (name, ok) pairs: the standard
+    lift of the long Weyl element, its counterpart through the fixed
+    subgroup's pinning, the relating half-coroot factor, the swap of the two
+    rank-1 pinnings, and the fixed Weyl subgroup."""
     if ctx.n != 3 or not ctx.twisted:
         raise RealizationError("appendix verification requires the twisted SL(3) context")
     import random
     rng = rng or random.Random(0)
     f = ctx.field
-    rep = AppendixReport()
+    checks: List[Tuple[str, bool]] = []
     datum = ctx.datum
 
     n1 = ctx.simple_lift_matrix(0)
     n2 = ctx.simple_lift_matrix(1)
     n3 = mat_prod(n1, n2, n1)
-    rep.record("n3 = n1 n2 n1 = n2 n1 n2", mat_eq(n3, mat_prod(n2, n1, n2)))
+    checks.append(("n3 = n1 n2 n1 = n2 n1 n2", mat_eq(n3, mat_prod(n2, n1, n2))))
     want_n3 = tuple(tuple(f.from_int(v) for v in row)
                     for row in ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
-    rep.record("n3 explicit matrix", mat_eq(n3, want_n3))
-    rep.record("theta fixes n3", ctx.theta_fixed(n3))
+    checks.append(("n3 explicit matrix", mat_eq(n3, want_n3)))
+    checks.append(("theta fixes n3", ctx.theta_fixed(n3)))
 
     # the lift through the fixed subgroup and the half-coroot discrepancy
     from .rootdata import restrict_root_system
@@ -552,12 +539,12 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
     want_n3p = ((f.zero(), f.zero(), f.half()),
                 (f.zero(), -f.one(), f.zero()),
                 (f.from_int(2), f.zero(), f.zero()))
-    rep.record("n3' explicit matrix", mat_eq(n3p, want_n3p))
+    checks.append(("n3' explicit matrix", mat_eq(n3p, want_n3p)))
     alpha3_coroot = (1, 1)
     half_co = ctx.cochar_matrix(alpha3_coroot, f.half())
-    rep.record("n3' = (1/2)^{alpha3_vee} n3", mat_eq(n3p, mat_mul(half_co, n3)))
-    rep.record("n3' equals the rank-1 adjoint image of [[0,1],[-1,0]]",
-               mat_eq(n3p, adprime(ctx, ((0, 1), (-1, 0)))))
+    checks.append(("n3' = (1/2)^{alpha3_vee} n3", mat_eq(n3p, mat_mul(half_co, n3))))
+    checks.append(("n3' equals the rank-1 adjoint image of [[0,1],[-1,0]]",
+                   mat_eq(n3p, adprime(ctx, ((0, 1), (-1, 0))))))
 
     # theta swaps the two rank-1 pinnings
     ok = True
@@ -565,12 +552,12 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
         xi1 = _xi(ctx, 0, g2)
         xi2 = _xi(ctx, 1, g2)
         ok = ok and mat_eq(ctx.theta_apply(xi1), xi2)
-    rep.record("theta composed with the first rank-1 pinning is the second", ok)
+    checks.append(("theta composed with the first rank-1 pinning is the second", ok))
 
     # fixed points of theta in the Weyl group
     fixed = {w for w in datum.weyl_group() if ctx.theta.commutes_with(w)}
-    rep.record("fixed Weyl subgroup is {1, w0}",
-               fixed == {datum.identity_weyl(), w0})
+    checks.append(("fixed Weyl subgroup is {1, w0}",
+                   fixed == {datum.identity_weyl(), w0}))
 
     # the unipotent image of the conjugated adjoint map, random samples
     ok = True
@@ -582,7 +569,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
                 (f.zero(), f.one(), x),
                 (f.zero(), f.zero(), f.one()))
         ok = ok and mat_eq(img, want)
-    rep.record("adprime on upper unipotents", ok)
+    checks.append(("adprime on upper unipotents", ok))
 
     ok = True
     for _ in range(5):
@@ -590,7 +577,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
         a, b = g2[0]
         m = ad(ctx, g2)
         ok = ok and m[0][1] == f.embed(2) * f.embed(a) * f.embed(b)
-    rep.record("ad has doubled (1,2) entry", ok)
+    checks.append(("ad has doubled (1,2) entry", ok))
 
     ok = True
     for _ in range(10):
@@ -598,8 +585,8 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> AppendixReport:
         img = adprime(ctx, g2)
         ok = ok and ctx.theta_fixed(img)
         ok = ok and mat_det(img, f) == f.one()
-    rep.record("adprime lands in the fixed subgroup", ok)
-    return rep
+    checks.append(("adprime lands in the fixed subgroup", ok))
+    return checks
 
 
 def _xi(ctx: MatrixContext, which: int, g2) -> Matrix:

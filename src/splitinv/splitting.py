@@ -35,42 +35,50 @@ R3 = "R3"
 # ---------------------------------------------------------------------------
 
 class ADatum:
-    """Assignment of invertible coefficients to roots (or restricted roots)
-    with a_{-alpha} = -a_alpha built in."""
+    """Invertible coefficients on the roots of a RootDatum, or on the restricted
+    roots of a RestrictedRootSystem.  The constructor checks a_{-alpha} = -a_alpha,
+    so consumers do not; equivariance, theta-invariance and specialness are
+    checked by the entry points that need them."""
 
-    def __init__(self, values: Dict[tuple, object], one, half, domain: str = "roots",
-                 flavor: str = "plain", system=None):
+    def __init__(self, values: Dict[tuple, object], one, half, system):
+        if not isinstance(system, (RootDatum, RestrictedRootSystem)):
+            raise ADataError(f"system must be a RootDatum or a RestrictedRootSystem, "
+                             f"not {type(system).__name__}")
         self.values = dict(values)
         self.one = one
         self.half = half
-        self.domain = domain
-        self.flavor = flavor
-        self.system = system  # RootDatum for "roots", RestrictedRootSystem for "restricted"
+        self.system = system
+        self.restricted = isinstance(system, RestrictedRootSystem)
+        for coords, v in self.values.items():
+            neg = tuple(-c for c in coords)
+            if neg not in self.values:
+                raise ADataError(f"a-data not defined at {neg}")
+            if self.values[neg] != -v:
+                raise ADataError(f"a(-alpha) != -a(alpha) at {coords}")
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_positive(datum: RootDatum, pos_values: Dict[tuple, object], one, half,
-                      flavor: str = "plain") -> "ADatum":
+    def from_positive(datum: RootDatum, pos_values: Dict[tuple, object], one, half
+                      ) -> "ADatum":
         values = {}
         for r in datum.positive_roots:
             if r.coords not in pos_values:
                 raise ADataError(f"missing a-datum at root {r.coords}")
             values[r.coords] = pos_values[r.coords]
             values[tuple(-c for c in r.coords)] = -pos_values[r.coords]
-        return ADatum(values, one, half, "roots", flavor, datum)
+        return ADatum(values, one, half, datum)
 
     @staticmethod
     def restricted_from_positive(rrs: RestrictedRootSystem,
-                                 pos_values: Dict[tuple, object], one, half,
-                                 flavor: str = "plain") -> "ADatum":
+                                 pos_values: Dict[tuple, object], one, half) -> "ADatum":
         values = {}
         for v in rrs.positive_restricted:
             if v not in pos_values:
                 raise ADataError(f"missing a-datum at restricted root {v}")
             values[v] = pos_values[v]
             values[tuple(-c for c in v)] = -pos_values[v]
-        return ADatum(values, one, half, "restricted", flavor, rrs)
+        return ADatum(values, one, half, rrs)
 
     # -- access -----------------------------------------------------------------
 
@@ -85,16 +93,8 @@ class ADatum:
 
     # -- validation ---------------------------------------------------------------
 
-    def validate(self) -> None:
-        for coords, v in self.values.items():
-            neg = tuple(-c for c in coords)
-            if neg not in self.values:
-                raise ADataError(f"a-data not defined at {neg}")
-            if self.values[neg] != -v:
-                raise ADataError(f"a(-alpha) != -a(alpha) at {coords}")
-
     def validate_twisted(self, theta: PinnedAutomorphism) -> None:
-        if self.domain != "roots":
+        if self.restricted:
             return  # restricted data is constant on fibers by construction
         for coords, v in self.values.items():
             img = theta.act_root(coords)
@@ -103,7 +103,7 @@ class ADatum:
 
     def validate_equivariant(self, descent) -> None:
         for k in range(descent.order):
-            if self.domain == "roots":
+            if not self.restricted:
                 # images by root index: aut.perm[j] is the index of aut(root j)
                 roots, index = descent.datum.roots, descent.datum.root_index
                 perm = descent.root_action(k).perm
@@ -122,7 +122,7 @@ class ADatum:
                             f"restricted a-data not Galois-equivariant at {coords}, sigma^{k}")
 
     def is_special(self) -> bool:
-        if self.domain != "restricted":
+        if not self.restricted:
             raise ADataError("specialness is a condition on restricted a-data")
         rrs = self.system
         for v, rr in rrs.restricted.items():
@@ -131,56 +131,43 @@ class ADatum:
                 return False
         return True
 
-    def validate_special(self) -> None:
-        if not self.is_special():
-            raise ADataError("a-data is not special: a(2*beta) != a(beta) somewhere")
-
     # -- derived data ---------------------------------------------------------------
 
     def tilde(self) -> "ADatum":
         """Halve the values on divisible restricted roots; the result is
         non-special whenever divisible restricted roots exist."""
-        if self.domain != "restricted":
+        if not self.restricted:
             raise ADataError("the halved variant is built from restricted a-data")
-        self.validate_special()
+        if not self.is_special():
+            raise ADataError("a-data is not special: a(2*beta) != a(beta) somewhere")
         rrs = self.system
         values = {v: (a * self.half if rrs.restricted[v].rtype == R3 else a)
                   for v, a in self.values.items()}
-        return ADatum(values, self.one, self.half, "restricted", "tilde", rrs)
+        return ADatum(values, self.one, self.half, rrs)
 
     def pullback(self) -> "ADatum":
         """View restricted a-data as automorphism-invariant a-data on the
         full root system through the restriction map."""
-        if self.domain != "restricted":
+        if not self.restricted:
             raise ADataError("pullback starts from restricted a-data")
         rrs = self.system
         values = {}
         for r in rrs.datum.roots:
             values[r.coords] = self.values[rrs.restrict_root(r.coords)]
-        return ADatum(values, self.one, self.half, "roots",
-                      "twisted" if self.flavor in ("plain", "special") else self.flavor,
-                      rrs.datum)
+        return ADatum(values, self.one, self.half, rrs.datum)
 
     def translate(self, mu: WeylElement) -> "ADatum":
         """a'(alpha) = a(mu(alpha)); the transport of the same abstract a-data
         through a normalizer-adjusted conjugator."""
-        if self.domain != "roots":
+        if self.restricted:
             raise ADataError("translation acts on full a-data")
         values = {coords: self.values[tuple(mu.act_root(coords))]
                   for coords in self.values}
-        return ADatum(values, self.one, self.half, "roots", self.flavor, self.system)
-
-
-@dataclass
-class SignedOrbitAction:
-    """Bookkeeping output of the automatic symbolic a-data construction."""
-
-    adata: "ADatum"
-    field_action: object
-    symbols: Tuple[str, ...]
+        return ADatum(values, self.one, self.half, self.system)
 
 
 def _symbolic_adata(datum, descent, theta):
+    """Symbolic a-data, one symbol per root class, and its coefficient action."""
     # nodes: roots modulo theta and negation (negation carries a sign); the
     # Galois action permutes nodes only when it normalizes that equivalence,
     # so incompatible twisted descents are rejected up front
@@ -222,10 +209,7 @@ def _symbolic_adata(datum, descent, theta):
     values = {}
     for coords, (node, sgn) in node_of.items():
         values[coords] = SymUnit.gen(sym_of[node], 1, sgn)
-    adata = ADatum(values, SymUnit.one(), SymUnit.half(), "roots",
-                   "twisted" if theta is not None else "plain", datum)
-    out = SignedOrbitAction(adata, action, tuple(sym_of[rep] for rep in reps))
-    return adata, out
+    return ADatum(values, SymUnit.one(), SymUnit.half(), datum), action
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +514,7 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
     and, for restricted data with ``special``, the doubling identification;
     the Galois generator adds a conjugation step.  Loop constraints decide
     whether each free class takes a rational or a purely irrational value.
+    The result is equivariant by construction and checked where it is used.
     """
     restricted = isinstance(system, RestrictedRootSystem)
     if restricted:
@@ -603,16 +588,7 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
         if parity:
             a = fieldq.conj(a)
         values[v] = a if sgn == 1 else -a
-    flavor = "special" if special else ("twisted" if theta is not None else "plain")
-    adata = ADatum(values, fieldq.one(), fieldq.half(),
-                   "restricted" if restricted else "roots", flavor, system)
-    adata.validate()
-    adata.validate_equivariant(descent)
-    if restricted and special:
-        adata.validate_special()
-    if not restricted and theta is not None:
-        adata.validate_twisted(theta)
-    return adata
+    return ADatum(values, fieldq.one(), fieldq.half(), system)
 
 
 def _random_torus_matrix(ctx: MatrixContext, rng: random.Random,
@@ -673,8 +649,6 @@ def _twisted_t_level(datum, theta, descent, adata, realization, m=None,
     if theta.is_identity:
         return cocycle
     for k in range(descent.order):
-        if not cocycle.values[k].theta_fixed(theta):
-            raise ADataError(f"t(sigma^{k}) is not theta-fixed")
         if not realization.ctx.theta_fixed(cocycle.matrices[k]):
             raise RealizationError(f"matrix t(sigma^{k}) is not theta-fixed")
     return cocycle
@@ -864,10 +838,8 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     fixed subgroup's own pinning, so the two sides are independent there.
     """
     datum, theta = rrs.datum, rrs.theta
-    if special_adata.domain != "restricted":
+    if not special_adata.restricted:
         raise ADataError("comparison starts from restricted a-data")
-    special_adata.validate()
-    special_adata.validate_special()
     special_adata.validate_equivariant(descent)
     descent.validate_theta_compatible(theta)
     one = special_adata.one

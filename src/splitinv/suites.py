@@ -139,7 +139,7 @@ def suite_appendix(seed: int = 0) -> List[CheckRecord]:
                          lambda: verify_appendix(MatrixContext(3, fld, twisted=True), rng))
         if report is None:
             continue
-        records.extend(CheckRecord(f"appendix/{label}/{name}", ok) for name, ok in report.checks)
+        records.extend(CheckRecord(f"appendix/{label}/{name}", ok) for name, ok in report)
     _check(records, "appendix/F5/one-half-is-three",
            lambda: PrimeField(5).half().v, expected=3)
 
@@ -427,7 +427,7 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
         rrs = restrict_root_system(datum, theta)
         s = SymUnit.gen("s")
         spec = ADatum.restricted_from_positive(
-            rrs, {(1,): s, (2,): s}, SymUnit.one(), SymUnit.half(), flavor="special")
+            rrs, {(1,): s, (2,): s}, SymUnit.one(), SymUnit.half())
         desc = DescentDatum(datum, 2, datum.longest_element(),
                             field_action=SignedSymbolMap({"s": (-1, "s")}))
         rep = compare_fixed_vs_twisted(rrs, desc, spec)

@@ -198,11 +198,7 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
 def x_of(datum: RootDatum, zeta, adata, one=None) -> TorusElement:
     """The torus element prod_{alpha in R(zeta)} a_alpha^{alpha_vee}, where
     R(zeta) consists of the positive roots sent negative by zeta^{-1}."""
-    adata.validate()
-    return _x_of(datum, zeta, adata, adata.one if one is None else one)
-
-
-def _x_of(datum: RootDatum, zeta, adata, one) -> TorusElement:  # a-data validated
+    one = adata.one if one is None else one
     out = TorusElement.ones(datum.rank, one)
     for r in inversion_domain(zeta):
         out = out * TorusElement.cochar_power(r.coroot, adata[r.coords], one)
@@ -213,11 +209,10 @@ def m_cocycle(datum: RootDatum, descent, adata,
               theta: Optional[PinnedAutomorphism] = None) -> Dict[int, TitsElement]:
     """The normalizer-valued 1-cocycle k -> x(sigma_T^k) n(omega_T(sigma^k)).
 
-    Verifies the cocycle identity against the Galois action carried by the
-    descent datum (which validated itself when it was built), and
-    theta-fixedness of every value when a pinned automorphism is supplied.
+    Checks the a-data for Galois equivariance (and theta-invariance when a
+    pinned automorphism is supplied), then the cocycle identity against the
+    descent datum's Galois action and theta-fixedness of every value.
     """
-    adata.validate()
     adata.validate_equivariant(descent)
     if theta is not None and not theta.is_identity:
         descent.validate_theta_compatible(theta)
@@ -226,7 +221,7 @@ def m_cocycle(datum: RootDatum, descent, adata,
     values: Dict[int, TitsElement] = {}
     for k in range(descent.order):
         aut = descent.root_action(k)
-        values[k] = TitsElement(_x_of(datum, aut, adata, one), aut.weyl)
+        values[k] = TitsElement(x_of(datum, aut, adata, one), aut.weyl)
     verify_cocycle_identity(values, descent.order, descent.galois_on_tits)
     if theta is not None:
         for k, mk in values.items():

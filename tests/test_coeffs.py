@@ -368,6 +368,12 @@ class TestIsPrime:
         with pytest.raises(PlaceError, match=re.escape(f"p={p!r}")):
             LocalPlace.padic(p)
 
+    # the dataclass constructor makes the same checks as LocalPlace.padic
+    @pytest.mark.parametrize("p", [6, 5.0, "x", True])
+    def test_place_constructor_checks_p(self, p):
+        with pytest.raises(PlaceError, match=re.escape(f"p={p!r}")):
+            LocalPlace(p)
+
 
 PLACES = [LocalPlace.real(), LocalPlace.padic(2), LocalPlace.padic(3),
           LocalPlace.padic(5), LocalPlace.padic(7)]

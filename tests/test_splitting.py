@@ -37,8 +37,22 @@ class TestADatum:
         a = SymUnit.gen("a")
         ad = ADatum.from_positive(self.d, {(1, 0): a, (0, 1): a, (1, 1): a},
                                   SymUnit.one(), SymUnit.half())
-        ad.validate()
         assert ad[(-1, 0)] == -a
+
+    # the constructor checks the negation rule and the system, so no consumer
+    # has to
+    @pytest.mark.parametrize("values, message", [
+        ({(1, 0): ONE, (-1, 0): ONE}, "a(-alpha) != -a(alpha) at (1, 0)"),
+        ({(1, 0): ONE}, "a-data not defined at (-1, 0)"),
+    ])
+    def test_negation_rule_checked_when_built(self, values, message):
+        with pytest.raises(ADataError, match=re.escape(message)):
+            ADatum(values, ONE, Fraction(1, 2), self.d)
+
+    @pytest.mark.parametrize("system", [None, "restricted"])
+    def test_system_must_be_a_root_system(self, system):
+        with pytest.raises(ADataError, match="system"):
+            ADatum({}, SymUnit.one(), SymUnit.half(), system)
 
     def test_missing_root_rejected(self):
         with pytest.raises(ADataError):
@@ -55,8 +69,7 @@ class TestADatum:
     def test_special_and_tilde(self):
         s = SymUnit.gen("s")
         spec = ADatum.restricted_from_positive(
-            self.rrs, {(1,): s, (2,): s}, SymUnit.one(), SymUnit.half(),
-            flavor="special")
+            self.rrs, {(1,): s, (2,): s}, SymUnit.one(), SymUnit.half())
         assert spec.is_special()
         tilde = spec.tilde()
         assert tilde[(1,)] == s
@@ -209,8 +222,7 @@ class TestLambdaTwisted:
         real = Realization(ctx, h, use_theta=True)
         adata = ADatum.from_positive(ctx.datum,
                                      {(1, 0): f.one(), (0, 1): f.one(),
-                                      (1, 1): f.from_int(2)}, f.one(), f.half(),
-                                     flavor="twisted")
+                                      (1, 1): f.from_int(2)}, f.one(), f.half())
         coc = lambda_twisted(ctx.datum, ctx.theta, real.descent, adata, real)
         assert all(v.is_one for v in coc.values.values())
 
@@ -220,8 +232,8 @@ class TestLambdaTwisted:
         d = build_root_datum([("A", 2)])
         theta = PinnedAutomorphism(d, [1, 0])
         base = DescentDatum(d, 2, analyze_weyl(d, [0, 1, 0]))
-        adata, info = _symbolic_adata(d, base, theta)
-        desc = DescentDatum(d, 2, base.omega_T, None, info.field_action)
+        adata, action = _symbolic_adata(d, base, theta)
+        desc = DescentDatum(d, 2, base.omega_T, None, action)
         lambda_twisted(d, theta, desc, adata)
         request.getfixturevalue("negated_galois_on_tits")
         with pytest.raises(ADataError, match=r"\(sigma\^0, sigma\^0\)"):
@@ -292,8 +304,7 @@ class TestCompare:
         rrs = restrict_root_system(d, theta)
         s = SymUnit.gen("s")
         spec = ADatum.restricted_from_positive(rrs, {(1,): s, (2,): s},
-                                               SymUnit.one(), SymUnit.half(),
-                                               flavor="special")
+                                               SymUnit.one(), SymUnit.half())
         desc = DescentDatum(d, 2, d.longest_element(),
                             field_action=SignedSymbolMap({"s": (-1, "s")}))
         rep = compare_fixed_vs_twisted(rrs, desc, spec)
@@ -309,7 +320,7 @@ class TestCompare:
         pos = {rrs.restrict_root(r.coords): SymUnit.gen(f"s{i}")
                for i, r in enumerate(d.positive_roots)}
         spec = ADatum.restricted_from_positive(rrs, pos, SymUnit.one(),
-                                               SymUnit.half(), flavor="special")
+                                               SymUnit.half())
         desc = DescentDatum(d, 1, d.identity_weyl())
         rep = compare_fixed_vs_twisted(rrs, desc, spec)
         assert rep.equal_on_the_nose
@@ -362,6 +373,21 @@ class TestCompare:
         assert rep.t_cocycle is not None
         assert calls == {"m_cocycle": 1, "realize_m": real.descent.order}
 
+    # one descent operation checks equivariance twice: the special a-data in
+    # the comparison and its halved pull-back in m_cocycle
+    def test_equivariance_checked_twice_per_comparison(self, monkeypatch):
+        calls = []
+        honest = ADatum.validate_equivariant
+
+        def counted(adata, descent):
+            calls.append(type(adata.system).__name__)
+            honest(adata, descent)
+
+        monkeypatch.setattr(ADatum, "validate_equivariant", counted)
+        ctx, rrs, _, real, spec = self.matrix_case()
+        compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
+        assert calls == ["RestrictedRootSystem", "RootDatum"]
+
     # the t-level checks of lambda_twisted still run on the comparison's path
     def test_t_level_checks_run_in_the_comparison(self, monkeypatch):
         ctx, rrs, h, real, spec = self.matrix_case()
@@ -390,9 +416,9 @@ class TestBorel:
     def test_identity_mu(self):
         d = build_root_datum([("A", 2)])
         desc = DescentDatum(d, 2, d.longest_element())
-        adata, info = _symbolic_adata(d, desc, None)
+        adata, action = _symbolic_adata(d, desc, None)
         desc2 = DescentDatum(d, 2, d.longest_element(),
-                             field_action=info.field_action)
+                             field_action=action)
         rep = verify_borel_independence(d, desc2, adata, d.identity_weyl())
         assert rep.witness.is_one
 
@@ -401,8 +427,8 @@ class TestBorel:
         theta = PinnedAutomorphism(d, [1, 0])
         w0 = d.longest_element()
         desc0 = DescentDatum(d, 2, w0)
-        adata, info = _symbolic_adata(d, desc0, theta)
-        desc = DescentDatum(d, 2, w0, field_action=info.field_action)
+        adata, action = _symbolic_adata(d, desc0, theta)
+        desc = DescentDatum(d, 2, w0, field_action=action)
         rep = verify_borel_independence(d, desc, adata, w0, theta=theta)
         a1a2 = SymUnit.gen("a1") * SymUnit.gen("a2")
         assert rep.witness.coords == (a1a2, a1a2)
@@ -422,9 +448,9 @@ class TestBorel:
         d = build_root_datum([("A", 2)])
         theta = PinnedAutomorphism(d, [1, 0])
         desc0 = DescentDatum(d, 2, d.longest_element())
-        adata, info = _symbolic_adata(d, desc0, theta)
+        adata, action = _symbolic_adata(d, desc0, theta)
         desc = DescentDatum(d, 2, d.longest_element(),
-                            field_action=info.field_action)
+                            field_action=action)
         with pytest.raises(RootDatumError):
             verify_borel_independence(d, desc, adata, d.simple_reflection(0),
                                       theta=theta)

@@ -98,7 +98,7 @@ class TestXOf:
         self.b = SymUnit.gen("b")
         self.adata = ADatum.from_positive(
             self.d, {(1, 0): self.a, (0, 1): self.a, (1, 1): self.b},
-            SymUnit.one(), SymUnit.half(), flavor="twisted")
+            SymUnit.one(), SymUnit.half())
 
     def test_identity_gives_one(self):
         x = x_of(self.d, self.d.identity_weyl(), self.adata)
@@ -115,7 +115,7 @@ class TestXOf:
         d = self.d
         adata = ADatum.from_positive(
             d, {(1, 0): Fraction(3), (0, 1): Fraction(3), (1, 1): Fraction(7)},
-            ONE, Fraction(1, 2), flavor="twisted")
+            ONE, Fraction(1, 2))
         w0 = analyze_weyl(d, [0, 1, 0])
         x = x_of(d, w0, adata)
         ctx = MatrixContext(3)
@@ -158,7 +158,7 @@ class TestMCocycle:
         theta = PinnedAutomorphism(d, [1, 0])
         a, b = SymUnit.gen("a"), SymUnit.gen("b")
         adata = ADatum.from_positive(d, {(1, 0): a, (0, 1): a, (1, 1): b},
-                                     SymUnit.one(), SymUnit.half(), flavor="twisted")
+                                     SymUnit.one(), SymUnit.half())
         w0 = analyze_weyl(d, [0, 1, 0])
         desc = DescentDatum(d, 2, w0,
                             field_action=SignedSymbolMap({"a": (-1, "a"),
@@ -178,7 +178,7 @@ class TestMCocycle:
         d = ctx.datum
         s5 = f.gen()
         adata = ADatum.from_positive(d, {(1, 0): s5, (0, 1): s5, (1, 1): s5},
-                                     f.one(), f.half(), flavor="twisted")
+                                     f.one(), f.half())
         from splitinv.coeffs import QuadConj
         desc = DescentDatum(d, 2, d.longest_element(), field_action=QuadConj(f))
         m = m_cocycle(d, desc, adata, theta=ctx.theta)
@@ -199,9 +199,9 @@ class TestMCocycle:
                enumerate(d.positive_roots)}
         # equivariance forces matching symbols across the diagram orbit
         from splitinv.splitting import _symbolic_adata
-        adata, info = _symbolic_adata(d, desc, None)
+        adata, action = _symbolic_adata(d, desc, None)
         desc2 = DescentDatum(d, 2, d.identity_weyl(), sigma_T=sigma,
-                             field_action=info.field_action)
+                             field_action=action)
         m = m_cocycle(d, desc2, adata)
         assert all(mk.weyl.is_identity for mk in m.values())
         assert m[1].torus.is_one  # diagram automorphisms have no inversions
@@ -211,8 +211,8 @@ class TestMCocycle:
         rot = analyze_weyl(d, [0, 1])  # order 3 in the A2 Weyl group
         desc0 = DescentDatum(d, 3, rot)
         from splitinv.splitting import _symbolic_adata
-        adata, info = _symbolic_adata(d, desc0, None)
-        desc = DescentDatum(d, 3, rot, field_action=info.field_action)
+        adata, action = _symbolic_adata(d, desc0, None)
+        desc = DescentDatum(d, 3, rot, field_action=action)
         m = m_cocycle(d, desc, adata)
         assert set(m) == {0, 1, 2}
 
@@ -231,7 +231,7 @@ class TestMCocycle:
         theta = PinnedAutomorphism(d, [1, 0])
         a, b, c = SymUnit.gen("a"), SymUnit.gen("b"), SymUnit.gen("c")
         adata = ADatum.from_positive(d, {(1, 0): a, (0, 1): b, (1, 1): c},
-                                     SymUnit.one(), SymUnit.half(), flavor="twisted")
+                                     SymUnit.one(), SymUnit.half())
         desc = DescentDatum(d, 1, d.identity_weyl())
         with pytest.raises(ADataError):
             m_cocycle(d, desc, adata, theta=theta)
@@ -252,7 +252,7 @@ class TestFixedPointLemma:
             adata = ADatum.from_positive(
                 d, {r.coords: pos[rrs.restrict_root(r.coords)]
                     for r in d.positive_roots},
-                SymUnit.one(), SymUnit.half(), flavor="twisted")
+                SymUnit.one(), SymUnit.half())
             adata.validate_twisted(theta)
             for w in rrs.fixed_weyl_subgroup():
                 assert x_of(d, w, adata).theta_fixed(theta)
