@@ -36,9 +36,10 @@ R3 = "R3"
 
 class ADatum:
     """Invertible coefficients on the roots of a RootDatum, or on the restricted
-    roots of a RestrictedRootSystem.  The constructor checks a_{-alpha} = -a_alpha,
-    so consumers do not; equivariance, theta-invariance and specialness are
-    checked by the entry points that need them."""
+    roots of a RestrictedRootSystem.  The constructor checks that the keys are
+    exactly those roots and that a_{-alpha} = -a_alpha, so consumers do not;
+    equivariance, theta-invariance and specialness are checked by the entry
+    points that need them."""
 
     def __init__(self, values: Dict[tuple, object], one, half, system):
         if not isinstance(system, (RootDatum, RestrictedRootSystem)):
@@ -49,36 +50,34 @@ class ADatum:
         self.half = half
         self.system = system
         self.restricted = isinstance(system, RestrictedRootSystem)
+        roots = system.restricted if self.restricted else system.root_index
+        for coords in self.values:
+            if coords not in roots:
+                raise ADataError(f"a-datum at {coords}, which is not a "
+                                 f"{'restricted ' if self.restricted else ''}root")
         for coords, v in self.values.items():
             neg = tuple(-c for c in coords)
             if neg not in self.values:
                 raise ADataError(f"a-data not defined at {neg}")
             if self.values[neg] != -v:
                 raise ADataError(f"a(-alpha) != -a(alpha) at {coords}")
+        for coords in roots:
+            if coords not in self.values:
+                raise ADataError(f"a-data not defined at {coords}")
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def from_positive(datum: RootDatum, pos_values: Dict[tuple, object], one, half
                       ) -> "ADatum":
-        values = {}
-        for r in datum.positive_roots:
-            if r.coords not in pos_values:
-                raise ADataError(f"missing a-datum at root {r.coords}")
-            values[r.coords] = pos_values[r.coords]
-            values[tuple(-c for c in r.coords)] = -pos_values[r.coords]
-        return ADatum(values, one, half, datum)
+        positive = [r.coords for r in datum.positive_roots]
+        return ADatum(_signed_values(pos_values, positive, "root"), one, half, datum)
 
     @staticmethod
     def restricted_from_positive(rrs: RestrictedRootSystem,
                                  pos_values: Dict[tuple, object], one, half) -> "ADatum":
-        values = {}
-        for v in rrs.positive_restricted:
-            if v not in pos_values:
-                raise ADataError(f"missing a-datum at restricted root {v}")
-            values[v] = pos_values[v]
-            values[tuple(-c for c in v)] = -pos_values[v]
-        return ADatum(values, one, half, rrs)
+        return ADatum(_signed_values(pos_values, rrs.positive_restricted, "restricted root"),
+                      one, half, rrs)
 
     # -- access -----------------------------------------------------------------
 
@@ -102,14 +101,15 @@ class ADatum:
                 raise ADataError(f"a-data not theta-invariant at {coords}")
 
     def validate_equivariant(self, descent) -> None:
+        datum = self.system.datum if self.restricted else self.system
+        if datum.cartan != descent.datum.cartan:
+            raise ADataError("a-data and descent datum are on different root data")
         for k in range(descent.order):
             if not self.restricted:
                 # images by root index: aut.perm[j] is the index of aut(root j)
                 roots, index = descent.datum.roots, descent.datum.root_index
                 perm = descent.root_action(k).perm
                 for coords, v in self.values.items():
-                    if coords not in index:
-                        raise ADataError(f"a-datum at {coords}, which is not a root")
                     img = roots[perm[index[coords]]].coords
                     if self.values.get(img) != descent.field_apply(k, v):
                         raise ADataError(
@@ -164,6 +164,22 @@ class ADatum:
         values = {coords: self.values[tuple(mu.act_root(coords))]
                   for coords in self.values}
         return ADatum(values, self.one, self.half, self.system)
+
+
+def _signed_values(pos_values: Dict[tuple, object], positive: Sequence[tuple],
+                   what: str) -> Dict[tuple, object]:
+    """a-data on every root from its values on the positive ones, which must
+    be given on each positive root and on nothing else."""
+    values = {}
+    for v in positive:
+        if v not in pos_values:
+            raise ADataError(f"missing a-datum at {what} {v}")
+        values[v] = pos_values[v]
+        values[tuple(-c for c in v)] = -pos_values[v]
+    for key in pos_values:
+        if key not in positive:
+            raise ADataError(f"a-datum given at {key}, which is not a positive {what}")
+    return values
 
 
 def _symbolic_adata(datum, descent, theta):
@@ -327,20 +343,26 @@ class SplittingCocycle:
     realization provides the conjugating element, normalizer-valued (m-level)
     otherwise."""
 
-    level: str                      # "t" or "m"
     values: Dict[int, object]       # k -> TorusElement (t) or TitsElement (m)
-    ambient: str                    # "T" or "T^theta"
     descent: DescentDatum
     datum: RootDatum
     theta: Optional[PinnedAutomorphism] = None
     matrices: Optional[Dict[int, tuple]] = None   # honest in-T matrices
+
+    @property
+    def level(self) -> str:
+        return "m" if self.matrices is None else "t"
+
+    @property
+    def ambient(self) -> str:
+        return "T" if self.theta is None else "T^theta"
 
     def verify(self, one) -> None:
         """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them."""
         verify_cocycle_identity(
             self.values, self.descent.order,
             lambda j, t: self.descent.galois_on_torus_twisted(j, t, one))
-        if self.ambient == "T^theta" and self.theta is not None:
+        if self.theta is not None:
             for k, v in self.values.items():
                 if not v.theta_fixed(self.theta):
                     raise ADataError(f"value at sigma^{k} is not theta-fixed")
@@ -617,10 +639,7 @@ def lambda_untwisted(datum: RootDatum, descent: DescentDatum, adata: ADatum,
     """The torus 1-cocycle k -> h m(sigma^k) sigma^k(h)^{-1}; without a
     realization, the underlying normalizer cocycle (class comparisons are
     then m-level)."""
-    m = m_cocycle(datum, descent, adata, theta=None)
-    if realization is None:
-        return SplittingCocycle("m", m, "T", descent, datum)
-    return _t_level(datum, descent, adata, m, realization, theta=None)
+    return _cocycle(datum, descent, adata, None, realization)
 
 
 def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: DescentDatum,
@@ -629,33 +648,23 @@ def lambda_twisted(datum: RootDatum, theta: PinnedAutomorphism, descent: Descent
     """The refinement landing in the fixed subtorus: with invariant a-data
     every value is fixed by the pinned automorphism, which is checked, as is
     the cocycle identity."""
-    if realization is None:
-        return SplittingCocycle("m", m_cocycle(datum, descent, adata, theta=theta),
-                                "T^theta", descent, datum, theta)
-    return _twisted_t_level(datum, theta, descent, adata, realization)
+    return _cocycle(datum, descent, adata, theta, realization)
 
 
-def _twisted_t_level(datum, theta, descent, adata, realization, m=None,
-                     realized=None) -> SplittingCocycle:
-    """lambda_twisted with a realization: unless theta is the identity, the
-    conjugator, every t-value and every t-matrix must be theta-fixed.  m is
-    m_cocycle(datum, descent, adata, theta) and realized[k] is
+def _cocycle(datum, descent, adata, theta, realization, m=None,
+             realized=None) -> SplittingCocycle:
+    """The splitting cocycle of (descent, adata), twisted when theta is given:
+    m-level without a realization, t-level with one.  With theta other than
+    the identity, the conjugator and every t-matrix must be theta-fixed.  m
+    is m_cocycle(datum, descent, adata, theta) and realized[k] is
     realize(ctx, m[k]); each is computed here unless the caller has it."""
-    if not (theta.is_identity or realization.use_theta):
+    if (realization is not None and theta is not None
+            and not (theta.is_identity or realization.use_theta)):
         raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
     if m is None:
         m = m_cocycle(datum, descent, adata, theta=theta)
-    cocycle = _t_level(datum, descent, adata, m, realization, theta, realized)
-    if theta.is_identity:
-        return cocycle
-    for k in range(descent.order):
-        if not realization.ctx.theta_fixed(cocycle.matrices[k]):
-            raise RealizationError(f"matrix t(sigma^{k}) is not theta-fixed")
-    return cocycle
-
-
-def _t_level(datum, descent, adata, m, realization, theta,
-             realized=None) -> SplittingCocycle:
+    if realization is None:
+        return SplittingCocycle(m, descent, datum, theta)
     ctx = realization.ctx
     if ctx.datum is not datum:
         # same-type data built separately are fine; enforce equal Cartan data
@@ -672,16 +681,18 @@ def _t_level(datum, descent, adata, m, realization, theta,
     for k in range(descent.order):
         mk = realized[k] if realized is not None else realize(ctx, m[k])
         diag = realization.transported_diagonal(mk, k)
-        tk = ctx.torus_coords_of_diagonal(diag)
-        values[k] = tk
+        values[k] = ctx.torus_coords_of_diagonal(diag)
         honest = mat_prod(realization.h, mk, realization.sigma_h_inv(k))
         expected = mat_prod(realization.h, diag, realization.h_inv)
         if not mat_eq(honest, expected):
             raise RealizationError("transport inconsistency in the t-level cocycle")
         matrices[k] = honest
-    out = SplittingCocycle("t", values, "T^theta" if theta is not None else "T",
-                           descent, datum, theta, matrices)
+    out = SplittingCocycle(values, descent, datum, theta, matrices)
     out.verify(adata.one)
+    if theta is not None and not theta.is_identity:
+        for k in range(descent.order):
+            if not ctx.theta_fixed(matrices[k]):
+                raise RealizationError(f"matrix t(sigma^{k}) is not theta-fixed")
     return out
 
 
@@ -692,9 +703,6 @@ def _t_level(datum, descent, adata, m, realization, theta,
 @dataclass
 class BorelReport:
     witness: TorusElement
-    mu: WeylElement
-    checked_m_level: bool
-    checked_matrices: bool
     cocycle: SplittingCocycle
     cocycle_translated: SplittingCocycle
 
@@ -731,36 +739,25 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
         if lhs != rhs:
             raise ADataError(f"Borel-independence identity fails at sigma^{k}")
 
-    checked_matrices = False
+    c1 = _cocycle(datum, descent, adata, theta, realization, m)
     if realization is None:
-        c1 = SplittingCocycle("m", m, "T" if theta is None else "T^theta",
-                              descent, datum, theta)
-        c2 = SplittingCocycle("m", m_prime, "T" if theta is None else "T^theta",
-                              descent_prime, datum, theta)
-    else:
-        ctx = realization.ctx
-        f = ctx.field
-        if theta is not None:
-            c1 = lambda_twisted(datum, theta, descent, adata, realization)
-        else:
-            c1 = lambda_untwisted(datum, descent, adata, realization)
-        h_prime = mat_mul(realization.h, ctx.weyl_lift_matrix(mu))
-        realization_prime = Realization(ctx, h_prime, use_theta=realization.use_theta)
-        if theta is not None:
-            c2 = lambda_twisted(datum, theta, descent_prime, adata_prime, realization_prime)
-        else:
-            c2 = lambda_untwisted(datum, descent_prime, adata_prime, realization_prime)
-        w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
-        for k in range(descent.order):
-            sigma_w = mat_conj_entries(w_mat, f, k)
-            want = mat_prod(c1.matrices[k], mat_inv(w_mat, f), sigma_w)
-            if not mat_eq(c2.matrices[k], want):
-                raise RealizationError(
-                    f"matrix coboundary identity fails at sigma^{k}")
-        if theta is not None and not ctx.theta_fixed(w_mat):
-            raise RealizationError("matrix witness is not theta-fixed")
-        checked_matrices = True
-    return BorelReport(witness, mu, True, checked_matrices, c1, c2)
+        return BorelReport(witness, c1,
+                           _cocycle(datum, descent_prime, adata_prime, theta, None, m_prime))
+    ctx = realization.ctx
+    f = ctx.field
+    h_prime = mat_mul(realization.h, ctx.weyl_lift_matrix(mu))
+    realization_prime = Realization(ctx, h_prime, use_theta=realization.use_theta)
+    c2 = _cocycle(datum, descent_prime, adata_prime, theta, realization_prime, m_prime)
+    w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
+    for k in range(descent.order):
+        sigma_w = mat_conj_entries(w_mat, f, k)
+        want = mat_prod(c1.matrices[k], mat_inv(w_mat, f), sigma_w)
+        if not mat_eq(c2.matrices[k], want):
+            raise RealizationError(
+                f"matrix coboundary identity fails at sigma^{k}")
+    if theta is not None and not ctx.theta_fixed(w_mat):
+        raise RealizationError("matrix witness is not theta-fixed")
+    return BorelReport(witness, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +885,6 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
                     f"matrix comparison fails at sigma^{k}")
         matrix_checked = True
         if realization is not None:
-            t_cocycle = _twisted_t_level(datum, theta, descent, tilde_full, realization,
-                                         m, realized)
+            t_cocycle = _cocycle(datum, descent, tilde_full, theta, realization, m, realized)
     return CompareReport(m, m_prime, True, matrix_checked, t_cocycle,
                          t_cocycle.matrices if t_cocycle is not None else None)

@@ -116,6 +116,9 @@ _FLIP_CASES: Tuple[Tuple[str, Sequence[Tuple[str, int]], Sequence[int]], ...] = 
     ("D4 swap", [("D", 4)], (0, 1, 3, 2)),
 )
 
+# Weyl elements sampled per flip case once |W| exceeds 200
+_SAMPLED_ELEMENTS = 40
+
 
 def _braid_length(c_ij: int, c_ji: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[c_ij * c_ji]
@@ -170,8 +173,7 @@ def _random_reduced_word(w: WeylElement, rng: random.Random) -> Tuple[int, ...]:
     return tuple(letters)
 
 
-def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
-               sample_elements: int = 40) -> List[CheckRecord]:
+def suite_tits(seed: int = 0, matrix_pairs: int = 10000) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     rng = random.Random(seed)
     one = Fraction(1)
@@ -205,7 +207,7 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000,
             continue
         # exhaustive through rank 4; sampled beyond that
         sample = list(group) if len(group) <= 200 else rng.sample(list(group),
-                                                                  sample_elements)
+                                                                  _SAMPLED_ELEMENTS)
 
         def reduced_words():
             for w in sample:

@@ -201,9 +201,16 @@ class TestInvariant:
                                                               "1,1": "0"}}),
          "adata.values"),
         (lambda doc: dict(doc, datum=[["A", 2.5]]), "datum"),
+    ] + [
+        (lambda doc, key=key: dict(doc, adata={"mode": "values",
+                                               "values": dict(doc["adata"]["values"],
+                                                              **{key: value})}),
+         "adata.values")
+        for key, value in (("5,7", 2), ("2,2,2", 1), ("-1,0", 9))
     ], ids=["top-level-list", "galois-list", "adata-list", "field-d-not-integer",
             "value-one-over-zero", "zero-value-unused", "zero-value-with-short-omega",
-            "fractional-rank"])
+            "fractional-rank", "key-not-a-root", "key-of-another-rank",
+            "key-a-negative-root"])
     def test_malformed_input_names_its_field(self, tmp_path, capsys, change, field):
         doc = {
             "datum": [["A", 2]],

@@ -1,6 +1,7 @@
 """a-data, descent data, splitting cocycles, Borel independence, the lift
 comparison, and the fixed-subgroup vs twisted comparison."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -48,6 +49,42 @@ class TestADatum:
     def test_negation_rule_checked_when_built(self, values, message):
         with pytest.raises(ADataError, match=re.escape(message)):
             ADatum(values, ONE, Fraction(1, 2), self.d)
+
+    # keys are checked against the system before the negation rule, and
+    # roots left without a value after it
+    @pytest.mark.parametrize("restricted, values, message", [
+        (True, {(1,): ONE, (-1,): -ONE}, "a-data not defined at (-2,)"),
+        (False, {(5, 7): ONE, (-5, -7): -ONE}, "a-datum at (5, 7), which is not a root"),
+        (True, {(3,): ONE, (-3,): -ONE}, "a-datum at (3,), which is not a restricted root"),
+    ])
+    def test_keys_are_the_roots_of_the_system(self, restricted, values, message):
+        with pytest.raises(ADataError, match=re.escape(message)):
+            ADatum(values, ONE, Fraction(1, 2), self.rrs if restricted else self.d)
+
+    @pytest.mark.parametrize("restricted, key, message", [
+        (False, (5, 7), "a-datum given at (5, 7), which is not a positive root"),
+        (False, (-1, 0), "a-datum given at (-1, 0), which is not a positive root"),
+        (True, (-2,), "a-datum given at (-2,), which is not a positive restricted root"),
+    ])
+    def test_positive_values_only_on_positive_roots(self, restricted, key, message):
+        if restricted:
+            build, system, pos = ADatum.restricted_from_positive, self.rrs, [(1,), (2,)]
+        else:
+            build, system, pos = ADatum.from_positive, self.d, [(1, 0), (0, 1), (1, 1)]
+        with pytest.raises(ADataError, match=re.escape(message)):
+            build(system, {**{k: ONE for k in pos}, key: ONE}, ONE, Fraction(1, 2))
+
+    # a-data on one root datum and a descent datum on another: A2 against A3
+    # (different coordinates), A1xA1 against A2 (the same coordinates)
+    @pytest.mark.parametrize("adata_type, descent_type", [
+        ([("A", 2)], [("A", 3)]), ([("A", 1), ("A", 1)], [("A", 2)])])
+    def test_equivariance_needs_the_descent_datum_of_the_a_data(self, adata_type,
+                                                                descent_type):
+        d, other = build_root_datum(adata_type), build_root_datum(descent_type)
+        ad = ADatum.from_positive(d, {r.coords: ONE for r in d.positive_roots},
+                                  ONE, Fraction(1, 2))
+        with pytest.raises(ADataError, match="different root data"):
+            ad.validate_equivariant(DescentDatum(other, 1, other.identity_weyl()))
 
     @pytest.mark.parametrize("system", [None, "restricted"])
     def test_system_must_be_a_root_system(self, system):
@@ -118,7 +155,7 @@ class TestLambdaUntwisted:
         desc = DescentDatum(d, 1, d.identity_weyl())
         adata, info = _symbolic_adata(d, desc, None)
         coc = lambda_untwisted(d, desc, adata)
-        assert coc.level == "m"
+        assert (coc.level, coc.ambient) == ("m", "T")
         assert coc.values[0].torus.is_one
 
     def test_split_torus_trivial_cocycle(self):
@@ -156,10 +193,15 @@ class TestLambdaUntwisted:
         real = Realization(ctx, h)
         adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
         coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
-        assert coc.level == "t" and coc.ambient == "T"
+        assert (coc.level, coc.ambient) == ("t", "T")
         assert set(coc.values) == {0, 1}
         # honest matrices live in the transported torus and are nontrivial here
         assert not mat_eq(coc.matrices[1], mat_identity(3, f))
+        # level and ambient are read off the fields, so replacing one keeps
+        # them consistent
+        copy = dataclasses.replace(coc, matrices=dict(coc.matrices))
+        assert (copy.level, copy.ambient) == ("t", "T") and copy.values == coc.values
+        assert dataclasses.replace(coc, matrices=None).level == "m"
 
     def test_t_level_cocycle_failure_names_the_pair(self):
         f = QuadField(5)
@@ -196,7 +238,7 @@ class TestLambdaTwisted:
         tw = lambda_twisted(ctx.datum, theta, real.descent, adata, real)
         untw = lambda_untwisted(ctx.datum, real.descent, adata, real)
         assert tw.values == untw.values
-        assert tw.ambient == "T^theta"
+        assert (tw.level, tw.ambient) == ("t", "T^theta")
 
     def test_fixed_subtorus_membership_and_refinement(self):
         f = QuadField(5)
@@ -234,7 +276,8 @@ class TestLambdaTwisted:
         base = DescentDatum(d, 2, analyze_weyl(d, [0, 1, 0]))
         adata, action = _symbolic_adata(d, base, theta)
         desc = DescentDatum(d, 2, base.omega_T, None, action)
-        lambda_twisted(d, theta, desc, adata)
+        coc = lambda_twisted(d, theta, desc, adata)
+        assert (coc.level, coc.ambient) == ("m", "T^theta")
         request.getfixturevalue("negated_galois_on_tits")
         with pytest.raises(ADataError, match=r"\(sigma\^0, sigma\^0\)"):
             lambda_twisted(d, theta, desc, adata)
@@ -443,6 +486,40 @@ class TestBorel:
         for mu in ctx.datum.weyl_group():
             verify_borel_independence(ctx.datum, real.descent, adata, mu,
                                       realization=real)
+
+    # the check builds the m-level cocycles of the two Borel subgroups once
+    # each, and the t-level cocycles from them
+    @pytest.mark.parametrize("with_realization", [False, True])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_m_cocycle_computed_twice(self, monkeypatch, twisted, with_realization):
+        f = QuadField(5)
+        ctx = MatrixContext(3, f, twisted=twisted)
+        rng = random.Random(5)
+        if twisted:
+            rrs = restrict_root_system(ctx.datum, ctx.theta)
+            h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
+            mus = rrs.fixed_weyl_subgroup()
+        else:
+            h = sample_h_untwisted(ctx, rng, seeds=[1])
+            mus = ctx.datum.weyl_group()
+        real = Realization(ctx, h, use_theta=twisted)
+        theta = ctx.theta if twisted else None
+        adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng, theta=theta)
+        calls = []
+        m_cocycle = splitting.m_cocycle
+
+        def counted_m_cocycle(*args, **kwargs):
+            calls.append(args)
+            return m_cocycle(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "m_cocycle", counted_m_cocycle)
+        for mu in mus:
+            calls.clear()
+            rep = verify_borel_independence(ctx.datum, real.descent, adata, mu, theta=theta,
+                                            realization=real if with_realization else None)
+            assert len(calls) == 2
+            assert rep.cocycle.level == rep.cocycle_translated.level \
+                == ("t" if with_realization else "m")
 
     def test_twisted_requires_fixed_mu(self):
         d = build_root_datum([("A", 2)])
