@@ -359,10 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SplitinvError as exc:
+    except (ScenarioError, SplitinvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

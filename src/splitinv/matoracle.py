@@ -174,13 +174,6 @@ def mat_det(a: Matrix, field):
     return mat_det_inv(a, field)[0]
 
 
-def mat_conj_entries(a: Matrix, field, k: int = 1) -> Matrix:
-    out = a
-    for _ in range(k % field.conj_order if field.conj_order > 1 else 0):
-        out = tuple(tuple(field.conj(x) for x in row) for row in out)
-    return out
-
-
 def exp_nilpotent(x: Matrix, field) -> Matrix:
     """exp of a nilpotent matrix; the factorials that occur must be units."""
     n = len(x)
@@ -332,7 +325,11 @@ class MatrixContext:
             raise RealizationError("automorphism does not square to the identity")
 
     def galois_apply(self, g: Matrix, k: int = 1) -> Matrix:
-        return mat_conj_entries(g, self.field, k)
+        """sigma^k applied to each entry."""
+        f = self.field
+        for _ in range(k % f.conj_order if f.conj_order > 1 else 0):
+            g = tuple(tuple(f.conj(x) for x in row) for row in g)
+        return g
 
     def __repr__(self):
         tail = ", twisted" if self.twisted else ""
@@ -385,17 +382,12 @@ def adprime(ctx: MatrixContext, g2: Sequence[Sequence]) -> Matrix:
     of the order-2 automorphism.  Needs 2 invertible."""
     if ctx.field.char == 2:
         raise RealizationError("adprime undefined in characteristic 2")
-    f = ctx.field
-    half = f.half()
-    two = f.from_int(2)
-    m = ad(ctx, g2)
-    a, b = f.embed(g2[0][0]), f.embed(g2[0][1])
-    c, d = f.embed(g2[1][0]), f.embed(g2[1][1])
-    return (
-        (a * a, a * b, half * b * b),
-        (two * a * c, a * d + b * c, b * d),
-        (two * c * c, two * c * d, d * d),
-    )
+    two, half = ctx.field.from_int(2), ctx.field.half()
+    # D ad D^-1 with D = diag(1, 2, 2): entry (i, j) times d_i / d_j
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = ad(ctx, g2)
+    return ((m00, m01 * half, m02 * half),
+            (m10 * two, m11, m12),
+            (m20 * two, m21, m22))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ coroots, which form a basis of the fixed cocharacter lattice.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -182,33 +181,10 @@ class RootDatum:
     def simple_root(self, i: int) -> Root:
         return self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
 
-    def _coroot_row(self, coroot_coords: Vec) -> Vec:
-        """The values <alpha_j, mu_vee> of a cocharacter on the simple roots."""
-        terms = [(x, row) for x, row in zip(coroot_coords, self.cartan) if x]
-        return tuple(sum(x * row[j] for x, row in terms) for j in range(self.rank))
-
-    def pairing(self, root_coords: Vec, coroot_coords: Vec) -> int:
-        """<alpha, mu_vee> for alpha in the root basis, mu_vee in the coroot basis."""
-        return sum(map(operator.mul, self._coroot_row(coroot_coords), root_coords))
-
     def weight_coords(self, root_coords: Vec) -> Vec:
         """Coordinates of a root-lattice element in the fundamental-weight basis."""
         return tuple(sum(self.cartan[i][j] * root_coords[j] for j in range(self.rank))
                      for i in range(self.rank))
-
-    def reflection_in_root(self, coords: Vec) -> "WeylElement":
-        """The reflection s_a attached to an arbitrary root a, as a Weyl
-        element: b -> b - <b, a_vee> a, with a_vee's row of pairings on the
-        simple roots computed once."""
-        a = self.root(coords)
-        row = self._coroot_row(a.coroot)
-        index, mul = self.root_index, operator.mul
-        perm = []
-        for j, b in enumerate(self.roots):
-            k = sum(map(mul, row, b.coords))
-            perm.append(index[tuple(x - k * y for x, y in zip(b.coords, a.coords))] if k else j)
-        perm = tuple(perm)
-        return WeylElement._from_perms(self, perm, perm)
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -228,14 +204,18 @@ class RootDatum:
         return self._weyl_cache
 
     def longest_element(self) -> "WeylElement":
+        return self._longest_in(range(self.rank))
+
+    def _longest_in(self, nodes: Sequence[int]) -> "WeylElement":
+        """The longest element of the subgroup generated by the simple
+        reflections s_i, i in nodes: multiply by one with w alpha_i > 0 (a
+        right ascent) while there is one."""
         w = self.identity_weyl()
         while True:
-            # a right ascent: w alpha_i > 0
-            i = next((i for i, s in enumerate(self.simple_index)
-                      if w.perm[s] < self.n_positive), None)
+            i = next((i for i in nodes if w.perm[self.simple_index[i]] < self.n_positive), None)
             if i is None:
                 return w
-            w = w * self.simple_reflection(i)
+            w = w * self._simple[i]
 
     # -- serialization ------------------------------------------------------
 
@@ -469,11 +449,7 @@ class PinnedAutomorphism:
         """alpha_i -> alpha_{perm[i]}."""
         return tuple(coords[i] for i in self.inv_perm)
 
-    def act_root_inv(self, coords: Vec) -> Vec:
-        return tuple(coords[i] for i in self.perm)
-
     act_coroot = act_root
-    act_coroot_inv = act_root_inv
 
     def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """theta's permutation of the indices of ``datum.roots`` and its
@@ -573,9 +549,6 @@ class RootAutomorphism:
 
     def act_root(self, coords: Vec) -> Vec:
         return self.weyl.act_root(self.diagram.act_root(coords))
-
-    def act_coroot(self, coords: Vec) -> Vec:
-        return self.weyl.act_coroot(self.diagram.act_coroot(coords))
 
     def __repr__(self):
         return f"RootAut({self.weyl!r}, {self.diagram!r})"
@@ -788,10 +761,8 @@ class LeviComponent:
     """The Levi attached to a simple restricted root: preimage of the
     restricted line, with its diagram decomposition and longest Weyl element."""
 
-    beta: Vec
     roots: Tuple[Vec, ...]             # all roots of the Levi
-    simples: Tuple[Vec, ...]           # indecomposable positives
-    components: Tuple[Tuple[Vec, ...], ...]  # simples grouped by diagram component
+    components: Tuple[Tuple[Vec, ...], ...]  # its simple roots by diagram component
     kind: str                          # "A1" or "A2"
     longest: WeylElement
 
@@ -802,43 +773,22 @@ def restrict_root_system(datum: RootDatum, theta: PinnedAutomorphism) -> Restric
 
 
 def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
-    """Levi subgroup data for a simple restricted root."""
+    """Levi subgroup data for a simple restricted root beta: the standard
+    Levi of the theta-orbit J of simple roots that restricts to beta, which
+    is the fiber of beta.  Restriction is linear, the simple restricted roots
+    are independent and the coefficients of a root have one sign, so a root
+    restricts to a multiple of beta exactly when its support lies in J."""
     beta = tuple(beta)
     if beta not in rrs.simple_restricted:
         raise RootDatumError(f"{beta} is not a simple restricted root")
     datum = rrs.datum
-    line = set()
-    for v, rr in rrs.restricted.items():
-        q = _integer_ratio(v, beta)
-        if q is not None:
-            line.add(v)
-    roots = tuple(sorted(c for v in line for c in rrs.restricted[v].orbit))
-    root_set = set(roots)
-    pos = [c for c in roots if datum.root(c).positive]
-    pos_set = set(pos)
-    simples = tuple(sorted(
-        c for c in pos
-        if not any(tuple(c[i] - u[i] for i in range(datum.rank)) in pos_set
-                   for u in pos if u != c)))
-    # group the simples into diagram components (union of linked pieces)
-    comp_of: Dict[Vec, int] = {}
-    comps: List[List[Vec]] = []
-    for c in simples:
-        linked = sorted({comp_of[u] for u in simples if u in comp_of
-                         and datum.pairing(c, datum.root(u).coroot) != 0})
-        if not linked:
-            comp_of[c] = len(comps)
-            comps.append([c])
-        else:
-            tgt = linked[0]
-            comps[tgt].append(c)
-            comp_of[c] = tgt
-            for extra in linked[1:]:
-                for u in comps[extra]:
-                    comp_of[u] = tgt
-                comps[tgt].extend(comps[extra])
-                comps[extra] = []
-    components = tuple(sorted(tuple(sorted(c)) for c in comps if c))
+    simples = {c.index(1): c for c in rrs.restricted[beta].orbit}    # J, by simple index
+    nodes = sorted(simples)
+    outside = [i for i in range(datum.rank) if i not in simples]
+    roots = tuple(sorted(r.coords for r in datum.roots if not any(r.coords[i] for i in outside)))
+    components = tuple(sorted(
+        tuple(sorted(simples[i] for i in piece))
+        for piece in _diagram_pieces(nodes, lambda i, j: datum.cartan[i][j] != 0)))
     sizes = {len(c) for c in components}
     if sizes == {1}:
         kind = "A1"
@@ -850,17 +800,7 @@ def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
     per_comp = 2 if kind == "A1" else 6
     if len(roots) != per_comp * len(components):
         raise RootDatumError("Levi root count does not match its diagram")
-    # longest element of the Levi Weyl group: multiply by the reflection in a
-    # Levi simple root that w still sends to a positive root, while there is one
-    index, npos = datum.root_index, datum.n_positive
-    reflections = [(index[c], datum.reflection_in_root(c)) for c in simples]
-    w = datum.identity_weyl()
-    while True:
-        s = next((s for j, s in reflections if w.perm[j] < npos), None)
-        if s is None:
-            break
-        w = w * s
-    return LeviComponent(beta, roots, simples, components, kind, w)
+    return LeviComponent(roots, components, kind, datum._longest_in(nodes))
 
 
 def weyl_group_order(cartan: Sequence[Sequence[int]]) -> int:
@@ -880,21 +820,30 @@ def weyl_group_order(cartan: Sequence[Sequence[int]]) -> int:
                     raise RootDatumError(
                         f"Cartan entries {a}, {b} at {i}, {j} are not of finite type")
                 bonds[i, j] = a * b
-    order, seen = 1, set()
-    for start in range(n):
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in comp and (min(i, j), max(i, j)) in bonds:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
+    order = 1
+    for comp in _diagram_pieces(range(n), lambda i, j: (min(i, j), max(i, j)) in bonds):
         order *= _component_weyl_order(
             len(comp), {e: m for e, m in bonds.items() if e[0] in comp})
     return order
+
+
+def _diagram_pieces(nodes: Sequence[int], linked) -> List[set]:
+    """The connected pieces of the graph on nodes whose edges are the pairs
+    with linked(i, j), each found by a walk from its least node."""
+    pieces, seen = [], set()
+    for start in nodes:
+        if start in seen:
+            continue
+        piece, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in nodes:
+                if j not in piece and linked(i, j):
+                    piece.add(j)
+                    stack.append(j)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
 
 
 def _component_weyl_order(k: int, bonds: Dict[Tuple[int, int], int]) -> int:
@@ -922,22 +871,6 @@ def _component_weyl_order(k: int, bonds: Dict[Tuple[int, int], int]) -> int:
                 return 2 ** (k - 1) * fact              # D_k: two arms of length 1
     raise RootDatumError(f"Dynkin diagram with bonds {sorted(bonds.items())} "
                          "is not of type A, B, C, D or G2")
-
-
-def _integer_ratio(v: Vec, beta: Vec) -> Optional[int]:
-    """q with v == q*beta over the integers (q may be negative), else None."""
-    qs = set()
-    for a, b in zip(v, beta):
-        if b == 0:
-            if a != 0:
-                return None
-        else:
-            if a % b:
-                return None
-            qs.add(a // b)
-    if len(qs) != 1:
-        return None
-    return qs.pop()
 
 
 # ---------------------------------------------------------------------------

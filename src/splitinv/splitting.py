@@ -19,15 +19,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from .coeffs import IdentityAction, QuadConj, QuadField, SymUnit
 from .errors import ADataError, DescentError, RealizationError, RootDatumError
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
-                        mat_conj_entries, mat_det_inv, mat_eq, mat_identity,
-                        mat_inv, mat_mul, mat_prod, mat_scalar, pinned_factor,
-                        realize, restricted_root_vectors, sl2_embed)
+                        mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul,
+                        mat_prod, mat_scalar, pinned_factor, realize,
+                        restricted_root_vectors, sl2_embed)
 from .rootdata import (PinnedAutomorphism, RestrictedRootSystem,
-                       RootAutomorphism, RootDatum, WeylElement)
+                       RootAutomorphism, RootDatum, WeylElement, R3)
 from .tits import (TitsElement, TorusElement, m_cocycle, tits_lift,
                    verify_cocycle_identity, x_of)
-
-R3 = "R3"
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +466,9 @@ def _block_embed(ctx: MatrixContext, i: int, g2):
     return tuple(tuple(r) for r in rows)
 
 
-def sample_h_untwisted(ctx: MatrixContext, rng: random.Random,
-                       seeds: Sequence = (),
-                       conj: Optional[WeylElement] = None):
-    """Conjugator for a torus whose Galois twist is a product of (conjugated)
-    simple reflections, randomized by rational unipotent translations and a
+def sample_h_untwisted(ctx: MatrixContext, rng: random.Random, seeds: Sequence = ()):
+    """Conjugator for a torus whose Galois twist is a product of simple
+    reflections, randomized by rational unipotent translations and a
     torus factor over the extension.  ``seeds`` lists simple-root indices;
     distinct seeds must commute for the twist to stay in the normalizer,
     which the realization constructor verifies."""
@@ -480,9 +476,6 @@ def sample_h_untwisted(ctx: MatrixContext, rng: random.Random,
     seed = mat_identity(ctx.n, f)
     for i in seeds:
         seed = mat_mul(seed, _block_embed(ctx, i, _h2_seed(f)))
-    if conj is not None:
-        c = ctx.weyl_lift_matrix(conj)
-        seed = mat_prod(c, seed, mat_inv(c, f))
     left = mat_identity(ctx.n, f)
     for _ in range(4):
         i = rng.randrange(ctx.n - 1)
@@ -750,7 +743,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     c2 = _cocycle(datum, descent_prime, adata_prime, theta, realization_prime, m_prime)
     w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
     for k in range(descent.order):
-        sigma_w = mat_conj_entries(w_mat, f, k)
+        sigma_w = ctx.galois_apply(w_mat, k)
         want = mat_prod(c1.matrices[k], mat_inv(w_mat, f), sigma_w)
         if not mat_eq(c2.matrices[k], want):
             raise RealizationError(

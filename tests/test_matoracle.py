@@ -11,7 +11,7 @@ from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, exp_nilpotent,
                                 fixed_group_lift, fixed_group_simple_lift, mat_det, mat_eq,
-                                mat_identity, mat_inv, mat_mul, realize,
+                                mat_identity, mat_inv, mat_mul, mat_prod, realize,
                                 restricted_root_vectors, verify_appendix)
 from splitinv.rootdata import restrict_root_system
 from splitinv.tits import TitsElement, TorusElement
@@ -162,6 +162,36 @@ class TestAdjoint:
             img = adprime(ctx, g)
             assert mat_det(img, ctx.field) == ctx.field.one()
             assert mat_eq(ctx.theta_apply(img), img)
+
+    # adprime is read off ad; the reference is the conjugation itself,
+    # D ad D^-1 with D = diag(1, 2, 2), by matrix product and inverse
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(5),
+                                       PrimeField(7)], ids=lambda f: f.name)
+    def test_adprime_is_ad_conjugated_by_diag_1_2_2(self, field):
+        ctx = MatrixContext(3, field)
+        zero, one, two = field.zero(), field.one(), field.from_int(2)
+        diag = ((one, zero, zero), (zero, two, zero), (zero, zero, two))
+        diag_inv = mat_inv(diag, field)
+        rng = random.Random(7)
+
+        def entry():
+            if isinstance(field, QuadField):
+                return QuadNum.make(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                    rng.randint(-3, 3), field.d)
+            return field.embed(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+        seen = 0
+        while seen < 200:
+            a, b, c = entry(), entry(), entry()
+            if a == zero:
+                continue
+            g = ((a, b), (c, (one + b * c) / a))
+            got = adprime(ctx, g)
+            want = mat_prod(diag, ad(ctx, g), diag_inv)
+            assert got == want
+            assert [type(x) for row in got for x in row] == \
+                [type(x) for row in want for x in row]
+            seen += 1
 
     def test_non_unimodular_rejected(self):
         ctx = MatrixContext(3)

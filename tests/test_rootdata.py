@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitinv.errors import RootDatumError
-from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum,
+from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
                                analyze_weyl, build_root_datum, datum_and_theta_from_json,
                                levi_component, restrict_root_system, weyl_group_order)
 
@@ -76,7 +76,7 @@ class TestBuild:
         for spec in ([("A", 3)], [("C", 2)], [("D", 4)]):
             d = build_root_datum(spec)
             for r in d.roots:
-                assert d.pairing(r.coords, r.coroot) == 2
+                assert _pairing(d.cartan, r.coords, r.coroot) == 2
 
 
 class TestWeyl:
@@ -293,7 +293,7 @@ class TestFixedLattice:
         basis = fixed_cocharacter_basis(rrs)
         for r in d.roots:
             res = rrs.restrict_root(r.coords)
-            assert res == tuple(d.pairing(r.coords, mu) for mu in basis)
+            assert res == tuple(_pairing(d.cartan, r.coords, mu) for mu in basis)
 
 
 RESTRICTION_CASES = [(f"A{n} flip", [("A", n)], tuple(range(n - 1, -1, -1)))
@@ -675,18 +675,6 @@ def _pairing(cartan, b, a_vee):
 
 class TestTableRoutes:
     @pytest.mark.parametrize("label,families", TABLE_CASES)
-    def test_reflection_in_root_is_the_coordinate_reflection(self, label, families):
-        d = build_root_datum(families)
-        for a in d.roots:
-            s = d.reflection_in_root(a.coords)
-            for j, b in enumerate(d.roots):
-                k = _pairing(d.cartan, b.coords, a.coroot)
-                want = tuple(x - k * y for x, y in zip(b.coords, a.coords))
-                assert d.roots[s.perm[j]].coords == want
-                assert d.pairing(b.coords, a.coroot) == k
-            assert s * s == d.identity_weyl() and s.inverse() == s
-
-    @pytest.mark.parametrize("label,families", TABLE_CASES)
     def test_commutes_with_is_equality_under_conjugation(self, label, families):
         d = build_root_datum(families)
         thetas = _diagram_automorphisms(d)
@@ -729,3 +717,100 @@ class TestTableRoutes:
                 aut = RootAutomorphism(w, theta)
                 assert [d.roots[k].coords for k in aut.perm] == \
                     [aut.act_root(r.coords) for r in d.roots]
+
+
+# ---------------------------------------------------------------------------
+# the Levi of a simple restricted root against the line scan
+# ---------------------------------------------------------------------------
+
+LEVI_CASES = [(f"A{n}", [("A", n)]) for n in range(1, 12)] + [
+    (f"{f}{n}", [(f, n)]) for f, ns in (("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (4, 5, 6)))
+    for n in ns] + [
+    (f"A{n}xA{n}", [("A", n), ("A", n)]) for n in range(1, 5)] + [
+    ("D4xA2", [("D", 4), ("A", 2)])]
+
+
+def _levi_thetas(d):
+    """Identity and flip on a single A_n, whose rank is too large for a
+    search over all permutations; every diagram automorphism otherwise."""
+    if len(d.families) == 1 and d.families[0][0] == "A":
+        return [PinnedAutomorphism(d, p) for p in sorted({tuple(range(d.rank)),
+                                                          tuple(range(d.rank))[::-1]})]
+    return _diagram_automorphisms(d)
+
+
+def _integer_ratio(v, beta):
+    """q with v == q*beta over the integers (q may be negative), else None."""
+    qs = set()
+    for a, b in zip(v, beta):
+        if b == 0:
+            if a != 0:
+                return None
+        elif a % b:
+            return None
+        else:
+            qs.add(a // b)
+    return qs.pop() if len(qs) == 1 else None
+
+
+def _coordinate_reflection(d, a):
+    """s_a for a root a, b -> b - <b, a_vee> a on every root, as a Weyl element."""
+    perm = tuple(d.root_index[tuple(x - _pairing(d.cartan, b.coords, a.coroot) * y
+                                    for x, y in zip(b.coords, a.coords))] for b in d.roots)
+    return WeylElement._from_perms(d, perm, perm)
+
+
+def _line_scan_levi(rrs, beta):
+    """(roots, components, kind, longest) of the Levi of beta by the line
+    scan: every root restricting to an integer multiple of beta; the
+    indecomposable positives among them as its simple roots, grouped by
+    union-find over nonzero pairings; the longest element by reflections in
+    those simple roots while w sends one of them to a positive root."""
+    d = rrs.datum
+    roots = tuple(sorted(c for v, rr in rrs.restricted.items()
+                         if _integer_ratio(v, beta) is not None for c in rr.orbit))
+    pos = [c for c in roots if d.root(c).positive]
+    simples = sorted(c for c in pos if not any(
+        tuple(x - y for x, y in zip(c, u)) in pos for u in pos if u != c))
+    comp_of, comps = {}, []
+    for c in simples:
+        linked = sorted({comp_of[u] for u in simples if u in comp_of
+                         and _pairing(d.cartan, c, d.root(u).coroot) != 0})
+        if not linked:
+            comp_of[c] = len(comps)
+            comps.append([c])
+            continue
+        comps[linked[0]].append(c)
+        comp_of[c] = linked[0]
+        for extra in linked[1:]:
+            for u in comps[extra]:
+                comp_of[u] = linked[0]
+            comps[linked[0]].extend(comps[extra])
+            comps[extra] = []
+    components = tuple(sorted(tuple(sorted(c)) for c in comps if c))
+    kind = {frozenset({1}): "A1", frozenset({2}): "A2"}.get(frozenset(map(len, components)))
+    reflections = [(d.root_index[c], _coordinate_reflection(d, d.root(c))) for c in simples]
+    w = d.identity_weyl()
+    while True:
+        s = next((s for j, s in reflections if w.perm[j] < d.n_positive), None)
+        if s is None:
+            return roots, components, kind, w
+        w = w * s
+
+
+class TestLeviRoute:
+    @pytest.mark.parametrize("label,families", LEVI_CASES)
+    def test_fiber_levi_is_the_line_scan_levi(self, label, families):
+        d = build_root_datum(families)
+        for theta in _levi_thetas(d):
+            rrs = restrict_root_system(d, theta)
+            for beta in rrs.simple_restricted:
+                lev = levi_component(rrs, beta)
+                roots, components, kind, longest = _line_scan_levi(rrs, beta)
+                assert (lev.roots, lev.components, lev.kind) == (roots, components, kind)
+                assert lev.longest == longest and lev.longest.word == longest.word
+                assert rrs.levi_longest[beta] == longest
+            for v in rrs.restricted:
+                if v not in rrs.simple_restricted:
+                    with pytest.raises(RootDatumError, match="not a simple restricted root"):
+                        levi_component(rrs, v)
