@@ -145,6 +145,8 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
 
 
 def _parse_value(raw, fieldq: Optional[QuadField]):
+    if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(x, bool) for x in raw):
+        raise ValueError(f"a boolean is not a coefficient: {raw!r}")
     if isinstance(raw, (int, str)):
         val = Fraction(raw)
         return fieldq.embed(val) if fieldq else val

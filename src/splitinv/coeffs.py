@@ -42,22 +42,26 @@ TWO = "2"  # distinguished generator; "half" is TWO with exponent -1
 class SymUnit:
     """An element +-1 * prod(sym**exp) of the symbolic unit group.
 
-    ``exps`` is a sorted tuple of (symbol, nonzero exponent) pairs, so
-    structural equality is group equality.
+    ``exps`` is a tuple of (str symbol, nonzero int exponent) pairs sorted
+    by unique symbol, so structural equality is group equality.  The
+    constructor checks this normal form; group operations build in place.
     """
 
     sign: int = 1
     exps: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise CoefficientError("sign must be +-1")
-        if any(e == 0 for _, e in self.exps):
-            raise CoefficientError("zero exponents must be dropped")
+        exps = self.exps
+        if not (self.sign in (1, -1) and isinstance(exps, tuple) and all(
+                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                and type(p[1]) is int and p[1] for p in exps)
+                and all(a[0] < b[0] for a, b in zip(exps, exps[1:]))):
+            raise CoefficientError(f"need sign +-1 and (str, nonzero int) pairs sorted by "
+                                   f"unique symbol, got {self.sign!r}, {exps!r}")
 
     @staticmethod
     def one() -> "SymUnit":
-        return SymUnit(1, ())
+        return _new_sym(1, ())
 
     @staticmethod
     def gen(name: str, exp: int = 1, sign: int = 1) -> "SymUnit":
@@ -72,18 +76,24 @@ class SymUnit:
     def __mul__(self, other: "SymUnit") -> "SymUnit":
         if not isinstance(other, SymUnit):
             return NotImplemented
+        if other.is_one:
+            return self
+        if self.is_one:
+            return other
         acc: Dict[str, int] = dict(self.exps)
         for name, e in other.exps:
             acc[name] = acc.get(name, 0) + e
         exps = tuple(sorted((n, e) for n, e in acc.items() if e != 0))
-        return SymUnit(self.sign * other.sign, exps)
+        return _new_sym(self.sign * other.sign, exps)
 
     def __pow__(self, k: int) -> "SymUnit":
+        if not isinstance(k, int):
+            return NotImplemented
         sign = self.sign if k % 2 else 1
-        return SymUnit(sign, tuple((n, e * k) for n, e in self.exps if e * k != 0))
+        return _new_sym(sign, tuple((n, e * k) for n, e in self.exps) if k else ())
 
     def __neg__(self) -> "SymUnit":
-        return SymUnit(-self.sign, self.exps)
+        return _new_sym(-self.sign, self.exps)
 
     def inv(self) -> "SymUnit":
         return self ** -1
@@ -97,6 +107,14 @@ class SymUnit:
             return "1" if self.sign == 1 else "-1"
         body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.exps)
         return body if self.sign == 1 else "-" + body
+
+
+def _new_sym(sign: int, exps: Tuple[Tuple[str, int], ...]) -> SymUnit:
+    """The SymUnit sign * exps of a sign and exponents already in normal form."""
+    x = object.__new__(SymUnit)
+    object.__setattr__(x, "sign", sign)
+    object.__setattr__(x, "exps", exps)
+    return x
 
 
 class SignedSymbolMap:
@@ -118,7 +136,7 @@ class SignedSymbolMap:
             s, img = self.mapping.get(name, (1, name))
             acc[img] = acc.get(img, 0) + e
             sign *= s ** (e % 2)
-        return SymUnit(sign, tuple(sorted((n, e) for n, e in acc.items() if e)))
+        return _new_sym(sign, tuple(sorted((n, e) for n, e in acc.items() if e)))
 
     @property
     def order(self) -> int:

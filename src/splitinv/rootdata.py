@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import RootDatumError
@@ -65,13 +66,6 @@ def _sparse_rows(cartan: Mat) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan)
 
 
-def _reflect(row: Sequence[Tuple[int, int]], v: Vec, i: int) -> Vec:
-    """s_i in simple-root coordinates, given row i of the Cartan matrix as
-    its nonzero entries: v - <v, alpha_i_vee> alpha_i."""
-    k = sum(c * v[j] for j, c in row)
-    return v[:i] + (v[i] - k,) + v[i + 1:]
-
-
 _ROOT_COUNT = {
     "A": lambda n: n * (n + 1),
     "B": lambda n: 2 * n * n,
@@ -110,7 +104,8 @@ class RootDatum:
         # s_i on coroot coordinates: coroots are the roots of the dual datum,
         # whose Cartan matrix is the transpose
         self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
-        self.roots, reflections = self._generate_roots()
+        # pairings[j][i] = <root j, alpha_i_vee>: the fundamental-weight coordinates
+        self.roots, self.pairings, reflections = self._generate_roots()
         expected = sum(_ROOT_COUNT[f](r) for f, r in self.families)
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
@@ -123,31 +118,42 @@ class RootDatum:
         self._identity = WeylElement._from_perms(self, ident, ident)
         self._simple = tuple(WeylElement._from_perms(self, p, p) for p in reflections)
         self._weyl_cache: Optional[Tuple["WeylElement", ...]] = None
+        self._identity_theta = PinnedAutomorphism(self, range(rank))
 
     # -- construction ------------------------------------------------------
 
-    def _generate_roots(self) -> Tuple[Tuple[Root, ...], List[Tuple[int, ...]]]:
+    def _generate_roots(self) -> Tuple[Tuple[Root, ...], Tuple[Vec, ...], List[Tuple[int, ...]]]:
         """The roots, by breadth-first search from the simple roots under the
-        simple reflections, sorted; and each simple reflection as the
-        permutation of root indices read off the edges that search walked."""
-        rows, dual = _sparse_rows(self.cartan), self.dual_rows
-        found: List[Tuple[Vec, Vec]] = []     # (root, coroot) in order of discovery
+        simple reflections, sorted; the pairings <root, alpha_i_vee> of each;
+        and each simple reflection as the permutation of root indices read
+        off the edges that search walked.  A root carries its pairings
+        (Stembridge 2001): s_i takes entry i times alpha_i off the root, and
+        that entry times column i of the Cartan matrix off the pairings."""
+        dual = self.dual_rows
+        columns = tuple(zip(*self.cartan))     # pairings of the simple roots
+        found: List[Tuple[Vec, Vec, Vec]] = []  # (root, coroot, pairings) in order of discovery
         ids: Dict[Vec, int] = {}
         edges: List[Tuple[int, ...]] = []     # edges[k][i]: id of s_i(root k)
         for i in range(self.rank):
             e = tuple(1 if j == i else 0 for j in range(self.rank))
             ids[e] = len(found)
-            found.append((e, e))
-        for c, d in found:      # the list grows while it is walked: a FIFO queue
-            out = []
-            for i in range(self.rank):
-                c2 = _reflect(rows[i], c, i)
-                if c2 not in ids:
-                    ids[c2] = len(found)
-                    found.append((c2, _reflect(dual[i], d, i)))
-                out.append(ids[c2])
+            found.append((e, e, columns[i]))
+        for k, (c, d, p) in enumerate(found):    # the list grows while it is walked: a FIFO queue
+            out = [k] * self.rank
+            for i, pi in enumerate(p):
+                if pi:
+                    c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
+                    j = ids.get(c2)
+                    if j is None:
+                        j = ids[c2] = len(found)
+                        p2 = list(p)
+                        for m, a in dual[i]:
+                            p2[m] -= pi * a
+                        k2 = sum(a * d[m] for m, a in dual[i])    # <alpha_i, coroot>
+                        found.append((c2, d[:i] + (d[i] - k2,) + d[i + 1:], tuple(p2)))
+                    out[i] = j
             edges.append(tuple(out))
-        roots = [Root(c, d, self._is_positive(c), sum(c)) for c, d in found]
+        roots = [Root(c, d, self._is_positive(c), sum(c)) for c, d, _ in found]
         # positive roots by height, then negative roots by depth
         order = sorted(range(len(roots)), key=lambda k: (
             not roots[k].positive, abs(roots[k].height), roots[k].coords))
@@ -155,7 +161,8 @@ class RootDatum:
         for j, k in enumerate(order):
             position[k] = j
         reflections = [tuple(position[edges[k][i]] for k in order) for i in range(self.rank)]
-        return tuple(roots[k] for k in order), reflections
+        return (tuple(roots[k] for k in order), tuple(found[k][2] for k in order),
+                reflections)
 
     @staticmethod
     def _is_positive(coords: Vec) -> bool:
@@ -180,11 +187,6 @@ class RootDatum:
 
     def simple_root(self, i: int) -> Root:
         return self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
-
-    def weight_coords(self, root_coords: Vec) -> Vec:
-        """Coordinates of a root-lattice element in the fundamental-weight basis."""
-        return tuple(sum(self.cartan[i][j] * root_coords[j] for j in range(self.rank))
-                     for i in range(self.rank))
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -310,15 +312,6 @@ class WeylElement:
     def act_root(self, coords: Vec) -> Vec:
         return _combine(self.root_images(), coords)
 
-    def act_root_inv(self, coords: Vec) -> Vec:
-        return _combine(self.inverse().root_images(), coords)
-
-    def act_coroot(self, coords: Vec) -> Vec:
-        return _combine(self.coroot_images(), coords)
-
-    def act_coroot_inv(self, coords: Vec) -> Vec:
-        return _combine(self.inverse().coroot_images(), coords)
-
     def act_weight(self, weight: Vec) -> Vec:
         """Action on the fundamental-weight coordinates of a character:
         <w lambda, alpha_i_vee> = <lambda, w^{-1} alpha_i_vee>."""
@@ -430,7 +423,8 @@ class PinnedAutomorphism:
 
     @staticmethod
     def identity(datum: RootDatum) -> "PinnedAutomorphism":
-        return PinnedAutomorphism(datum, tuple(range(datum.rank)))
+        """The identity of datum: one instance, shared by every caller."""
+        return datum._identity_theta
 
     @property
     def order(self) -> int:
@@ -448,8 +442,6 @@ class PinnedAutomorphism:
     def act_root(self, coords: Vec) -> Vec:
         """alpha_i -> alpha_{perm[i]}."""
         return tuple(coords[i] for i in self.inv_perm)
-
-    act_coroot = act_root
 
     def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """theta's permutation of the indices of ``datum.roots`` and its
@@ -595,6 +587,14 @@ class RestrictedRootSystem:
         # fundamental-weight basis of X*(T), so the quotient is free on the
         # theta-orbits, with restrict_weight as the quotient map.
         self._build_roots()
+        # the roots whose support lies in one theta-orbit of simple roots, by
+        # that orbit: the roots of the Levis of levi_component
+        orbit_of = {i: orb for orb in self.simple_orbits for i in orb}
+        self._orbit_roots: Dict[Tuple[int, ...], List[Vec]] = {}
+        for r in datum.roots:
+            support = {orbit_of[i] for i, x in enumerate(r.coords) if x}
+            if len(support) == 1:
+                self._orbit_roots.setdefault(support.pop(), []).append(r.coords)
         # image of each simple restricted reflection in Omega^theta: the
         # longest element of the Levi attached to the restricted line
         self.levi_longest: Dict[Vec, WeylElement] = {}
@@ -611,12 +611,15 @@ class RestrictedRootSystem:
         return tuple(sum(weight[i] for i in orb) for orb in self.simple_orbits)
 
     def restrict_root(self, coords: Vec) -> Vec:
-        return self.restrict_weight(self.datum.weight_coords(coords))
+        try:
+            return self._res_of[self.datum.root_index[tuple(coords)]]
+        except KeyError:
+            raise RootDatumError(f"{tuple(coords)} is not a root") from None
 
     def _build_roots(self):
         datum, theta = self.datum, self.theta
         roots = datum.roots
-        res_of = [self.restrict_root(r.coords) for r in roots]
+        self._res_of = res_of = [self.restrict_weight(p) for p in datum.pairings]
         by_res: Dict[Vec, List[int]] = {}
         for j, res in enumerate(res_of):
             by_res.setdefault(res, []).append(j)
@@ -626,11 +629,6 @@ class RestrictedRootSystem:
         pos_res = set(res_of[:datum.n_positive])
         if pos_res & set(res_of[datum.n_positive:]):
             raise RootDatumError("restriction does not separate positive and negative roots")
-
-        def halved(v: Vec) -> Optional[Vec]:
-            if all(x % 2 == 0 for x in v):
-                return tuple(x // 2 for x in v)
-            return None
 
         fwd = theta.root_perm
         restricted = {}
@@ -643,11 +641,9 @@ class RestrictedRootSystem:
                 j = fwd[j]
             if probe != set(fiber):
                 raise RootDatumError("orbit/fiber mismatch in restriction")
-            double = tuple(2 * x for x in res)
-            half = halved(res)
-            if double in all_res:
+            if tuple(2 * x for x in res) in all_res:
                 rtype = R2
-            elif half is not None and half in all_res:
+            elif not any(x % 2 for x in res) and tuple(x // 2 for x in res) in all_res:
                 rtype = R3
             else:
                 rtype = R1
@@ -661,30 +657,16 @@ class RestrictedRootSystem:
                 raise RootDatumError("restricted coroot normalization failed")
         self.simple_restricted: Tuple[Vec, ...] = tuple(sorted(
             {res_of[s] for s in datum.simple_index}))
-        indecomposable = self._indecomposable_positives()
-        if set(self.simple_restricted) != indecomposable:
+        if not _indecomposables_are(self.simple_restricted,
+                                    {v for v, rr in restricted.items() if rr.positive}):
             raise RootDatumError("images of simple roots are not the simple restricted roots")
-
-    def _indecomposable_positives(self) -> set:
-        pos = [v for v, rr in self.restricted.items() if rr.positive]
-        pos_set = set(pos)
-        out = set()
-        for v in pos:
-            if not any(tuple(v[i] - u[i] for i in range(len(v))) in pos_set
-                       for u in pos if u != v):
-                out.add(v)
-        return out
 
     # pairing of a restricted character with a theta-fixed cocharacter
     def pair_restricted(self, res_coords: Vec, coroot_coords: Vec) -> int:
-        total = 0
-        for o_idx, orb in enumerate(self.simple_orbits):
-            m = coroot_coords[orb[0]]
-            for i in orb:
-                if coroot_coords[i] != m:
-                    raise RootDatumError("cocharacter is not theta-fixed")
-            total += m * res_coords[o_idx]
-        return total
+        if any(coroot_coords[i] != coroot_coords[orb[0]]
+               for orb in self.simple_orbits for i in orb):
+            raise RootDatumError("cocharacter is not theta-fixed")
+        return sum(coroot_coords[orb[0]] * x for orb, x in zip(self.simple_orbits, res_coords))
 
     def reflect_restricted(self, res_coords: Vec, by: Vec) -> Vec:
         rr = self.restricted[by]
@@ -756,6 +738,15 @@ class RestrictedRootSystem:
         return tuple(out)
 
 
+def _indecomposables_are(simple: Sequence[Vec], pos: set) -> bool:
+    """Whether simple, a subset of the positive roots pos of a root system,
+    is the set of those that are no sum of two: each of simple is none, and
+    every other minus some root of simple is positive, in O(len(pos)) work."""
+    return not any(tuple(map(sub, b, u)) in pos for b in simple for u in pos if u != b) \
+        and all(any(tuple(map(sub, v, b)) in pos for b in simple)
+                for v in pos.difference(simple))
+
+
 @dataclass(frozen=True)
 class LeviComponent:
     """The Levi attached to a simple restricted root: preimage of the
@@ -784,8 +775,7 @@ def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
     datum = rrs.datum
     simples = {c.index(1): c for c in rrs.restricted[beta].orbit}    # J, by simple index
     nodes = sorted(simples)
-    outside = [i for i in range(datum.rank) if i not in simples]
-    roots = tuple(sorted(r.coords for r in datum.roots if not any(r.coords[i] for i in outside)))
+    roots = tuple(sorted(rrs._orbit_roots[tuple(nodes)]))
     components = tuple(sorted(
         tuple(sorted(simples[i] for i in piece))
         for piece in _diagram_pieces(nodes, lambda i, j: datum.cartan[i][j] != 0)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .coeffs import IdentityAction, QuadConj, QuadField, SymUnit
+from .coeffs import IdentityAction, QuadConj, QuadField, SignedSymbolMap, SymUnit
 from .errors import ADataError, DescentError, RealizationError, RootDatumError
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
                         mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul,
@@ -187,42 +187,32 @@ def _symbolic_adata(datum, descent, theta):
     # so incompatible twisted descents are rejected up front
     if theta is not None and not theta.is_identity:
         descent.validate_theta_compatible(theta)
-    node_of: Dict[tuple, Tuple[tuple, int]] = {}
-
-    def canon(coords):
-        orbit = set()
-        frontier = {coords}
-        while frontier:
-            nxt = set()
-            for c in frontier:
-                if c in orbit:
-                    continue
-                orbit.add(c)
-                if theta is not None:
-                    nxt.add(tuple(theta.act_root(c)))
-            frontier = nxt - orbit
-        rep = min(orbit)
-        negrep = min(tuple(-x for x in c) for c in orbit)
-        if negrep < rep:
-            return negrep, -1
-        return rep, 1
-
-    for r in datum.roots:
-        node_of[r.coords] = canon(r.coords)
-    reps = sorted({node for node, _ in node_of.values()})
+    roots, npos = datum.roots, datum.n_positive
+    perm = theta.root_perm if theta is not None else range(len(roots))
+    # a node is a theta-orbit of negative roots and its negation; a negative
+    # root's coordinates are below every positive root's, so the least root
+    # of the negative orbit represents it, and positive roots carry sign -1
+    node_of: Dict[int, Tuple[int, int]] = {}    # root index -> (representative, sign)
+    for j in range(npos, len(roots)):
+        if j not in node_of:
+            orbit = [j]
+            while perm[orbit[-1]] != j:
+                orbit.append(perm[orbit[-1]])
+            rep = min(orbit, key=lambda k: roots[k].coords)
+            node_of.update((k, (rep, 1)) for k in orbit)
+    for j in range(npos):
+        node_of[j] = (node_of[datum.root_index[tuple(-x for x in roots[j].coords)]][0], -1)
+    reps = sorted({rep for rep, _ in node_of.values()}, key=lambda k: roots[k].coords)
     sym_of = {rep: f"a{k + 1}" for k, rep in enumerate(reps)}
     # the generator of the Galois action permutes nodes with signs
-    gen = descent.root_action(1 % descent.order)
+    gen = descent.root_action(1 % descent.order).perm
     mapping = {}
     for rep in reps:
-        img = tuple(gen.act_root(rep))
-        node, sgn = node_of[img]
+        node, sgn = node_of[gen[rep]]
         mapping[sym_of[rep]] = (sgn, sym_of[node])
-    from .coeffs import SignedSymbolMap
     action = SignedSymbolMap(mapping) if descent.order > 1 else IdentityAction()
-    values = {}
-    for coords, (node, sgn) in node_of.items():
-        values[coords] = SymUnit.gen(sym_of[node], 1, sgn)
+    units = {(rep, sgn): SymUnit.gen(sym_of[rep], 1, sgn) for rep in reps for sgn in (1, -1)}
+    values = {r.coords: units[node_of[j]] for j, r in enumerate(roots)}
     return ADatum(values, SymUnit.one(), SymUnit.half(), datum), action
 
 

@@ -207,10 +207,19 @@ class TestInvariant:
                                                               **{key: value})}),
          "adata.values")
         for key, value in (("5,7", 2), ("2,2,2", 1), ("-1,0", 9))
+    ] + [
+        # with omega_T = 1 rational a-data is equivariant, and 1 in place of
+        # each boolean runs and passes
+        (lambda doc, value=value: dict(doc, galois=dict(doc["galois"], omega_T=[]),
+                                       adata={"mode": "values",
+                                              "values": {"1,0": value, "0,1": 1, "1,1": 1}}),
+         "adata.values")
+        for value in (True, [True, 0], [1, False])
     ], ids=["top-level-list", "galois-list", "adata-list", "field-d-not-integer",
             "value-one-over-zero", "zero-value-unused", "zero-value-with-short-omega",
             "fractional-rank", "key-not-a-root", "key-of-another-rank",
-            "key-a-negative-root"])
+            "key-a-negative-root", "value-true", "value-true-in-pair",
+            "value-false-in-pair"])
     def test_malformed_input_names_its_field(self, tmp_path, capsys, change, field):
         doc = {
             "datum": [["A", 2]],

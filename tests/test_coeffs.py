@@ -81,6 +81,60 @@ class TestSymbolicUnits:
         assert (u * u.inv()).is_one
         assert (u ** 3) * (u ** -3) == SymUnit.one()
 
+    # the public constructor enforces the normal form its docstring states,
+    # so equal units compare equal and a repeated symbol cannot survive a
+    # product
+    @pytest.mark.parametrize("sign, exps", [
+        (1, (("b", 1), ("a", 1))),
+        (1, (("a", 1), ("a", 1))),
+        (1, (("a", 1.5),)),
+        (1, (("a", True),)),
+        (1, ((3, 1),)),
+        (1, (("a", 0),)),
+        (1, [("a", 1)]),
+        (1, (("a", 1, 2),)),
+        (2, ()),
+    ], ids=["unsorted", "repeated", "float-exponent", "bool-exponent", "int-symbol",
+            "zero-exponent", "list", "triple", "sign-2"])
+    def test_constructor_enforces_the_normal_form(self, sign, exps):
+        with pytest.raises(CoefficientError):
+            SymUnit(sign, exps)
+
+    # products, powers, negation and signed maps build their results in
+    # place: each must be what the validating constructor builds from the
+    # exponents summed in a dict, and a unit factor comes back unchanged
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]),
+                              st.dictionaries(st.sampled_from("abcd2"),
+                                              st.integers(-4, 4).filter(lambda e: e != 0))),
+                    min_size=2, max_size=2),
+           st.integers(-3, 3),
+           st.dictionaries(st.sampled_from("abc2"),
+                           st.tuples(st.sampled_from([1, -1]), st.sampled_from("abcd2"))))
+    def test_in_place_results_are_the_constructors(self, pair, k, mapping):
+        (su, eu), (sv, ev) = pair
+        u, v = SymUnit(su, tuple(sorted(eu.items()))), SymUnit(sv, tuple(sorted(ev.items())))
+        acc = dict(eu)
+        for name, e in ev.items():
+            acc[name] = acc.get(name, 0) + e
+        m = SignedSymbolMap(mapping)
+        img, sign = {}, su
+        for name, e in eu.items():
+            s, target = mapping.get(name, (1, name))
+            img[target] = img.get(target, 0) + e
+            sign *= s ** (e % 2)
+        for got, want in ((u * v, SymUnit(su * sv, tuple(sorted((n, e) for n, e in acc.items()
+                                                                   if e)))),
+                          (u ** k, SymUnit(su ** (k % 2), tuple((n, e * k) for n, e in u.exps
+                                                                if e * k))),
+                          (-u, SymUnit(-su, u.exps)),
+                          (m(u), SymUnit(sign, tuple(sorted((n, e) for n, e in img.items()
+                                                            if e))))):
+            assert got == want and hash(got) == hash(want)
+            assert SymUnit(got.sign, got.exps) == got
+        one = SymUnit.one()
+        assert u * one is u and one * u is (one if u.is_one else u)
+
     def test_signed_map(self):
         m = SignedSymbolMap({"a": (-1, "a"), "b": (1, "c"), "c": (1, "b")})
         a, b = SymUnit.gen("a"), SymUnit.gen("b")

@@ -8,12 +8,27 @@ from hypothesis import given, settings, strategies as st
 
 from splitinv.errors import RootDatumError
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
+                               _indecomposables_are,
                                analyze_weyl, build_root_datum, datum_and_theta_from_json,
                                levi_component, restrict_root_system, weyl_group_order)
 
 
 def is_root(d, coords):
     return tuple(coords) in d.root_index
+
+
+def act_root_inv(w, coords):
+    return w.inverse().act_root(coords)
+
+
+def act_coroot(w, coords):
+    """sum_i coords[i] * w(alpha_i_vee)."""
+    return tuple(sum(x * img[k] for x, img in zip(coords, w.coroot_images()))
+                 for k in range(len(coords)))
+
+
+def act_coroot_inv(w, coords):
+    return act_coroot(w.inverse(), coords)
 
 
 def fixed_cocharacter_basis(rrs):
@@ -150,6 +165,15 @@ class TestPinnedAutomorphism:
         tri = PinnedAutomorphism(d, [2, 1, 3, 0])
         assert tri.order == 3
 
+    def test_one_identity_per_datum(self):
+        d, twin = build_root_datum([("D", 4)]), build_root_datum([("D", 4)])
+        ident = PinnedAutomorphism.identity(d)
+        assert PinnedAutomorphism.from_json(d, None) is ident
+        assert ident.power(0) is ident and ident.is_identity
+        assert ident.root_perm == tuple(range(len(d.roots)))
+        assert PinnedAutomorphism.identity(twin) is not ident
+        assert PinnedAutomorphism.identity(twin).datum is twin
+
 
 class TestRestriction:
     def test_a2_flip_nonreduced(self):
@@ -281,8 +305,9 @@ class TestFixedLattice:
         d = build_root_datum([("A", 4)])
         theta = PinnedAutomorphism(d, [3, 2, 1, 0])
         rrs = restrict_root_system(d, theta)
+        # theta permutes the simple coroots as it permutes the simple roots
         for v in fixed_cocharacter_basis(rrs):
-            assert theta.act_coroot(v) == v
+            assert theta.act_root(v) == v
 
     def test_restriction_pairs_with_basis(self):
         # the restricted coordinates of a root are its pairings with the
@@ -536,10 +561,10 @@ class TestWeylKernel:
             m_inv, c, c_inv, _ = ref.elements[m]
             for v in vectors:
                 assert w.act_root(v) == _mat_vec(m, v)
-                assert w.act_root_inv(v) == _mat_vec(m_inv, v)
+                assert act_root_inv(w, v) == _mat_vec(m_inv, v)
             for v in covectors:
-                assert w.act_coroot(v) == _mat_vec(c, v)
-                assert w.act_coroot_inv(v) == _mat_vec(c_inv, v)
+                assert act_coroot(w, v) == _mat_vec(c, v)
+                assert act_coroot_inv(w, v) == _mat_vec(c_inv, v)
                 # <w lambda, alpha_i_vee> = <lambda, w^-1 alpha_i_vee>
                 assert w.act_weight(v) == _mat_vec(_transpose(c_inv), v)
                 assert w.inverse().act_weight(v) == _mat_vec(_transpose(c), v)
@@ -814,3 +839,80 @@ class TestLeviRoute:
                 if v not in rrs.simple_restricted:
                     with pytest.raises(RootDatumError, match="not a simple restricted root"):
                         levi_component(rrs, v)
+
+
+# ---------------------------------------------------------------------------
+# the pairings table, and the restriction read off it, against dense routes
+# ---------------------------------------------------------------------------
+
+PAIRING_CASES = [(f"A{n}", [("A", n)]) for n in range(1, 10)] + [
+    (f"{f}{n}", [(f, n)]) for f, ns in (("B", range(2, 6)), ("C", range(2, 6)),
+                                        ("D", range(3, 7))) for n in ns] + [
+    ("A2xA2", [("A", 2), ("A", 2)]), ("D4xA1", [("D", 4), ("A", 1)])]
+
+# every restriction that `verify --suite all` builds is among
+# RESTRICTION_CASES, as are the scenario ladder of the benchmark and the D4
+# triality and A2xA2 twist that CI restricts; the flips run on to A13
+LADDER_CASES = RESTRICTION_CASES + [(f"A{n} flip", [("A", n)], tuple(range(n - 1, -1, -1)))
+                                    for n in range(7, 14)]
+
+
+def _dense_pairings(d, coords):
+    """<root, alpha_i_vee> for each i: the Cartan matrix times the coordinates."""
+    return tuple(sum(c * x for c, x in zip(row, coords)) for row in d.cartan)
+
+
+def _pairwise_indecomposables(pos):
+    """The roots of pos that are no sum of two roots of pos, comparing every pair."""
+    return {v for v in pos
+            if not any(tuple(x - y for x, y in zip(v, u)) in pos for u in pos if u != v)}
+
+
+def _support_scan(rrs, beta):
+    """The roots supported on the simple indices of the fiber of beta, by a
+    scan of every root."""
+    nodes = {c.index(1) for c in rrs.restricted[beta].orbit}
+    return tuple(sorted(r.coords for r in rrs.datum.roots
+                        if all(i in nodes for i, x in enumerate(r.coords) if x)))
+
+
+class TestRestrictionTables:
+    @pytest.mark.parametrize("label,families", PAIRING_CASES)
+    def test_pairings_are_the_dense_cartan_product(self, label, families):
+        d = build_root_datum(families)
+        assert len(d.pairings) == len(d.roots)
+        for r, p in zip(d.roots, d.pairings):
+            assert p == _dense_pairings(d, r.coords)
+
+    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    def test_restrict_root_is_the_restricted_dense_pairing(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        for r in d.roots:
+            assert rrs.restrict_root(r.coords) == rrs.restrict_weight(_dense_pairings(d, r.coords))
+        for v in ((0,) * d.rank, (2,) + (0,) * (d.rank - 1), (1,) * d.rank + (0,)):
+            with pytest.raises(RootDatumError, match="is not a root"):
+                rrs.restrict_root(v)
+
+    # the check decides, for the simple restricted roots and for each
+    # subset of the positive restricted roots one root away from them, what
+    # the pairwise comparison decides
+    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    def test_indecomposable_check_is_the_pairwise_check(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        pos, simple = set(rrs.positive_restricted), set(rrs.simple_restricted)
+        indecomposable = _pairwise_indecomposables(pos)
+        assert indecomposable == simple
+        others = sorted(pos - simple)
+        candidates = [simple] + [simple - {b} for b in simple] + \
+            [simple | {v} for v in others] + [(simple - {b}) | {v} for b in simple for v in others]
+        for cand in candidates:
+            assert _indecomposables_are(tuple(sorted(cand)), pos) == (cand == indecomposable)
+
+    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    def test_levi_roots_are_the_support_scan(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        for beta in rrs.simple_restricted:
+            assert levi_component(rrs, beta).roots == _support_scan(rrs, beta)

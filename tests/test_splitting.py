@@ -699,3 +699,66 @@ class TestContextFactors:
                 assert entries(m) == entries(want)
                 seen.add(key[0])
         assert seen == {"seed", True, False}
+
+
+# ---------------------------------------------------------------------------
+# symbolic a-data against the breadth-first canon of coordinate tuples
+# ---------------------------------------------------------------------------
+
+def _canon_symbolic(datum, descent, theta):
+    """(sign, symbol) at each root and the symbol mapping of the generator,
+    with each root's class found by a breadth-first search of its
+    theta-orbit as coordinate tuples: the least tuple of the orbit, or of
+    the negated orbit with sign -1 when that one is less."""
+    def canon(coords):
+        orbit, frontier = set(), {coords}
+        while frontier:
+            orbit |= frontier
+            frontier = set() if theta is None else \
+                {tuple(theta.act_root(c)) for c in frontier} - orbit
+        rep, negrep = min(orbit), min(tuple(-x for x in c) for c in orbit)
+        return (negrep, -1) if negrep < rep else (rep, 1)
+
+    node_of = {r.coords: canon(r.coords) for r in datum.roots}
+    reps = sorted({node for node, _ in node_of.values()})
+    sym_of = {rep: f"a{k + 1}" for k, rep in enumerate(reps)}
+    gen = descent.root_action(1 % descent.order)
+    mapping = {}
+    for rep in reps:
+        node, sgn = node_of[tuple(gen.act_root(rep))]
+        mapping[sym_of[rep]] = (sgn, sym_of[node])
+    return {c: (sgn, sym_of[node]) for c, (node, sgn) in node_of.items()}, mapping
+
+
+SYMBOLIC_CASES = [
+    ("A2 flip", [("A", 2)], (1, 0)), ("A3 flip", [("A", 3)], (2, 1, 0)),
+    ("A4 flip", [("A", 4)], (3, 2, 1, 0)), ("A5 flip", [("A", 5)], (4, 3, 2, 1, 0)),
+    ("D4 swap", [("D", 4)], (0, 1, 3, 2)), ("D4 triality", [("D", 4)], (2, 1, 3, 0)),
+    ("A2xA2 swap", [("A", 2), ("A", 2)], (2, 3, 0, 1)),
+    ("A2xA2 order-4 twist", [("A", 2), ("A", 2)], (2, 3, 1, 0)),
+    ("A3 identity", [("A", 3)], (0, 1, 2)), ("B3 identity", [("B", 3)], (0, 1, 2)),
+]
+
+
+class TestSymbolicAData:
+    # the descents of the benchmark's scenarios: omega_T the longest
+    # element, 1, or the longest element of the Levi of a simple restricted
+    # root, and the quasi-split sigma_T = theta; theta is None when trivial,
+    # as in the invariant command
+    @pytest.mark.parametrize("label,families,perm", SYMBOLIC_CASES)
+    def test_classes_are_the_breadth_first_canon(self, label, families, perm):
+        d = build_root_datum(families)
+        theta = PinnedAutomorphism(d, perm)
+        rrs = restrict_root_system(d, theta)
+        descents = [DescentDatum(d, 2, w) for w in
+                    [d.longest_element(), d.identity_weyl()] + list(rrs.levi_longest.values())]
+        if not theta.is_identity:
+            descents.append(DescentDatum(d, theta.order, d.identity_weyl(), theta))
+        theta = None if theta.is_identity else theta
+        for desc in descents:
+            adata, action = _symbolic_adata(d, desc, theta)
+            values, mapping = _canon_symbolic(d, desc, theta)
+            assert list(adata.values) == [r.coords for r in d.roots]
+            assert {c: (u.sign, u.exps) for c, u in adata.values.items()} == \
+                {c: (sgn, ((sym, 1),)) for c, (sgn, sym) in values.items()}
+            assert action.mapping == mapping

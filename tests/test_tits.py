@@ -54,7 +54,7 @@ class TestLifts:
                 while not cur.is_identity:
                     descents = [i for i in range(d.rank)
                                 if not d._is_positive(
-                                    cur.act_root_inv(d.simple_root(i).coords))]
+                                    cur.inverse().act_root(d.simple_root(i).coords))]
                     i = rng.choice(descents)
                     letters.append(i)
                     cur = d.simple_reflection(i) * cur
