@@ -78,7 +78,7 @@ def _load_scenario(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ScenarioError("<file>", f"{path} is not UTF-8 text: {exc.reason} "
                                       f"at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # malformed JSON, or an integer literal past Python's digit limit
         raise ScenarioError("<json>", str(exc)) from None
     if not isinstance(doc, dict):
         raise ScenarioError("<json>", f"expected an object, got {type(doc).__name__}")
@@ -144,15 +144,20 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
         raise ScenarioError("galois", str(exc)) from None
 
 
+def _number(raw) -> Fraction:
+    """A number the CLI reads: a non-bool int, or a string that Fraction reads
+    with no exponent part, so "1e100000" is not expanded into 10^100000."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)) \
+            or isinstance(raw, str) and "e" in raw.lower():
+        raise ValueError(f"expected an integer or a rational string, got {raw!r}")
+    return Fraction(raw)
+
+
 def _parse_value(raw, fieldq: Optional[QuadField]):
-    if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(x, bool) for x in raw):
-        raise ValueError(f"a boolean is not a coefficient: {raw!r}")
-    if isinstance(raw, (int, str)):
-        val = Fraction(raw)
-        return fieldq.embed(val) if fieldq else val
     if isinstance(raw, list) and len(raw) == 2 and fieldq is not None:
-        return fieldq.embed(Fraction(raw[0])) + fieldq.gen() * fieldq.embed(Fraction(raw[1]))
-    raise ValueError(f"cannot parse coefficient {raw!r}")
+        return fieldq.embed(_number(raw[0])) + fieldq.gen() * fieldq.embed(_number(raw[1]))
+    val = _number(raw)
+    return fieldq.embed(val) if fieldq else val
 
 
 def cmd_invariant(args) -> int:
@@ -292,8 +297,8 @@ def _parse_arg(name: str, raw: str, parse):
 
 
 def cmd_hilbert(args) -> int:
-    a = _parse_arg("a", args.a, Fraction)
-    b = _parse_arg("b", args.b, Fraction)
+    a = _parse_arg("a", args.a, _number)
+    b = _parse_arg("b", args.b, _number)
     place = LocalPlace.real() if args.place == "real" else \
         LocalPlace.padic(_parse_arg("--place", args.place, int))
     value = hilbert_symbol(a, b, place)

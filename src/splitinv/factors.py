@@ -38,9 +38,7 @@ def restricted_galois_orbits(rrs: RestrictedRootSystem,
     for v in sorted(rrs.restricted):
         if v in seen:
             continue
-        orbit = {act(v) for act in acts}
-        if not orbit <= set(rrs.restricted):
-            raise FactorError("Galois action does not preserve the restricted roots")
+        orbit = {act[v] for act in acts}
         seen |= orbit
         symmetric = all(tuple(-c for c in w) in orbit for w in orbit)
         orbits.append(RestrictedOrbit(tuple(sorted(orbit)), symmetric))

@@ -38,11 +38,16 @@ def _int_field(raw, field: str) -> int:
     return raw
 
 
-def _cartan_block(family: str, rank: int) -> List[List[int]]:
+def _checked_family(family: str, raw) -> Tuple[str, int]:
+    rank = _int_field(raw, "type")
     if family not in _MIN_RANK:
         raise RootDatumError(f"unsupported family {family!r}; expected one of A, B, C, D")
     if rank < _MIN_RANK[family]:
         raise RootDatumError(f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}")
+    return family, rank
+
+
+def _cartan_block(family: str, rank: int) -> List[List[int]]:
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i in range(rank - 1):
         c[i][i + 1] = -1
@@ -73,6 +78,10 @@ _ROOT_COUNT = {
     "D": lambda n: 2 * n * (n - 1),
 }
 
+# the largest |roots| x rank a RootDatum builds: the root tables hold about
+# that many integers, and the A100 flip (1,010,000) restricts in a few seconds
+SIZE_BUDGET = 1_050_000
+
 
 @dataclass(frozen=True)
 class Root:
@@ -88,9 +97,15 @@ class RootDatum:
     def __init__(self, families: Sequence[Tuple[str, int]]):
         if not families:
             raise RootDatumError("empty type specification")
-        families = tuple((f, _int_field(r, "type")) for f, r in families)
+        families = tuple(_checked_family(f, r) for f, r in families)
+        rank = sum(r for _, r in families)
+        expected = sum(_ROOT_COUNT[f](r) for f, r in families)
+        size = expected * rank
+        if size > SIZE_BUDGET:
+            shown = size if size.bit_length() <= 64 else f"2^{size.bit_length() - 1} or more"
+            raise RootDatumError(f"datum too large: |roots| x rank = {shown}, "
+                                 f"above the budget of {SIZE_BUDGET}")
         blocks = [_cartan_block(f, r) for f, r in families]
-        rank = sum(len(b) for b in blocks)
         cartan = [[0] * rank for _ in range(rank)]
         off = 0
         for b in blocks:
@@ -106,7 +121,6 @@ class RootDatum:
         self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
         # pairings[j][i] = <root j, alpha_i_vee>: the fundamental-weight coordinates
         self.roots, self.pairings, reflections = self._generate_roots()
-        expected = sum(_ROOT_COUNT[f](r) for f, r in self.families)
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
         # the tables of the Weyl kernel: positive roots come first in `roots`
@@ -291,11 +305,6 @@ class WeylElement:
 
     # -- actions -------------------------------------------------------------
 
-    def root_images(self) -> Tuple[Vec, ...]:
-        """w(alpha_i) for each simple index i."""
-        roots = self.datum.roots
-        return tuple(roots[self.perm[s]].coords for s in self.datum.simple_index)
-
     def coroot_images(self) -> Tuple[Vec, ...]:
         """w(alpha_i_vee) for each simple index i: the coroot (w alpha_i)_vee."""
         roots = self.datum.roots
@@ -309,12 +318,11 @@ class WeylElement:
                                       for img in self.coroot_images())
         return self._coroot_rows
 
-    def act_root(self, coords: Vec) -> Vec:
-        return _combine(self.root_images(), coords)
-
     def act_weight(self, weight: Vec) -> Vec:
         """Action on the fundamental-weight coordinates of a character:
-        <w lambda, alpha_i_vee> = <lambda, w^{-1} alpha_i_vee>."""
+        <w lambda, alpha_i_vee> = <lambda, w^{-1} alpha_i_vee>.  The library
+        moves roots only through ``perm``; this coordinate action is kept as
+        the weight-lattice cross-check of the Steinberg suite's check 5."""
         return tuple(sum(x * y for x, y in zip(weight, img))
                      for img in self.inverse().coroot_images())
 
@@ -354,16 +362,6 @@ class WeylElement:
 
     def __repr__(self):
         return "w[" + ",".join(str(i + 1) for i in self.word) + "]" if self.word else "w[e]"
-
-
-def _combine(images: Sequence[Vec], coords: Vec) -> Vec:
-    """sum_i coords[i] * images[i]."""
-    out = [0] * len(coords)
-    for x, img in zip(coords, images):
-        if x:
-            for k, y in enumerate(img):
-                out[k] += x * y
-    return tuple(out)
 
 
 def _closure(identity: WeylElement, gens: Sequence[WeylElement]) -> Tuple[WeylElement, ...]:
@@ -440,7 +438,8 @@ class PinnedAutomorphism:
         return self.perm == tuple(range(self.datum.rank))
 
     def act_root(self, coords: Vec) -> Vec:
-        """alpha_i -> alpha_{perm[i]}."""
+        """alpha_i -> alpha_{perm[i]}: the coordinate action that ``root_perm``
+        is built from."""
         return tuple(coords[i] for i in self.inv_perm)
 
     def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -538,9 +537,6 @@ class RootAutomorphism:
         self.datum = weyl.datum
         # perm[j] is the index of w(g(root j))
         self.perm: Tuple[int, ...] = tuple(map(weyl.perm.__getitem__, self.diagram.root_perm))
-
-    def act_root(self, coords: Vec) -> Vec:
-        return self.weyl.act_root(self.diagram.act_root(coords))
 
     def __repr__(self):
         return f"RootAut({self.weyl!r}, {self.diagram!r})"
@@ -727,15 +723,11 @@ class RestrictedRootSystem:
             w = self.levi_longest[self.simple_restricted[gi]].inverse() * w
         return tuple(letters)
 
-    def res_inversions(self, act_res_inv) -> Tuple[Vec, ...]:
+    def res_inversions(self, inverse_images: Dict[Vec, Vec]) -> Tuple[Vec, ...]:
         """Positive indivisible restricted roots sent negative by the inverse
-        of a restricted-space action."""
-        out = []
-        neg = {v for v, rr in self.restricted.items() if not rr.positive}
-        for v in self.indivisible_positive:
-            if act_res_inv(v) in neg:
-                out.append(v)
-        return tuple(out)
+        of an action on the restricted roots, given as the image of each."""
+        return tuple(v for v in self.indivisible_positive
+                     if not self.restricted[inverse_images[v]].positive)
 
 
 def _indecomposables_are(simple: Sequence[Vec], pos: set) -> bool:

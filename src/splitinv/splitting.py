@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeffs import IdentityAction, QuadConj, QuadField, SignedSymbolMap, SymUnit
 from .errors import ADataError, DescentError, RealizationError, RootDatumError
@@ -102,22 +102,13 @@ class ADatum:
         datum = self.system.datum if self.restricted else self.system
         if datum.cartan != descent.datum.cartan:
             raise ADataError("a-data and descent datum are on different root data")
+        what = "restricted a-data" if self.restricted else "a-data"
         for k in range(descent.order):
-            if not self.restricted:
-                # images by root index: aut.perm[j] is the index of aut(root j)
-                roots, index = descent.datum.roots, descent.datum.root_index
-                perm = descent.root_action(k).perm
-                for coords, v in self.values.items():
-                    img = roots[perm[index[coords]]].coords
-                    if self.values.get(img) != descent.field_apply(k, v):
-                        raise ADataError(
-                            f"a-data not Galois-equivariant at {coords}, sigma^{k}")
-            else:
-                act = descent.restricted_action(k, self.system)
-                for coords, v in self.values.items():
-                    if self.values.get(act(coords)) != descent.field_apply(k, v):
-                        raise ADataError(
-                            f"restricted a-data not Galois-equivariant at {coords}, sigma^{k}")
+            act = descent.restricted_action(k, self.system) if self.restricted \
+                else _root_images(descent.datum, descent.root_action(k).perm)
+            for coords, v in self.values.items():
+                if self.values[act[coords]] != descent.field_apply(k, v):
+                    raise ADataError(f"{what} not Galois-equivariant at {coords}, sigma^{k}")
 
     def is_special(self) -> bool:
         if not self.restricted:
@@ -159,9 +150,15 @@ class ADatum:
         through a normalizer-adjusted conjugator."""
         if self.restricted:
             raise ADataError("translation acts on full a-data")
-        values = {coords: self.values[tuple(mu.act_root(coords))]
-                  for coords in self.values}
+        images = _root_images(mu.datum, mu.perm)
+        values = {coords: self.values[images[coords]] for coords in self.values}
         return ADatum(values, self.one, self.half, self.system)
+
+
+def _root_images(datum: RootDatum, perm: Sequence[int]) -> Dict[tuple, tuple]:
+    """The image of each root under the permutation perm of root indices."""
+    roots = datum.roots
+    return {r.coords: roots[j].coords for r, j in zip(roots, perm)}
 
 
 def _signed_values(pos_values: Dict[tuple, object], positive: Sequence[tuple],
@@ -243,21 +240,20 @@ class DescentDatum:
         self._powers = self._compute_powers()
         self.validate()
 
-    def _compute_powers(self):
-        """The powers 0 .. order of the generator; the last one closes the
-        cycle and is what ``validate`` checks."""
-        powers = [(self.datum.identity_weyl(), PinnedAutomorphism.identity(self.datum))]
+    def _compute_powers(self) -> List[RootAutomorphism]:
+        """sigma^0 .. sigma^order, each with its permutation of the roots;
+        the last one closes the cycle and is what ``validate`` checks."""
+        powers = [RootAutomorphism(self.datum.identity_weyl())]
         w, g = self.omega_T, self.sigma_T
-        cur_w, cur_g = powers[0]
         for _ in range(self.order):
             # (w, g) * (cur_w, cur_g) = (w * g(cur_w), g cur_g)
-            cur_w, cur_g = w * g.act_weyl(cur_w), g.compose(cur_g)
-            powers.append((cur_w, cur_g))
+            cur = powers[-1]
+            powers.append(RootAutomorphism(w * g.act_weyl(cur.weyl), g.compose(cur.diagram)))
         return powers
 
     def validate(self) -> None:
-        final_w, final_g = self._powers[self.order]
-        if not final_w.is_identity or not final_g.is_identity:
+        final = self._powers[self.order]
+        if not final.weyl.is_identity or not final.diagram.is_identity:
             raise DescentError("sigma_T is not a homomorphism: generator has wrong order")
         fo = getattr(self.field_action, "order", 1)
         if self.order % fo:
@@ -272,14 +268,13 @@ class DescentDatum:
     # -- actions -------------------------------------------------------------------
 
     def weyl_part(self, k: int) -> WeylElement:
-        return self._powers[k % self.order][0]
+        return self._powers[k % self.order].weyl
 
     def diagram_part(self, k: int) -> PinnedAutomorphism:
-        return self._powers[k % self.order][1]
+        return self._powers[k % self.order].diagram
 
     def root_action(self, k: int) -> RootAutomorphism:
-        w, g = self._powers[k % self.order]
-        return RootAutomorphism(w, g)
+        return self._powers[k % self.order]
 
     def field_apply(self, k: int, value):
         for _ in range(k % self.order):
@@ -299,22 +294,20 @@ class DescentDatum:
         """The transported action on the ambient torus coordinates."""
         return self.galois_on_torus_pinned(k, t).weyl_apply(self.weyl_part(k), one)
 
-    def restricted_action(self, k: int, rrs: RestrictedRootSystem):
-        """The function applying sigma^k to restricted coordinates."""
-        w, g = self._powers[k % self.order]
-        n = rrs.res_rank
-        cols = []
-        for orb in rrs.simple_orbits:
-            # one orbit representative restricts to the unit vector; the
-            # action descends, so any representative gives the same column
-            lam = [0] * self.datum.rank
-            lam[g.perm[orb[0]]] = 1
-            cols.append(rrs.restrict_weight(w.act_weight(tuple(lam))))
-
-        def act(v):
-            return tuple(sum(cols[j][i] * v[j] for j in range(n)) for i in range(n))
-
-        return act
+    def restricted_action(self, k: int, rrs: RestrictedRootSystem) -> Dict[tuple, tuple]:
+        """sigma^k on the restricted roots: the image of each, read off the
+        restrictions of sigma^k applied to its whole fiber.  sigma^k acts
+        there only when it maps each fiber into one; else DescentError."""
+        k %= self.order
+        roots, index, perm = self.datum.roots, self.datum.root_index, self._powers[k].perm
+        out = {}
+        for v, rr in rrs.restricted.items():
+            images = {rrs.restrict_root(roots[perm[index[c]]].coords) for c in rr.orbit}
+            if len(images) != 1:
+                raise DescentError(f"sigma^{k} does not act on the restricted roots: the "
+                                   f"fiber of {v} restricts to {sorted(images)}")
+            out[v] = images.pop()
+        return out
 
     def __repr__(self):
         return (f"DescentDatum(Z/{self.order}, omega={self.omega_T!r}, "
@@ -522,22 +515,14 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
     The result is equivariant by construction and checked where it is used.
     """
     restricted = isinstance(system, RestrictedRootSystem)
-    if restricted:
-        keys = sorted(system.restricted)
-        sigma = descent.restricted_action(1 % descent.order, system)
-    else:
-        aut = descent.root_action(1 % descent.order)
-        keys = sorted(r.coords for r in system.roots)
-
-        def sigma(v):
-            return tuple(aut.act_root(v))
-
+    sigma = descent.restricted_action(1, system) if restricted \
+        else _root_images(descent.datum, descent.root_action(1).perm)
     if descent.order not in (1, 2):
         raise DescentError("quadratic-extension a-data needs a group of order <= 2")
 
     # edges: (image, sign multiplier, conjugation step)
     def edges(v):
-        out = [(tuple(-c for c in v), -1, 0), (sigma(v), 1, 1 % descent.order)]
+        out = [(tuple(-c for c in v), -1, 0), (sigma[v], 1, 1 % descent.order)]
         if not restricted and theta is not None:
             out.append((tuple(theta.act_root(v)), 1, 0))
         if restricted and special:
@@ -553,7 +538,7 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
     label: Dict[tuple, Tuple[int, int, int]] = {}  # key -> (class, sign, parity)
     constraint: Dict[int, str] = {}  # class -> "any" | "rational" | "irrational"
     n_classes = 0
-    for start in keys:
+    for start in sorted(sigma):
         if start in label:
             continue
         cls = n_classes
@@ -797,14 +782,6 @@ class CompareReport:
     t_prime_matrices: Optional[Dict[int, tuple]] = None
 
 
-def restricted_inversions(rrs: RestrictedRootSystem, descent: DescentDatum,
-                          k: int) -> Tuple[tuple, ...]:
-    """Indivisible positive restricted roots sent negative by the inverse of
-    the k-th Galois action, which is the action of sigma^{-k} once the
-    descent datum is validated."""
-    return rrs.res_inversions(descent.restricted_action(-k, rrs))
-
-
 def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
                              special_adata: ADatum,
                              ctx: Optional[MatrixContext] = None,
@@ -833,7 +810,8 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     for k in range(descent.order):
         omega_k = descent.weyl_part(k)
         torus = TorusElement.ones(datum.rank, one)
-        for beta in restricted_inversions(rrs, descent, k):
+        # the inverse of sigma^k is sigma^{-k}, since the descent datum is valid
+        for beta in rrs.res_inversions(descent.restricted_action(-k, rrs)):
             torus = torus * TorusElement.cochar_power(
                 rrs.restricted[beta].coroot, special_adata[beta], one)
         torus_parts[k] = torus

@@ -306,9 +306,9 @@ def _steinberg_case(records: List[CheckRecord], label: str, datum: RootDatum,
                 yield (beta, "weight", lam), (
                     rrs.restrict_weight(w_beta.act_weight(lam))
                     == rrs.reflect_restricted(rrs.restrict_weight(lam), beta))
-            for r in datum.roots:
+            for r, j in zip(datum.roots, w_beta.perm):
                 yield (beta, "root", r.coords), (
-                    rrs.restrict_root(w_beta.act_root(r.coords))
+                    rrs.restrict_root(datum.roots[j].coords)
                     == rrs.reflect_restricted(rrs.restrict_root(r.coords), beta))
 
     _check_each(records, f"steinberg/5-weyl-isomorphism/{label}", weyl_isomorphism)

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitinv import cli, suites
 from splitinv.cli import main
@@ -24,8 +28,9 @@ A2_FLIP_SCENARIO = {
 
 
 def write(tmp_path, doc, name="scenario.json"):
+    """doc as JSON, or as given when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -215,11 +220,24 @@ class TestInvariant:
                                               "values": {"1,0": value, "0,1": 1, "1,1": 1}}),
          "adata.values")
         for value in (True, [True, 0], [1, False])
+    ] + [
+        # one number rule: a non-bool int or a string with no exponent part
+        (lambda doc, value=value: dict(doc, adata={"mode": "values",
+                                                   "values": dict(doc["adata"]["values"],
+                                                                  **{"1,0": value})}),
+         "adata.values")
+        for value in ([float("inf"), 1], [0.1, 1], 0.1, [0, "1e5"], "1e100000", [0, "nan"])
+    ] + [
+        # Python reads no integer literal of more than 4,300 digits, even
+        # under a key the command never looks at
+        (lambda doc: json.dumps(doc)[:-1] + ', "unused": ' + "7" * 4301 + "}", "<json>"),
     ], ids=["top-level-list", "galois-list", "adata-list", "field-d-not-integer",
             "value-one-over-zero", "zero-value-unused", "zero-value-with-short-omega",
             "fractional-rank", "key-not-a-root", "key-of-another-rank",
             "key-a-negative-root", "value-true", "value-true-in-pair",
-            "value-false-in-pair"])
+            "value-false-in-pair", "value-infinity-in-pair", "value-float-in-pair",
+            "value-float", "value-exponent-in-pair", "value-huge-exponent",
+            "value-nan-string-in-pair", "integer-literal-past-the-digit-limit"])
     def test_malformed_input_names_its_field(self, tmp_path, capsys, change, field):
         doc = {
             "datum": [["A", 2]],
@@ -466,11 +484,19 @@ class TestHilbert:
     def test_fractions_accepted(self, capsys):
         assert main(["hilbert", "1/2", "5", "--place", "5"]) == 0
         assert capsys.readouterr().out.strip() == "-1"
+        assert main(["hilbert", "0.5", "5", "--place", "5"]) == 0
+        assert capsys.readouterr().out.strip() == "-1"
 
     @pytest.mark.parametrize("args,name", [
         (["abc", "5", "--place", "5"], "a"),
         (["2", "1/0", "--place", "5"], "b"),
         (["2", "5", "--place", "x"], "--place"),
+        # a float form is refused, not expanded: 1e1000000 would have its
+        # valuation at 5 divide out a million factors
+        (["1e100000", "5", "--place", "5"], "a"),
+        (["1e1000000", "5", "--place", "5"], "a"),
+        (["2", "5E3", "--place", "5"], "b"),
+        (["inf", "5", "--place", "5"], "a"),
     ])
     def test_malformed_argument_exits_two(self, capsys, args, name):
         assert main(["hilbert"] + args) == 2
@@ -493,3 +519,73 @@ class TestFactors:
         assert main(["factors", "--variant", "delta_d"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["chi_invariant"] is True
+
+
+# ---------------------------------------------------------------------------
+# malformed scenarios drawn at random
+# ---------------------------------------------------------------------------
+
+_LONG = "@long-literal@"   # stands for an integer literal of 4,301 digits
+
+# the well-formed scenarios a draw starts from, in value and symbolic mode;
+# each has every path below, and the values of the second are unread until
+# a draw sets its mode to "values"
+_FUZZ_BASES = [
+    {"datum": [["A", 2]], "theta": {"perm": [2, 1]},
+     "galois": {"order": 2, "omega_T": [1, 2, 1], "sigma_T": None, "field": {"d": 5}},
+     "adata": {"mode": "values", "values": {"1,0": [0, 1], "0,1": [0, 1], "1,1": [0, 1]}}},
+    {"datum": [["D", 4]], "theta": {"perm": [1, 2, 4, 3]},
+     "galois": {"order": 2, "omega_T": [1], "sigma_T": [1, 2, 4, 3], "field": {"d": -1}},
+     "adata": {"mode": "symbolic", "values": {"1,0": "1", "0,1": "-2/3"}}},
+]
+
+_FUZZ_PATHS = [
+    (), ("datum",), ("datum", 0), ("datum", 0, 0), ("datum", 0, 1),
+    ("theta",), ("theta", "perm"), ("theta", "perm", 0),
+    ("galois",), ("galois", "order"), ("galois", "omega_T"), ("galois", "omega_T", 0),
+    ("galois", "sigma_T"), ("galois", "field"), ("galois", "field", "d"),
+    ("adata",), ("adata", "mode"), ("adata", "values"), ("adata", "values", "1,0"),
+    ("adata", "values", "0,1", 0),
+]
+
+# wrong types, floats, bools, non-finite constants, long ints, bad
+# permutations and data past the size budget
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-3, 12), st.text(max_size=4),
+    st.sampled_from([10 ** 40, -10 ** 40, _LONG, float("inf"), float("nan"),
+                     "1e5", "1/0", "-1/2", "0.5", "symbolic", "values"]),
+    st.lists(st.integers(-2, 5), max_size=4),
+    st.dictionaries(st.sampled_from(["perm", "d", "mode", "1,0"]), st.integers(-2, 5),
+                    max_size=2),
+    st.sampled_from([[["A", 200]], [["D", 100]], [["A", 10 ** 9]], [["A", 50]] * 20,
+                     [2, 2], [1], [3, 1, 2], [0, 1], [[1, 2]], [["A", 2, 1]]]))
+
+
+def _put(doc, path, value):
+    """doc with value at path, a list of keys and indices."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _put(doc[path[0]], path[1:], value)
+    return out
+
+
+class TestScenarioFuzz:
+    # each input ends in an answer (0), a failed check (1), or exit 2 naming
+    # a field, in bounded time and never in an exception
+    @settings(deadline=None, max_examples=250)
+    @given(base=st.sampled_from(_FUZZ_BASES), path=st.sampled_from(_FUZZ_PATHS),
+           value=_FUZZ_VALUES, command=st.sampled_from(["invariant", "restrict"]))
+    def test_malformed_scenario_exits_cleanly(self, tmp_path_factory, base, path, value,
+                                              command):
+        text = json.dumps(_put(base, path, value)).replace(json.dumps(_LONG), "9" * 4301)
+        scenario = write(tmp_path_factory.mktemp("fuzz"), text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, scenario])
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 2:
+            assert re.match(r"error: field '[^']+': ", err.getvalue()), err.getvalue()
+            assert out.getvalue() == ""
+        else:
+            assert json.loads(out.getvalue())["pass"] is (code == 0)

@@ -1,5 +1,6 @@
 """Root data, Weyl elements, pinned automorphisms, and restriction."""
 
+import functools
 import itertools
 import random
 
@@ -15,10 +16,6 @@ from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, 
 
 def is_root(d, coords):
     return tuple(coords) in d.root_index
-
-
-def act_root_inv(w, coords):
-    return w.inverse().act_root(coords)
 
 
 def act_coroot(w, coords):
@@ -81,11 +78,14 @@ class TestBuild:
             build_root_datum([])
 
     def test_reflection_closure(self):
+        # s_i sends each root to a root, and its permutation of the root
+        # indices is the reflection matrix built from the Cartan matrix
         d = build_root_datum([("B", 3)])
-        for r in d.roots:
-            for i in range(d.rank):
-                img = d.simple_reflection(i).act_root(r.coords)
-                assert is_root(d, img)
+        for i, m in enumerate(_simple_reflection_matrices(d.cartan, False)):
+            perm = d.simple_reflection(i).perm
+            for r, j in zip(d.roots, perm):
+                img = _mat_vec(m, r.coords)
+                assert is_root(d, img) and d.roots[j].coords == img
 
     def test_coroot_pairing_is_two(self):
         for spec in ([("A", 3)], [("C", 2)], [("D", 4)]):
@@ -489,6 +489,10 @@ def _simple_reflection_matrices(cartan, coroot):
     return out
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _mat_vec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
@@ -555,13 +559,13 @@ class TestWeylKernel:
     def test_actions_are_the_matrix_action(self, label, families, perm):
         d, ref, lib = _kernel_case(label, families)
         basis = [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
-        vectors = basis + [r.coords for r in d.roots] + [tuple(range(2, d.rank + 2))]
         covectors = basis + [r.coroot for r in d.roots] + [tuple(range(-1, d.rank - 1))]
         for m, w in lib.items():
             m_inv, c, c_inv, _ = ref.elements[m]
-            for v in vectors:
-                assert w.act_root(v) == _mat_vec(m, v)
-                assert act_root_inv(w, v) == _mat_vec(m_inv, v)
+            # roots move only by permutation: perm is w, inv_perm is w^-1
+            for r, j, k in zip(d.roots, w.perm, w.inv_perm):
+                assert d.roots[j].coords == _mat_vec(m, r.coords)
+                assert d.roots[k].coords == _mat_vec(m_inv, r.coords)
             for v in covectors:
                 assert act_coroot(w, v) == _mat_vec(c, v)
                 assert act_coroot_inv(w, v) == _mat_vec(c_inv, v)
@@ -732,16 +736,20 @@ class TestTableRoutes:
                 got = s.compose(PinnedAutomorphism(twin, o.perm))
                 assert got.datum is d and got.root_perm == s.compose(o).root_perm
 
+    # the reference is theta's act_root followed by the matrix of w, the
+    # product of the reflection matrices along its word
     @pytest.mark.parametrize("label,families", TABLE_CASES)
     def test_root_automorphism_index_action_is_act_root(self, label, families):
         d = build_root_datum(families)
+        gens = _simple_reflection_matrices(d.cartan, False)
         group = d.weyl_group()
         sample = random.Random(0).sample(group, min(len(group), 40))
         for theta in _diagram_automorphisms(d):
             for w in sample:
+                m = functools.reduce(_mat_mul, (gens[i] for i in w.word), _identity(d.rank))
                 aut = RootAutomorphism(w, theta)
                 assert [d.roots[k].coords for k in aut.perm] == \
-                    [aut.act_root(r.coords) for r in d.roots]
+                    [_mat_vec(m, theta.act_root(r.coords)) for r in d.roots]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import splitinv.splitting as splitting
-from splitinv.coeffs import QuadConj, QuadField, SignedSymbolMap, SymUnit
+from splitinv.coeffs import LocalPlace, QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
+from splitinv.factors import EndoscopicSignDatum, RootOfUnity, restricted_galois_orbits
 from splitinv.matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
                                 mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
                                 mat_prod, mat_scalar, realize, restricted_root_vectors,
@@ -147,6 +148,52 @@ class TestDescentDatum:
         with pytest.raises(DescentError):
             desc.validate_theta_compatible(theta)
         DescentDatum(d, 2, d.longest_element()).validate_theta_compatible(theta)
+
+    def test_each_power_is_built_once(self):
+        d = build_root_datum([("D", 4)])
+        theta = PinnedAutomorphism(d, [2, 1, 3, 0])
+        desc = DescentDatum(d, 3, d.identity_weyl(), theta)
+        assert [desc.root_action(k) for k in range(3)] == \
+            [desc.root_action(k + 3) for k in range(3)]
+        assert all(desc.root_action(k) is desc.root_action(k - 3) for k in range(3))
+        assert desc.root_action(1).perm == theta.root_perm
+
+
+# A Weyl twist omega_T that does not commute with theta moves the fiber of
+# some restricted root onto roots of two restricted roots, so sigma has no
+# action on the restricted roots; omega_T = s1 s5 on the A5 flip commutes
+DESCENT_CASES = [("A4 flip", [("A", 4)], (3, 2, 1, 0), [0], False),
+                 ("A3 flip", [("A", 3)], (2, 1, 0), [0], False),
+                 ("D4 swap", [("D", 4)], (0, 1, 3, 2), [2], False),
+                 ("A2 flip", [("A", 2)], (1, 0), [0], False),
+                 ("A5 flip", [("A", 5)], (4, 3, 2, 1, 0), [0, 4], True)]
+
+
+@pytest.mark.parametrize("label,families,perm,word,descends", DESCENT_CASES)
+def test_restricted_galois_action_needs_a_descent(label, families, perm, word, descends):
+    d = build_root_datum(families)
+    rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+    f = QuadField(5)
+    desc = DescentDatum(d, 2, analyze_weyl(d, word), field_action=QuadConj(f))
+    plain = ADatum.restricted_from_positive(rrs, {v: f.one() for v in rrs.positive_restricted},
+                                            f.one(), f.half())
+    if not descends:
+        for call in (lambda: restricted_galois_orbits(rrs, desc),
+                     lambda: EndoscopicSignDatum(rrs, desc, {}, {}),
+                     lambda: equivariant_quad_adata(rrs, desc, f, random.Random(0), special=True),
+                     lambda: plain.validate_equivariant(desc)):
+            with pytest.raises(DescentError, match=r"sigma\^1 does not act on the restricted "
+                                                   r"roots: the fiber of \(.*\) restricts to "):
+                call()
+        return
+    orbits = restricted_galois_orbits(rrs, desc)
+    assert sorted(v for o in orbits for v in o.members) == sorted(rrs.restricted)
+    values = {v: RootOfUnity.one() for v in rrs.restricted}
+    EndoscopicSignDatum(rrs, desc, values, {o.members: LocalPlace.padic(5, 2)
+                                            for o in orbits if o.symmetric})
+    equivariant_quad_adata(rrs, desc, f, random.Random(0), special=True).validate_equivariant(desc)
+    with pytest.raises(ADataError, match="restricted a-data not Galois-equivariant"):
+        plain.validate_equivariant(desc)
 
 
 class TestLambdaUntwisted:
@@ -705,6 +752,15 @@ class TestContextFactors:
 # symbolic a-data against the breadth-first canon of coordinate tuples
 # ---------------------------------------------------------------------------
 
+def _act_by_word(cartan, word, v):
+    """w(v) in simple-root coordinates for w the product of the simple
+    reflections along word, s_i(v) = v - <v, alpha_i_vee> alpha_i applied
+    from the last letter."""
+    for i in reversed(word):
+        v = v[:i] + (v[i] - sum(c * x for c, x in zip(cartan[i], v)),) + v[i + 1:]
+    return v
+
+
 def _canon_symbolic(datum, descent, theta):
     """(sign, symbol) at each root and the symbol mapping of the generator,
     with each root's class found by a breadth-first search of its
@@ -725,7 +781,7 @@ def _canon_symbolic(datum, descent, theta):
     gen = descent.root_action(1 % descent.order)
     mapping = {}
     for rep in reps:
-        node, sgn = node_of[tuple(gen.act_root(rep))]
+        node, sgn = node_of[_act_by_word(datum.cartan, gen.weyl.word, gen.diagram.act_root(rep))]
         mapping[sym_of[rep]] = (sgn, sym_of[node])
     return {c: (sgn, sym_of[node]) for c, (node, sgn) in node_of.items()}, mapping
 

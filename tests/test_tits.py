@@ -52,9 +52,7 @@ class TestLifts:
             for _ in range(4):
                 cur, letters = w, []
                 while not cur.is_identity:
-                    descents = [i for i in range(d.rank)
-                                if not d._is_positive(
-                                    cur.inverse().act_root(d.simple_root(i).coords))]
+                    descents = [i for i in range(d.rank) if cur.inverts(d.simple_index[i])]
                     i = rng.choice(descents)
                     letters.append(i)
                     cur = d.simple_reflection(i) * cur
