@@ -38,7 +38,6 @@ from .rootdata import (
     WeylElement,
     analyze_weyl,
     build_root_datum,
-    datum_and_theta_from_json,
     levi_component,
     restrict_root_system,
 )
@@ -54,7 +53,6 @@ from .splitting import (
     lambda_untwisted,
     lift_discrepancy,
     sample_h_twisted,
-    sample_h_untwisted,
     verify_borel_independence,
 )
 from .tits import TitsElement, TorusElement, m_cocycle, tits_cocycle, tits_lift, x_of

@@ -16,7 +16,7 @@ from typing import List, Optional
 from .coeffs import LocalPlace, QuadConj, QuadField, hilbert_symbol
 from .errors import SplitinvError
 from .factors import build_factor_expression, chi_invariance_check
-from .rootdata import (PinnedAutomorphism, RootDatum, analyze_weyl,
+from .rootdata import (PinnedAutomorphism, RootDatum, _int_field, analyze_weyl,
                        restrict_root_system)
 from .splitting import ADatum, DescentDatum, lambda_twisted, lambda_untwisted, \
     _symbolic_adata
@@ -100,20 +100,29 @@ def _integer(raw, field: str) -> int:
     return raw
 
 
+def _automorphism(datum: RootDatum, raw, field: str) -> PinnedAutomorphism:
+    """The pinned automorphism with 1-based simple-root permutation raw, the
+    list read at field: theta.perm or galois.sigma_T."""
+    if not isinstance(raw, list):
+        raise ScenarioError(field, f"expected a list of 1-based simple-root indices, got {raw!r}")
+    try:
+        return PinnedAutomorphism(datum, [_int_field(p, "perm") - 1 for p in raw])
+    except SplitinvError as exc:
+        raise ScenarioError(field, str(exc)) from None
+
+
 def _parse_datum(doc: dict):
-    spec = doc.get("datum", doc.get("type"))
+    spec = doc.get("datum")
     if spec is None:
         raise ScenarioError("datum", "missing")
     try:
         datum = RootDatum([(str(f), r) for f, r in spec])
     except (TypeError, ValueError, SplitinvError) as exc:
         raise ScenarioError("datum", str(exc)) from None
-    theta_doc = doc.get("theta")
-    try:
-        theta = PinnedAutomorphism.from_json(datum, theta_doc)
-    except SplitinvError as exc:
-        raise ScenarioError("theta", str(exc)) from None
-    return datum, theta
+    theta_doc = _object(doc, "theta", "theta")
+    if theta_doc is None:
+        return datum, PinnedAutomorphism.identity(datum)
+    return datum, _automorphism(datum, theta_doc.get("perm"), "theta")
 
 
 def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> DescentDatum:
@@ -132,11 +141,7 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
     except (SplitinvError, ValueError, IndexError) as exc:
         raise ScenarioError("galois.omega_T", str(exc)) from None
     sigma_doc = gal.get("sigma_T")
-    try:
-        sigma = PinnedAutomorphism.from_json(
-            datum, {"perm": sigma_doc} if sigma_doc else None)
-    except SplitinvError as exc:
-        raise ScenarioError("galois.sigma_T", str(exc)) from None
+    sigma = None if sigma_doc is None else _automorphism(datum, sigma_doc, "galois.sigma_T")
     try:
         return DescentDatum(datum, order, omega, sigma,
                             QuadConj(fieldq) if fieldq is not None else None)
@@ -292,15 +297,19 @@ def cmd_verify(args) -> int:
 def _parse_arg(name: str, raw: str, parse):
     try:
         return parse(raw)
+    except SplitinvError as exc:
+        raise SplitinvError(f"argument {name}: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise SplitinvError(f"argument {name}: cannot parse {raw!r}") from None
 
 
 def cmd_hilbert(args) -> int:
-    a = _parse_arg("a", args.a, _number)
-    b = _parse_arg("b", args.b, _number)
+    a, b = _parse_arg("a", args.a, _number), _parse_arg("b", args.b, _number)
+    for name, x in (("a", a), ("b", b)):
+        if not x:
+            raise SplitinvError(f"argument {name}: the Hilbert symbol needs a nonzero value")
     place = LocalPlace.real() if args.place == "real" else \
-        LocalPlace.padic(_parse_arg("--place", args.place, int))
+        _parse_arg("--place", args.place, lambda raw: LocalPlace.padic(int(raw)))
     value = hilbert_symbol(a, b, place)
     print(value)
     return 0

@@ -179,9 +179,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, k: int):
-        return Fraction(k)
-
     def embed(self, x: Rat):
         return Fraction(x)
 
@@ -206,13 +203,11 @@ class QuadNum:
     __slots__ = ("_v",)  # the tuple (a, b, c, d)
 
     def __new__(cls, u: Rat, v: Rat, d: int) -> "QuadNum":
+        if isinstance(d, bool) or not isinstance(d, int):   # as PrimeField checks p
+            raise CoefficientError(f"d={d!r} is not an integer")
         u, v = Fraction(u), Fraction(v)
         return _reduced(u.numerator * v.denominator, v.numerator * u.denominator,
                         u.denominator * v.denominator, d)
-
-    @staticmethod
-    def make(u: Rat, v: Rat, d: int) -> "QuadNum":
-        return QuadNum(u, v, d)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuadNum is immutable: cannot set {name!r}")
@@ -387,12 +382,12 @@ class QuadField:
     conj_order = 2
 
     def __init__(self, d: int):
+        self._one = QuadNum(1, 0, d)    # which refuses a d that is not an int
         if d == 0 or _is_square_int(d):
             raise CoefficientError(f"d={d} is a square; extension is not quadratic")
         self.d = d
         self.name = f"Q(sqrt({d}))"
         self._zero = _new_quad(0, 0, 1, d)
-        self._one = _new_quad(1, 0, 1, d)
 
     def zero(self):
         return self._zero
@@ -400,15 +395,12 @@ class QuadField:
     def one(self):
         return self._one
 
-    def from_int(self, k: int):
-        return QuadNum.make(k, 0, self.d)
-
     def embed(self, x):
         if isinstance(x, QuadNum):
             if x.d != self.d:
                 raise CoefficientError("mixed quadratic extensions")
             return x
-        return QuadNum.make(x, 0, self.d)
+        return QuadNum(x, 0, self.d)
 
     def gen(self):
         return _new_quad(0, 1, 1, self.d)
@@ -526,9 +518,6 @@ class PrimeField:
 
     def one(self):
         return Fp(1, self.p)
-
-    def from_int(self, k: int):
-        return Fp(k % self.p, self.p)
 
     def embed(self, x):
         if isinstance(x, Fp):

@@ -188,7 +188,7 @@ def exp_nilpotent(x: Matrix, field) -> Matrix:
         fact *= k
         if field.char and fact % field.char == 0:
             raise RealizationError(f"{k}! is not invertible in {field.name}")
-        coeff = field.from_int(fact) ** -1
+        coeff = field.embed(fact) ** -1
         out = mat_add(out, mat_scalar(term, coeff))
     return out
 
@@ -234,20 +234,9 @@ class MatrixContext:
         return tuple(tuple(one if (r == i and c == i + 1) else zero
                            for c in range(self.n)) for r in range(self.n))
 
-    def unit_lower(self, i: int):
-        zero, one = self.field.zero(), self.field.one()
-        return tuple(tuple(one if (r == i + 1 and c == i) else zero
-                           for c in range(self.n)) for r in range(self.n))
-
     def simple_lift_matrix(self, i: int) -> Matrix:
         """n(alpha_i): the block [[0,1],[-1,0]] in rows/cols i, i+1."""
-        zero, one = self.field.zero(), self.field.one()
-        rows = [[one if r == c else zero for c in range(self.n)] for r in range(self.n)]
-        rows[i][i] = zero
-        rows[i][i + 1] = one
-        rows[i + 1][i] = -one
-        rows[i + 1][i + 1] = zero
-        return tuple(tuple(r) for r in rows)
+        return block_embed(self, i, ((0, 1), (-1, 0)))
 
     def torus_matrix(self, t: TorusElement) -> Matrix:
         """Diagonal matrix of a simple-coroot coordinate vector."""
@@ -338,7 +327,7 @@ class MatrixContext:
 
 def _generic_probe(ctx: MatrixContext) -> Matrix:
     # an invertible matrix with distinct entries, to witness identities
-    vals = [[ctx.field.from_int(1 if i == j else 0) + ctx.field.from_int((i + 2 * j) % 3)
+    vals = [[ctx.field.embed(1 if i == j else 0) + ctx.field.embed((i + 2 * j) % 3)
              for j in range(ctx.n)] for i in range(ctx.n)]
     m = tuple(tuple(row) for row in vals)
     if not mat_det(m, ctx.field):
@@ -356,8 +345,27 @@ def realize(ctx: MatrixContext, x) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# rank-1 adjoint maps into SL(3)
+# SL(2) points: the pinned rank-1 blocks and the adjoint maps into SL(3)
 # ---------------------------------------------------------------------------
+
+def _sl2_entries(f, g2: Sequence[Sequence]) -> tuple:
+    """The entries a, b, c, d of g2 in the field f, checked to have ad - bc = 1."""
+    a, b = f.embed(g2[0][0]), f.embed(g2[0][1])
+    c, d = f.embed(g2[1][0]), f.embed(g2[1][1])
+    if a * d - b * c != f.one():
+        raise RealizationError("input is not unimodular")
+    return a, b, c, d
+
+
+def block_embed(ctx: MatrixContext, i: int, g2: Sequence[Sequence]) -> Matrix:
+    """g2 in rows and columns i, i+1 of the identity: the SL(2) of alpha_i
+    (0-based), written out by hand, not read off the pinning it checks."""
+    if not 0 <= i < ctx.n - 1:
+        raise RealizationError(f"simple root index {i} out of range for SL({ctx.n})")
+    rows = [list(r) for r in mat_identity(ctx.n, ctx.field)]
+    rows[i][i], rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = _sl2_entries(ctx.field, g2)
+    return tuple(tuple(r) for r in rows)
+
 
 def ad(ctx: MatrixContext, g2: Sequence[Sequence]) -> Matrix:
     """Adjoint map SL(2) -> SL(3) in the basis (X, H, Y) with X = [[0,-1],[0,0]]:
@@ -365,11 +373,8 @@ def ad(ctx: MatrixContext, g2: Sequence[Sequence]) -> Matrix:
     if ctx.n != 3:
         raise RealizationError("adjoint maps target SL(3)")
     f = ctx.field
-    a, b = f.embed(g2[0][0]), f.embed(g2[0][1])
-    c, d = f.embed(g2[1][0]), f.embed(g2[1][1])
-    if a * d - b * c != f.one():
-        raise RealizationError("input is not unimodular")
-    two = f.from_int(2)
+    a, b, c, d = _sl2_entries(f, g2)
+    two = f.embed(2)
     return (
         (a * a, two * a * b, b * b),
         (a * c, a * d + b * c, b * d),
@@ -382,7 +387,7 @@ def adprime(ctx: MatrixContext, g2: Sequence[Sequence]) -> Matrix:
     of the order-2 automorphism.  Needs 2 invertible."""
     if ctx.field.char == 2:
         raise RealizationError("adprime undefined in characteristic 2")
-    two, half = ctx.field.from_int(2), ctx.field.half()
+    two, half = ctx.field.embed(2), ctx.field.half()
     # D ad D^-1 with D = diag(1, 2, 2): entry (i, j) times d_i / d_j
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = ad(ctx, g2)
     return ((m00, m01 * half, m02 * half),
@@ -452,7 +457,7 @@ def _solve_pinning(ctx: MatrixContext, rr) -> Tuple[Matrix, Matrix, Matrix]:
         diag[i + 1] -= e
 
     def matrix(entry):
-        return tuple(tuple(f.from_int(entry(r, c)) for c in range(n)) for r in range(n))
+        return tuple(tuple(f.embed(entry(r, c)) for c in range(n)) for r in range(n))
 
     return (matrix(lambda r, c: int(c == r + 1 and r in simple_idx)),
             matrix(lambda r, c: diag[r] if r == c else 0),
@@ -479,10 +484,7 @@ def sl2_embed(ctx: MatrixContext, rrs, beta, g2: Sequence[Sequence]) -> Matrix:
     """Image of an SL(2) point under the rank-1 subgroup attached to a simple
     restricted root of the fixed subgroup."""
     f = ctx.field
-    a, b = f.embed(g2[0][0]), f.embed(g2[0][1])
-    c, d = f.embed(g2[1][0]), f.embed(g2[1][1])
-    if a * d - b * c != f.one():
-        raise RealizationError("input is not unimodular")
+    a, b, c, d = _sl2_entries(f, g2)
     x, _, y = restricted_root_vectors(ctx, rrs, beta)
     coroot = rrs.restricted[tuple(beta)].coroot
     if a != f.zero():
@@ -518,7 +520,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
     n2 = ctx.simple_lift_matrix(1)
     n3 = mat_prod(n1, n2, n1)
     checks.append(("n3 = n1 n2 n1 = n2 n1 n2", mat_eq(n3, mat_prod(n2, n1, n2))))
-    want_n3 = tuple(tuple(f.from_int(v) for v in row)
+    want_n3 = tuple(tuple(f.embed(v) for v in row)
                     for row in ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
     checks.append(("n3 explicit matrix", mat_eq(n3, want_n3)))
     checks.append(("theta fixes n3", ctx.theta_fixed(n3)))
@@ -530,7 +532,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
     n3p = fixed_group_lift(ctx, rrs, w0)
     want_n3p = ((f.zero(), f.zero(), f.half()),
                 (f.zero(), -f.one(), f.zero()),
-                (f.from_int(2), f.zero(), f.zero()))
+                (f.embed(2), f.zero(), f.zero()))
     checks.append(("n3' explicit matrix", mat_eq(n3p, want_n3p)))
     alpha3_coroot = (1, 1)
     half_co = ctx.cochar_matrix(alpha3_coroot, f.half())
@@ -541,9 +543,7 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
     # theta swaps the two rank-1 pinnings
     ok = True
     for g2 in (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1))):
-        xi1 = _xi(ctx, 0, g2)
-        xi2 = _xi(ctx, 1, g2)
-        ok = ok and mat_eq(ctx.theta_apply(xi1), xi2)
+        ok = ok and mat_eq(ctx.theta_apply(block_embed(ctx, 0, g2)), block_embed(ctx, 1, g2))
     checks.append(("theta composed with the first rank-1 pinning is the second", ok))
 
     # fixed points of theta in the Weyl group
@@ -579,17 +579,6 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
         ok = ok and mat_det(img, f) == f.one()
     checks.append(("adprime lands in the fixed subgroup", ok))
     return checks
-
-
-def _xi(ctx: MatrixContext, which: int, g2) -> Matrix:
-    """The two pinned SL(2) embeddings into SL(3) (upper-left, lower-right)."""
-    f = ctx.field
-    a, b = f.embed(g2[0][0]), f.embed(g2[0][1])
-    c, d = f.embed(g2[1][0]), f.embed(g2[1][1])
-    one, zero = f.one(), f.zero()
-    if which == 0:
-        return ((a, b, zero), (c, d, zero), (zero, zero, one))
-    return ((one, zero, zero), (zero, a, b), (zero, c, d))
 
 
 def _unit_den(rng, field) -> int:

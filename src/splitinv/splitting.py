@@ -436,37 +436,7 @@ def _h2_seed(fieldq: QuadField):
     """The rank-1 conjugator [[1/2, -g], [1/(2g), 1]] with g = sqrt(d);
     determinant 1, and h^{-1} sigma(h) = (2g)^{coroot} n(s)."""
     g = fieldq.gen()
-    two = fieldq.from_int(2)
-    return ((fieldq.half(), -g), ((two * g) ** -1, fieldq.one()))
-
-
-def _block_embed(ctx: MatrixContext, i: int, g2):
-    f = ctx.field
-    rows = [list(r) for r in mat_identity(ctx.n, f)]
-    for a in range(2):
-        for b in range(2):
-            rows[i + a][i + b] = f.embed(g2[a][b])
-    return tuple(tuple(r) for r in rows)
-
-
-def sample_h_untwisted(ctx: MatrixContext, rng: random.Random, seeds: Sequence = ()):
-    """Conjugator for a torus whose Galois twist is a product of simple
-    reflections, randomized by rational unipotent translations and a
-    torus factor over the extension.  ``seeds`` lists simple-root indices;
-    distinct seeds must commute for the twist to stay in the normalizer,
-    which the realization constructor verifies."""
-    f = ctx.field
-    seed = mat_identity(ctx.n, f)
-    for i in seeds:
-        seed = mat_mul(seed, _block_embed(ctx, i, _h2_seed(f)))
-    left = mat_identity(ctx.n, f)
-    for _ in range(4):
-        i = rng.randrange(ctx.n - 1)
-        x = f.from_int(rng.randint(-3, 3))
-        gen = ctx.unit_upper(i) if rng.random() < 0.5 else ctx.unit_lower(i)
-        left = mat_mul(left, exp_nilpotent(mat_scalar(gen, x), f))
-    right = _random_torus_matrix(ctx, rng, theta=None)
-    return mat_prod(left, seed, right)
+    return ((fieldq.half(), -g), ((2 * g) ** -1, fieldq.one()))
 
 
 def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.Random,
@@ -475,7 +445,8 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
     transported torus is a product of fixed-subgroup reflections.  Each seed
     is (simple restricted root, conjugating fixed Weyl element or None).
     The seed blocks and the unipotent factors exp(c X_beta), exp(c Y_beta)
-    depend on the context alone and are built once per context."""
+    depend on the context alone and are built once per context.  With rrs
+    restricted along theta = 1 this is the untwisted sampler."""
     f = ctx.field
     factors = [pinned_factor(ctx, rrs, beta, ("seed", conj),
                              lambda: _seed_block(ctx, rrs, beta, conj))
@@ -488,7 +459,7 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
         upper = rng.random() < 0.5
         c = rng.randint(-2, 2)
         left.append(pinned_factor(ctx, rrs, b, (upper, c), lambda: exp_nilpotent(
-            mat_scalar(x if upper else y, f.from_int(c)), f)))
+            mat_scalar(x if upper else y, f.embed(c)), f)))
     right = _random_torus_matrix(ctx, rng, theta=rrs.theta)
     return mat_prod(*left, *factors, right)
 
@@ -582,15 +553,13 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
 
 
 def _random_torus_matrix(ctx: MatrixContext, rng: random.Random,
-                         theta: Optional[PinnedAutomorphism]):
+                         theta: PinnedAutomorphism):
     f = ctx.field
-    rank = ctx.n - 1
-    coords = [None] * rank
-    orbits = theta.orbits() if theta is not None else tuple((i,) for i in range(rank))
-    for orb in orbits:
+    coords = [None] * (ctx.n - 1)
+    for orb in theta.orbits():
         while True:
             val = f.embed(Fraction(rng.randint(-4, 4))) \
-                + f.gen() * f.from_int(rng.randint(-2, 2))
+                + f.gen() * f.embed(rng.randint(-2, 2))
             if val.norm():
                 break
         for i in orb:
@@ -703,7 +672,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     for k in range(descent.order):
         lhs = lift * m_prime[k] * descent.galois_on_tits(k, lift).inverse()
         coboundary = witness.inv() * descent.galois_on_torus_twisted(k, witness, one)
-        rhs = TitsElement.from_torus(coboundary, datum) * m[k]
+        rhs = TitsElement(coboundary, datum.identity_weyl()) * m[k]
         if lhs != rhs:
             raise ADataError(f"Borel-independence identity fails at sigma^{k}")
 

@@ -27,8 +27,7 @@ from .rootdata import (PinnedAutomorphism, RestrictedRootSystem, RootDatum,
 from .splitting import (ADatum, DescentDatum, Realization, check_nn_prime,
                         _random_torus_matrix, compare_fixed_vs_twisted,
                         equivariant_quad_adata, lambda_twisted, lambda_untwisted,
-                        sample_h_twisted, sample_h_untwisted,
-                        verify_borel_independence)
+                        sample_h_twisted, verify_borel_independence)
 from .tits import (TitsElement, TorusElement, lift_along_word,
                    tits_cocycle, tits_lift)
 
@@ -506,12 +505,13 @@ def suite_main(seed: int = 0) -> List[CheckRecord]:
         for n, twisted in ((2, False), (3, False), (4, False), (3, True), (4, True)):
             if twisted:
                 ctx, rrs, real, adata = _sampled_realization(n, fieldq, rng)
-                mus = rrs.fixed_weyl_subgroup()
             else:
                 ctx = MatrixContext(n, fieldq)
-                real = Realization(ctx, sample_h_untwisted(ctx, rng, seeds=[0]))
+                rrs = restrict_root_system(ctx.datum, PinnedAutomorphism.identity(ctx.datum))
+                seed = (rrs.restrict_root(ctx.datum.simple_root(0).coords), None)
+                real = Realization(ctx, sample_h_twisted(ctx, rrs, rng, seeds=[seed]))
                 adata = equivariant_quad_adata(ctx.datum, real.descent, fieldq, rng)
-                mus = ctx.datum.weyl_group()
+            mus = rrs.fixed_weyl_subgroup()   # W itself at theta = 1
             theta = ctx.theta if twisted else None
             for mu in mus:
                 # raises unless the two cocycles differ by the coboundary

@@ -97,18 +97,6 @@ class TitsElement:
     torus: TorusElement
     weyl: WeylElement
 
-    @staticmethod
-    def identity(datum: RootDatum, one) -> "TitsElement":
-        return TitsElement(TorusElement.ones(datum.rank, one), datum.identity_weyl())
-
-    @staticmethod
-    def simple_lift(datum: RootDatum, i: int, one) -> "TitsElement":
-        return TitsElement(TorusElement.ones(datum.rank, one), datum.simple_reflection(i))
-
-    @staticmethod
-    def from_torus(t: TorusElement, datum: RootDatum) -> "TitsElement":
-        return TitsElement(t, datum.identity_weyl())
-
     @property
     def datum(self) -> RootDatum:
         return self.weyl.datum
@@ -168,9 +156,9 @@ def tits_lift(datum: RootDatum, omega: WeylElement, one=None) -> TitsElement:
 
 def lift_along_word(datum: RootDatum, word: Sequence[int], one) -> TitsElement:
     """Product of simple lifts along an arbitrary word (not assumed reduced)."""
-    out = TitsElement.identity(datum, one)
+    out = tits_lift(datum, datum.identity_weyl(), one)
     for i in word:
-        out = out * TitsElement.simple_lift(datum, i, one)
+        out = out * tits_lift(datum, datum.simple_reflection(i), one)
     return out
 
 

@@ -43,7 +43,7 @@ class TestAcceptance:
         n3p = adprime(ctx, ((0, 1), (-1, 0)))
         assert n3p == ((f.zero(), f.zero(), f.half()),
                        (f.zero(), -f.one(), f.zero()),
-                       (f.from_int(2), f.zero(), f.zero()))
+                       (f.embed(2), f.zero(), f.zero()))
         assert mat_eq(n3p, mat_mul(ctx.cochar_matrix((1, 1), f.half()), n3))
         rng = random.Random(11)
         for _ in range(20):

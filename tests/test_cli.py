@@ -375,6 +375,29 @@ class TestRestrict:
         assert captured.err.startswith("error: field 'theta':")
         assert "field 'perm'" in captured.err and "3.7" in captured.err
 
+    # "datum" is the one key for the datum: "type" was once read in its place
+    @pytest.mark.parametrize("command", ["restrict", "invariant"])
+    def test_type_key_in_place_of_datum_exits_two(self, tmp_path, capsys, command):
+        doc = dict(A2_FLIP_SCENARIO)
+        doc["type"] = doc.pop("datum")
+        assert main([command, write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'datum': missing\n"
+
+    @pytest.mark.parametrize("theta", [{}, {"perm": None}, {"perm": "321"}, {"perm": 3},
+                                       {"perm": [3, 2]}, [3, 2, 1]])
+    def test_theta_without_a_perm_list_exits_two(self, tmp_path, capsys, theta):
+        path = write(tmp_path, {"datum": [["A", 3]], "theta": theta})
+        assert main(["restrict", path]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'theta':")
+
+    @pytest.mark.parametrize("sigma", [["2", 1], [2, True], [2.0, 1], [1], "21", 0])
+    def test_malformed_sigma_t_names_its_field(self, tmp_path, capsys, sigma):
+        doc = dict(A2_FLIP_SCENARIO, galois={"order": 2, "omega_T": [], "sigma_T": sigma})
+        assert main(["invariant", write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'galois.sigma_T':")
+
     def test_report(self, tmp_path, capsys):
         path = write(tmp_path, {"datum": [["A", 3]], "theta": {"perm": [3, 2, 1]}})
         assert main(["restrict", path]) == 0
@@ -472,6 +495,13 @@ class TestFileErrors:
         assert kept.read_text() == "an earlier report\n"
 
 
+# numbers, rationals, signs, exponents and any other text for `hilbert`
+HILBERT_TEXT = st.one_of(
+    st.from_regex(r"[-+]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/.eE_ x", max_size=12),
+    st.text(max_size=8))
+
+
 class TestHilbert:
     def test_known_value(self, capsys):
         assert main(["hilbert", "2", "5", "--place", "5"]) == 0
@@ -506,6 +536,35 @@ class TestHilbert:
     def test_large_prime_place(self, capsys):
         assert main(["hilbert", "2", "5", "--place", "1000000000000000003"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    # a zero argument or a place that is not a prime names its argument
+    @pytest.mark.parametrize("args,err", [
+        (["0", "5", "--place", "5"], "argument a: the Hilbert symbol needs a nonzero value"),
+        (["2", "0/3", "--place", "real"], "argument b: the Hilbert symbol needs a nonzero value"),
+        (["2", "5", "--place", "4"], "argument --place: p=4 is not prime"),
+        (["2", "5", "--place", "-3"], "argument --place: p=-3 is not prime"),
+    ])
+    def test_rejected_value_names_its_argument(self, capsys, args, err):
+        assert main(["hilbert"] + args) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    # any text for a, b and --place exits 0 with a symbol or 2 naming the
+    # argument, never with a traceback; "--place=..." and "--" keep a draw
+    # that starts with "-" from being read as an option
+    @settings(deadline=None, max_examples=300)
+    @given(a=HILBERT_TEXT, b=HILBERT_TEXT,
+           place=st.one_of(st.sampled_from(["real", "2", "5", "1000000000000000003"]),
+                           HILBERT_TEXT))
+    def test_fuzzed_arguments_exit_cleanly(self, a, b, place):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["hilbert", f"--place={place}", "--", a, b])
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue() in ("1\n", "-1\n")
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert re.match(r"error: argument (a|b|--place): ", err.getvalue()), err.getvalue()
 
 
 class TestFactors:

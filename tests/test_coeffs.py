@@ -165,7 +165,7 @@ class TestSymbolicUnits:
 class TestQuadField:
     def test_arithmetic(self):
         f = QuadField(5)
-        x = f.embed(Fraction(1, 2)) + f.gen() * f.from_int(3)
+        x = f.embed(Fraction(1, 2)) + f.gen() * f.embed(3)
         assert x * x.inv() == f.one()
         assert (x ** 3) * (x ** -3) == f.one()
         assert f.conj(f.gen()) == -f.gen()
@@ -174,6 +174,15 @@ class TestQuadField:
     def test_rejects_square_discriminant(self):
         with pytest.raises(CoefficientError):
             QuadField(9)
+
+    # d must be an int and not a bool, as PrimeField asks of p: 2.5 and "5"
+    # once ended in a bare TypeError, and QuadNum(1, 2, "5") was accepted
+    @pytest.mark.parametrize("d", [2.5, "5", Fraction(5), 5.0, None, True])
+    @pytest.mark.parametrize("build", [QuadField, lambda d: QuadNum(1, 2, d)],
+                             ids=["QuadField", "QuadNum"])
+    def test_d_must_be_an_integer(self, build, d):
+        with pytest.raises(CoefficientError, match=re.escape(f"d={d!r} is not an integer")):
+            build(d)
 
     def test_norm_formula(self):
         f = QuadField(-1)
@@ -185,10 +194,10 @@ class TestQuadField:
 class TestPrimeField:
     def test_basic(self):
         f = PrimeField(5)
-        assert f.half() == f.from_int(3)
-        assert (f.from_int(2) * f.half()) == f.one()
-        x = f.from_int(4)
-        assert x ** -1 == f.from_int(4)
+        assert f.half() == f.embed(3)
+        assert (f.embed(2) * f.half()) == f.one()
+        x = f.embed(4)
+        assert x ** -1 == f.embed(4)
 
     def test_characteristic_two_rejected(self):
         with pytest.raises(CoefficientError):
@@ -213,7 +222,7 @@ small_fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 
 coefficient = st.one_of(
     st.integers(-3, 3),
     small_fraction,
-    st.builds(QuadNum.make, small_fraction, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+    st.builds(QuadNum, small_fraction, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
               st.sampled_from([5, -1])),
     st.builds(lambda k, p: Fp(k % p, p), st.integers(-6, 6), st.sampled_from([3, 5])),
 )
@@ -228,10 +237,10 @@ class TestEqualityAndHash:
             assert hash(a) == hash(b)
 
     def test_rational_quadnum_is_its_rational(self):
-        assert QuadNum.make(1, 0, 5) == 1
-        assert len({QuadNum.make(1, 0, 5), 1, Fraction(1)}) == 1
-        assert QuadNum.make(Fraction(1, 2), 0, -1) in {Fraction(1, 2)}
-        assert QuadNum.make(1, 1, 5) != 1
+        assert QuadNum(1, 0, 5) == 1
+        assert len({QuadNum(1, 0, 5), 1, Fraction(1)}) == 1
+        assert QuadNum(Fraction(1, 2), 0, -1) in {Fraction(1, 2)}
+        assert QuadNum(1, 1, 5) != 1
 
     def test_fp_equals_only_its_own_field(self):
         assert Fp(1, 5) == Fp(1, 5) and Fp(1, 5) != Fp(1, 3)
@@ -246,7 +255,7 @@ quad_part = st.one_of(st.just(Fraction(0)), small_fraction)
 def quad_pairs(draw):
     """Two elements of one Q(sqrt(d)), often with u or v (or both) zero."""
     d = draw(st.sampled_from([5, -1, 2]))
-    return tuple(QuadNum.make(draw(quad_part), draw(quad_part), d) for _ in range(2))
+    return tuple(QuadNum(draw(quad_part), draw(quad_part), d) for _ in range(2))
 
 
 class TestScalarPaths:
@@ -310,17 +319,17 @@ class TestQuadNormalForm:
     @given(quad_values(), st.integers(1, 12))
     def test_normal_form_is_unique(self, value, k):
         d, u, v = value
-        x = QuadNum.make(u, v, d)
+        x = QuadNum(u, v, d)
         self.assert_normal(x)
         assert (x.u, x.v, x.d) == (u, v, d)
         assert type(x.u) is Fraction and type(x.v) is Fraction
         assert Fraction(x.a, x.c) == u and Fraction(x.b, x.c) == v
         # the same value reached by arithmetic has the same fields
-        y = (x * k + QuadNum.make(0, Fraction(1, k), d)) / k - QuadNum.make(0, Fraction(1, k * k), d)
+        y = (x * k + QuadNum(0, Fraction(1, k), d)) / k - QuadNum(0, Fraction(1, k * k), d)
         self.assert_normal(y)
         assert (y.a, y.b, y.c, y.d) == (x.a, x.b, x.c, x.d)
         assert y == x and hash(y) == hash(x)
-        twice = QuadNum.make(2 * u, 2 * v, d)
+        twice = QuadNum(2 * u, 2 * v, d)
         for z in (x + x, x - (-x), x * 2, 2 * x):
             self.assert_normal(z)
             assert (z.a, z.b, z.c) == (twice.a, twice.b, twice.c)
@@ -330,7 +339,7 @@ class TestQuadNormalForm:
     def test_inverse_division_conj_norm(self, value, other):
         d, u, v = value
         _, s, t = other
-        x, y = QuadNum.make(u, v, d), QuadNum.make(s, t, d)
+        x, y = QuadNum(u, v, d), QuadNum(s, t, d)
         nrm = u * u - d * v * v
         assert x.norm() == nrm and type(x.norm()) is Fraction
         self.assert_normal(x.conj())
@@ -354,7 +363,7 @@ class TestQuadNormalForm:
     @given(quad_values(), st.integers(-4, 4))
     def test_power(self, value, k):
         d, u, v = value
-        x = QuadNum.make(u, v, d)
+        x = QuadNum(u, v, d)
         if k < 0 and not x:
             with pytest.raises(CoefficientError):
                 x ** k
@@ -368,21 +377,21 @@ class TestQuadNormalForm:
         assert (z.u, z.v, z.d) == (pu, pv, d)
 
     def test_immutable(self):
-        x = QuadNum.make(1, 2, 5)
+        x = QuadNum(1, 2, 5)
         for name in ("u", "v", "d", "a", "b", "c", "_v", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, name, 1)
         with pytest.raises(AttributeError):
             del x.a
-        assert x == QuadNum.make(1, 2, 5)
+        assert x == QuadNum(1, 2, 5)
 
     def test_copy_and_pickle_keep_the_value(self):
-        x = QuadNum.make(Fraction(1, 2), Fraction(-3, 4), -1)
+        x = QuadNum(Fraction(1, 2), Fraction(-3, 4), -1)
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is QuadNum and y == x and repr(y) == repr(x)
 
     def test_mixed_extensions_raise(self):
-        x, y = QuadNum.make(1, 1, 5), QuadNum.make(1, 1, -1)
+        x, y = QuadNum(1, 1, 5), QuadNum(1, 1, -1)
         for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
                    lambda: QuadField(5).embed(y)):
             with pytest.raises(CoefficientError):

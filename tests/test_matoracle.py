@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
-from splitinv.matoracle import (MatrixContext, ad, adprime, exp_nilpotent,
+from splitinv.matoracle import (MatrixContext, ad, adprime, block_embed, exp_nilpotent,
                                 fixed_group_lift, fixed_group_simple_lift, mat_det, mat_eq,
                                 mat_identity, mat_inv, mat_mul, mat_prod, realize,
                                 restricted_root_vectors, verify_appendix)
 from splitinv.rootdata import restrict_root_system
-from splitinv.tits import TitsElement, TorusElement
+from splitinv.tits import TitsElement, TorusElement, tits_lift
 
 F1 = Fraction(1)
 
@@ -36,7 +36,7 @@ class TestRealize:
 
     def test_identity(self):
         ctx = MatrixContext(4)
-        x = TitsElement.identity(ctx.datum, F1)
+        x = tits_lift(ctx.datum, ctx.datum.identity_weyl(), F1)
         assert realize(ctx, x) == mat_identity(4, ctx.field)
 
     def test_torus_coordinates(self):
@@ -169,15 +169,15 @@ class TestAdjoint:
                                        PrimeField(7)], ids=lambda f: f.name)
     def test_adprime_is_ad_conjugated_by_diag_1_2_2(self, field):
         ctx = MatrixContext(3, field)
-        zero, one, two = field.zero(), field.one(), field.from_int(2)
+        zero, one, two = field.zero(), field.one(), field.embed(2)
         diag = ((one, zero, zero), (zero, two, zero), (zero, zero, two))
         diag_inv = mat_inv(diag, field)
         rng = random.Random(7)
 
         def entry():
             if isinstance(field, QuadField):
-                return QuadNum.make(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                                    rng.randint(-3, 3), field.d)
+                return QuadNum(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               rng.randint(-3, 3), field.d)
             return field.embed(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
 
         seen = 0
@@ -197,6 +197,32 @@ class TestAdjoint:
         ctx = MatrixContext(3)
         with pytest.raises(RealizationError):
             ad(ctx, ((1, 0), (0, 2)))
+
+
+class TestBlockEmbed:
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(7)],
+                             ids=lambda f: f.name)
+    def test_block_in_rows_and_columns_i_and_i_plus_1(self, field):
+        ctx = MatrixContext(4, field)
+        g2 = ((2, 3), (1, 2))
+        for i in range(3):
+            want = [list(row) for row in mat_identity(4, field)]
+            for r in range(2):
+                for c in range(2):
+                    want[i + r][i + c] = field.embed(g2[r][c])
+            assert block_embed(ctx, i, g2) == tuple(tuple(row) for row in want)
+            assert block_embed(ctx, i, ((0, 1), (-1, 0))) == ctx.simple_lift_matrix(i)
+
+    @pytest.mark.parametrize("g2", [((1, 1), (1, 1)), ((1, 0), (0, 2)), ((0, 0), (0, 0))])
+    def test_non_unimodular_rejected(self, g2):
+        ctx = MatrixContext(3)
+        with pytest.raises(RealizationError, match="not unimodular"):
+            block_embed(ctx, 0, g2)
+
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_index_out_of_range_rejected(self, i):
+        with pytest.raises(RealizationError, match="out of range"):
+            block_embed(MatrixContext(3), i, ((1, 0), (0, 1)))
 
 
 class TestFixedGroupPinning:
@@ -255,7 +281,7 @@ def _random_entry(rng, field):
     x = field.embed(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if not field.char
                     else rng.randint(0, field.char - 1))
     if isinstance(field, QuadField) and rng.random() < 0.5:
-        x = x + field.gen() * field.from_int(rng.randint(-3, 3))
+        x = x + field.gen() * field.embed(rng.randint(-3, 3))
     return x
 
 
@@ -338,7 +364,7 @@ class TestAppendixVerification:
 
     def test_over_f5(self):
         f = PrimeField(5)
-        assert f.half() == f.from_int(3)
+        assert f.half() == f.embed(3)
         ctx = MatrixContext(3, f, twisted=True)
         checks = verify_appendix(ctx)
         assert all(ok for _, ok in checks), [n for n, ok in checks if not ok]
@@ -378,7 +404,7 @@ small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 def zero_entry(d):
-    return st.sampled_from([0, Fraction(0), QuadNum.make(0, 0, d)])
+    return st.sampled_from([0, Fraction(0), QuadNum(0, 0, d)])
 
 
 @st.composite
@@ -394,8 +420,8 @@ def quad_entry(draw, d):
     if kind == "fraction":
         return draw(small_fraction)
     if kind == "rational":
-        return QuadNum.make(draw(small_fraction), 0, d)
-    return QuadNum.make(draw(small_fraction), draw(small_fraction), d)
+        return QuadNum(draw(small_fraction), 0, d)
+    return QuadNum(draw(small_fraction), draw(small_fraction), d)
 
 
 SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
@@ -462,8 +488,8 @@ class TestQuadMatMul:
         assume(places)
         side, i, j = data.draw(st.sampled_from(places))
         other = -1 if d == 5 else 5
-        for alien in (QuadNum.make(data.draw(small_fraction), 1, other),
-                      QuadNum.make(0, 0, other)):
+        for alien in (QuadNum(data.draw(small_fraction), 1, other),
+                      QuadNum(0, 0, other)):
             rows = [list(row) for row in (a if side == "a" else b)]
             rows[i][j] = alien
             rows = tuple(map(tuple, rows))

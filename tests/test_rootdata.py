@@ -2,15 +2,19 @@
 
 import functools
 import itertools
+import json
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitinv.rootdata as rootdata
+from splitinv.cli import _parse_datum, main
 from splitinv.errors import RootDatumError
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
-                               _indecomposables_are,
-                               analyze_weyl, build_root_datum, datum_and_theta_from_json,
+                               _indecomposables_are, analyze_weyl, build_root_datum,
                                levi_component, restrict_root_system, weyl_group_order)
 
 
@@ -143,6 +147,44 @@ class TestWeyl:
         assert len(build_root_datum([("D", 4)]).weyl_group()) == 192
 
 
+class TestWeylBudget:
+    """W and W^theta are enumerated only up to WEYL_BUDGET elements; the
+    order is read off the type first, so a refusal enumerates nothing."""
+
+    @staticmethod
+    def no_closure(monkeypatch):
+        def broken(*args):
+            raise AssertionError("Weyl group enumerated")
+        monkeypatch.setattr(rootdata, "_closure", broken)
+
+    def test_a9_refused_without_enumerating(self, monkeypatch):
+        self.no_closure(monkeypatch)
+        d = build_root_datum([("A", 9)])
+        t0 = time.perf_counter()
+        with pytest.raises(RootDatumError, match=re.escape(
+                "datum RootDatum(A9): |W| = 3628800 is above the enumeration budget of 50000")):
+            d.weyl_group()
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_a13_flip_fixed_subgroup_refused(self, monkeypatch):
+        self.no_closure(monkeypatch)
+        d = build_root_datum([("A", 13)])
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, list(range(12, -1, -1))))
+        with pytest.raises(RootDatumError, match=re.escape(
+                "datum RootDatum(A13): |W^theta| = 645120 is above")):
+            rrs.fixed_weyl_subgroup()
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(rootdata, "WEYL_BUDGET", 24)
+        assert len(build_root_datum([("A", 3)]).weyl_group()) == 24
+        with pytest.raises(RootDatumError, match=r"\|W\| = 120 is above"):
+            build_root_datum([("A", 4)]).weyl_group()
+        d = build_root_datum([("A", 5)])
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, [4, 3, 2, 1, 0]))
+        with pytest.raises(RootDatumError, match=r"\|W\^theta\| = 48 is above"):
+            rrs.fixed_weyl_subgroup()
+
+
 class TestPinnedAutomorphism:
     def test_validation(self):
         d = build_root_datum([("A", 3)])
@@ -168,7 +210,8 @@ class TestPinnedAutomorphism:
     def test_one_identity_per_datum(self):
         d, twin = build_root_datum([("D", 4)]), build_root_datum([("D", 4)])
         ident = PinnedAutomorphism.identity(d)
-        assert PinnedAutomorphism.from_json(d, None) is ident
+        read, no_theta = _parse_datum({"datum": [["D", 4]]})
+        assert no_theta is PinnedAutomorphism.identity(read)
         assert ident.power(0) is ident and ident.is_identity
         assert ident.root_perm == tuple(range(len(d.roots)))
         assert PinnedAutomorphism.identity(twin) is not ident
@@ -253,20 +296,32 @@ class TestLevi:
             levi_component(rrs, (2,))
 
 
+def restrict_error(tmp_path, capsys, doc) -> str:
+    """What `splitinv restrict` prints on the scenario doc, which must exit 2
+    with nothing on stdout."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["restrict", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 class TestSerialization:
+    """A datum and theta read from a scenario file: the CLI's reader is the
+    only JSON route into the constructors."""
+
     def test_roundtrip(self):
-        doc = {"type": [["A", 3]], "theta": {"perm": [3, 2, 1]}}
-        datum, theta = datum_and_theta_from_json(doc)
+        datum, theta = _parse_datum({"datum": [["A", 3]], "theta": {"perm": [3, 2, 1]}})
         assert datum.families == (("A", 3),)
         assert theta.perm == (2, 1, 0)
-        assert datum.to_json() == {"type": [["A", 3]]}
-        assert theta.to_json() == {"perm": [3, 2, 1]}
 
-    def test_malformed(self):
-        with pytest.raises(RootDatumError):
-            datum_and_theta_from_json({"type": "A2"})
-        with pytest.raises(RootDatumError):
-            datum_and_theta_from_json({"type": [["A", 2]], "theta": {"perm": [1]}})
+    def test_malformed(self, tmp_path, capsys):
+        assert restrict_error(tmp_path, capsys, {"datum": "A2"}) \
+            .startswith("error: field 'datum':")
+        assert restrict_error(tmp_path, capsys,
+                              {"datum": [["A", 2]], "theta": {"perm": [1]}}) \
+            .startswith("error: field 'theta':")
 
     # a rank or a permutation entry that is not an int is rejected, never
     # truncated: ("A", 2.5) once built A2 from JSON and [3.7, 2, 1] the A3 flip
@@ -276,15 +331,14 @@ class TestSerialization:
             RootDatum([("A", rank)])
 
     @pytest.mark.parametrize("rank", [2.5, True, "2"])
-    def test_json_rank_must_be_an_integer(self, rank):
-        with pytest.raises(RootDatumError, match="field 'type'"):
-            RootDatum.from_json({"type": [["A", rank]]})
+    def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank):
+        err = restrict_error(tmp_path, capsys, {"datum": [["A", rank]]})
+        assert err.startswith("error: field 'datum':") and "field 'type'" in err
 
     @pytest.mark.parametrize("perm", [[3.7, 2, 1], [3.0, 2, 1], [3, 2, True], ["3", 2, 1]])
-    def test_json_perm_must_be_integers(self, perm):
-        d = build_root_datum([("A", 3)])
-        with pytest.raises(RootDatumError, match="field 'perm'"):
-            PinnedAutomorphism.from_json(d, {"perm": perm})
+    def test_json_perm_must_be_integers(self, tmp_path, capsys, perm):
+        err = restrict_error(tmp_path, capsys, {"datum": [["A", 3]], "theta": {"perm": perm}})
+        assert err.startswith("error: field 'theta':") and "field 'perm'" in err
 
     @pytest.mark.parametrize("perm", [(2.0, 1, 0), (2, 1, False)])
     def test_perm_must_be_integers(self, perm):

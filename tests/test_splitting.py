@@ -12,21 +12,28 @@ import splitinv.splitting as splitting
 from splitinv.coeffs import LocalPlace, QuadConj, QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
 from splitinv.factors import EndoscopicSignDatum, RootOfUnity, restricted_galois_orbits
-from splitinv.matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
-                                mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
-                                mat_prod, mat_scalar, realize, restricted_root_vectors,
-                                sl2_embed)
+from splitinv.matoracle import (MatrixContext, block_embed, exp_nilpotent,
+                                fixed_group_lift, mat_det, mat_eq, mat_identity,
+                                mat_inv, mat_mul, mat_prod, mat_scalar, realize,
+                                restricted_root_vectors, sl2_embed)
 from splitinv.rootdata import (PinnedAutomorphism, analyze_weyl, build_root_datum,
                                restrict_root_system)
 from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
-                                _block_embed, _symbolic_adata, check_nn_prime,
+                                _symbolic_adata, check_nn_prime,
                                 compare_fixed_vs_twisted, equivariant_quad_adata,
                                 lambda_twisted, lambda_untwisted, lift_discrepancy,
-                                sample_h_twisted, sample_h_untwisted,
-                                verify_borel_independence)
+                                sample_h_twisted, verify_borel_independence)
 from splitinv.tits import TitsElement, TorusElement
 
 ONE = Fraction(1)
+
+
+def untwisted_h(ctx, rng, i):
+    """sample_h_twisted at theta = 1, seeded at the restriction of alpha_i:
+    a conjugator of SL(n) whose Galois twist is s_i."""
+    rrs = restrict_root_system(ctx.datum, PinnedAutomorphism.identity(ctx.datum))
+    seed = (rrs.restrict_root(ctx.datum.simple_root(i).coords), None)
+    return sample_h_twisted(ctx, rrs, rng, seeds=[seed])
 
 
 class TestADatum:
@@ -224,7 +231,7 @@ class TestLambdaUntwisted:
         # transported cocycle value alpha_vee(1/2)
         f = QuadField(5)
         ctx = MatrixContext(2, f)
-        h = _block_embed(ctx, 0, _h2_seed(f))
+        h = block_embed(ctx, 0, _h2_seed(f))
         assert mat_det(h, f) == f.one()
         real = Realization(ctx, h)
         assert real.omega.word == (0,)
@@ -232,11 +239,27 @@ class TestLambdaUntwisted:
         coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
         assert coc.values[1].coords == (f.half(),)
 
+    # the untwisted sampler is sample_h_twisted at theta = 1; its seed is the
+    # restriction of alpha_1, not simple_restricted[0], which is sorted by
+    # restricted coordinates and restricts alpha_2 on A2
+    def test_sampler_at_theta_one_seeded_at_alpha_1(self):
+        f = QuadField(5)
+        ctx = MatrixContext(3, f)
+        rrs = restrict_root_system(ctx.datum, PinnedAutomorphism.identity(ctx.datum))
+        beta = rrs.restrict_root((1, 0))
+        assert rrs.simple_restricted[0] == rrs.restrict_root((0, 1))
+        assert sl2_embed(ctx, rrs, beta, _h2_seed(f)) == block_embed(ctx, 0, _h2_seed(f))
+        for seed in range(5):
+            h = sample_h_twisted(ctx, rrs, random.Random(seed), seeds=[(beta, None)])
+            assert Realization(ctx, h).omega == ctx.datum.simple_reflection(0)
+        assert Realization(ctx, untwisted_h(ctx, random.Random(0), 1)).omega \
+            == ctx.datum.simple_reflection(1)
+
     def test_sampled_explicit_cocycle(self):
         f = QuadField(5)
         ctx = MatrixContext(3, f)
         rng = random.Random(0)
-        h = sample_h_untwisted(ctx, rng, seeds=[0])
+        h = untwisted_h(ctx, rng, 0)
         real = Realization(ctx, h)
         adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
         coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
@@ -254,12 +277,12 @@ class TestLambdaUntwisted:
         f = QuadField(5)
         ctx = MatrixContext(3, f)
         rng = random.Random(0)
-        real = Realization(ctx, sample_h_untwisted(ctx, rng, seeds=[0]))
+        real = Realization(ctx, untwisted_h(ctx, rng, 0))
         adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
         coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
         coc.verify(f.one())
         # omega_T = s_1 here, so t sigma_T(t) != 1 for t = (1, 2)
-        coc.values[1] = coc.values[1] * TorusElement((f.one(), f.from_int(2)))
+        coc.values[1] = coc.values[1] * TorusElement((f.one(), f.embed(2)))
         with pytest.raises(ADataError, match=re.escape(
                 f"cocycle identity fails at (sigma^1, sigma^1): {coc.values[0]!r} != ")):
             coc.verify(f.one())
@@ -278,7 +301,7 @@ class TestLambdaTwisted:
     def test_identity_theta_reduces_to_untwisted(self):
         f = QuadField(5)
         ctx = MatrixContext(2, f)
-        h = _block_embed(ctx, 0, _h2_seed(f))
+        h = block_embed(ctx, 0, _h2_seed(f))
         real = Realization(ctx, h)
         adata = ADatum.from_positive(ctx.datum, {(1,): f.gen()}, f.one(), f.half())
         theta = PinnedAutomorphism.identity(ctx.datum)
@@ -311,7 +334,7 @@ class TestLambdaTwisted:
         real = Realization(ctx, h, use_theta=True)
         adata = ADatum.from_positive(ctx.datum,
                                      {(1, 0): f.one(), (0, 1): f.one(),
-                                      (1, 1): f.from_int(2)}, f.one(), f.half())
+                                      (1, 1): f.embed(2)}, f.one(), f.half())
         coc = lambda_twisted(ctx.datum, ctx.theta, real.descent, adata, real)
         assert all(v.is_one for v in coc.values.values())
 
@@ -348,7 +371,7 @@ class TestLambdaTwisted:
         f = QuadField(5)
         ctx = MatrixContext(3, f, twisted=True)
         rng = random.Random(2)
-        h = sample_h_untwisted(ctx, rng, seeds=[0])  # not theta-fixed in general
+        h = untwisted_h(ctx, rng, 0)  # not theta-fixed in general
         with pytest.raises(RealizationError):
             Realization(ctx, h, use_theta=True)
 
@@ -527,7 +550,7 @@ class TestBorel:
         f = QuadField(5)
         ctx = MatrixContext(3, f)
         rng = random.Random(4)
-        h = sample_h_untwisted(ctx, rng, seeds=[1])
+        h = untwisted_h(ctx, rng, 1)
         real = Realization(ctx, h)
         adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
         for mu in ctx.datum.weyl_group():
@@ -547,7 +570,7 @@ class TestBorel:
             h = sample_h_twisted(ctx, rrs, rng, seeds=[(rrs.simple_restricted[0], None)])
             mus = rrs.fixed_weyl_subgroup()
         else:
-            h = sample_h_untwisted(ctx, rng, seeds=[1])
+            h = untwisted_h(ctx, rng, 1)
             mus = ctx.datum.weyl_group()
         real = Realization(ctx, h, use_theta=twisted)
         theta = ctx.theta if twisted else None
@@ -612,10 +635,10 @@ class TestRealizationShortcuts:
         b = rrs.simple_restricted
         for seeds in ([], [(b[0], None)], [(b[-1], None)]):
             fixed = sample_h_twisted(ctx, rrs, rng, seeds=seeds)
-            plain = sample_h_untwisted(ctx, rng, seeds=[rng.randrange(ctx.n - 1)])
+            plain = untwisted_h(ctx, rng, rng.randrange(ctx.n - 1))
             yield from (fixed, plain, mat_mul(fixed, plain))
             f = ctx.field
-            sparse = tuple(tuple(f.from_int(rng.choice([0, 0, 0, 1, -1, 2]))
+            sparse = tuple(tuple(f.embed(rng.choice([0, 0, 0, 1, -1, 2]))
                                  for _ in range(ctx.n)) for _ in range(ctx.n))
             yield sparse
             yield sparse[:-1] + sparse[:1]
@@ -640,7 +663,7 @@ class TestRealizationShortcuts:
     def test_non_fixed_h_is_rejected(self, n, d):
         ctx = MatrixContext(n, QuadField(d), twisted=True)
         rng = random.Random(n)
-        h = sample_h_untwisted(ctx, rng, seeds=[0])
+        h = untwisted_h(ctx, rng, 0)
         assert mat_det(h, ctx.field) == ctx.field.one()
         assert not mat_eq(ctx.theta_apply(h), h)
         with pytest.raises(RealizationError, match="not fixed by the automorphism"):
@@ -655,7 +678,7 @@ class TestRealizationShortcuts:
         b = rrs.simple_restricted
         for use_theta, h in ((True, sample_h_twisted(ctx, rrs, rng, seeds=[(b[0], None)])),
                              (True, sample_h_twisted(ctx, rrs, rng)),
-                             (False, sample_h_untwisted(ctx, rng, seeds=[n - 2]))):
+                             (False, untwisted_h(ctx, rng, n - 2))):
             real = Realization(ctx, h, use_theta=use_theta)
             for k in range(4):
                 want = mat_inv(ctx.galois_apply(h, k), ctx.field)
@@ -693,7 +716,7 @@ def uncached_sample_h_twisted(ctx, rrs, rng, seeds):
         b = betas[rng.randrange(len(betas))]
         x, _, y = restricted_root_vectors(ctx, rrs, b)
         gen = x if rng.random() < 0.5 else y
-        left.append(exp_nilpotent(mat_scalar(gen, f.from_int(rng.randint(-2, 2))), f))
+        left.append(exp_nilpotent(mat_scalar(gen, f.embed(rng.randint(-2, 2))), f))
     right = splitting._random_torus_matrix(ctx, rng, theta=rrs.theta)
     return mat_prod(*left, *factors, right)
 
@@ -742,7 +765,7 @@ class TestContextFactors:
                     want = uncached_seed_block(ctx, rrs, beta, key[1])
                 else:
                     upper, c = key
-                    want = exp_nilpotent(mat_scalar(x if upper else y, f.from_int(c)), f)
+                    want = exp_nilpotent(mat_scalar(x if upper else y, f.embed(c)), f)
                 assert entries(m) == entries(want)
                 seen.add(key[0])
         assert seen == {"seed", True, False}

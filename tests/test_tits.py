@@ -79,7 +79,7 @@ class TestLifts:
         rng = random.Random(1)
         for family in [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
             d = build_root_datum([family])
-            one = TitsElement.identity(d, ONE)
+            one = tits_lift(d, d.identity_weyl(), ONE)
             for w in d.weyl_group():
                 t = TorusElement(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
                                        * rng.choice([1, -1]) for _ in range(d.rank)))
@@ -181,12 +181,12 @@ class TestMCocycle:
         desc = DescentDatum(d, 2, d.longest_element(), field_action=QuadConj(f))
         m = m_cocycle(d, desc, adata, theta=ctx.theta)
         mat = realize(ctx, m[1])
-        expect = ((f.zero(), f.zero(), f.from_int(5)),
+        expect = ((f.zero(), f.zero(), f.embed(5)),
                   (f.zero(), -f.one(), f.zero()),
                   (f.embed(Fraction(1, 5)), f.zero(), f.zero()))
         assert mat_eq(mat, expect)
         assert mat_eq(mat_mul(mat, ctx.galois_apply(mat, 1)),
-                      realize(ctx, TitsElement.identity(d, f.one())))
+                      realize(ctx, tits_lift(d, d.identity_weyl(), f.one())))
 
     def test_diagram_only_descent(self):
         # omega_T = 1 with a nontrivial diagram action: torus-valued cocycle
@@ -282,7 +282,7 @@ class TestWeylApply:
         if kind == "quad":
             f = QuadField(5)
             return f.one(), [f.embed(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-                             + f.gen() * f.from_int(rng.randint(-2, 2))
+                             + f.gen() * f.embed(rng.randint(-2, 2))
                              for _ in range(rank)]
         names = "abcdefg"
         return SymUnit.one(), [SymUnit.gen(names[i], rng.choice([1, 2, -1]),
