@@ -8,12 +8,13 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .coeffs import LocalPlace, QuadConj, QuadField, hilbert_symbol
+from .coeffs import LocalPlace, QuadConj, QuadField, QuadNum, hilbert_symbol
 from .errors import SplitinvError
 from .factors import build_factor_expression, chi_invariance_check
 from .rootdata import (PinnedAutomorphism, RootDatum, _int_field, analyze_weyl,
@@ -53,8 +54,49 @@ def _write_out(out_path: str, text: str, mode: str = "w") -> None:
             f"argument --out: cannot write {out_path}: {exc.strerror}") from None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the
+    values reports hold: dicts with string keys, lists, tuples, strings,
+    ints, floats, booleans and None.  With an indent, json falls back to its
+    pure-Python encoder, which passes every token up through one generator
+    per level of nesting; this builds each container's text with one join
+    and encodes strings in C."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(obj.items())]) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = map(int.__repr__, obj) if all(type(x) is int for x in obj) \
+            else [_json_text(x, inner) for x in obj]     # root coordinates are int lists
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    # no type is both a container and one of these, so the order of the two
+    # groups does not matter; within this one it is json's
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return "NaN" if obj != obj else "Infinity" if obj == math.inf \
+            else "-Infinity" if obj == -math.inf else float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report) + "\n"
     if out_path:
         _write_out(out_path, text)
     else:
@@ -160,7 +202,7 @@ def _number(raw) -> Fraction:
 
 def _parse_value(raw, fieldq: Optional[QuadField]):
     if isinstance(raw, list) and len(raw) == 2 and fieldq is not None:
-        return fieldq.embed(_number(raw[0])) + fieldq.gen() * fieldq.embed(_number(raw[1]))
+        return QuadNum(_number(raw[0]), _number(raw[1]), fieldq.d)
     val = _number(raw)
     return fieldq.embed(val) if fieldq else val
 

@@ -93,9 +93,9 @@ class ADatum:
     def validate_twisted(self, theta: PinnedAutomorphism) -> None:
         if self.restricted:
             return  # restricted data is constant on fibers by construction
+        roots, index, fwd = self.system.roots, self.system.root_index, theta.root_perm
         for coords, v in self.values.items():
-            img = theta.act_root(coords)
-            if self.values.get(img) != v:
+            if self.values[roots[fwd[index[coords]]].coords] != v:
                 raise ADataError(f"a-data not theta-invariant at {coords}")
 
     def validate_equivariant(self, descent) -> None:
@@ -103,7 +103,7 @@ class ADatum:
         if datum.cartan != descent.datum.cartan:
             raise ADataError("a-data and descent datum are on different root data")
         what = "restricted a-data" if self.restricted else "a-data"
-        for k in range(descent.order):
+        for k in range(1, descent.order):      # sigma^0 is the identity
             act = descent.restricted_action(k, self.system) if self.restricted \
                 else _root_images(descent.datum, descent.root_action(k).perm)
             for coords, v in self.values.items():
@@ -242,10 +242,11 @@ class DescentDatum:
 
     def _compute_powers(self) -> List[RootAutomorphism]:
         """sigma^0 .. sigma^order, each with its permutation of the roots;
-        the last one closes the cycle and is what ``validate`` checks."""
-        powers = [RootAutomorphism(self.datum.identity_weyl())]
+        the last one closes the cycle and is what ``validate`` checks.
+        sigma^0 is the identity and sigma^1 the generator (w, g) itself."""
         w, g = self.omega_T, self.sigma_T
-        for _ in range(self.order):
+        powers = [RootAutomorphism(self.datum.identity_weyl()), RootAutomorphism(w, g)]
+        for _ in range(self.order - 1):
             # (w, g) * (cur_w, cur_g) = (w * g(cur_w), g cur_g)
             cur = powers[-1]
             powers.append(RootAutomorphism(w * g.act_weyl(cur.weyl), g.compose(cur.diagram)))
@@ -262,7 +263,8 @@ class DescentDatum:
     def validate_theta_compatible(self, theta: PinnedAutomorphism) -> None:
         if not theta.commutes_with(self.omega_T):
             raise DescentError("omega_T(sigma) does not commute with theta")
-        if theta.compose(self.sigma_T).perm != self.sigma_T.compose(theta).perm:
+        t, g = theta.perm, self.sigma_T.perm
+        if any(t[g[i]] != g[t[i]] for i in range(len(t))):
             raise DescentError("sigma_T diagram action does not commute with theta")
 
     # -- actions -------------------------------------------------------------------
@@ -287,12 +289,14 @@ class DescentDatum:
         return t.map_coords(lambda v: self.field_apply(k, v)).diagram_apply(g)
 
     def galois_on_tits(self, k: int, x: TitsElement) -> TitsElement:
+        if not k % self.order:
+            return x
         g = self.diagram_part(k)
         return TitsElement(self.galois_on_torus_pinned(k, x.torus), g.act_weyl(x.weyl))
 
-    def galois_on_torus_twisted(self, k: int, t: TorusElement, one) -> TorusElement:
+    def galois_on_torus_twisted(self, k: int, t: TorusElement) -> TorusElement:
         """The transported action on the ambient torus coordinates."""
-        return self.galois_on_torus_pinned(k, t).weyl_apply(self.weyl_part(k), one)
+        return self.galois_on_torus_pinned(k, t).weyl_apply(self.weyl_part(k))
 
     def restricted_action(self, k: int, rrs: RestrictedRootSystem) -> Dict[tuple, tuple]:
         """sigma^k on the restricted roots: the image of each, read off the
@@ -338,11 +342,10 @@ class SplittingCocycle:
     def ambient(self) -> str:
         return "T" if self.theta is None else "T^theta"
 
-    def verify(self, one) -> None:
+    def verify(self) -> None:
         """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them."""
-        verify_cocycle_identity(
-            self.values, self.descent.order,
-            lambda j, t: self.descent.galois_on_torus_twisted(j, t, one))
+        verify_cocycle_identity(self.values, self.descent.order,
+                                self.descent.galois_on_torus_twisted)
         if self.theta is not None:
             for k, v in self.values.items():
                 if not v.theta_fixed(self.theta):
@@ -625,7 +628,7 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
             raise RealizationError("transport inconsistency in the t-level cocycle")
         matrices[k] = honest
     out = SplittingCocycle(values, descent, datum, theta, matrices)
-    out.verify(adata.one)
+    out.verify()
     if theta is not None and not theta.is_identity:
         for k in range(descent.order):
             if not ctx.theta_fixed(matrices[k]):
@@ -671,7 +674,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     lift = tits_lift(datum, mu, one)
     for k in range(descent.order):
         lhs = lift * m_prime[k] * descent.galois_on_tits(k, lift).inverse()
-        coboundary = witness.inv() * descent.galois_on_torus_twisted(k, witness, one)
+        coboundary = witness.inv() * descent.galois_on_torus_twisted(k, witness)
         rhs = TitsElement(coboundary, datum.identity_weyl()) * m[k]
         if lhs != rhs:
             raise ADataError(f"Borel-independence identity fails at sigma^{k}")

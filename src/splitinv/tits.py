@@ -7,6 +7,11 @@ the canonical lift along any reduced word.  Products are normalized by
 peeling simple lifts, using n(s)^2 = (-1)^{alpha_vee}; a closed-form
 expression for the resulting 2-torsion cocycle is exported separately and is
 cross-checked against explicit matrix models by the test suites.
+
+A product with n(1) on either side peels nothing: (t1, 1)(t2, w2) is
+(t1 t2, w2) and (t1, w1)(t2, 1) is (t1 w1(t2), w1), since no letter crosses
+a wall against n(1).  The 2-torsion correction (-1)^mu negates the
+coordinates where mu is odd.
 """
 
 from __future__ import annotations
@@ -47,18 +52,19 @@ class TorusElement:
     def map_coords(self, f: Callable) -> "TorusElement":
         return TorusElement(tuple(f(c) for c in self.coords))
 
-    def weyl_apply(self, w: WeylElement, one) -> "TorusElement":
+    def weyl_apply(self, w: WeylElement) -> "TorusElement":
         """w(t): the coordinate on alpha_i_vee moves to w(alpha_i_vee), read
         as sparse (index, exponent) rows; a negative exponent raises the
         coordinate's inverse, taken once."""
-        out = [one] * len(self.coords)
+        out = [None] * len(self.coords)
         for c, row in zip(self.coords, w.coroot_rows()):
             inv = None
             for j, e in row:
                 if e < 0 and inv is None:
                     inv = c ** -1
-                out[j] = out[j] * (c if e == 1 else c ** e if e > 0 else
-                                   inv if e == -1 else inv ** -e)
+                f = c if e == 1 else c ** e if e > 0 else inv if e == -1 else inv ** -e
+                # the coroot rows form an invertible matrix: every j is hit
+                out[j] = f if out[j] is None else out[j] * f
         return TorusElement(tuple(out))
 
     def diagram_apply(self, g: PinnedAutomorphism) -> "TorusElement":
@@ -101,14 +107,16 @@ class TitsElement:
     def datum(self) -> RootDatum:
         return self.weyl.datum
 
-    def _one(self):
-        return self.torus.coords[0] ** 0
-
     def __mul__(self, other: "TitsElement") -> "TitsElement":
         """(t1, w1)(t2, w2) resolved through the canonical-lift 2-cocycle."""
-        one = self._one()
+        if other.weyl.datum is not self.weyl.datum:
+            raise RootDatumError("Tits elements from different data")
+        if self.weyl.is_identity:
+            return TitsElement(self.torus * other.torus, other.weyl)
         datum = self.datum
-        t = self.torus * other.torus.weyl_apply(self.weyl, one)
+        t = self.torus * other.torus.weyl_apply(self.weyl)
+        if other.weyl.is_identity:
+            return TitsElement(t, self.weyl)
         # peel the letters of w1 onto n(w2) from the right; a letter crosses a
         # wall exactly when it is a left descent of the running product v and
         # then contributes (-1)^{alpha_i_vee}; the correction is (-1)^mu.
@@ -120,17 +128,16 @@ class TitsElement:
             # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
             mu[i] += (v_inv[simple[i]] >= npos) - sum(c * mu[j] for j, c in dual[i])
             v_inv = tuple(map(v_inv.__getitem__, datum.simple_reflection(i).perm))
-        c = TorusElement.cochar_power([m % 2 for m in mu], -one, one)
-        return TitsElement(t * c, self.weyl * other.weyl)
+        return TitsElement(TorusElement(tuple(-c if m % 2 else c for c, m in zip(t.coords, mu))),
+                           self.weyl * other.weyl)
 
     def inverse(self) -> "TitsElement":
-        one = self._one()
-        rough = TitsElement(self.torus.inv().weyl_apply(self.weyl.inverse(), one),
+        rough = TitsElement(self.torus.inv().weyl_apply(self.weyl.inverse()),
                             self.weyl.inverse())
         defect = (self * rough).torus  # self * rough is torus-valued
         # rough * defect^-1: no letter of w^-1 crosses a wall against n(1),
         # so the product is the torus part moved through w^-1
-        return TitsElement(rough.torus * defect.inv().weyl_apply(rough.weyl, one),
+        return TitsElement(rough.torus * defect.inv().weyl_apply(rough.weyl),
                            rough.weyl)
 
     def theta_apply(self, theta: PinnedAutomorphism) -> "TitsElement":
@@ -186,11 +193,15 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
 def x_of(datum: RootDatum, zeta, adata, one=None) -> TorusElement:
     """The torus element prod_{alpha in R(zeta)} a_alpha^{alpha_vee}, where
     R(zeta) consists of the positive roots sent negative by zeta^{-1}."""
-    one = adata.one if one is None else one
-    out = TorusElement.ones(datum.rank, one)
+    out = [None] * datum.rank
     for r in inversion_domain(zeta):
-        out = out * TorusElement.cochar_power(r.coroot, adata[r.coords], one)
-    return out
+        a = adata[r.coords]
+        for j, e in enumerate(r.coroot):
+            if e:
+                f = a if e == 1 else a ** e
+                out[j] = f if out[j] is None else out[j] * f
+    one = adata.one if one is None else one
+    return TorusElement(tuple(one if c is None else c for c in out))
 
 
 def m_cocycle(datum: RootDatum, descent, adata,

@@ -648,3 +648,44 @@ class TestScenarioFuzz:
             assert out.getvalue() == ""
         else:
             assert json.loads(out.getvalue())["pass"] is (code == 0)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10 ** 30)
+                | st.integers(max_value=-10 ** 30) | st.floats(allow_nan=True)
+                | st.text() | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9\u2603"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """The report writer is json.dumps(indent=2, sort_keys=True) byte for
+    byte, written without json's pure-Python indenting encoder."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], {"a": {}, "b": [], "c": [{}], "d": [[]]}, [True, 1, False, 0, None],
+        {"x": [1.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]},
+        "\u00e9\"\\\n\t\x7f\U0001f600", -10 ** 100])
+    def test_edge_cases(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_unserializable_is_refused(self):
+        # a key that is not a string too: no report has one
+        for obj in ({1: 1}, {None: 1}, [object()], {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+    def test_emit_writes_the_text_and_a_newline(self, tmp_path, capsys):
+        report = {"b": [1, {"c": None}], "a": "\u00e9"}
+        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        cli._emit(report, None)
+        assert capsys.readouterr().out == want
+        cli._emit(report, str(tmp_path / "r.json"))
+        assert (tmp_path / "r.json").read_text() == want

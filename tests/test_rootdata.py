@@ -327,13 +327,13 @@ class TestSerialization:
     # truncated: ("A", 2.5) once built A2 from JSON and [3.7, 2, 1] the A3 flip
     @pytest.mark.parametrize("rank", [2.5, True, "3"])
     def test_rank_must_be_an_integer(self, rank):
-        with pytest.raises(RootDatumError, match="field 'type'"):
+        with pytest.raises(RootDatumError, match="field 'rank'"):
             RootDatum([("A", rank)])
 
     @pytest.mark.parametrize("rank", [2.5, True, "2"])
     def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank):
         err = restrict_error(tmp_path, capsys, {"datum": [["A", rank]]})
-        assert err.startswith("error: field 'datum':") and "field 'type'" in err
+        assert err.startswith("error: field 'datum':") and "field 'rank'" in err
 
     @pytest.mark.parametrize("perm", [[3.7, 2, 1], [3.0, 2, 1], [3, 2, True], ["3", 2, 1]])
     def test_json_perm_must_be_integers(self, tmp_path, capsys, perm):
@@ -743,6 +743,13 @@ TABLE_CASES = [("A3", [("A", 3)]), ("A4", [("A", 4)]), ("B3", [("B", 3)]),
                ("A2xA2", [("A", 2), ("A", 2)])]
 
 
+# every diagram automorphism of each, with how many there are
+THETA_PERM_CASES = [(f"A{n}", [("A", n)], 1 if n == 1 else 2) for n in range(1, 10)] + [
+    (f"{f}{n}", [(f, n)], 1) for f in "BC" for n in range(2, 6)] + [
+    ("D4", [("D", 4)], 6), ("D5", [("D", 5)], 2), ("A2xA2", [("A", 2), ("A", 2)], 8),
+    ("A3xA3", [("A", 3), ("A", 3)], 8), ("D4xA2", [("D", 4), ("A", 2)], 12)]
+
+
 def _diagram_automorphisms(d):
     """Every permutation of the simple roots that keeps the Cartan matrix."""
     n = d.rank
@@ -789,6 +796,18 @@ class TestTableRoutes:
             for o in thetas:
                 got = s.compose(PinnedAutomorphism(twin, o.perm))
                 assert got.datum is d and got.root_perm == s.compose(o).root_perm
+
+    # root_perm is read off the reflection tables; act_root on every root's
+    # coordinates and a root_index lookup is the reference
+    @pytest.mark.parametrize("label,families,count", THETA_PERM_CASES)
+    def test_root_perm_is_the_coordinate_action(self, label, families, count):
+        d = build_root_datum(families)
+        thetas = _levi_thetas(d)
+        assert len(thetas) == count
+        for theta in thetas:
+            want = tuple(d.root_index[theta.act_root(r.coords)] for r in d.roots)
+            assert theta.root_perm == want
+            assert [want[j] for j in theta._perms()[1]] == list(range(len(d.roots)))
 
     # the reference is theta's act_root followed by the matrix of w, the
     # product of the reflection matrices along its word

@@ -280,12 +280,12 @@ class TestLambdaUntwisted:
         real = Realization(ctx, untwisted_h(ctx, rng, 0))
         adata = equivariant_quad_adata(ctx.datum, real.descent, f, rng)
         coc = lambda_untwisted(ctx.datum, real.descent, adata, real)
-        coc.verify(f.one())
+        coc.verify()
         # omega_T = s_1 here, so t sigma_T(t) != 1 for t = (1, 2)
         coc.values[1] = coc.values[1] * TorusElement((f.one(), f.embed(2)))
         with pytest.raises(ADataError, match=re.escape(
                 f"cocycle identity fails at (sigma^1, sigma^1): {coc.values[0]!r} != ")):
-            coc.verify(f.one())
+            coc.verify()
 
     def test_wrong_h_rejected(self):
         f = QuadField(5)

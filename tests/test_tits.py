@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from splitinv.coeffs import QuadField, SignedSymbolMap, SymUnit
-from splitinv.errors import ADataError
+from splitinv.errors import ADataError, RootDatumError
 from splitinv.matoracle import MatrixContext, mat_eq, mat_mul, realize
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, analyze_weyl,
                                build_root_datum, inversion_domain,
@@ -137,6 +137,25 @@ class TestXOf:
         w0 = analyze_weyl(self.d, [0, 1, 0])
         x = x_of(self.d, w0, self.adata)
         assert x.theta_fixed(theta)
+
+    # x_of reads each coroot's nonzero entries; the reference multiplies
+    # a_alpha^{alpha_vee} as whole torus points, starting at 1.  B3, C3 and
+    # D4 have coroot entries 2 (and A2 none), over Fraction and SymUnit.
+    @pytest.mark.parametrize("spec", [("A", 2), ("B", 3), ("C", 3), ("D", 4)])
+    def test_matches_the_product_of_cocharacter_powers(self, spec):
+        d = build_root_datum([spec])
+        rng = random.Random(str(spec))
+        names = iter(f"a{k}" for k in range(len(d.roots)))
+        for pos, one in (({r.coords: Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))
+                           for r in d.positive_roots}, ONE),
+                         ({r.coords: SymUnit.gen(next(names)) for r in d.positive_roots},
+                          SymUnit.one())):
+            adata = ADatum.from_positive(d, pos, one, one)
+            for w in d.weyl_group():
+                want = TorusElement.ones(d.rank, one)
+                for r in inversion_domain(w):
+                    want = want * TorusElement.cochar_power(r.coroot, adata[r.coords], one)
+                assert x_of(d, w, adata) == want
 
 
 class TestMCocycle:
@@ -298,6 +317,55 @@ class TestWeylApply:
         for w in group:
             one, coords = self.coordinates(kind, d.rank, rng)
             t = TorusElement(tuple(coords))
-            got = t.weyl_apply(w, one)
+            got = t.weyl_apply(w)
             assert got == dense_weyl_apply(t, w, one)
             assert [type(c) for c in got.coords] == [type(one)] * d.rank
+
+
+def letter_by_letter(d, x, y, one):
+    """x * y with n(w1) n(w2) multiplied out one letter of w2 at a time on
+    the root tables: n(v) n(s_i) is n(v s_i) when v alpha_i > 0, and else
+    (-1)^{v alpha_i_vee} n(v s_i), as n(s_i)^2 = (-1)^{alpha_i_vee}."""
+    t = list((x.torus * dense_weyl_apply(y.torus, x.weyl, one)).coords)
+    v = x.weyl
+    for i in y.weyl.word:
+        img = v.perm[d.simple_index[i]]
+        if img >= d.n_positive:
+            t = [-c if e % 2 else c for c, e in zip(t, d.roots[img].coroot)]
+        v = v * d.simple_reflection(i)
+    return TitsElement(TorusElement(tuple(t)), v)
+
+
+class TestProductShortCuts:
+    """A product with n(1) on either side peels no letter, and the 2-torsion
+    correction negates the odd coordinates; both agree with the
+    letter-by-letter route and with lift_along_word over whole Weyl groups."""
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("kind", ["fraction", "quad", "symunit"])
+    def test_matches_the_letter_by_letter_route(self, spec, kind):
+        d = build_root_datum([spec])
+        rng = random.Random(f"{spec}{kind}")
+        group, e = d.weyl_group(), d.identity_weyl()
+        corrected = set()
+        for w in group:
+            for w1, w2 in ((e, w), (w, e), (w, rng.choice(group))):
+                one, c1 = TestWeylApply.coordinates(kind, d.rank, rng)
+                _, c2 = TestWeylApply.coordinates(kind, d.rank, rng)
+                x = TitsElement(TorusElement(tuple(c1)), w1)
+                y = TitsElement(TorusElement(tuple(c2)), w2)
+                got = x * y
+                assert got == letter_by_letter(d, x, y, one)
+                assert [type(c) for c in got.torus.coords] == [type(one)] * d.rank
+                lifts = lift_along_word(d, w1.word + w2.word, one)
+                moved = x.torus * dense_weyl_apply(y.torus, w1, one)
+                assert got == TitsElement(moved * lifts.torus, lifts.weyl)
+                corrected.add(got.torus != moved)
+        assert corrected == {True, False}     # odd and even corrections both met
+
+    def test_factors_from_different_data_are_refused(self):
+        d, twin = build_root_datum([("A", 2)]), build_root_datum([("A", 2)])
+        e, s = tits_lift(d, d.identity_weyl()), tits_lift(twin, twin.simple_reflection(0))
+        for x, y in ((e, s), (s, e)):
+            with pytest.raises(RootDatumError, match="different data"):
+                x * y
