@@ -237,7 +237,7 @@ def cmd_invariant(args) -> int:
         raw = adoc.get("values")
         if not isinstance(raw, dict):
             raise ScenarioError("adata.values", "expected an object keyed by root coords")
-        values = {}
+        values, key_of = {}, {}
         for key, v in raw.items():
             try:
                 coords = tuple(int(c) for c in key.split(","))
@@ -247,7 +247,10 @@ def cmd_invariant(args) -> int:
                                     f"{type(exc).__name__}: {exc}") from None
             if not val:
                 raise ScenarioError("adata.values", f"at {key!r}: an a-value must be nonzero")
-            values[coords] = val
+            if coords in key_of:
+                raise ScenarioError("adata.values", f"keys {key_of[coords]!r} and {key!r} "
+                                    f"both name the root {coords}")
+            values[coords], key_of[coords] = val, key
         try:
             adata = ADatum.from_positive(datum, values, fieldq.one(), fieldq.half())
         except SplitinvError as exc:

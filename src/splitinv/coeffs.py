@@ -5,16 +5,17 @@ Three kinds of scalars are used throughout the package:
 * symbolic units: the abelian group {+-1} x (free abelian group on named
   indeterminates together with the distinguished generator ``2``), so that
   negation and exact division by 2 are available without a field;
-* exact field elements: ``Fraction``, quadratic extensions Q(sqrt(d)) with
-  their conjugation, and prime fields F_p for odd p.  An element of
-  Q(sqrt(d)) is held as integers, (a + b*sqrt(d))/c with c > 0 and
-  gcd(a, b, c) = 1 (Cohen, A Course in Computational Algebraic Number
-  Theory, 4.2): sums and products run on plain ints with one gcd each, and
-  the normal form is unique, so equality compares integers.
-  ``matoracle.mat_mul`` multiplies Q(sqrt(d)) matrices on those integers:
-  it reads a QuadNum's integers in place (``quad_parts`` for an int or a
-  Fraction entry) and builds each nonzero result entry in place with one
-  gcd, as ``_reduced`` does;
+* exact field elements: ``Fraction``, quadratic extensions Q(sqrt(d)) and
+  prime fields F_p for odd p; only Q(sqrt(d)) carries a conjugation, and
+  ``QuadNum`` and ``Fp`` share one set of derived operators,
+  ``_FieldElement``.  An element of Q(sqrt(d)) is held as integers,
+  (a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1 (Cohen, A Course in
+  Computational Algebraic Number Theory, 4.2): sums and products run on
+  plain ints with one gcd each, and the normal form is unique, so equality
+  compares integers.  ``matoracle.mat_mul`` multiplies Q(sqrt(d)) matrices
+  on those integers: it reads a QuadNum's integers in place (``quad_parts``
+  for an int or a Fraction entry) and builds each nonzero result entry in
+  place with one gcd, as ``_reduced`` does;
 * the sign characters of local class field theory for quadratic extensions,
   computed through the Hilbert symbol over Q_p and R.
 """
@@ -168,7 +169,7 @@ class IdentityAction:
 # ---------------------------------------------------------------------------
 
 class RationalField:
-    """Q with trivial conjugation."""
+    """Q, with elements held as Fraction."""
 
     char = 0
     name = "Q"
@@ -185,13 +186,36 @@ class RationalField:
     def half(self):
         return Fraction(1, 2)
 
-    def conj(self, x):
-        return x
 
-    conj_order = 1
+class _FieldElement:
+    """The operators an exact field element derives from its class's
+    ``_coerce`` (an element of the same field, an int or a Fraction as one,
+    else None), ``__add__``, ``__neg__``, ``__mul__`` and ``inv``."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inv()
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
 
 
-class QuadNum:
+class QuadNum(_FieldElement):
     """u + v*sqrt(d) with exact rational u, v, stored as (a + b*sqrt(d))/c.
 
     ``a``, ``b``, ``c`` are integers with c > 0 and gcd(a, b, c) = 1, so a
@@ -259,17 +283,6 @@ class QuadNum:
             return _reduced(a + oa, b + ob, c, d)
         return _reduced(a * oc + oa * c, b * oc + ob * c, c * oc, d)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -281,8 +294,6 @@ class QuadNum:
         if not (oa or ob):
             return o
         return _reduced(a * oa + d * b * ob, a * ob + b * oa, c * oc, d)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         a, b, c, d = self._v
@@ -303,15 +314,6 @@ class QuadNum:
         if p < 0:
             p, q = -p, -q
         return _reduced(a * q, -b * q, c * p, d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int):
         a, b, c, d = (self if k >= 0 else self.inv())._v
@@ -376,10 +378,9 @@ def quad_parts(x, d: int) -> Tuple[int, int, int, int]:
 
 
 class QuadField:
-    """Q(sqrt(d)) for a non-square integer d, with its conjugation."""
+    """Q(sqrt(d)) for a non-square integer d, with its conjugation (Q and F_p have none)."""
 
     char = 0
-    conj_order = 2
 
     def __init__(self, d: int):
         self._one = QuadNum(1, 0, d)    # which refuses a d that is not an int
@@ -413,7 +414,7 @@ class QuadField:
 
 
 @dataclass(frozen=True)
-class Fp:
+class Fp(_FieldElement):
     """Element of the prime field F_p, p odd."""
 
     v: int
@@ -436,24 +437,11 @@ class Fp:
             return NotImplemented
         return Fp((self.v + o.v) % self.p, self.p)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp((self.v - o.v) % self.p, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Fp((self.v * o.v) % self.p, self.p)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return Fp((-self.v) % self.p, self.p)
@@ -462,15 +450,6 @@ class Fp:
         if self.v == 0:
             raise CoefficientError("inverse of zero in F_p")
         return Fp(pow(self.v, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int):
         if k < 0:
@@ -497,8 +476,6 @@ class Fp:
 class PrimeField:
     """F_p for an odd prime p.  Characteristic 2 is rejected: the
     constructions downstream divide by 2."""
-
-    conj_order = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -530,9 +507,6 @@ class PrimeField:
 
     def half(self):
         return Fp(pow(2, -1, self.p), self.p)
-
-    def conj(self, x):
-        return x
 
 
 def _is_square_int(n: int) -> bool:

@@ -51,22 +51,28 @@ def restricted_galois_orbits(rrs: RestrictedRootSystem,
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """Exact root of unity exp(2 pi i e) stored by its exponent e in Q/Z."""
+    """Exact root of unity exp(2 pi i e), stored by its exponent e in Q/Z in the
+    normal form 0 <= e < 1, which the constructor checks and ``make`` reduces to."""
 
     exponent: Fraction
+
+    def __post_init__(self):
+        e = self.exponent
+        if not (isinstance(e, Fraction) and 0 <= e < 1):
+            raise FactorError(f"need a Fraction exponent e with 0 <= e < 1, got {e!r}")
 
     @staticmethod
     def make(exponent) -> "RootOfUnity":
         e = Fraction(exponent)
-        return RootOfUnity(e - (e.numerator // e.denominator))
+        return _new_root(e - (e.numerator // e.denominator))
 
     @staticmethod
     def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0))
+        return _new_root(_ZERO)
 
     @staticmethod
     def minus_one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(1, 2))
+        return _new_root(_HALF)
 
     @property
     def is_one(self) -> bool:
@@ -74,13 +80,14 @@ class RootOfUnity:
 
     @property
     def is_minus_one(self) -> bool:
-        return self.exponent == Fraction(1, 2)
+        return self.exponent == _HALF
 
     def inv(self) -> "RootOfUnity":
-        return RootOfUnity.make(-self.exponent)
+        return _new_root(1 - self.exponent if self.exponent else self.exponent)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.make(self.exponent + other.exponent)
+        e = self.exponent + other.exponent
+        return _new_root(e - 1 if e >= 1 else e)
 
     def __repr__(self):
         if self.is_one:
@@ -88,6 +95,16 @@ class RootOfUnity:
         if self.is_minus_one:
             return "-1"
         return f"zeta({self.exponent})"
+
+
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
+
+def _new_root(e: Fraction) -> RootOfUnity:
+    """The RootOfUnity of an exponent already in normal form."""
+    x = object.__new__(RootOfUnity)
+    object.__setattr__(x, "exponent", e)
+    return x
 
 
 class EndoscopicSignDatum:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .coeffs import QuadNum, RationalField, _reduced, quad_parts
+from .coeffs import QuadField, QuadNum, RationalField, _reduced, quad_parts
 from .errors import CoefficientError, RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
@@ -278,9 +278,8 @@ class MatrixContext:
         return cached
 
     def cochar_matrix(self, coroot_coords: Sequence[int], value) -> Matrix:
-        value = self.field.embed(value)
-        t = TorusElement.cochar_power(tuple(coroot_coords), value, self.field.one())
-        return self.torus_matrix(t)
+        return self.torus_matrix(TorusElement.coroot_product(
+            len(coroot_coords), [(coroot_coords, self.field.embed(value))], self.field.one()))
 
     # -- theta ----------------------------------------------------------------
 
@@ -314,10 +313,11 @@ class MatrixContext:
             raise RealizationError("automorphism does not square to the identity")
 
     def galois_apply(self, g: Matrix, k: int = 1) -> Matrix:
-        """sigma^k applied to each entry."""
+        """sigma^k applied to each entry: sigma conjugates Q(sqrt(d)) and is
+        trivial on Q and F_p, which carry no conjugation."""
         f = self.field
-        for _ in range(k % f.conj_order if f.conj_order > 1 else 0):
-            g = tuple(tuple(f.conj(x) for x in row) for row in g)
+        if k % 2 and isinstance(f, QuadField):
+            return tuple(tuple(map(f.conj, row)) for row in g)
         return g
 
     def __repr__(self):

@@ -544,17 +544,6 @@ class RootAutomorphism:
         return f"RootAut({self.weyl!r}, {self.diagram!r})"
 
 
-def inversion_domain(zeta) -> Tuple[Root, ...]:
-    """R(zeta) = positive roots alpha with zeta^{-1}(alpha) negative, in the
-    fixed (height, lexicographic) order of ``datum.roots``.  A pinned
-    automorphism keeps the positive roots positive, so R(w g) = R(w)."""
-    if isinstance(zeta, PinnedAutomorphism):
-        return ()
-    if isinstance(zeta, RootAutomorphism):
-        zeta = zeta.weyl
-    return zeta.inversions
-
-
 # ---------------------------------------------------------------------------
 # restriction to the fixed subtorus
 # ---------------------------------------------------------------------------

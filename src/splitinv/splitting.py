@@ -269,12 +269,6 @@ class DescentDatum:
 
     # -- actions -------------------------------------------------------------------
 
-    def weyl_part(self, k: int) -> WeylElement:
-        return self._powers[k % self.order].weyl
-
-    def diagram_part(self, k: int) -> PinnedAutomorphism:
-        return self._powers[k % self.order].diagram
-
     def root_action(self, k: int) -> RootAutomorphism:
         return self._powers[k % self.order]
 
@@ -285,18 +279,18 @@ class DescentDatum:
 
     def galois_on_torus_pinned(self, k: int, t: TorusElement) -> TorusElement:
         """The plain Galois action on the pinned torus (diagram + coefficients)."""
-        g = self.diagram_part(k)
+        g = self.root_action(k).diagram
         return t.map_coords(lambda v: self.field_apply(k, v)).diagram_apply(g)
 
     def galois_on_tits(self, k: int, x: TitsElement) -> TitsElement:
         if not k % self.order:
             return x
-        g = self.diagram_part(k)
+        g = self.root_action(k).diagram
         return TitsElement(self.galois_on_torus_pinned(k, x.torus), g.act_weyl(x.weyl))
 
     def galois_on_torus_twisted(self, k: int, t: TorusElement) -> TorusElement:
         """The transported action on the ambient torus coordinates."""
-        return self.galois_on_torus_pinned(k, t).weyl_apply(self.weyl_part(k))
+        return self.galois_on_torus_pinned(k, t).weyl_apply(self.root_action(k).weyl)
 
     def restricted_action(self, k: int, rrs: RestrictedRootSystem) -> Dict[tuple, tuple]:
         """sigma^k on the restricted roots: the image of each, read off the
@@ -382,15 +376,13 @@ class Realization:
                 raise RealizationError("context carries no automorphism")
             if not ctx.theta_fixed(h):
                 raise RealizationError("h is not fixed by the automorphism")
-        self.order = 2
         u = mat_mul(self.h_inv, ctx.galois_apply(h, 1))
-        self.u = {0: mat_identity(ctx.n, f), 1: u}
         self.omega, perm = self._weyl_from_monomial(u)
         # u e_j = u[perm[j]][j] e_perm[j], so u^-1 has 1/u[perm[j]][j] at (j, perm[j])
         zero = f.zero()
         u_inv = tuple(tuple(u[i][j] ** -1 if i == perm[j] else zero for i in range(ctx.n))
                       for j in range(ctx.n))
-        self._u_inv = {0: self.u[0], 1: u_inv}
+        self._u_inv = (mat_identity(ctx.n, f), u_inv)
         self.descent = DescentDatum(ctx.datum, 2, self.omega,
                                     field_action=QuadConj(f))
 
@@ -656,7 +648,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     if theta is not None and not theta.commutes_with(mu):
         raise RootDatumError("mu is not fixed by the automorphism")
     one = adata.one
-    witness = x_of(datum, mu, adata, one)
+    witness = x_of(datum, mu, adata)
     if theta is not None and not witness.theta_fixed(theta):
         raise ADataError("coboundary witness is not theta-fixed")
 
@@ -713,11 +705,9 @@ def lift_discrepancy(rrs: RestrictedRootSystem, omega: WeylElement,
         raise RootDatumError("element is not fixed by the automorphism")
     if one is None:
         one, half = Fraction(1), Fraction(1, 2)
-    out = TorusElement.ones(rrs.datum.rank, one)
-    for r in omega.inversions:
-        if rrs.restricted[rrs.restrict_root(r.coords)].rtype == R3:
-            out = out * TorusElement.cochar_power(r.coroot, half, one)
-    return out
+    return TorusElement.coroot_product(rrs.datum.rank, (
+        (r.coroot, half) for r in omega.inversions
+        if rrs.restricted[rrs.restrict_root(r.coords)].rtype == R3), one)
 
 
 def check_nn_prime(rrs: RestrictedRootSystem, omega: WeylElement,
@@ -780,22 +770,20 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     m_prime: Dict[int, TitsElement] = {}
     torus_parts: Dict[int, TorusElement] = {}
     for k in range(descent.order):
-        omega_k = descent.weyl_part(k)
-        torus = TorusElement.ones(datum.rank, one)
+        omega_k = descent.root_action(k).weyl
         # the inverse of sigma^k is sigma^{-k}, since the descent datum is valid
-        for beta in rrs.res_inversions(descent.restricted_action(-k, rrs)):
-            torus = torus * TorusElement.cochar_power(
-                rrs.restricted[beta].coroot, special_adata[beta], one)
+        torus = TorusElement.coroot_product(datum.rank, (
+            (rrs.restricted[beta].coroot, special_adata[beta])
+            for beta in rrs.res_inversions(descent.restricted_action(-k, rrs))), one)
         torus_parts[k] = torus
         disc = lift_discrepancy(rrs, omega_k, one, special_adata.half)
         m_prime[k] = TitsElement(torus * disc, omega_k)
 
         # intermediate identity from the coroot comparison: the unhalved
         # torus part over the ambient inversion set equals the restricted one
-        plain = TorusElement.ones(datum.rank, one)
-        for r in omega_k.inversions:
-            plain = plain * TorusElement.cochar_power(
-                r.coroot, special_adata[rrs.restrict_root(r.coords)], one)
+        plain = TorusElement.coroot_product(datum.rank, (
+            (r.coroot, special_adata[rrs.restrict_root(r.coords)])
+            for r in omega_k.inversions), one)
         if plain != torus:
             raise ADataError(
                 f"restricted coroot identity fails at sigma^{k}")
@@ -811,7 +799,7 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
         realized = {}
         for k in range(descent.order):
             lifted = mat_mul(realize(ctx, torus_parts[k]),
-                             fixed_group_lift(ctx, rrs, descent.weyl_part(k)))
+                             fixed_group_lift(ctx, rrs, descent.root_action(k).weyl))
             realized[k] = realize(ctx, m[k])
             if not mat_eq(lifted, realized[k]):
                 raise RealizationError(

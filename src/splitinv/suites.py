@@ -196,7 +196,8 @@ def suite_tits(seed: int = 0, matrix_pairs: int = 10000) -> List[CheckRecord]:
         def squares():
             for i in range(datum.rank):
                 sq = lift_along_word(datum, [i, i], one)
-                want = TorusElement.cochar_power(datum.simple_root(i).coroot, -one, one)
+                want = TorusElement.coroot_product(
+                    datum.rank, [(datum.simple_root(i).coroot, -one)], one)
                 yield i, sq.weyl.is_identity and sq.torus == want
 
         _check_each(records, f"tits/square-is-minus-one-coroot/{name}", squares)

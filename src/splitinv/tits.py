@@ -1,6 +1,9 @@
 """Torus coordinates, the normalizer model built on canonical Weyl lifts,
 and the cocycle building blocks x(zeta) and m(sigma).
 
+Each product prod v^mu over cocharacters mu is ``TorusElement.coroot_product``;
+the Tits product and ``tits_cocycle`` sum a 2-torsion mu as integers first.
+
 A torus point is a coordinate vector over the simple coroots; a normalizer
 point is a pair (torus part, Weyl part) standing for t * n(w), where n(w) is
 the canonical lift along any reduced word.  Products are normalized by
@@ -17,11 +20,10 @@ coordinates where mu is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import ADataError, RootDatumError
-from .rootdata import (PinnedAutomorphism, RootDatum, WeylElement,
-                       inversion_domain)
+from .rootdata import PinnedAutomorphism, RootDatum, WeylElement
 
 
 @dataclass(frozen=True)
@@ -35,9 +37,16 @@ class TorusElement:
         return TorusElement(tuple(one for _ in range(rank)))
 
     @staticmethod
-    def cochar_power(coroot_coords: Sequence[int], value, one) -> "TorusElement":
-        """value ** mu for a cocharacter mu: raises the value coordinatewise."""
-        return TorusElement(tuple(value ** k if k else one for k in coroot_coords))
+    def coroot_product(rank: int, factors: Iterable, one) -> "TorusElement":
+        """prod v^mu over the (cocharacter mu, value v) pairs, read off mu's
+        nonzero entries; a coordinate that no factor reaches is one."""
+        out = [None] * rank
+        for mu, v in factors:
+            for j, e in enumerate(mu):
+                if e:
+                    f = v if e == 1 else v ** e
+                    out[j] = f if out[j] is None else out[j] * f
+        return TorusElement(tuple(one if c is None else c for c in out))
 
     @property
     def rank(self) -> int:
@@ -183,30 +192,25 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
     for j in range(datum.n_positive):
         if w1.inverts(j) and not w12.inverts(j):
             mu = [m + k for m, k in zip(mu, datum.roots[j].coroot)]
-    return TorusElement.cochar_power([m % 2 for m in mu], -one, one)
+    return TorusElement.coroot_product(datum.rank, [([m % 2 for m in mu], -one)], one)
 
 
 # ---------------------------------------------------------------------------
 # x(zeta) and the m-cocycle
 # ---------------------------------------------------------------------------
 
-def x_of(datum: RootDatum, zeta, adata, one=None) -> TorusElement:
-    """The torus element prod_{alpha in R(zeta)} a_alpha^{alpha_vee}, where
-    R(zeta) consists of the positive roots sent negative by zeta^{-1}."""
-    out = [None] * datum.rank
-    for r in inversion_domain(zeta):
-        a = adata[r.coords]
-        for j, e in enumerate(r.coroot):
-            if e:
-                f = a if e == 1 else a ** e
-                out[j] = f if out[j] is None else out[j] * f
-    one = adata.one if one is None else one
-    return TorusElement(tuple(one if c is None else c for c in out))
+def x_of(datum: RootDatum, w: WeylElement, adata) -> TorusElement:
+    """The torus element prod_{alpha in R(w)} a_alpha^{alpha_vee}, where R(w)
+    consists of the positive roots sent negative by w^{-1}."""
+    return TorusElement.coroot_product(
+        datum.rank, ((r.coroot, adata[r.coords]) for r in w.inversions), adata.one)
 
 
 def m_cocycle(datum: RootDatum, descent, adata,
               theta: Optional[PinnedAutomorphism] = None) -> Dict[int, TitsElement]:
     """The normalizer-valued 1-cocycle k -> x(sigma_T^k) n(omega_T(sigma^k)).
+    sigma_T^k acts on the roots as w g with w = omega_T(sigma^k); the diagram
+    part g keeps positive roots positive, so R(w g) = R(w).
 
     Checks the a-data for Galois equivariance (and theta-invariance when a
     pinned automorphism is supplied), then the cocycle identity against the
@@ -216,11 +220,10 @@ def m_cocycle(datum: RootDatum, descent, adata,
     if theta is not None and not theta.is_identity:
         descent.validate_theta_compatible(theta)
         adata.validate_twisted(theta)
-    one = adata.one
     values: Dict[int, TitsElement] = {}
     for k in range(descent.order):
-        aut = descent.root_action(k)
-        values[k] = TitsElement(x_of(datum, aut, adata, one), aut.weyl)
+        w = descent.root_action(k).weyl
+        values[k] = TitsElement(x_of(datum, w, adata), w)
     verify_cocycle_identity(values, descent.order, descent.galois_on_tits)
     if theta is not None:
         for k, mk in values.items():

@@ -253,6 +253,27 @@ class TestInvariant:
         assert captured.out == ""
         assert captured.err.startswith(f"error: field {field!r}:")
 
+    # keys that parse to one root: neither value may silently replace the other
+    @pytest.mark.parametrize("values, first, second, root", [
+        ({"1,0": [0, 1], "0,1": [0, 1], "1, 1": [0, 2], "1,1": [0, 1]}, "1, 1", "1,1",
+         (1, 1)),
+        ({"1,0": [0, 1], "01,0": [0, 1], "0,1": [0, 1], "1,1": [0, 1]}, "1,0", "01,0",
+         (1, 0)),
+    ], ids=["space-in-key", "leading-zero"])
+    def test_two_keys_of_one_root_exit_two(self, tmp_path, capsys, values, first, second,
+                                           root):
+        doc = {
+            "datum": [["A", 2]],
+            "theta": {"perm": [2, 1]},
+            "galois": {"order": 2, "omega_T": [1, 2, 1], "field": {"d": 5}},
+            "adata": {"mode": "values", "values": values},
+        }
+        assert main(["invariant", write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: field 'adata.values': keys {first!r} and "
+                                f"{second!r} both name the root {root}\n")
+
     # one parser serves every main call of a process: what one call parsed,
     # or failed to parse, must not reach the next
     def test_repeated_calls_are_independent(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from splitinv.coeffs import (PRIME_BOUND, Fp, LocalPlace, PrimeField, QuadField, QuadNum,
                              SignedSymbolMap, SymUnit, _is_prime, hilbert_symbol,
@@ -289,11 +289,55 @@ class TestScalarPaths:
         self.assert_quad(k - x, d, k_ - x.u, -x.v)
         self.assert_quad(x * k, d, x.u * k_, x.v * k_)
         self.assert_quad(k * x, d, x.u * k_, x.v * k_)
+        if k:
+            self.assert_quad(x / k, d, x.u / k_, x.v / k_)
+        if x:
+            n = x.norm()
+            self.assert_quad(k / x, d, k_ * x.u / n, -k_ * x.v / n)
 
     @given(st.integers(-20, 20), st.sampled_from([3, 5, 7]))
     def test_fp_bool(self, k, p):
         assert bool(Fp(0, p)) is False
         assert bool(Fp(k % p, p)) == (k % p != 0)
+
+
+class TestFieldElementOperators:
+    """Subtraction, division and the reflected operators, which QuadNum and
+    Fp share: Fp against integers mod p (QuadNum against the (u, v) formulas
+    is in TestScalarPaths and TestQuadNormalForm), and the operand checks of
+    both."""
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([3, 5, 7, 101]), st.integers(0, 200), st.integers(0, 200),
+           st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5,
+                                                      max_denominator=6)))
+    def test_fp(self, p, a, b, k):
+        assume(Fraction(k).denominator % p)
+        x, y = Fp(a % p, p), Fp(b % p, p)
+        km = k.numerator * pow(k.denominator, -1, p)
+        assert x - y == Fp((a - b) % p, p)
+        assert k + x == Fp((km + a) % p, p)
+        assert k - x == Fp((km - a) % p, p)
+        assert k * x == Fp(km * a % p, p)
+        if b % p:
+            assert x / y == Fp(a * pow(b, -1, p) % p, p)
+            assert k / y == Fp(km * pow(b, -1, p) % p, p)
+
+    @pytest.mark.parametrize("x, y", [
+        (QuadNum(1, 1, 5), QuadNum(1, 1, 2)), (Fp(1, 5), Fp(1, 7))])
+    def test_mixed_fields_raise(self, x, y):
+        for op in (lambda: x - y, lambda: x / y, lambda: y - x, lambda: y / x):
+            with pytest.raises(CoefficientError):
+                op()
+
+    @pytest.mark.parametrize("x", [QuadNum(1, 1, 5), Fp(2, 5)])
+    @pytest.mark.parametrize("other", [1.5, "x"])
+    def test_float_or_str_operand_raises_type_error(self, x, other):
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x,
+                   lambda: x / other, lambda: other / x):
+            with pytest.raises(TypeError):
+                op()
 
 
 wide_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=24)

@@ -1,11 +1,13 @@
 """Endoscopic sign data, the change-of-a-data sign, the first-factor ratio,
 and the factor-expression calculus."""
 
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splitinv.coeffs import LocalPlace
 from splitinv.errors import FactorError
@@ -34,6 +36,30 @@ def sign_datum(rrs, desc, val_short, val_long, place):
     orbits = restricted_galois_orbits(rrs, desc)
     places = {o.members: place for o in orbits if o.symmetric}
     return EndoscopicSignDatum(rrs, desc, values, places)
+
+
+class TestRootOfUnity:
+    """The exponent is held in its normal form 0 <= e < 1, so structural
+    equality is equality of roots of unity."""
+
+    @pytest.mark.parametrize("e", [Fraction(3, 2), Fraction(-1, 2), Fraction(1), 0, 0.5,
+                                   "x", None])
+    def test_constructor_refuses_other_exponents(self, e):
+        with pytest.raises(FactorError):
+            RootOfUnity(e)
+
+    def test_minus_one_has_one_form(self):
+        assert RootOfUnity(Fraction(1, 2)) == MINUS and RootOfUnity(Fraction(1, 2)).is_minus_one
+        assert RootOfUnity.make(Fraction(3, 2)) == MINUS
+        assert MINUS * MINUS == ONE and MINUS.inv() == MINUS and ONE.inv() == ONE
+
+    @given(st.fractions(max_denominator=12), st.fractions(max_denominator=12))
+    def test_in_place_results_are_the_constructors(self, a, b):
+        x, y = RootOfUnity.make(a), RootOfUnity.make(b)
+        for z, e in ((x, a), (x.inv(), -a), (x * y, a + b)):
+            assert z == RootOfUnity(e - math.floor(e))
+            assert type(z.exponent) is Fraction and 0 <= z.exponent < 1
+            assert hash(z) == hash(RootOfUnity(z.exponent))
 
 
 class TestSignDatum:

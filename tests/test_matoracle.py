@@ -100,6 +100,21 @@ class TestRealize:
             realize(ctx, TorusElement((F1,)))
 
 
+class TestGaloisApply:
+    """sigma^k on matrices: only Q(sqrt(d)) carries a conjugation, which an
+    odd k applies to every entry; over Q and F_p every power is trivial."""
+
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(5), QuadField(5)])
+    def test_powers(self, field):
+        ctx = MatrixContext(2, field)
+        g0 = field.gen() if isinstance(field, QuadField) else field.embed(3)
+        g = ((g0, field.embed(2)), (field.zero(), field.one()))
+        conj = ((-g0, field.embed(2)), (field.zero(), field.one()))
+        for k in range(4):
+            want = conj if k % 2 and isinstance(field, QuadField) else g
+            assert ctx.galois_apply(g, k) == want
+
+
 class TestTheta:
     def test_theta_squares_to_identity(self):
         for n in (3, 4, 5):
