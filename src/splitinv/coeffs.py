@@ -428,7 +428,7 @@ class Fp(_FieldElement):
         if isinstance(other, int):
             return Fp(other % self.p, self.p)
         if isinstance(other, Fraction):
-            return Fp(other.numerator * pow(other.denominator, -1, self.p) % self.p, self.p)
+            return _fraction_mod(other, self.p)
         return None
 
     def __add__(self, other):
@@ -473,6 +473,13 @@ class Fp(_FieldElement):
         return f"{self.v}(mod {self.p})"
 
 
+def _fraction_mod(x: Fraction, p: int) -> Fp:
+    """The image of x in F_p, which exists when p does not divide its denominator."""
+    if x.denominator % p == 0:
+        raise CoefficientError(f"{x} has no image in F_{p}: p={p} divides its denominator")
+    return Fp(x.numerator * pow(x.denominator, -1, p) % p, p)
+
+
 class PrimeField:
     """F_p for an odd prime p.  Characteristic 2 is rejected: the
     constructions downstream divide by 2."""
@@ -502,7 +509,7 @@ class PrimeField:
                 raise CoefficientError("mixed prime fields")
             return x
         if isinstance(x, Fraction):
-            return Fp(x.numerator * pow(x.denominator, -1, self.p) % self.p, self.p)
+            return _fraction_mod(x, self.p)
         return Fp(int(x) % self.p, self.p)
 
     def half(self):

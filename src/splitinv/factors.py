@@ -63,7 +63,10 @@ class RootOfUnity:
 
     @staticmethod
     def make(exponent) -> "RootOfUnity":
-        e = Fraction(exponent)
+        try:
+            e = Fraction(exponent)
+        except (TypeError, ValueError, OverflowError):
+            raise FactorError(f"need a rational exponent, got {exponent!r}") from None
         return _new_root(e - (e.numerator // e.denominator))
 
     @staticmethod

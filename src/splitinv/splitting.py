@@ -7,6 +7,11 @@ model ("m-level"); conjugating by a suitable group element h produces the
 torus-valued cocycle ("t-level") whose class is the splitting invariant.
 Without a matrix realization the m-level object is returned, marked as such;
 with one, the torus values are computed and verified as honest matrices.
+
+Generic equivariant a-data comes from one walk of the root classes: the
+symbolic a-data names one symbol per class, and the random Q(sqrt d) a-data
+specializes it one Galois orbit of classes at a time.  Both refuse a theta
+that omega_T does not commute with.
 """
 
 from __future__ import annotations
@@ -177,39 +182,65 @@ def _signed_values(pos_values: Dict[tuple, object], positive: Sequence[tuple],
     return values
 
 
-def _symbolic_adata(datum, descent, theta):
-    """Symbolic a-data, one symbol per root class, and its coefficient action."""
-    # nodes: roots modulo theta and negation (negation carries a sign); the
-    # Galois action permutes nodes only when it normalizes that equivalence,
-    # so incompatible twisted descents are rejected up front
+def _adata_classes(system, descent, theta, special=False):
+    """The classes of a-data keys and the Galois generator's signed
+    permutation of them.  Keys are the roots of a RootDatum (walked by
+    index) or the restricted roots of a RestrictedRootSystem.  Negation
+    links keys with sign -1; theta on full data, and doubling on special
+    restricted data, with sign +1.  Classes are numbered in order of their
+    least key, the start.  Returns each key's (class, sign against its
+    start) and the (class, sign) of the generator's image of each start.
+    A theta that omega_T does not commute with is refused: it would merge
+    classes that the Galois action does not permute."""
     if theta is not None and not theta.is_identity:
         descent.validate_theta_compatible(theta)
-    roots, npos = datum.roots, datum.n_positive
-    perm = theta.root_perm if theta is not None else range(len(roots))
-    # a node is a theta-orbit of negative roots and its negation; a negative
-    # root's coordinates are below every positive root's, so the least root
-    # of the negative orbit represents it, and positive roots carry sign -1
-    node_of: Dict[int, Tuple[int, int]] = {}    # root index -> (representative, sign)
-    for j in range(npos, len(roots)):
-        if j not in node_of:
-            orbit = [j]
-            while perm[orbit[-1]] != j:
-                orbit.append(perm[orbit[-1]])
-            rep = min(orbit, key=lambda k: roots[k].coords)
-            node_of.update((k, (rep, 1)) for k in orbit)
-    for j in range(npos):
-        node_of[j] = (node_of[datum.root_index[tuple(-x for x in roots[j].coords)]][0], -1)
-    reps = sorted({rep for rep, _ in node_of.values()}, key=lambda k: roots[k].coords)
-    sym_of = {rep: f"a{k + 1}" for k, rep in enumerate(reps)}
-    # the generator of the Galois action permutes nodes with signs
-    gen = descent.root_action(1 % descent.order).perm
-    mapping = {}
-    for rep in reps:
-        node, sgn = node_of[gen[rep]]
-        mapping[sym_of[rep]] = (sgn, sym_of[node])
-    action = SignedSymbolMap(mapping) if descent.order > 1 else IdentityAction()
-    units = {(rep, sgn): SymUnit.gen(sym_of[rep], 1, sgn) for rep in reps for sgn in (1, -1)}
-    values = {r.coords: units[node_of[j]] for j, r in enumerate(roots)}
+    restricted = isinstance(system, RestrictedRootSystem)
+    if restricted:
+        keys = sorted(system.restricted)
+        moves = [({v: tuple(-c for c in v) for v in keys}, -1)]
+        if special:
+            pair = {}
+            for v in keys:
+                dbl = tuple(2 * c for c in v)
+                if dbl in system.restricted:
+                    pair[v], pair[dbl] = dbl, v
+            moves.append(({v: pair.get(v, v) for v in keys}, 1))
+        sigma = descent.restricted_action(1, system)
+    else:
+        roots, index = system.roots, system.root_index
+        keys = sorted(range(len(roots)), key=lambda j: roots[j].coords)
+        moves = [([index[tuple(-c for c in r.coords)] for r in roots], -1)]
+        if theta is not None and not theta.is_identity:
+            moves.append((theta.root_perm, 1))
+        sigma = descent.root_action(1 % descent.order).perm
+    of, starts = {}, []
+    for start in keys:
+        if start in of:
+            continue
+        of[start] = (len(starts), 1)
+        starts.append(start)
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            c, s = of[v]
+            for table, sign in moves:
+                w = table[v]
+                if w not in of:
+                    of[w] = (c, s * sign)
+                    frontier.append(w)
+    images = [of[sigma[s]] for s in starts]
+    return (of if restricted else {r.coords: of[j] for j, r in enumerate(roots)}), images
+
+
+def _symbolic_adata(datum, descent, theta):
+    """Symbolic a-data, one symbol a1, a2, ... per root class in the order of
+    its start, and the coefficient action the Galois generator induces."""
+    classes, images = _adata_classes(datum, descent, theta)
+    names = [f"a{c + 1}" for c in range(len(images))]
+    action = SignedSymbolMap({names[c]: (s, names[img]) for c, (img, s) in enumerate(images)}) \
+        if descent.order > 1 else IdentityAction()
+    units = {(c, s): SymUnit.gen(names[c], 1, s) for c in range(len(names)) for s in (1, -1)}
+    values = {v: units[cs] for v, cs in classes.items()}
     return ADatum(values, SymUnit.one(), SymUnit.half(), datum), action
 
 
@@ -472,78 +503,23 @@ def _seed_block(ctx: MatrixContext, rrs: RestrictedRootSystem, beta, conj):
 def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
                            rng: random.Random, special: bool = False,
                            theta: Optional[PinnedAutomorphism] = None) -> ADatum:
-    """Random Galois-equivariant a-data with values in Q(sqrt(d)).
-
-    Keys are propagated along negation (sign flip), the pinned automorphism
-    and, for restricted data with ``special``, the doubling identification;
-    the Galois generator adds a conjugation step.  Loop constraints decide
-    whether each free class takes a rational or a purely irrational value.
-    The result is equivariant by construction and checked where it is used.
-    """
-    restricted = isinstance(system, RestrictedRootSystem)
-    sigma = descent.restricted_action(1, system) if restricted \
-        else _root_images(descent.datum, descent.root_action(1).perm)
+    """Random Galois-equivariant a-data with values in Q(sqrt(d)): the
+    symbolic a-data of the same root classes, specialized one Galois orbit
+    of classes at a time in order of least key.  At order 2 a class sigma
+    fixes with sign +1 takes a rational value; any other orbit's first class
+    takes sqrt(d) times a rational, and its partner the signed conjugate.
+    The result is equivariant by construction and checked where it is used."""
     if descent.order not in (1, 2):
         raise DescentError("quadratic-extension a-data needs a group of order <= 2")
-
-    # edges: (image, sign multiplier, conjugation step)
-    def edges(v):
-        out = [(tuple(-c for c in v), -1, 0), (sigma[v], 1, 1 % descent.order)]
-        if not restricted and theta is not None:
-            out.append((tuple(theta.act_root(v)), 1, 0))
-        if restricted and special:
-            dbl = tuple(2 * c for c in v)
-            if dbl in system.restricted:
-                out.append((dbl, 1, 0))
-            if all(c % 2 == 0 for c in v):
-                half = tuple(c // 2 for c in v)
-                if half in system.restricted:
-                    out.append((half, 1, 0))
-        return out
-
-    label: Dict[tuple, Tuple[int, int, int]] = {}  # key -> (class, sign, parity)
-    constraint: Dict[int, str] = {}  # class -> "any" | "rational" | "irrational"
-    n_classes = 0
-    for start in sorted(sigma):
-        if start in label:
-            continue
-        cls = n_classes
-        n_classes += 1
-        constraint[cls] = "any"
-        label[start] = (cls, 1, 0)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            _, sv, pv = label[v]
-            for img, sgn, step in edges(v):
-                s2, p2 = sv * sgn, (pv + step) % 2
-                if img not in label:
-                    label[img] = (cls, s2, p2)
-                    frontier.append(img)
-                    continue
-                _, s3, p3 = label[img]
-                if p2 == p3:
-                    if s2 != s3:
-                        raise ADataError("no equivariant a-data: sign contradiction")
-                else:
-                    want = "rational" if s2 == s3 else "irrational"
-                    if constraint[cls] not in ("any", want):
-                        raise ADataError("no equivariant a-data: mixed constraint")
-                    constraint[cls] = want
-
-    base = {}
-    for cls, kind in constraint.items():
-        c = Fraction(rng.choice([1, 2, 3, 1, 5])) * rng.choice([1, -1])
-        if kind == "rational":
-            base[cls] = fieldq.embed(c)
-        else:
-            base[cls] = fieldq.gen() * fieldq.embed(c)
-    values = {}
-    for v, (cls, sgn, parity) in label.items():
-        a = base[cls]
-        if parity:
-            a = fieldq.conj(a)
-        values[v] = a if sgn == 1 else -a
+    classes, images = _adata_classes(system, descent, theta, special)
+    base = [None] * len(images)
+    for c, (img, sign) in enumerate(images):
+        if base[c] is None:     # else c is the partner of an earlier class
+            x = fieldq.embed(Fraction(rng.choice([1, 2, 3, 1, 5])) * rng.choice([1, -1]))
+            base[c] = x if descent.order == 2 and (img, sign) == (c, 1) else fieldq.gen() * x
+            if img != c:
+                base[img] = fieldq.conj(base[c]) if sign == 1 else -fieldq.conj(base[c])
+    values = {v: base[c] if s == 1 else -base[c] for v, (c, s) in classes.items()}
     return ADatum(values, fieldq.one(), fieldq.half(), system)
 
 

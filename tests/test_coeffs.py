@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitinv.coeffs import (PRIME_BOUND, Fp, LocalPlace, PrimeField, QuadField, QuadNum,
                              SignedSymbolMap, SymUnit, _is_prime, hilbert_symbol,
@@ -311,11 +311,18 @@ class TestFieldElementOperators:
     @given(st.sampled_from([3, 5, 7, 101]), st.integers(0, 200), st.integers(0, 200),
            st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5,
                                                       max_denominator=6)))
+    @example(3, 1, 2, Fraction(1, 3))
     def test_fp(self, p, a, b, k):
-        assume(Fraction(k).denominator % p)
         x, y = Fp(a % p, p), Fp(b % p, p)
-        km = k.numerator * pow(k.denominator, -1, p)
         assert x - y == Fp((a - b) % p, p)
+        if Fraction(k).denominator % p == 0:
+            # no image in F_p: every operator and embed name p
+            for op in (lambda: k + x, lambda: k - x, lambda: k * x, lambda: k / Fp(1, p),
+                       lambda: x / k, lambda: PrimeField(p).embed(k)):
+                with pytest.raises(CoefficientError, match=f"p={p}"):
+                    op()
+            return
+        km = k.numerator * pow(k.denominator, -1, p)
         assert k + x == Fp((km + a) % p, p)
         assert k - x == Fp((km - a) % p, p)
         assert k * x == Fp(km * a % p, p)

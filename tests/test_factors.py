@@ -48,6 +48,12 @@ class TestRootOfUnity:
         with pytest.raises(FactorError):
             RootOfUnity(e)
 
+    @pytest.mark.parametrize("e", ["x", float("nan"), float("inf"), float("-inf"), None,
+                                   [1, 2]])
+    def test_make_refuses_what_is_not_a_rational(self, e):
+        with pytest.raises(FactorError, match="rational exponent"):
+            RootOfUnity.make(e)
+
     def test_minus_one_has_one_form(self):
         assert RootOfUnity(Fraction(1, 2)) == MINUS and RootOfUnity(Fraction(1, 2)).is_minus_one
         assert RootOfUnity.make(Fraction(3, 2)) == MINUS

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 import splitinv.splitting as splitting
+import splitinv.suites as suites
 from splitinv.coeffs import LocalPlace, QuadConj, QuadField, SignedSymbolMap, SymUnit
-from splitinv.errors import ADataError, DescentError, RealizationError, RootDatumError
+from splitinv.errors import (ADataError, DescentError, RealizationError, RootDatumError,
+                             SplitinvError)
 from splitinv.factors import EndoscopicSignDatum, RootOfUnity, restricted_galois_orbits
 from splitinv.matoracle import (MatrixContext, block_embed, exp_nilpotent,
                                 fixed_group_lift, mat_det, mat_eq, mat_identity,
@@ -841,3 +843,58 @@ class TestSymbolicAData:
             assert {c: (u.sign, u.exps) for c, u in adata.values.items()} == \
                 {c: (sgn, ((sym, 1),)) for c, (sgn, sym) in values.items()}
             assert action.mapping == mapping
+
+
+def test_quad_adata_refuses_a_theta_omega_does_not_commute_with():
+    # s1 does not commute with the A2 flip, so the Galois generator does not
+    # permute the theta-classes of full a-data
+    d = build_root_datum([("A", 2)])
+    f = QuadField(5)
+    desc = DescentDatum(d, 2, d.simple_reflection(0), field_action=QuadConj(f))
+    with pytest.raises(DescentError, match=r"omega_T\(sigma\) does not commute with theta"):
+        equivariant_quad_adata(d, desc, f, random.Random(0), theta=PinnedAutomorphism(d, [1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# a census of small descent data: every involution in W^theta of each
+# folding of the suites, the identity included
+# ---------------------------------------------------------------------------
+
+CENSUS_INVOLUTIONS = {"A2 flip": 2, "A3 flip": 6, "A4 flip": 6, "A5 flip": 20, "D4 swap": 20}
+
+
+def _census_case(d, theta, rrs, omega, f, rng):
+    """The special Q(sqrt 5) a-data of omega passes the comparison and is a
+    specialization of the symbolic a-data, whose twisted cocycle passes."""
+    desc = DescentDatum(d, 2, omega, field_action=QuadConj(f))
+    spec = equivariant_quad_adata(rrs, desc, f, rng, special=True)
+    assert compare_fixed_vs_twisted(rrs, desc, spec).equal_on_the_nose
+    sym_desc = DescentDatum(d, 2, omega)
+    sym, sym_desc.field_action = _symbolic_adata(d, sym_desc, theta)
+    # a_c -> value[c] maps the symbolic a-data onto the pulled-back values,
+    # one value per class up to sign, and the symbolic action onto conjugation
+    full, value = spec.pullback(), {}
+    for coords, unit in sym.values.items():
+        (name, _), = unit.exps
+        assert value.setdefault(name, unit.sign * full[coords]) == unit.sign * full[coords]
+    for name, (sign, image) in sym_desc.field_action.mapping.items():
+        assert value[image] == sign * f.conj(value[name])
+    lambda_twisted(d, theta, sym_desc, sym)
+
+
+@pytest.mark.parametrize("name,families,perm", suites._FLIP_CASES,
+                         ids=[case[0] for case in suites._FLIP_CASES])
+def test_census_of_involutions(name, families, perm):
+    d = build_root_datum(families)
+    theta = PinnedAutomorphism(d, perm)
+    rrs = restrict_root_system(d, theta)
+    f, rng = QuadField(5), random.Random(0)
+    involutions = [w for w in rrs.fixed_weyl_subgroup() if (w * w).is_identity]
+    failures = []
+    for omega in involutions:
+        try:
+            _census_case(d, theta, rrs, omega, f, rng)
+        except (AssertionError, SplitinvError) as exc:
+            failures.append(((name, omega.word), repr(exc)))
+    assert failures == []
+    assert len(involutions) == CENSUS_INVOLUTIONS[name]
