@@ -180,7 +180,7 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
     try:
         omega = analyze_weyl(datum, [_integer(i, "galois.omega_T") for i in word],
                              one_based=True)
-    except (SplitinvError, ValueError, IndexError) as exc:
+    except SplitinvError as exc:
         raise ScenarioError("galois.omega_T", str(exc)) from None
     sigma_doc = gal.get("sigma_T")
     sigma = None if sigma_doc is None else _automorphism(datum, sigma_doc, "galois.sigma_T")
@@ -193,10 +193,16 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
 
 def _number(raw) -> Fraction:
     """A number the CLI reads: a non-bool int, or a string that Fraction reads
-    with no exponent part, so "1e100000" is not expanded into 10^100000."""
+    with no exponent part, so "1e100000" is not expanded into 10^100000.  A
+    plain decimal integer string is read by int, without Fraction's regular
+    expression."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)) \
             or isinstance(raw, str) and "e" in raw.lower():
         raise ValueError(f"expected an integer or a rational string, got {raw!r}")
+    if isinstance(raw, str):
+        digits = raw[1:] if raw[:1] == "-" else raw
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(raw))
     return Fraction(raw)
 
 
@@ -219,11 +225,8 @@ def cmd_invariant(args) -> int:
     if adoc["mode"] == "symbolic":
         descent = _parse_galois(doc, datum, None)
         try:
-            # the symbolic coefficient action permutes the root classes as the
-            # validated generator permutes the roots, so its order divides the
-            # group order and the descent datum stays valid
-            adata, descent.field_action = _symbolic_adata(
-                datum, descent, None if theta.is_identity else theta)
+            adata, action = _symbolic_adata(datum, descent, None if theta.is_identity else theta)
+            descent = descent.with_field_action(action)
         except SplitinvError as exc:
             raise ScenarioError("galois", str(exc)) from None
     elif adoc["mode"] == "values":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import CoefficientError, PlaceError
 
@@ -74,6 +74,17 @@ class SymUnit:
     def half() -> "SymUnit":
         return SymUnit.gen(TWO, -1)
 
+    @staticmethod
+    def product(units: Iterable["SymUnit"]) -> "SymUnit":
+        """The product of units: their exponents are summed in one dict and
+        sorted once, whatever the number of factors."""
+        sign, acc = 1, {}
+        for u in units:
+            sign *= u.sign
+            for name, e in u.exps:
+                acc[name] = acc.get(name, 0) + e
+        return _new_sym(sign, tuple(sorted((n, e) for n, e in acc.items() if e)))
+
     def __mul__(self, other: "SymUnit") -> "SymUnit":
         if not isinstance(other, SymUnit):
             return NotImplemented
@@ -81,11 +92,7 @@ class SymUnit:
             return self
         if self.is_one:
             return other
-        acc: Dict[str, int] = dict(self.exps)
-        for name, e in other.exps:
-            acc[name] = acc.get(name, 0) + e
-        exps = tuple(sorted((n, e) for n, e in acc.items() if e != 0))
-        return _new_sym(self.sign * other.sign, exps)
+        return SymUnit.product((self, other))
 
     def __pow__(self, k: int) -> "SymUnit":
         if not isinstance(k, int):
@@ -143,16 +150,21 @@ class SignedSymbolMap:
     def order(self) -> int:
         # brute force; symbol alphabets here are tiny
         for k in range(1, 49):
-            if all(self._power_fixes(name, k) for name in self.mapping):
+            if all(self._image(name, k) == (1, name) for name in self.mapping):
                 return k
         raise CoefficientError("signed symbol map has order > 48")
 
-    def _power_fixes(self, name: str, k: int) -> bool:
+    def power(self, k: int) -> "SignedSymbolMap":
+        """The k-th power of this map, k >= 0, as one map."""
+        return SignedSymbolMap({name: self._image(name, k) for name in self.mapping})
+
+    def _image(self, name: str, k: int) -> Tuple[int, str]:
+        """(sign, symbol) of the k-th power's image of name."""
         s, n = 1, name
         for _ in range(k):
             s2, n = self.mapping.get(n, (1, n))
             s *= s2
-        return s == 1 and n == name
+        return s, n
 
 
 class IdentityAction:

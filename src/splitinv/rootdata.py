@@ -116,18 +116,24 @@ class RootDatum:
         self.families = families
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
-        # s_i on coroot coordinates: coroots are the roots of the dual datum,
-        # whose Cartan matrix is the transpose
+        # s_i on heights (row i) and on coroot coordinates: coroots are the
+        # roots of the dual datum, whose Cartan matrix is the transpose
+        self.cartan_rows = _sparse_rows(self.cartan)
         self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
         # pairings[j][i] = <root j, alpha_i_vee>: the fundamental-weight coordinates
-        self.roots, self.pairings, reflections = self._generate_roots()
+        self.roots, self.pairings, reflections, self._tree = self._generate_roots()
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
         # the tables of the Weyl kernel: positive roots come first in `roots`
         self.root_index: Dict[Vec, int] = {r.coords: j for j, r in enumerate(self.roots)}
+        self._heights: Tuple[int, ...] = tuple(r.height for r in self.roots)
         self.n_positive = sum(r.positive for r in self.roots)
         self.simple_index: Tuple[int, ...] = tuple(
             self.root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+        # each root as one integer, its coordinates the signed digits in base
+        # 8 (they lie in [-2, 2]), so that a sum of roots is a sum of integers
+        self._codes = self._linear_codes([8 ** i for i in range(rank)])
+        self._code_index: Dict[int, int] = {c: j for j, c in enumerate(self._codes)}
         ident = tuple(range(len(self.roots)))
         self._identity = WeylElement._from_perms(self, ident, ident)
         self._simple = tuple(WeylElement._from_perms(self, p, p) for p in reflections)
@@ -137,18 +143,21 @@ class RootDatum:
 
     # -- construction ------------------------------------------------------
 
-    def _generate_roots(self) -> Tuple[Tuple[Root, ...], Tuple[Vec, ...], List[Tuple[int, ...]]]:
+    def _generate_roots(self):
         """The roots, by breadth-first search from the simple roots under the
         simple reflections, sorted; the pairings <root, alpha_i_vee> of each;
-        and each simple reflection as the permutation of root indices read
-        off the edges that search walked.  A root carries its pairings
-        (Stembridge 2001): s_i takes entry i times alpha_i off the root, and
-        that entry times column i of the Cartan matrix off the pairings."""
+        each simple reflection as the permutation of root indices read off the
+        edges that search walked; and, in order of discovery, the edge (root,
+        parent, i, p), root = s_i(parent) = parent + p alpha_i, that found each
+        root.  A root carries its pairings (Stembridge 2001): s_i takes entry i
+        times alpha_i off the root, and that times column i of the Cartan matrix
+        off the pairings."""
         dual = self.dual_rows
         columns = tuple(zip(*self.cartan))     # pairings of the simple roots
         found: List[Tuple[Vec, Vec, Vec]] = []  # (root, coroot, pairings) in order of discovery
         ids: Dict[Vec, int] = {}
         edges: List[Tuple[int, ...]] = []     # edges[k][i]: id of s_i(root k)
+        tree: List[Tuple[int, int, int, int]] = []    # (id, parent id, i, p) of each new root
         for i in range(self.rank):
             e = tuple(1 if j == i else 0 for j in range(self.rank))
             ids[e] = len(found)
@@ -161,6 +170,7 @@ class RootDatum:
                     j = ids.get(c2)
                     if j is None:
                         j = ids[c2] = len(found)
+                        tree.append((j, k, i, -pi))
                         p2 = list(p)
                         for m, a in dual[i]:
                             p2[m] -= pi * a
@@ -177,7 +187,7 @@ class RootDatum:
             position[k] = j
         reflections = [tuple(position[edges[k][i]] for k in order) for i in range(self.rank)]
         return (tuple(roots[k] for k in order), tuple(found[k][2] for k in order),
-                reflections)
+                reflections, tuple((position[j], position[k], i, p) for j, k, i, p in tree))
 
     @staticmethod
     def _is_positive(coords: Vec) -> bool:
@@ -220,6 +230,21 @@ class RootDatum:
             self._weyl_cache = _closure(
                 self.identity_weyl(), [self.simple_reflection(i) for i in range(self.rank)])
         return self._weyl_cache
+
+    def _linear_codes(self, simple_codes: Sequence[int]) -> List[int]:
+        """The codes of the images of the roots under the linear map taking alpha_i
+        to the root coded simple_codes[i]: parent + p alpha_i goes to image(parent)
+        + p simple_codes[i], along the edges of the root search."""
+        out = [0] * len(self.roots)
+        for s, c in zip(self.simple_index, simple_codes):
+            out[s] = c
+        for k, parent, i, p in self._tree:
+            out[k] = out[parent] + p * simple_codes[i]
+        return out
+
+    def _simple_heights(self, inv_perm: Sequence[int]) -> List[int]:
+        """The heights of w^{-1} alpha_i, i < rank, for w^{-1} given by inv_perm."""
+        return [self._heights[inv_perm[s]] for s in self.simple_index]
 
     def longest_element(self) -> "WeylElement":
         return self._longest_in(range(self.rank))
@@ -323,16 +348,19 @@ class WeylElement:
 
     @property
     def word(self) -> Tuple[int, ...]:
-        """Canonical reduced word (0-based indices), lexicographically least."""
+        """Canonical reduced word (0-based indices), lexicographically least:
+        peel off the first s_i whose v^{-1} alpha_i has negative height h_i
+        while v = s_i ... w has one; v <- s_i v takes h_j to h_j - <alpha_j,
+        alpha_i_vee> h_i, row i of the Cartan matrix (Casselman 1994; Bjorner-Brenti, GTM 231)."""
         if self._word is None:
-            datum = self.datum
-            npos, simple = datum.n_positive, datum.simple_index
+            rows = self.datum.cartan_rows
+            h = self.datum._simple_heights(self.inv_perm)
             letters = []
-            inv = self.inv_perm  # tracks (s_i ... w)^{-1} = w^{-1} s_i ...
-            while inv != datum._identity.perm:
-                i = next(i for i, s in enumerate(simple) if inv[s] >= npos)
+            while (i := next((i for i, x in enumerate(h) if x < 0), None)) is not None:
                 letters.append(i)
-                inv = tuple(map(inv.__getitem__, datum._simple[i].perm))
+                hi = h[i]
+                for j, c in rows[i]:
+                    h[j] -= c * hi
             self._word = tuple(letters)
         return self._word
 
@@ -383,11 +411,31 @@ def _closure(identity: WeylElement, gens: Sequence[WeylElement]) -> Tuple[WeylEl
 
 def analyze_weyl(datum: RootDatum, word: Sequence[int], one_based: bool = False) -> WeylElement:
     """Multiply out a (not necessarily reduced) reflection word and return the
-    canonical Weyl element.  Idempotent on canonical words."""
-    w = datum.identity_weyl()
+    canonical Weyl element.  Idempotent on canonical words.
+
+    The images w(alpha_j) of the simple roots go through the word from its
+    right end, one reflection-table lookup per image and letter; the root
+    permutation is then built once by linearity along the root search's
+    edges, w(root + p alpha_i) = w(root) + p w(alpha_i) (Casselman 1994;
+    Bjorner-Brenti, GTM 231, ch. 4).  A bool or non-int letter raises RootDatumError."""
+    letters = []
     for i in word:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise RootDatumError(f"reflection word letter {i!r} is not an integer")
         j = i - 1 if one_based else i
-        w = w * datum.simple_reflection(j)
+        if not 0 <= j < datum.rank:
+            raise RootDatumError(f"simple reflection index {j} out of range")
+        letters.append(j)
+    simple = datum.simple_index
+    images = list(simple)
+    for i in reversed(letters):
+        refl = datum._simple[i].perm
+        images = [refl[x] for x in images]
+    if images == list(simple):
+        return datum.identity_weyl()
+    codes = datum._linear_codes([datum._codes[x] for x in images])
+    perm = tuple(map(datum._code_index.__getitem__, codes))
+    w = WeylElement._from_perms(datum, perm, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
     assert w.length == len(w.inversions)
     return w
 
@@ -445,24 +493,18 @@ class PinnedAutomorphism:
 
     def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """theta's permutation of the indices of ``datum.roots`` and its
-        inverse, built on first use in one pass in root order from the
-        simple-reflection tables: theta(s_i beta) = s_{theta(i)} theta(beta).
-        For a root beta past the simple ones, take the first i whose pairing
-        <beta, alpha_i_vee> has the sign of beta; then s_i beta is a positive
-        root of lower height, or a negative root of lower depth, or (for
-        beta = -alpha_i) alpha_i, so it comes earlier in ``datum.roots``."""
+        inverse, built on first use from the simple-reflection tables along
+        the edges the root search walked: a root s_i(beta) goes to
+        s_{theta(i)}(theta(beta)), and beta was found first."""
         if self._root_perms is None:
             datum = self.datum
             refl = [s.perm for s in datum._simple]
-            simple, npos, perm = datum.simple_index, datum.n_positive, self.perm
+            simple, perm = datum.simple_index, self.perm
             fwd = [0] * len(datum.roots)
             for i, s in enumerate(simple):
                 fwd[s] = simple[perm[i]]
-            for j in range(datum.rank, len(fwd)):
-                pairing = datum.pairings[j]
-                i = next(i for i, x in enumerate(pairing) if x > 0) if j < npos \
-                    else next(i for i, x in enumerate(pairing) if x < 0)
-                fwd[j] = refl[perm[i]][fwd[refl[i][j]]]
+            for k, parent, i, _ in datum._tree:
+                fwd[k] = refl[perm[i]][fwd[parent]]
             back = [0] * len(fwd)
             for j, k in enumerate(fwd):
                 back[k] = j

@@ -16,6 +16,7 @@ that omega_T does not commute with.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,9 +268,34 @@ class DescentDatum:
         self.order = order
         self.omega_T = omega_T
         self.sigma_T = sigma_T if sigma_T is not None else PinnedAutomorphism.identity(datum)
-        self.field_action = field_action if field_action is not None else IdentityAction()
         self._powers = self._compute_powers()
         self.validate()
+        self._set_field_action(field_action)
+
+    def _set_field_action(self, field_action) -> None:
+        """The coefficient action of the generator, once its order is found
+        to divide the group order, and its powers 0 .. order - 1, each one
+        map: only a SignedSymbolMap has order above 2."""
+        action = field_action if field_action is not None else IdentityAction()
+        fo = action.order
+        if self.order % fo:
+            raise DescentError("coefficient action order does not divide the group order")
+        self._field_action = action
+        self._field_powers = [IdentityAction(), action][:fo] + \
+            [action.power(k) for k in range(2, fo)]
+
+    @property
+    def field_action(self):
+        """The generator's coefficient action, set by the constructor or
+        ``with_field_action`` only, so that its powers stay in step."""
+        return self._field_action
+
+    def with_field_action(self, field_action) -> "DescentDatum":
+        """This descent datum with the coefficient action field_action,
+        validated; the powers of the root action are shared, not rebuilt."""
+        out = copy.copy(self)
+        out._set_field_action(field_action)
+        return out
 
     def _compute_powers(self) -> List[RootAutomorphism]:
         """sigma^0 .. sigma^order, each with its permutation of the roots;
@@ -287,9 +313,6 @@ class DescentDatum:
         final = self._powers[self.order]
         if not final.weyl.is_identity or not final.diagram.is_identity:
             raise DescentError("sigma_T is not a homomorphism: generator has wrong order")
-        fo = getattr(self.field_action, "order", 1)
-        if self.order % fo:
-            raise DescentError("coefficient action order does not divide the group order")
 
     def validate_theta_compatible(self, theta: PinnedAutomorphism) -> None:
         if not theta.commutes_with(self.omega_T):
@@ -304,9 +327,8 @@ class DescentDatum:
         return self._powers[k % self.order]
 
     def field_apply(self, k: int, value):
-        for _ in range(k % self.order):
-            value = self.field_action(value)
-        return value
+        """sigma^k on a coefficient: one power of the coefficient action."""
+        return self._field_powers[k % len(self._field_powers)](value)
 
     def galois_on_torus_pinned(self, k: int, t: TorusElement) -> TorusElement:
         """The plain Galois action on the pinned torus (diagram + coefficients)."""

@@ -7,9 +7,11 @@ the Tits product and ``tits_cocycle`` sum a 2-torsion mu as integers first.
 A torus point is a coordinate vector over the simple coroots; a normalizer
 point is a pair (torus part, Weyl part) standing for t * n(w), where n(w) is
 the canonical lift along any reduced word.  Products are normalized by
-peeling simple lifts, using n(s)^2 = (-1)^{alpha_vee}; a closed-form
-expression for the resulting 2-torsion cocycle is exported separately and is
-cross-checked against explicit matrix models by the test suites.
+peeling simple lifts, using n(s)^2 = (-1)^{alpha_vee}, and the walls crossed
+are read off heights as in ``WeylElement.word`` (Casselman 1994; Bjorner-Brenti,
+GTM 231, ch. 4); a closed-form expression for the resulting 2-torsion cocycle
+is exported separately and is cross-checked against explicit matrix models
+by the test suites.
 
 A product with n(1) on either side peels nothing: (t1, 1)(t2, w2) is
 (t1 t2, w2) and (t1, w1)(t2, 1) is (t1 w1(t2), w1), since no letter crosses
@@ -20,8 +22,11 @@ coordinates where mu is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import mul
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from .coeffs import SymUnit
 from .errors import ADataError, RootDatumError
 from .rootdata import PinnedAutomorphism, RootDatum, WeylElement
 
@@ -39,14 +44,16 @@ class TorusElement:
     @staticmethod
     def coroot_product(rank: int, factors: Iterable, one) -> "TorusElement":
         """prod v^mu over the (cocharacter mu, value v) pairs, read off mu's
-        nonzero entries; a coordinate that no factor reaches is one."""
-        out = [None] * rank
+        nonzero entries; a coordinate that no factor reaches is one.  Each
+        coordinate gathers its powers v^e and is multiplied once: a symbolic
+        one by the n-ary ``SymUnit.product``, any other left to right."""
+        terms = [[] for _ in range(rank)]
         for mu, v in factors:
             for j, e in enumerate(mu):
                 if e:
-                    f = v if e == 1 else v ** e
-                    out[j] = f if out[j] is None else out[j] * f
-        return TorusElement(tuple(one if c is None else c for c in out))
+                    terms[j].append(v if e == 1 else v ** e)
+        product = SymUnit.product if isinstance(one, SymUnit) else partial(reduce, mul)
+        return TorusElement(tuple(product(t) if t else one for t in terms))
 
     @property
     def rank(self) -> int:
@@ -127,16 +134,19 @@ class TitsElement:
         if other.weyl.is_identity:
             return TitsElement(t, self.weyl)
         # peel the letters of w1 onto n(w2) from the right; a letter crosses a
-        # wall exactly when it is a left descent of the running product v and
-        # then contributes (-1)^{alpha_i_vee}; the correction is (-1)^mu.
-        # s_i acts on mu through row i of the transposed Cartan matrix.
+        # wall exactly when it is a left descent of the running product v
+        # (the height h_i of v^{-1} alpha_i is negative) and then contributes
+        # (-1)^{alpha_i_vee}; the correction is (-1)^mu.  s_i acts on the
+        # heights through row i of the Cartan matrix, on mu through its transpose.
         mu = [0] * datum.rank
-        v_inv = other.weyl.inv_perm        # of the running v = s ... s w2
-        npos, simple, dual = datum.n_positive, datum.simple_index, datum.dual_rows
+        h = datum._simple_heights(other.weyl.inv_perm)    # of the running v = s ... s w2
+        rows, dual = datum.cartan_rows, datum.dual_rows
         for i in reversed(self.weyl.word):
             # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
-            mu[i] += (v_inv[simple[i]] >= npos) - sum(c * mu[j] for j, c in dual[i])
-            v_inv = tuple(map(v_inv.__getitem__, datum.simple_reflection(i).perm))
+            hi = h[i]
+            mu[i] += (hi < 0) - sum(c * mu[j] for j, c in dual[i])
+            for j, c in rows[i]:
+                h[j] -= c * hi
         return TitsElement(TorusElement(tuple(-c if m % 2 else c for c, m in zip(t.coords, mu))),
                            self.weyl * other.weyl)
 

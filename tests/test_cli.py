@@ -8,10 +8,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitinv import cli, suites
 from splitinv.cli import main
@@ -586,6 +587,39 @@ class TestHilbert:
         else:
             assert code == 2 and out.getvalue() == ""
             assert re.match(r"error: argument (a|b|--place): ", err.getvalue()), err.getvalue()
+
+
+class TestNumber:
+    # a plain decimal integer string is read by int and any other string by
+    # Fraction: the two read the same numbers and refuse the same strings
+    # with the same messages, past int's digit limit too
+    @settings(deadline=None, max_examples=500)
+    @given(st.one_of(HILBERT_TEXT, st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+                     st.text(alphabet="0123456789-+ \u0663\u00b2", max_size=6))
+           .filter(lambda s: "e" not in s and "E" not in s))
+    @example("1" * 5000)
+    @example("-" + "0" * 4301)
+    @example("\u0663")
+    @example(" 12 ")
+    @example("+7")
+    @example("1_000")
+    @example("-")
+    @example("")
+    def test_reads_what_fraction_reads(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                cli._number(text)
+            assert str(got.value) == str(exc)
+        else:
+            got = cli._number(text)
+            assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "-2e3", "12e", "0e0"])
+    def test_exponent_forms_stay_refused(self, text):
+        with pytest.raises(ValueError, match="expected an integer or a rational string"):
+            cli._number(text)
 
 
 class TestFactors:

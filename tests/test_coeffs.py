@@ -135,6 +135,28 @@ class TestSymbolicUnits:
         one = SymUnit.one()
         assert u * one is u and one * u is (one if u.is_one else u)
 
+    # the n-ary product against pairwise products and against the validating
+    # constructor of the summed exponents: negative units to odd and even
+    # powers, zero exponents, and exponents that cancel
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]),
+                              st.dictionaries(st.sampled_from("abc2"),
+                                              st.integers(-3, 3).filter(lambda e: e != 0)),
+                              st.integers(-3, 3)), max_size=6))
+    def test_product_is_the_pairwise_product(self, factors):
+        units = [SymUnit(s, tuple(sorted(exps.items()))) ** e for s, exps, e in factors]
+        pairwise, sign, acc = SymUnit.one(), 1, {}
+        for s, exps, e in factors:
+            sign *= s ** (e % 2)
+            for name, x in exps.items():
+                acc[name] = acc.get(name, 0) + x * e
+        for u in units:
+            pairwise = pairwise * u
+        got = SymUnit.product(units)
+        assert got == pairwise == SymUnit(sign, tuple(sorted((n, x) for n, x in acc.items() if x)))
+        assert hash(got) == hash(pairwise)
+        assert SymUnit.product(units + [u.inv() for u in reversed(units)]) == SymUnit.one()
+
     def test_signed_map(self):
         m = SignedSymbolMap({"a": (-1, "a"), "b": (1, "c"), "c": (1, "b")})
         a, b = SymUnit.gen("a"), SymUnit.gen("b")

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import splitinv.rootdata as rootdata
 from splitinv.cli import _parse_datum, main
 from splitinv.errors import RootDatumError
+from permutation_kernel import HEIGHT_CASES, word_by_permutations
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
                                _indecomposables_are, analyze_weyl, build_root_datum,
                                levi_component, restrict_root_system, weyl_group_order)
@@ -676,6 +677,48 @@ class TestWeylKernel:
             assert theta.act_weyl(w) == lib[conj]
             assert theta.act_weyl(w).word == ref.word(conj)
             assert theta.commutes_with(w) == (conj == m)
+
+
+# ---------------------------------------------------------------------------
+# the height rule against the per-letter permutation rule it replaced
+# ---------------------------------------------------------------------------
+
+class TestHeightKernel:
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_word_is_the_permutation_descent_rule(self, label, families):
+        d = build_root_datum(families)
+        for w in d.weyl_group():
+            assert w.word == word_by_permutations(w)
+
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_analyze_weyl_is_the_product_of_simple_reflections(self, label, families):
+        d = build_root_datum(families)
+        rng = random.Random(label)
+        n = d.rank
+        words = [[], [0, 0], [n - 1] * 7, [0, n - 1] * 20, list(range(n)) * 2 + list(range(n))[::-1]]
+        words += [[rng.randrange(n) for _ in range(rng.randint(0, 40))] for _ in range(40)]
+        for word in words:
+            want = functools.reduce(lambda w, i: w * d.simple_reflection(i), word,
+                                    d.identity_weyl())
+            got = analyze_weyl(d, word)
+            assert got.perm == want.perm and got.inv_perm == want.inv_perm, word
+            assert got.word == word_by_permutations(want)
+            assert analyze_weyl(d, [i + 1 for i in word], one_based=True) == want
+
+    @pytest.mark.parametrize("letter", [2, 3, -1])
+    def test_out_of_range_letter_is_refused(self, letter):
+        d = build_root_datum([("A", 2)])
+        with pytest.raises(RootDatumError, match=f"index {letter} out of range"):
+            analyze_weyl(d, [0, letter])
+        with pytest.raises(RootDatumError, match=f"index {letter} out of range"):
+            analyze_weyl(d, [1, letter + 1], one_based=True)
+
+    @pytest.mark.parametrize("letter", ["x", None, 1.0, True, False, "1", [1]])
+    def test_letter_that_is_not_an_int_is_refused(self, letter):
+        d = build_root_datum([("A", 2)])
+        for one_based in (False, True):
+            with pytest.raises(RootDatumError, match=re.escape(repr(letter))):
+                analyze_weyl(d, [1, letter], one_based=one_based)
 
 
 # ---------------------------------------------------------------------------

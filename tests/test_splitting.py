@@ -168,6 +168,53 @@ class TestDescentDatum:
         assert desc.root_action(1).perm == theta.root_perm
 
 
+    # symbolic coefficient actions of orders 1, 2, 3, 4 and 6: the trivial
+    # descent and the A2 flip, the A2 rotation, the order-4 diagram twist of
+    # A2xA2 and D4 triality with omega_T = w0, each with theta where given
+    FIELD_POWER_CASES = [
+        ("A2 trivial", [("A", 2)], 1, [], None, None, 1),
+        ("A2 flip", [("A", 2)], 2, [1, 2, 1], None, (1, 0), 2),
+        ("A2 rotation", [("A", 2)], 3, [1, 2], None, None, 3),
+        ("A2xA2 order-4 twist", [("A", 2), ("A", 2)], 4, [], (2, 3, 1, 0), None, 4),
+        ("D4 triality", [("D", 4)], 6, [1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4], (2, 1, 3, 0),
+         None, 6),
+    ]
+
+    @pytest.mark.parametrize("label,families,order,word,sigma,theta,action_order",
+                             FIELD_POWER_CASES, ids=[c[0] for c in FIELD_POWER_CASES])
+    def test_field_apply_is_the_k_fold_action(self, label, families, order, word, sigma,
+                                              theta, action_order):
+        d = build_root_datum(families)
+        omega = analyze_weyl(d, word, one_based=True)
+        desc = DescentDatum(d, order, omega, None if sigma is None else PinnedAutomorphism(d, sigma))
+        adata, action = _symbolic_adata(d, desc, None if theta is None
+                                        else PinnedAutomorphism(d, theta))
+        desc = desc.with_field_action(action)
+        assert desc.field_action is action and action.order == action_order
+        for k in range(-1, 2 * order + 1):
+            for v in adata.values.values():
+                want = v
+                for _ in range(k % order):
+                    want = action(want)
+                assert desc.field_apply(k, v) == want
+
+    # the coefficient action passed on is checked like the constructor's:
+    # an order that does not divide the group order is refused, and the
+    # root action's powers are shared, not rebuilt
+    def test_with_field_action_validates_and_shares_the_powers(self):
+        d = build_root_datum([("A", 2)])
+        desc = DescentDatum(d, 2, d.longest_element())
+        rotation = SignedSymbolMap({"a": (1, "b"), "b": (1, "c"), "c": (1, "a")})
+        for make in (lambda: DescentDatum(d, 2, d.longest_element(), field_action=rotation),
+                     lambda: desc.with_field_action(rotation)):
+            with pytest.raises(DescentError, match="coefficient action order"):
+                make()
+        flip = SignedSymbolMap({"a": (-1, "a")})
+        other = desc.with_field_action(flip)
+        assert other.field_action is flip and desc.field_action is not flip
+        assert all(other.root_action(k) is desc.root_action(k) for k in range(2))
+
+
 # A Weyl twist omega_T that does not commute with theta moves the fiber of
 # some restricted root onto roots of two restricted roots, so sigma has no
 # action on the restricted roots; omega_T = s1 s5 on the A5 flip commutes
@@ -870,7 +917,8 @@ def _census_case(d, theta, rrs, omega, f, rng):
     spec = equivariant_quad_adata(rrs, desc, f, rng, special=True)
     assert compare_fixed_vs_twisted(rrs, desc, spec).equal_on_the_nose
     sym_desc = DescentDatum(d, 2, omega)
-    sym, sym_desc.field_action = _symbolic_adata(d, sym_desc, theta)
+    sym, action = _symbolic_adata(d, sym_desc, theta)
+    sym_desc = sym_desc.with_field_action(action)
     # a_c -> value[c] maps the symbolic a-data onto the pulled-back values,
     # one value per class up to sign, and the symbolic action onto conjugation
     full, value = spec.pullback(), {}

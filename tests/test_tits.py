@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from permutation_kernel import HEIGHT_CASES, tits_product_by_permutations
 from splitinv.coeffs import QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, RootDatumError
 from splitinv.matoracle import MatrixContext, mat_eq, mat_mul, realize
@@ -379,3 +380,25 @@ class TestProductShortCuts:
         for x, y in ((e, s), (s, e)):
             with pytest.raises(RootDatumError, match="different data"):
                 x * y
+
+
+class TestHeightPeel:
+    """The Tits product peels by the heights of the simple-root images; the
+    per-letter permutation peel it replaced agrees on random pairs, the
+    identity on either side included."""
+
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_matches_the_permutation_peel(self, label, families):
+        d = build_root_datum(families)
+        rng = random.Random(label)
+        group, e = d.weyl_group(), d.identity_weyl()
+
+        def point(w):
+            return TitsElement(TorusElement(tuple(
+                Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in range(d.rank))), w)
+
+        pairs = [(rng.choice(group), rng.choice(group)) for _ in range(60)]
+        pairs += [(e, rng.choice(group)), (rng.choice(group), e), (d.longest_element(),) * 2]
+        for w1, w2 in pairs:
+            x, y = point(w1), point(w2)
+            assert x * y == tits_product_by_permutations(x, y), (w1, w2)
