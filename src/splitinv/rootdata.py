@@ -38,9 +38,13 @@ def _int_field(raw, field: str) -> int:
     return raw
 
 
-def _checked_family(family: str, raw) -> Tuple[str, int]:
+def _checked_family(entry) -> Tuple[str, int]:
+    try:
+        family, raw = entry
+    except (TypeError, ValueError):
+        raise RootDatumError(f"type entry {entry!r} is not a (family, rank) pair") from None
     rank = _int_field(raw, "rank")
-    if family not in _MIN_RANK:
+    if not isinstance(family, str) or family not in _MIN_RANK:
         raise RootDatumError(f"unsupported family {family!r}; expected one of A, B, C, D")
     if rank < _MIN_RANK[family]:
         raise RootDatumError(f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}")
@@ -95,9 +99,10 @@ class RootDatum:
     """Simply-connected based root datum of a product of classical groups."""
 
     def __init__(self, families: Sequence[Tuple[str, int]]):
-        if not families:
-            raise RootDatumError("empty type specification")
-        families = tuple(_checked_family(f, r) for f, r in families)
+        if not isinstance(families, (list, tuple)) or not families:
+            raise RootDatumError(f"type specification {families!r} is not a non-empty "
+                                 "list of (family, rank) pairs")
+        families = tuple(map(_checked_family, families))
         rank = sum(r for _, r in families)
         expected = sum(_ROOT_COUNT[f](r) for f, r in families)
         size = expected * rank
@@ -121,7 +126,7 @@ class RootDatum:
         self.cartan_rows = _sparse_rows(self.cartan)
         self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
         # pairings[j][i] = <root j, alpha_i_vee>: the fundamental-weight coordinates
-        self.roots, self.pairings, reflections, self._tree = self._generate_roots()
+        self.roots, self.pairings, self._tree = self._generate_roots()
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
         # the tables of the Weyl kernel: positive roots come first in `roots`
@@ -131,12 +136,15 @@ class RootDatum:
         self.simple_index: Tuple[int, ...] = tuple(
             self.root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
         # each root as one integer, its coordinates the signed digits in base
-        # 8 (they lie in [-2, 2]), so that a sum of roots is a sum of integers
-        self._codes = self._linear_codes([8 ** i for i in range(rank)])
-        self._code_index: Dict[int, int] = {c: j for j, c in enumerate(self._codes)}
+        # 8 (they lie in [-2, 2]), so that a sum of roots is a sum of integers;
+        # the top digit outweighs the rest, so a code has the sign of its root
+        self._simple_codes = tuple(8 ** i for i in range(rank))
+        self._code_index: Dict[int, int] = {
+            c: j for j, c in enumerate(self._linear_codes(self._simple_codes))}
         ident = tuple(range(len(self.roots)))
         self._identity = WeylElement._from_perms(self, ident, ident)
-        self._simple = tuple(WeylElement._from_perms(self, p, p) for p in reflections)
+        self._simple = tuple(WeylElement._from_perms(self, *self._perms_of(
+            self._times_simple(list(self._simple_codes), i))) for i in range(rank))
         self._weyl_cache: Optional[Tuple["WeylElement", ...]] = None
         self._identity_theta = PinnedAutomorphism(self, range(rank))
         self._identity_theta._root_perms = (ident, ident)
@@ -146,57 +154,41 @@ class RootDatum:
     def _generate_roots(self):
         """The roots, by breadth-first search from the simple roots under the
         simple reflections, sorted; the pairings <root, alpha_i_vee> of each;
-        each simple reflection as the permutation of root indices read off the
-        edges that search walked; and, in order of discovery, the edge (root,
-        parent, i, p), root = s_i(parent) = parent + p alpha_i, that found each
-        root.  A root carries its pairings (Stembridge 2001): s_i takes entry i
-        times alpha_i off the root, and that times column i of the Cartan matrix
-        off the pairings."""
+        and, in order of discovery, the edge (root, parent, i, p), root =
+        s_i(parent) = parent + p alpha_i, that found each root, along which
+        ``_linear_codes`` builds every root permutation.  A root carries its
+        pairings (Stembridge 2001): s_i takes entry i times alpha_i off the
+        root, and that times column i of the Cartan matrix off the pairings."""
         dual = self.dual_rows
         columns = tuple(zip(*self.cartan))     # pairings of the simple roots
         found: List[Tuple[Vec, Vec, Vec]] = []  # (root, coroot, pairings) in order of discovery
-        ids: Dict[Vec, int] = {}
-        edges: List[Tuple[int, ...]] = []     # edges[k][i]: id of s_i(root k)
         tree: List[Tuple[int, int, int, int]] = []    # (id, parent id, i, p) of each new root
         for i in range(self.rank):
             e = tuple(1 if j == i else 0 for j in range(self.rank))
-            ids[e] = len(found)
             found.append((e, e, columns[i]))
+        seen = {c for c, _, _ in found}
         for k, (c, d, p) in enumerate(found):    # the list grows while it is walked: a FIFO queue
-            out = [k] * self.rank
             for i, pi in enumerate(p):
                 if pi:
                     c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
-                    j = ids.get(c2)
-                    if j is None:
-                        j = ids[c2] = len(found)
-                        tree.append((j, k, i, -pi))
+                    if c2 not in seen:
+                        seen.add(c2)
+                        tree.append((len(found), k, i, -pi))
                         p2 = list(p)
                         for m, a in dual[i]:
                             p2[m] -= pi * a
                         k2 = sum(a * d[m] for m, a in dual[i])    # <alpha_i, coroot>
                         found.append((c2, d[:i] + (d[i] - k2,) + d[i + 1:], tuple(p2)))
-                    out[i] = j
-            edges.append(tuple(out))
-        roots = [Root(c, d, self._is_positive(c), sum(c)) for c, d, _ in found]
+        # a root's coordinates share one sign, so its height has the root's sign
+        roots = [Root(c, d, sum(c) > 0, sum(c)) for c, d, _ in found]
         # positive roots by height, then negative roots by depth
         order = sorted(range(len(roots)), key=lambda k: (
             not roots[k].positive, abs(roots[k].height), roots[k].coords))
         position = [0] * len(order)
         for j, k in enumerate(order):
             position[k] = j
-        reflections = [tuple(position[edges[k][i]] for k in order) for i in range(self.rank)]
         return (tuple(roots[k] for k in order), tuple(found[k][2] for k in order),
-                reflections, tuple((position[j], position[k], i, p) for j, k, i, p in tree))
-
-    @staticmethod
-    def _is_positive(coords: Vec) -> bool:
-        for x in coords:
-            if x > 0:
-                return True
-            if x < 0:
-                return False
-        raise RootDatumError("zero vector is not a root")
+                tuple((position[j], position[k], i, p) for j, k, i, p in tree))
 
     # -- basic queries ------------------------------------------------------
 
@@ -211,7 +203,15 @@ class RootDatum:
         return self.roots[:self.n_positive]
 
     def simple_root(self, i: int) -> Root:
-        return self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
+        return self.roots[self.simple_index[self._index(i)]]
+
+    def _index(self, i, one_based: bool = False) -> int:
+        """The 0-based simple index that i names: a bool, a non-int or an
+        index out of range raises RootDatumError naming it."""
+        j = _int_field(i, "simple index") - one_based
+        if not 0 <= j < self.rank:
+            raise RootDatumError(f"simple index {j} out of range 0..{self.rank - 1}")
+        return j
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -219,9 +219,7 @@ class RootDatum:
         return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        if not 0 <= i < self.rank:
-            raise RootDatumError(f"simple reflection index {i} out of range")
-        return self._simple[i]
+        return self._simple[self._index(i)]
 
     def weyl_group(self) -> Tuple["WeylElement", ...]:
         """All Weyl elements (cached), if |W| is within WEYL_BUDGET."""
@@ -242,6 +240,25 @@ class RootDatum:
             out[k] = out[parent] + p * simple_codes[i]
         return out
 
+    def _perms_of(self, simple_codes: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The permutation of root indices of the linear map taking alpha_i to
+        the root coded simple_codes[i], and its inverse: the one builder of a
+        root permutation, a Weyl element or theta being fixed by where it sends
+        the simple roots (Casselman 1994; Bjorner-Brenti, GTM 231, ch. 4)."""
+        perm = tuple(map(self._code_index.__getitem__, self._linear_codes(simple_codes)))
+        inv = [0] * len(perm)
+        for j, k in enumerate(perm):
+            inv[k] = j
+        return perm, tuple(inv)
+
+    def _times_simple(self, codes: List[int], i: int) -> List[int]:
+        """w <- w s_i on the codes c_j of w(alpha_j), in place: w s_i alpha_j =
+        w alpha_j - <alpha_j, alpha_i_vee> w alpha_i, row i of the Cartan matrix."""
+        ci = codes[i]
+        for j, c in self.cartan_rows[i]:
+            codes[j] -= c * ci
+        return codes
+
     def _simple_heights(self, inv_perm: Sequence[int]) -> List[int]:
         """The heights of w^{-1} alpha_i, i < rank, for w^{-1} given by inv_perm."""
         return [self._heights[inv_perm[s]] for s in self.simple_index]
@@ -251,14 +268,12 @@ class RootDatum:
 
     def _longest_in(self, nodes: Sequence[int]) -> "WeylElement":
         """The longest element of the subgroup generated by the simple
-        reflections s_i, i in nodes: multiply by one with w alpha_i > 0 (a
-        right ascent) while there is one."""
-        w = self.identity_weyl()
-        while True:
-            i = next((i for i in nodes if w.perm[self.simple_index[i]] < self.n_positive), None)
-            if i is None:
-                return w
-            w = w * self._simple[i]
+        reflections s_i, i in nodes: w <- w s_i while some w alpha_i > 0 (a
+        right ascent), on the codes of the w alpha_j, then one root permutation."""
+        codes = list(self._simple_codes)
+        while (i := next((i for i in nodes if codes[i] > 0), None)) is not None:
+            self._times_simple(codes, i)
+        return WeylElement._from_perms(self, *self._perms_of(codes))
 
     def __repr__(self):
         return "RootDatum(" + "x".join(f"{f}{r}" for f, r in self.families) + ")"
@@ -275,7 +290,10 @@ class WeylElement:
     Stored as the permutation it induces on the indices of ``datum.roots``
     (``perm[j]`` is the index of w(root j)) together with the permutation of
     w^{-1}; everything else is read off these through the datum's tables
-    (Casselman, Machine calculations in Weyl groups, 1994)."""
+    (Casselman, Machine calculations in Weyl groups, 1994).  A word, the
+    longest element of a set of nodes and a simple reflection all reach these
+    permutations the same way: the codes of the w(alpha_j) through w <- w s_i,
+    one Cartan row per letter, then ``RootDatum._perms_of`` once."""
 
     __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows")
 
@@ -413,29 +431,21 @@ def analyze_weyl(datum: RootDatum, word: Sequence[int], one_based: bool = False)
     """Multiply out a (not necessarily reduced) reflection word and return the
     canonical Weyl element.  Idempotent on canonical words.
 
-    The images w(alpha_j) of the simple roots go through the word from its
-    right end, one reflection-table lookup per image and letter; the root
-    permutation is then built once by linearity along the root search's
-    edges, w(root + p alpha_i) = w(root) + p w(alpha_i) (Casselman 1994;
-    Bjorner-Brenti, GTM 231, ch. 4).  A bool or non-int letter raises RootDatumError."""
-    letters = []
-    for i in word:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise RootDatumError(f"reflection word letter {i!r} is not an integer")
-        j = i - 1 if one_based else i
-        if not 0 <= j < datum.rank:
-            raise RootDatumError(f"simple reflection index {j} out of range")
-        letters.append(j)
-    simple = datum.simple_index
-    images = list(simple)
-    for i in reversed(letters):
-        refl = datum._simple[i].perm
-        images = [refl[x] for x in images]
-    if images == list(simple):
+    The codes of the images w(alpha_j) of the simple roots take the letters
+    from the left, w <- w s_i one Cartan row each, and the root permutation is
+    built once from them (``RootDatum._perms_of``).  A word that is not a
+    sequence, or a letter that is a bool, a non-int or out of range, raises
+    RootDatumError."""
+    try:
+        letters = iter(word)
+    except TypeError:
+        raise RootDatumError(f"reflection word {word!r} is not a sequence") from None
+    codes = list(datum._simple_codes)
+    for i in letters:
+        datum._times_simple(codes, datum._index(i, one_based))
+    if codes == list(datum._simple_codes):
         return datum.identity_weyl()
-    codes = datum._linear_codes([datum._codes[x] for x in images])
-    perm = tuple(map(datum._code_index.__getitem__, codes))
-    w = WeylElement._from_perms(datum, perm, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+    w = WeylElement._from_perms(datum, *datum._perms_of(codes))
     assert w.length == len(w.inversions)
     return w
 
@@ -487,28 +497,17 @@ class PinnedAutomorphism:
 
     def act_root(self, coords: Vec) -> Vec:
         """alpha_i -> alpha_{perm[i]} on coordinates, as the suites' checks
-        use it; ``root_perm`` is read off the reflection tables instead, and
-        the tests compare the two."""
+        use it; ``root_perm`` is built from the codes of the alpha_{perm[i]}
+        instead, and the tests compare the two."""
         return tuple(coords[i] for i in self.inv_perm)
 
     def _perms(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """theta's permutation of the indices of ``datum.roots`` and its
-        inverse, built on first use from the simple-reflection tables along
-        the edges the root search walked: a root s_i(beta) goes to
-        s_{theta(i)}(theta(beta)), and beta was found first."""
+        inverse, built on first use by ``RootDatum._perms_of`` from the codes
+        of the alpha_{theta(i)}."""
         if self._root_perms is None:
-            datum = self.datum
-            refl = [s.perm for s in datum._simple]
-            simple, perm = datum.simple_index, self.perm
-            fwd = [0] * len(datum.roots)
-            for i, s in enumerate(simple):
-                fwd[s] = simple[perm[i]]
-            for k, parent, i, _ in datum._tree:
-                fwd[k] = refl[perm[i]][fwd[parent]]
-            back = [0] * len(fwd)
-            for j, k in enumerate(fwd):
-                back[k] = j
-            self._root_perms = (tuple(fwd), tuple(back))
+            codes = self.datum._simple_codes
+            self._root_perms = self.datum._perms_of([codes[p] for p in self.perm])
         return self._root_perms
 
     @property

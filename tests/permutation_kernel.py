@@ -1,10 +1,12 @@
 """Reference Weyl kernels that move a whole root permutation per letter.
 
 The library reads descents off the heights of the images of the simple
-roots.  These are the rules it used before: the descent rule of the reduced
-word and the wall-crossing peel of the Tits product, each applying one
-simple reflection to the inverse's permutation of the roots per letter.
-They share no code with the height rule, so the tests compare the two.
+roots, and builds a longest element from the codes of those images.  These
+are the rules it used before: the descent rule of the reduced word, the
+wall-crossing peel of the Tits product and the ascent rule of the longest
+element, each applying one simple reflection to a permutation of the roots
+per letter.  They share no code with the rank-sized rules, so the tests
+compare the two.
 """
 
 from splitinv.tits import TitsElement, TorusElement
@@ -33,6 +35,17 @@ def word_by_permutations(w):
         letters.append(i)
         inv = _peel_inverse(inv, i, datum)
     return tuple(letters)
+
+
+def longest_by_permutations(datum, nodes):
+    """The longest element of the subgroup generated by the s_i, i in nodes:
+    multiply by one with w alpha_i > 0 (a right ascent) while there is one."""
+    w = datum.identity_weyl()
+    while True:
+        i = next((i for i in nodes if w.perm[datum.simple_index[i]] < datum.n_positive), None)
+        if i is None:
+            return w
+        w = w * datum.simple_reflection(i)
 
 
 def tits_product_by_permutations(x, y):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import splitinv.rootdata as rootdata
 from splitinv.cli import _parse_datum, main
 from splitinv.errors import RootDatumError
-from permutation_kernel import HEIGHT_CASES, word_by_permutations
+from permutation_kernel import HEIGHT_CASES, longest_by_permutations, word_by_permutations
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
                                _indecomposables_are, analyze_weyl, build_root_datum,
                                levi_component, restrict_root_system, weyl_group_order)
@@ -82,15 +82,26 @@ class TestBuild:
         with pytest.raises(RootDatumError):
             build_root_datum([])
 
+    @pytest.mark.parametrize("spec,named", [
+        ([("A",)], "('A',)"), ("A3", "'A3'"), (None, "None"), (3, "3"),
+        ([("A", 2, 1)], "('A', 2, 1)"), ([["A"], 2], "['A']"), ([(["A"], 2)], "['A']"),
+    ])
+    def test_malformed_type_specification_is_refused(self, spec, named):
+        with pytest.raises(RootDatumError, match=re.escape(named)):
+            build_root_datum(spec)
+
     def test_reflection_closure(self):
         # s_i sends each root to a root, and its permutation of the root
         # indices is the reflection matrix built from the Cartan matrix
-        d = build_root_datum([("B", 3)])
-        for i, m in enumerate(_simple_reflection_matrices(d.cartan, False)):
-            perm = d.simple_reflection(i).perm
-            for r, j in zip(d.roots, perm):
-                img = _mat_vec(m, r.coords)
-                assert is_root(d, img) and d.roots[j].coords == img
+        for label, families in HEIGHT_CASES:
+            d = build_root_datum(families)
+            for i, m in enumerate(_simple_reflection_matrices(d.cartan, False)):
+                assert d.simple_root(i).coords == tuple(int(j == i) for j in range(d.rank))
+                s = d.simple_reflection(i)
+                assert s.inv_perm == s.perm, (label, i)
+                for r, j in zip(d.roots, s.perm):
+                    img = _mat_vec(m, r.coords)
+                    assert is_root(d, img) and d.roots[j].coords == img, (label, i, r)
 
     def test_coroot_pairing_is_two(self):
         for spec in ([("A", 3)], [("C", 2)], [("D", 4)]):
@@ -719,6 +730,61 @@ class TestHeightKernel:
         for one_based in (False, True):
             with pytest.raises(RootDatumError, match=re.escape(repr(letter))):
                 analyze_weyl(d, [1, letter], one_based=one_based)
+
+    @pytest.mark.parametrize("word", [None, 5, 1.5, True])
+    def test_word_that_is_not_a_sequence_is_refused(self, word):
+        d = build_root_datum([("A", 2)])
+        with pytest.raises(RootDatumError, match=re.escape(f"reflection word {word!r}")):
+            analyze_weyl(d, word)
+
+    @pytest.mark.parametrize("index", [True, False, "x", "1", 1.0, None, [1]])
+    def test_simple_index_that_is_not_an_int_is_refused(self, index):
+        # one check for simple_reflection, simple_root and the letters of
+        # analyze_weyl: True is not read as 1, nor 1.0 as 1
+        d = build_root_datum([("A", 3)])
+        for call in (d.simple_reflection, d.simple_root, lambda i: analyze_weyl(d, [i])):
+            with pytest.raises(RootDatumError, match=re.escape(repr(index))):
+                call(index)
+
+    @pytest.mark.parametrize("index", [3, 5, -1, 10 ** 30])
+    def test_simple_index_out_of_range_is_refused(self, index):
+        d = build_root_datum([("A", 3)])
+        for call in (d.simple_reflection, d.simple_root, lambda i: analyze_weyl(d, [i])):
+            with pytest.raises(RootDatumError, match=f"simple index {index} out of range 0..2"):
+                call(index)
+
+
+# ---------------------------------------------------------------------------
+# the longest element against three references
+# ---------------------------------------------------------------------------
+
+class TestLongestElement:
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_longest_element_against_three_references(self, label, families):
+        d = build_root_datum(families)
+        w0 = d.longest_element()
+        assert w0 == longest_by_permutations(d, range(d.rank))
+        assert w0 == max(d.weyl_group(), key=lambda w: w.length)
+        assert w0 == analyze_weyl(d, w0.word)
+        assert w0.length == d.n_positive == len(w0.inversions)
+        assert w0.inv_perm == w0.perm    # an involution
+
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_longest_of_every_node_set_is_the_permutation_rule(self, label, families):
+        d = build_root_datum(families)
+        for k in range(d.rank + 1):
+            for nodes in itertools.combinations(range(d.rank), k):
+                got = d._longest_in(nodes)
+                assert got == longest_by_permutations(d, nodes), nodes
+                assert got.inv_perm == got.perm and set(got.word) <= set(nodes)
+
+    def test_a100_longest_element(self):
+        d = build_root_datum([("A", 100)])
+        w0 = d.longest_element()
+        assert w0.length == 5050
+        assert len(w0.inversions) == d.n_positive == 5050    # every positive root
+        word = [j for i in range(1, 101) for j in range(i, 0, -1)]
+        assert w0 == analyze_weyl(d, word, one_based=True)
 
 
 # ---------------------------------------------------------------------------
