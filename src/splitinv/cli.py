@@ -343,6 +343,10 @@ def cmd_verify(args) -> int:
 
 
 def _parse_arg(name: str, raw: str, parse):
+    # argparse drops a value that is exactly "--" ("--place=--", or "--" as a
+    # positional after the "--" separator) and hands on an empty list
+    if raw == []:
+        raw = "--"
     try:
         return parse(raw)
     except SplitinvError as exc:

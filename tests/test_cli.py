@@ -577,6 +577,8 @@ class TestHilbert:
     @given(a=HILBERT_TEXT, b=HILBERT_TEXT,
            place=st.one_of(st.sampled_from(["real", "2", "5", "1000000000000000003"]),
                            HILBERT_TEXT))
+    @example(a="1", b="1", place="--")
+    @example(a="1", b="--", place="5")
     def test_fuzzed_arguments_exit_cleanly(self, a, b, place):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
