@@ -7,14 +7,17 @@ fundamental weights.  Roots are stored by their coordinates in the
 simple-root basis, coroots by coordinates in the simple-coroot basis, and
 ``cartan[i][j] = <alpha_j, alpha_i_vee>``.  Characters restricted to the
 fixed subtorus are recorded by their values on the orbit sums of simple
-coroots, which form a basis of the fixed cocharacter lattice.
+coroots, which form a basis of the fixed cocharacter lattice.  A datum is
+built from a search of the positive roots alone, each negative root read
+off its partner through the negation table; a simple reflection is built
+the first time it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import RootDatumError
@@ -72,7 +75,7 @@ def _cartan_block(family: str, rank: int) -> List[List[int]]:
 
 def _sparse_rows(cartan: Mat) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """The nonzero entries (j, cartan[i][j]) of each row: at most four."""
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan)
+    return tuple([tuple([(j, c) for j, c in enumerate(row) if c]) for row in cartan])
 
 
 _ROOT_COUNT = {
@@ -110,14 +113,10 @@ class RootDatum:
             shown = size if size.bit_length() <= 64 else f"2^{size.bit_length() - 1} or more"
             raise RootDatumError(f"datum too large: |roots| x rank = {shown}, "
                                  f"above the budget of {SIZE_BUDGET}")
-        blocks = [_cartan_block(f, r) for f, r in families]
-        cartan = [[0] * rank for _ in range(rank)]
-        off = 0
-        for b in blocks:
-            for i, row in enumerate(b):
-                for j, v in enumerate(row):
-                    cartan[off + i][off + j] = v
-            off += len(b)
+        cartan, off = [], 0
+        for f, r in families:
+            cartan += [[0] * off + row + [0] * (rank - off - r) for row in _cartan_block(f, r)]
+            off += r
         self.families = families
         self.rank = rank
         self.cartan: Mat = tuple(tuple(row) for row in cartan)
@@ -126,15 +125,15 @@ class RootDatum:
         self.cartan_rows = _sparse_rows(self.cartan)
         self.dual_rows = _sparse_rows(tuple(zip(*self.cartan)))
         # pairings[j][i] = <root j, alpha_i_vee>: the fundamental-weight coordinates
-        self.roots, self.pairings, self._tree = self._generate_roots()
+        self.roots, self.pairings, self._tree, self._negation = self._generate_roots()
         if len(self.roots) != expected:
             raise RootDatumError("root enumeration does not match the classification count")
         # the tables of the Weyl kernel: positive roots come first in `roots`
         self.root_index: Dict[Vec, int] = {r.coords: j for j, r in enumerate(self.roots)}
         self._heights: Tuple[int, ...] = tuple(r.height for r in self.roots)
-        self.n_positive = sum(r.positive for r in self.roots)
-        self.simple_index: Tuple[int, ...] = tuple(
-            self.root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+        self.n_positive = len(self.roots) // 2
+        # the roots of height 1 come first, alpha_{rank-1} first of them
+        self.simple_index: Tuple[int, ...] = tuple(range(rank - 1, -1, -1))
         # each root as one integer, its coordinates the signed digits in base
         # 8 (they lie in [-2, 2]), so that a sum of roots is a sum of integers;
         # the top digit outweighs the rest, so a code has the sign of its root
@@ -143,8 +142,7 @@ class RootDatum:
             c: j for j, c in enumerate(self._linear_codes(self._simple_codes))}
         ident = tuple(range(len(self.roots)))
         self._identity = WeylElement._from_perms(self, ident, ident)
-        self._simple = tuple(WeylElement._from_perms(self, *self._perms_of(
-            self._times_simple(list(self._simple_codes), i))) for i in range(rank))
+        self._simple: List[Optional[WeylElement]] = [None] * rank
         self._weyl_cache: Optional[Tuple["WeylElement", ...]] = None
         self._identity_theta = PinnedAutomorphism(self, range(rank))
         self._identity_theta._root_perms = (ident, ident)
@@ -152,43 +150,48 @@ class RootDatum:
     # -- construction ------------------------------------------------------
 
     def _generate_roots(self):
-        """The roots, by breadth-first search from the simple roots under the
-        simple reflections, sorted; the pairings <root, alpha_i_vee> of each;
-        and, in order of discovery, the edge (root, parent, i, p), root =
-        s_i(parent) = parent + p alpha_i, that found each root, along which
-        ``_linear_codes`` builds every root permutation.  A root carries its
-        pairings (Stembridge 2001): s_i takes entry i times alpha_i off the
-        root, and that times column i of the Cartan matrix off the pairings."""
+        """The roots, sorted; their pairings <root, alpha_i_vee>; the edge
+        (root, parent, i, p), root = s_i(parent) = parent + p alpha_i, that
+        found each positive root, in order of discovery; and the negation
+        table, the index of -(root j) at j.  The search applies to a positive root c the s_i with p =
+        -<c, alpha_i_vee> > 0, which reach every positive root (Humphreys 1972,
+        10.2), and c carries its pairings (Stembridge 2001): s_i takes p times
+        column i of the Cartan matrix off them.  A negative root is its
+        partner negated, with no search."""
         dual = self.dual_rows
         columns = tuple(zip(*self.cartan))     # pairings of the simple roots
         found: List[Tuple[Vec, Vec, Vec]] = []  # (root, coroot, pairings) in order of discovery
         tree: List[Tuple[int, int, int, int]] = []    # (id, parent id, i, p) of each new root
         for i in range(self.rank):
-            e = tuple(1 if j == i else 0 for j in range(self.rank))
+            e = (0,) * i + (1,) + (0,) * (self.rank - i - 1)
             found.append((e, e, columns[i]))
         seen = {c for c, _, _ in found}
         for k, (c, d, p) in enumerate(found):    # the list grows while it is walked: a FIFO queue
             for i, pi in enumerate(p):
-                if pi:
+                if pi < 0:
                     c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
                     if c2 not in seen:
                         seen.add(c2)
                         tree.append((len(found), k, i, -pi))
-                        p2 = list(p)
+                        p2, k2 = list(p), 0    # k2 = <alpha_i, coroot>
                         for m, a in dual[i]:
                             p2[m] -= pi * a
-                        k2 = sum(a * d[m] for m, a in dual[i])    # <alpha_i, coroot>
+                            k2 += a * d[m]
                         found.append((c2, d[:i] + (d[i] - k2,) + d[i + 1:], tuple(p2)))
-        # a root's coordinates share one sign, so its height has the root's sign
-        roots = [Root(c, d, sum(c) > 0, sum(c)) for c, d, _ in found]
-        # positive roots by height, then negative roots by depth
-        order = sorted(range(len(roots)), key=lambda k: (
-            not roots[k].positive, abs(roots[k].height), roots[k].coords))
+        npos = len(found)
+        found += [(tuple(map(neg, c)), tuple(map(neg, d)), tuple(map(neg, p))) for c, d, p in found]
+        height = [sum(c) for c, _, _ in found]
+        # positive roots by height, then negative roots by depth; -a < -b
+        # exactly when b < a, so those of one depth are their partners reversed
+        order = sorted(range(npos), key=lambda k: (height[k], found[k][0]))
+        order += sorted([k + npos for k in reversed(order)], key=height.__getitem__, reverse=True)
         position = [0] * len(order)
         for j, k in enumerate(order):
             position[k] = j
-        return (tuple(roots[k] for k in order), tuple(found[k][2] for k in order),
-                tuple((position[j], position[k], i, p) for j, k, i, p in tree))
+        return (tuple([Root(found[k][0], found[k][1], k < npos, height[k]) for k in order]),
+                tuple([found[k][2] for k in order]),
+                tuple([(position[j], position[k], i, p) for j, k, i, p in tree]),
+                tuple([position[(k + npos) % len(order)] for k in order]))
 
     # -- basic queries ------------------------------------------------------
 
@@ -206,11 +209,13 @@ class RootDatum:
         return self.roots[self.simple_index[self._index(i)]]
 
     def _index(self, i, one_based: bool = False) -> int:
-        """The 0-based simple index that i names: a bool, a non-int or an
-        index out of range raises RootDatumError naming it."""
+        """The 0-based simple index that i names, 1-based if one_based: a
+        bool, a non-int or an index out of range raises RootDatumError naming
+        it as written."""
         j = _int_field(i, "simple index") - one_based
         if not 0 <= j < self.rank:
-            raise RootDatumError(f"simple index {j} out of range 0..{self.rank - 1}")
+            raise RootDatumError(f"simple index {i} out of range "
+                                 f"{int(one_based)}..{self.rank - 1 + one_based}")
         return j
 
     # -- Weyl group ---------------------------------------------------------
@@ -219,7 +224,12 @@ class RootDatum:
         return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        return self._simple[self._index(i)]
+        """s_i, built on first use: the identity's codes after one step."""
+        i = self._index(i)
+        if self._simple[i] is None:
+            self._simple[i] = WeylElement._from_perms(self, *self._perms_of(
+                self._times_simple(list(self._simple_codes), i)))
+        return self._simple[i]
 
     def weyl_group(self) -> Tuple["WeylElement", ...]:
         """All Weyl elements (cached), if |W| is within WEYL_BUDGET."""
@@ -232,12 +242,15 @@ class RootDatum:
     def _linear_codes(self, simple_codes: Sequence[int]) -> List[int]:
         """The codes of the images of the roots under the linear map taking alpha_i
         to the root coded simple_codes[i]: parent + p alpha_i goes to image(parent)
-        + p simple_codes[i], along the edges of the root search."""
+        + p simple_codes[i], along the edges of the root search, and -(root j)
+        to minus the image of root j."""
+        npos = self.n_positive
         out = [0] * len(self.roots)
         for s, c in zip(self.simple_index, simple_codes):
             out[s] = c
         for k, parent, i, p in self._tree:
             out[k] = out[parent] + p * simple_codes[i]
+        out[npos:] = [-out[j] for j in self._negation[npos:]]
         return out
 
     def _perms_of(self, simple_codes: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -465,16 +478,11 @@ class PinnedAutomorphism:
         perm = tuple(_int_field(p, "perm") for p in perm)
         if sorted(perm) != list(range(datum.rank)):
             raise RootDatumError(f"not a permutation of 0..{datum.rank - 1}: {perm}")
-        for i in range(datum.rank):
-            for j in range(datum.rank):
-                if datum.cartan[perm[i]][perm[j]] != datum.cartan[i][j]:
-                    raise RootDatumError("permutation does not preserve the Cartan matrix")
+        if tuple(tuple(datum.cartan[p][q] for q in perm) for p in perm) != datum.cartan:
+            raise RootDatumError("permutation does not preserve the Cartan matrix")
         self.datum = datum
         self.perm = perm
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        self.inv_perm = tuple(inv)
+        self.inv_perm = tuple(sorted(range(len(perm)), key=perm.__getitem__))
         self._root_perms: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     @staticmethod
@@ -686,7 +694,8 @@ class RestrictedRootSystem:
         self.simple_restricted: Tuple[Vec, ...] = tuple(sorted(
             {res_of[s] for s in datum.simple_index}))
         if not _indecomposables_are(self.simple_restricted,
-                                    {v for v, rr in restricted.items() if rr.positive}):
+                                    {v for v, rr in restricted.items() if rr.positive},
+                                    self.res_rank):
             raise RootDatumError("images of simple roots are not the simple restricted roots")
 
     # pairing of a restricted character with a theta-fixed cocharacter
@@ -764,16 +773,17 @@ class RestrictedRootSystem:
                      if not self.restricted[inverse_images[v]].positive)
 
 
-def _indecomposables_are(simple: Sequence[Vec], pos: set) -> bool:
-    """Whether simple, a subset of the positive roots pos of a root system,
-    is the set of those that are no sum of two: each of simple is none, and
-    every other minus some root of simple is positive.  The first clause
-    makes len(simple) x len(pos) subtractions of rank-length tuples when it
-    holds (127,450 on the A100 flip, with 50 simple of 2,550 positive), the
-    second at most as many, stopping for each root at its first hit."""
-    return not any(tuple(map(sub, b, u)) in pos for b in simple for u in pos if u != b) \
-        and all(any(tuple(map(sub, v, b)) in pos for b in simple)
-                for v in pos.difference(simple))
+def _indecomposables_are(simple: Sequence[Vec], pos: set, rank: int) -> bool:
+    """Whether simple, a subset of the positive roots pos of a root system
+    of the given rank, is the set of those that are no sum of two: it has
+    rank elements, and every other root of pos minus one of simple is in pos.
+    By the second clause every root of pos is a sum of roots of simple, so
+    simple holds every indecomposable root, the base of pos, which has rank
+    elements since the roots span: so simple is the base if it has rank
+    elements.  The second clause makes at most len(simple) x len(pos)
+    subtractions, stopping for each root at its first hit."""
+    return len(simple) == rank and all(any(tuple(map(sub, v, b)) in pos for b in simple)
+                                       for v in pos.difference(simple))
 
 
 @dataclass(frozen=True)

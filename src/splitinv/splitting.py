@@ -208,9 +208,9 @@ def _adata_classes(system, descent, theta, special=False):
             moves.append(({v: pair.get(v, v) for v in keys}, 1))
         sigma = descent.restricted_action(1, system)
     else:
-        roots, index = system.roots, system.root_index
+        roots = system.roots
         keys = sorted(range(len(roots)), key=lambda j: roots[j].coords)
-        moves = [([index[tuple(-c for c in r.coords)] for r in roots], -1)]
+        moves = [(system._negation, -1)]
         if theta is not None and not theta.is_identity:
             moves.append((theta.root_perm, 1))
         sigma = descent.root_action(1 % descent.order).perm

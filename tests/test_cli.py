@@ -178,6 +178,13 @@ class TestInvariant:
         assert "galois" in err
         assert "does not commute with theta" in err
 
+    @pytest.mark.parametrize("letter", [3, 0, -1])
+    def test_out_of_range_letter_named_as_written(self, tmp_path, capsys, letter):
+        doc = dict(A2_FLIP_SCENARIO, galois={"order": 2, "omega_T": [1, letter]})
+        assert main(["invariant", write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"field 'galois.omega_T': simple index {letter} out of range 1..2" in err
+
     def test_missing_field_named(self, tmp_path, capsys):
         doc = {"datum": [["A", 2]], "adata": {"mode": "symbolic"}}
         path = write(tmp_path, doc)

@@ -14,6 +14,7 @@ import splitinv.rootdata as rootdata
 from splitinv.cli import _parse_datum, main
 from splitinv.errors import RootDatumError
 from permutation_kernel import HEIGHT_CASES, longest_by_permutations, word_by_permutations
+from root_search import AllRootsTables, indecomposables_by_subtraction
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
                                _indecomposables_are, analyze_weyl, build_root_datum,
                                levi_component, restrict_root_system, weyl_group_order)
@@ -719,9 +720,10 @@ class TestHeightKernel:
     @pytest.mark.parametrize("letter", [2, 3, -1])
     def test_out_of_range_letter_is_refused(self, letter):
         d = build_root_datum([("A", 2)])
-        with pytest.raises(RootDatumError, match=f"index {letter} out of range"):
+        with pytest.raises(RootDatumError, match=f"index {letter} out of range 0..1$"):
             analyze_weyl(d, [0, letter])
-        with pytest.raises(RootDatumError, match=f"index {letter} out of range"):
+        # a one-based letter is named as written, with the one-based range
+        with pytest.raises(RootDatumError, match=f"index {letter + 1} out of range 1..2$"):
             analyze_weyl(d, [1, letter + 1], one_based=True)
 
     @pytest.mark.parametrize("letter", ["x", None, 1.0, True, False, "1", [1]])
@@ -1046,6 +1048,11 @@ PAIRING_CASES = [(f"A{n}", [("A", n)]) for n in range(1, 10)] + [
 LADDER_CASES = RESTRICTION_CASES + [(f"A{n} flip", [("A", n)], tuple(range(n - 1, -1, -1)))
                                     for n in range(7, 14)]
 
+# every restricted system that these tests build, each under its first label
+_BUILT = LADDER_CASES + FIXED_ORDER_CASES + KERNEL_CASES
+RESTRICTED_CASES = [case for k, case in enumerate(_BUILT)
+                    if all(case[1:] != other[1:] for other in _BUILT[:k])]
+
 
 def _dense_pairings(d, coords):
     """<root, alpha_i_vee> for each i: the Cartan matrix times the coordinates."""
@@ -1085,9 +1092,10 @@ class TestRestrictionTables:
                 rrs.restrict_root(v)
 
     # the check decides, for the simple restricted roots and for each
-    # subset of the positive restricted roots one root away from them, what
-    # the pairwise comparison decides
-    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    # subset of the positive restricted roots one root away from them (one
+    # simple root dropped, one extra, or one swapped for a non-simple root),
+    # what the pairwise comparison and the two-clause check decide
+    @pytest.mark.parametrize("label,families,perm", RESTRICTED_CASES)
     def test_indecomposable_check_is_the_pairwise_check(self, label, families, perm):
         d = build_root_datum(families)
         rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
@@ -1098,7 +1106,9 @@ class TestRestrictionTables:
         candidates = [simple] + [simple - {b} for b in simple] + \
             [simple | {v} for v in others] + [(simple - {b}) | {v} for b in simple for v in others]
         for cand in candidates:
-            assert _indecomposables_are(tuple(sorted(cand)), pos) == (cand == indecomposable)
+            cand_t = tuple(sorted(cand))
+            assert _indecomposables_are(cand_t, pos, rrs.res_rank) == (cand == indecomposable)
+            assert indecomposables_by_subtraction(cand_t, pos) == (cand == indecomposable)
 
     @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
     def test_levi_roots_are_the_support_scan(self, label, families, perm):
@@ -1106,3 +1116,92 @@ class TestRestrictionTables:
         rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
         for beta in rrs.simple_restricted:
             assert levi_component(rrs, beta).roots == _support_scan(rrs, beta)
+
+
+# ---------------------------------------------------------------------------
+# the positive-root search against the search of every root
+# ---------------------------------------------------------------------------
+
+SEARCH_CASES = HEIGHT_CASES + [
+    (f"{f}{n}", [(f, n)]) for f, low in (("B", 2), ("C", 2), ("D", 3)) for n in range(low, 8)
+    if (f"{f}{n}", [(f, n)]) not in HEIGHT_CASES] + [("A30", [("A", 30)])]
+
+
+def _diagram_perms(d):
+    """The permutations of the simple roots that preserve the Cartan matrix:
+    all of them up to rank 5, else the identity, the reversal and the swap
+    of the last two where they do."""
+    n = d.rank
+    perms = itertools.permutations(range(n)) if n <= 5 else [
+        tuple(range(n)), tuple(range(n - 1, -1, -1)), tuple(range(n - 2)) + (n - 1, n - 2)]
+    return [p for p in perms
+            if all(d.cartan[p[i]][p[j]] == d.cartan[i][j] for i in range(n) for j in range(n))]
+
+
+class TestPositiveRootSearch:
+    @pytest.mark.parametrize("label,families", SEARCH_CASES)
+    def test_tables_are_those_of_the_search_of_every_root(self, label, families):
+        d = build_root_datum(families)
+        ref = AllRootsTables(d)
+        assert d.roots == ref.roots
+        assert d.pairings == ref.pairings
+        assert list(d._code_index.items()) == list(ref.code_index.items())
+        assert d.simple_index == ref.simple_index
+        for j, r in enumerate(d.roots):
+            assert d.roots[d._negation[j]].coords == tuple(-x for x in r.coords)
+
+    @pytest.mark.parametrize("label,families", SEARCH_CASES)
+    def test_permutations_are_those_of_the_search_of_every_root(self, label, families):
+        d = build_root_datum(families)
+        ref = AllRootsTables(d)
+        for i in range(d.rank):
+            s = d.simple_reflection(i)
+            assert s.perm == s.inv_perm == ref.simple_reflection(i), i
+        assert d.longest_element().perm == ref.longest_element()
+        perms = _diagram_perms(d)
+        # the identity, and on A_n, n > 1, the flip as well
+        assert len(perms) >= 1 + (families[0][0] == "A" and d.rank > 1)
+        for perm in perms:
+            assert PinnedAutomorphism(d, perm).root_perm == ref.theta_perm(perm), perm
+
+
+class TestSimpleReflectionsOnFirstUse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The image codes of every root permutation built while the test runs."""
+        codes, original = [], RootDatum._perms_of
+        monkeypatch.setattr(RootDatum, "_perms_of",
+                            lambda self, c: codes.append(tuple(c)) or original(self, c))
+        return codes
+
+    @pytest.mark.parametrize("label,families", HEIGHT_CASES)
+    def test_construction_builds_no_reflection(self, label, families, built):
+        d = build_root_datum(families)
+        assert built == []
+        for i in reversed(range(d.rank)):
+            s = d.simple_reflection(i)
+            assert d.simple_reflection(i) is s
+        assert len(built) == d.rank
+
+    @pytest.mark.parametrize("scenario", [
+        {"datum": [["A", 4]], "theta": {"perm": [4, 3, 2, 1]},
+         "galois": {"order": 2, "omega_T": [1, 2, 1, 3, 2, 1, 4, 3, 2, 1]},
+         "adata": {"mode": "symbolic"}},
+        {"datum": [["D", 4]], "theta": {"perm": [3, 2, 4, 1]},
+         "galois": {"order": 6, "omega_T": [1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4],
+                    "sigma_T": [3, 2, 4, 1]}, "adata": {"mode": "symbolic"}},
+        {"datum": [["A", 2]], "theta": {"perm": [2, 1]},
+         "galois": {"order": 2, "omega_T": [1, 2, 1], "field": {"d": 5}},
+         "adata": {"mode": "values", "values": {"1,0": [0, 1], "0,1": [0, 1], "1,1": [0, 1]}}},
+    ])
+    def test_restrict_and_invariant_read_no_reflection(self, scenario, tmp_path, monkeypatch,
+                                                        capsys):
+        read, original = [], RootDatum.simple_reflection
+        monkeypatch.setattr(RootDatum, "simple_reflection",
+                            lambda self, i: read.append(i) or original(self, i))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        for command in ("restrict", "invariant"):
+            assert main([command, str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"]
+        assert read == []
