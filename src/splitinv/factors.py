@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .coeffs import LocalPlace, quad_norm_sign
 from .errors import FactorError
@@ -33,16 +33,12 @@ def restricted_galois_orbits(rrs: RestrictedRootSystem,
     """Orbits of the Galois action on restricted roots; an orbit is symmetric
     when it contains the negative of each member."""
     acts = [descent.restricted_action(k, rrs) for k in range(descent.order)]
-    seen = set()
-    orbits: List[RestrictedOrbit] = []
-    for v in sorted(rrs.restricted):
-        if v in seen:
-            continue
-        orbit = {act[v] for act in acts}
-        seen |= orbit
-        symmetric = all(tuple(-c for c in w) in orbit for w in orbit)
-        orbits.append(RestrictedOrbit(tuple(sorted(orbit)), symmetric))
-    return tuple(orbits)
+    keys, negation = rrs._res_roots, rrs._res_negation
+    orbits = [{act[i] for act in acts} for i in range(len(keys))]
+    # each orbit once, at its least index: in sorted order of least members
+    return tuple(RestrictedOrbit(tuple(keys[w].coords for w in sorted(orbit)),
+                                 all(negation[w] in orbit for w in orbit))
+                 for i, orbit in enumerate(orbits) if min(orbit) == i)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ fixed subtorus are recorded by their values on the orbit sums of simple
 coroots, which form a basis of the fixed cocharacter lattice.  A datum is
 built from a search of the positive roots alone, each negative root read
 off its partner through the negation table; a simple reflection is built
-the first time it is read.
+the first time it is read.  A restriction numbers the restricted roots in
+sorted order and reads them by index tables: the restricted index of each
+root, and the negative and the double or half of each restricted root.
 """
 
 from __future__ import annotations
@@ -623,14 +625,6 @@ class RestrictedRootSystem:
         # fundamental-weight basis of X*(T), so the quotient is free on the
         # theta-orbits, with restrict_weight as the quotient map.
         self._build_roots()
-        # the roots whose support lies in one theta-orbit of simple roots, by
-        # that orbit: the roots of the Levis of levi_component
-        orbit_of = {i: orb for orb in self.simple_orbits for i in orb}
-        self._orbit_roots: Dict[Tuple[int, ...], List[Vec]] = {}
-        for r in datum.roots:
-            support = {orbit_of[i] for i, x in enumerate(r.coords) if x}
-            if len(support) == 1:
-                self._orbit_roots.setdefault(support.pop(), []).append(r.coords)
         # image of each simple restricted reflection in Omega^theta: the
         # longest element of the Levi attached to the restricted line
         self.levi_longest: Dict[Vec, WeylElement] = {}
@@ -648,28 +642,38 @@ class RestrictedRootSystem:
 
     def restrict_root(self, coords: Vec) -> Vec:
         try:
-            return self._res_of[self.datum.root_index[tuple(coords)]]
+            return self._res_roots[self._res_of[self.datum.root_index[tuple(coords)]]].coords
         except KeyError:
             raise RootDatumError(f"{tuple(coords)} is not a root") from None
 
     def _build_roots(self):
-        datum, theta = self.datum, self.theta
-        roots = datum.roots
-        self._res_of = res_of = [self.restrict_weight(p) for p in datum.pairings]
-        by_res: Dict[Vec, List[int]] = {}
-        for j, res in enumerate(res_of):
-            by_res.setdefault(res, []).append(j)
-        if any(v == tuple([0] * len(self.simple_orbits)) for v in by_res):
+        """The restricted roots and the tables ``_res_of``, ``_res_negation`` and
+        ``_res_double`` (i where i has no double or half).  Only positive roots
+        are restricted: -alpha restricts to minus alpha's restriction."""
+        datum, fwd = self.datum, self.theta.root_perm
+        roots, npos, partner = datum.roots, datum.n_positive, datum._negation
+        pos_res = [self.restrict_weight(p) for p in datum.pairings[:npos]]
+        pos = set(pos_res)
+        minus = {tuple(map(neg, v)) for v in pos}
+        if tuple([0] * len(self.simple_orbits)) in pos:
             raise RootDatumError("a root restricts to zero")
-        all_res = set(by_res)
-        pos_res = set(res_of[:datum.n_positive])
-        if pos_res & set(res_of[datum.n_positive:]):
+        if not pos.isdisjoint(minus):
             raise RootDatumError("restriction does not separate positive and negative roots")
-
-        fwd = theta.root_perm
+        keys = sorted(pos | minus)
+        position = {v: i for i, v in enumerate(keys)}
+        negation = [position[tuple(map(neg, v))] for v in keys]
+        double, rtype = list(range(len(keys))), [R1] * len(keys)
+        for i, v in enumerate(keys):
+            j = position.get(tuple(2 * x for x in v))
+            if j is not None:
+                double[i], double[j], rtype[i], rtype[j] = j, i, R2, R3
+        res_of = [position[v] for v in pos_res]
+        res_of += [negation[res_of[partner[j]]] for j in range(npos, len(roots))]
+        fibers: List[List[int]] = [[] for _ in keys]
+        for j, i in enumerate(res_of):
+            fibers[i].append(j)
         restricted = {}
-        for res, fiber in sorted(by_res.items()):
-            orbit = tuple(sorted(roots[j].coords for j in fiber))
+        for res, fiber, t in zip(keys, fibers, rtype):
             # the theta-orbit of any preimage must be the whole fiber
             probe, j = set(), fiber[0]
             while j not in probe:
@@ -677,22 +681,19 @@ class RestrictedRootSystem:
                 j = fwd[j]
             if probe != set(fiber):
                 raise RootDatumError("orbit/fiber mismatch in restriction")
-            if tuple(2 * x for x in res) in all_res:
-                rtype = R2
-            elif not any(x % 2 for x in res) and tuple(x // 2 for x in res) in all_res:
-                rtype = R3
-            else:
-                rtype = R1
             nsum = tuple(map(sum, zip(*(roots[j].coroot for j in fiber))))
-            coroot = nsum if rtype in (R1, R3) else tuple(2 * x for x in nsum)
-            restricted[res] = RestrictedRoot(res, rtype, res in pos_res, orbit, coroot)
+            restricted[res] = RestrictedRoot(res, t, res in pos,
+                                             tuple(sorted(roots[j].coords for j in fiber)),
+                                             tuple(2 * x for x in nsum) if t == R2 else nsum)
         self.restricted: Dict[Vec, RestrictedRoot] = restricted
+        self._res_roots, self._res_position = tuple(restricted.values()), position
+        self._res_of, self._res_negation, self._res_double = map(tuple, (res_of, negation, double))
         self.res_rank = len(self.simple_orbits)
-        for rr in restricted.values():
-            if self.pair_restricted(rr.coords, rr.coroot) != 2:
+        for rr in self._res_roots:
+            if self._pair(rr.coords, rr.coroot) != 2:
                 raise RootDatumError("restricted coroot normalization failed")
         self.simple_restricted: Tuple[Vec, ...] = tuple(sorted(
-            {res_of[s] for s in datum.simple_index}))
+            {keys[res_of[s]] for s in datum.simple_index}))
         if not _indecomposables_are(self.simple_restricted,
                                     {v for v, rr in restricted.items() if rr.positive},
                                     self.res_rank):
@@ -703,21 +704,21 @@ class RestrictedRootSystem:
         if any(coroot_coords[i] != coroot_coords[orb[0]]
                for orb in self.simple_orbits for i in orb):
             raise RootDatumError("cocharacter is not theta-fixed")
+        return self._pair(res_coords, coroot_coords)
+
+    def _pair(self, res_coords: Vec, coroot_coords: Vec) -> int:
+        """``pair_restricted`` without its check, for the restricted coroots:
+        each is a sum over a theta-orbit of coroots, so it is theta-fixed."""
         return sum(coroot_coords[orb[0]] * x for orb, x in zip(self.simple_orbits, res_coords))
 
     def reflect_restricted(self, res_coords: Vec, by: Vec) -> Vec:
         rr = self.restricted[by]
-        k = self.pair_restricted(res_coords, rr.coroot)
+        k = self._pair(res_coords, rr.coroot)
         return tuple(res_coords[i] - k * rr.coords[i] for i in range(self.res_rank))
 
     @property
     def positive_restricted(self) -> Tuple[Vec, ...]:
         return tuple(sorted(v for v, rr in self.restricted.items() if rr.positive))
-
-    @property
-    def indivisible_positive(self) -> Tuple[Vec, ...]:
-        return tuple(sorted(v for v, rr in self.restricted.items()
-                            if rr.positive and rr.rtype != R3))
 
     def rtype(self, res_coords: Vec) -> str:
         return self.restricted[tuple(res_coords)].rtype
@@ -744,7 +745,7 @@ class RestrictedRootSystem:
         restricted root system, read off the type of its Cartan matrix
         <beta_j, beta_i_vee> without enumerating the group."""
         simple = self.simple_restricted
-        return weyl_group_order([[self.pair_restricted(b, self.restricted[a].coroot)
+        return weyl_group_order([[self._pair(b, self.restricted[a].coroot)
                                   for b in simple] for a in simple])
 
     def res_word_of(self, w: WeylElement) -> Tuple[int, ...]:
@@ -766,11 +767,12 @@ class RestrictedRootSystem:
             w = self.levi_longest[self.simple_restricted[gi]].inverse() * w
         return tuple(letters)
 
-    def res_inversions(self, inverse_images: Dict[Vec, Vec]) -> Tuple[Vec, ...]:
-        """Positive indivisible restricted roots sent negative by the inverse
-        of an action on the restricted roots, given as the image of each."""
-        return tuple(v for v in self.indivisible_positive
-                     if not self.restricted[inverse_images[v]].positive)
+    def res_inversions(self, inverse_perm: Sequence[int]) -> Tuple[int, ...]:
+        """The indices of the positive indivisible restricted roots that the
+        permutation inverse_perm of restricted indices sends negative."""
+        res = self._res_roots
+        return tuple(i for i, rr in enumerate(res) if rr.positive and rr.rtype != R3
+                     and not res[inverse_perm[i]].positive)
 
 
 def _indecomposables_are(simple: Sequence[Vec], pos: set, rank: int) -> bool:
@@ -811,23 +813,20 @@ def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
     beta = tuple(beta)
     if beta not in rrs.simple_restricted:
         raise RootDatumError(f"{beta} is not a simple restricted root")
-    datum = rrs.datum
+    datum, i = rrs.datum, rrs._res_position[beta]
     simples = {c.index(1): c for c in rrs.restricted[beta].orbit}    # J, by simple index
     nodes = sorted(simples)
-    roots = tuple(sorted(rrs._orbit_roots[tuple(nodes)]))
+    # the multiples of beta: +-beta and, when it is a restricted root, +-2 beta
+    lines = {m for k in (i, rrs._res_double[i]) for m in (k, rrs._res_negation[k])}
+    roots = tuple(sorted(c for m in lines for c in rrs._res_roots[m].orbit))
     components = tuple(sorted(
         tuple(sorted(simples[i] for i in piece))
         for piece in _diagram_pieces(nodes, lambda i, j: datum.cartan[i][j] != 0)))
-    sizes = {len(c) for c in components}
-    if sizes == {1}:
-        kind = "A1"
-    elif sizes == {2}:
-        kind = "A2"
-    else:
+    kind = {(1,): "A1", (2,): "A2"}.get(tuple({len(c) for c in components}))
+    if kind is None:
         raise RootDatumError("Levi component is not a union of A1 or A2 diagrams")
     # sanity: component root counts match the diagram type
-    per_comp = 2 if kind == "A1" else 6
-    if len(roots) != per_comp * len(components):
+    if len(roots) != (2 if kind == "A1" else 6) * len(components):
         raise RootDatumError("Levi root count does not match its diagram")
     return LeviComponent(roots, components, kind, datum._longest_in(nodes))
 

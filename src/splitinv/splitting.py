@@ -8,10 +8,10 @@ torus-valued cocycle ("t-level") whose class is the splitting invariant.
 Without a matrix realization the m-level object is returned, marked as such;
 with one, the torus values are computed and verified as honest matrices.
 
-Generic equivariant a-data comes from one walk of the root classes: the
-symbolic a-data names one symbol per class, and the random Q(sqrt d) a-data
-specializes it one Galois orbit of classes at a time.  Both refuse a theta
-that omega_T does not commute with.
+a-data holds one value per root, or restricted root, in their order, so
+every move of a root is an index table.  Generic equivariant a-data comes
+from one walk of the root classes, named by symbols or specialized over
+Q(sqrt d); both refuse a theta that omega_T does not commute with.
 """
 
 from __future__ import annotations
@@ -40,91 +40,111 @@ from .tits import (TitsElement, TorusElement, m_cocycle, tits_lift,
 
 class ADatum:
     """Invertible coefficients on the roots of a RootDatum, or on the restricted
-    roots of a RestrictedRootSystem.  The constructor checks that the keys are
-    exactly those roots and that a_{-alpha} = -a_alpha, so consumers do not;
-    equivariance, theta-invariance and specialness are checked by the entry
-    points that need them."""
+    roots of a RestrictedRootSystem, as the tuple ``values`` in the order of
+    ``datum.roots`` or of ``rrs.restricted``, so that every move of a root is
+    an index table.  The constructor takes a dict keyed by coordinates and
+    checks that the keys are those roots, each value nonzero, and that
+    a_{-alpha} = -a_alpha; the library's builders pass a tuple in key order
+    to ``_of``, which checks the last.  Equivariance, theta-invariance and
+    specialness are checked by the entry points that need them."""
 
     def __init__(self, values: Dict[tuple, object], one, half, system):
         if not isinstance(system, (RootDatum, RestrictedRootSystem)):
             raise ADataError(f"system must be a RootDatum or a RestrictedRootSystem, "
                              f"not {type(system).__name__}")
-        self.values = dict(values)
-        self.one = one
-        self.half = half
-        self.system = system
-        self.restricted = isinstance(system, RestrictedRootSystem)
-        roots = system.restricted if self.restricted else system.root_index
-        for coords in self.values:
-            if coords not in roots:
+        restricted = isinstance(system, RestrictedRootSystem)
+        (keys, position, negation), values = _keys(system), _as_dict(values)
+        for coords in values:
+            if coords not in position:
                 raise ADataError(f"a-datum at {coords}, which is not a "
-                                 f"{'restricted ' if self.restricted else ''}root")
-        for coords, v in self.values.items():
-            neg = tuple(-c for c in coords)
-            if neg not in self.values:
-                raise ADataError(f"a-data not defined at {neg}")
-            if self.values[neg] != -v:
+                                 f"{'restricted ' if restricted else ''}root")
+        for coords, v in values.items():
+            minus = keys[negation[position[coords]]].coords
+            if minus not in values:
+                raise ADataError(f"a-data not defined at {minus}")
+            if values[minus] != _negated(v, coords):
                 raise ADataError(f"a(-alpha) != -a(alpha) at {coords}")
-        for coords in roots:
-            if coords not in self.values:
-                raise ADataError(f"a-data not defined at {coords}")
+        for r in keys:
+            if r.coords not in values:
+                raise ADataError(f"a-data not defined at {r.coords}")
+        self.values = tuple(values[r.coords] for r in keys)
+        self.one, self.half, self.system, self.restricted = one, half, system, restricted
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_positive(datum: RootDatum, pos_values: Dict[tuple, object], one, half
-                      ) -> "ADatum":
-        positive = [r.coords for r in datum.positive_roots]
-        return ADatum(_signed_values(pos_values, positive, "root"), one, half, datum)
+    def _of(values: tuple, one, half, system) -> "ADatum":
+        """a-data from its values in key order; the negation rule is checked."""
+        keys, _, negation = _keys(system)
+        for r, v, w in zip(keys, values, map(values.__getitem__, negation)):
+            if w != -v:
+                raise ADataError(f"a(-alpha) != -a(alpha) at {r.coords}")
+        out = object.__new__(ADatum)
+        out.values, out.one, out.half, out.system = values, one, half, system
+        out.restricted = isinstance(system, RestrictedRootSystem)
+        return out
 
     @staticmethod
-    def restricted_from_positive(rrs: RestrictedRootSystem,
-                                 pos_values: Dict[tuple, object], one, half) -> "ADatum":
-        return ADatum(_signed_values(pos_values, rrs.positive_restricted, "restricted root"),
-                      one, half, rrs)
+    def from_positive(system, pos_values: Dict[tuple, object], one, half) -> "ADatum":
+        """a-data from its values on the positive roots of a RootDatum, or on
+        the positive restricted roots of a RestrictedRootSystem, given on each
+        of them and on nothing else."""
+        what = "restricted root" if isinstance(system, RestrictedRootSystem) else "root"
+        (keys, position, negation), pos_values = _keys(system), _as_dict(pos_values)
+        values = [None] * len(keys)
+        for j, r in enumerate(keys):
+            if r.positive:
+                if r.coords not in pos_values:
+                    raise ADataError(f"missing a-datum at {what} {r.coords}")
+                values[j] = pos_values[r.coords]
+                values[negation[j]] = _negated(values[j], r.coords)
+        for key in pos_values:
+            j = position.get(key)
+            if j is None or not keys[j].positive:
+                raise ADataError(f"a-datum given at {key}, which is not a positive {what}")
+        return ADatum._of(tuple(values), one, half, system)
+
+    restricted_from_positive = from_positive
 
     # -- access -----------------------------------------------------------------
 
     def __getitem__(self, key: tuple):
         try:
-            return self.values[tuple(key)]
+            return self.values[_keys(self.system)[1][tuple(key)]]
         except KeyError:
             raise ADataError(f"no a-datum at {tuple(key)}") from None
 
     def __contains__(self, key: tuple) -> bool:
-        return tuple(key) in self.values
+        return tuple(key) in _keys(self.system)[1]
 
     # -- validation ---------------------------------------------------------------
 
     def validate_twisted(self, theta: PinnedAutomorphism) -> None:
         if self.restricted:
             return  # restricted data is constant on fibers by construction
-        roots, index, fwd = self.system.roots, self.system.root_index, theta.root_perm
-        for coords, v in self.values.items():
-            if self.values[roots[fwd[index[coords]]].coords] != v:
-                raise ADataError(f"a-data not theta-invariant at {coords}")
+        values, fwd = self.values, theta.root_perm
+        for r, v, w in zip(self.system.roots, values, map(values.__getitem__, fwd)):
+            if w != v:
+                raise ADataError(f"a-data not theta-invariant at {r.coords}")
 
     def validate_equivariant(self, descent) -> None:
         datum = self.system.datum if self.restricted else self.system
         if datum.cartan != descent.datum.cartan:
             raise ADataError("a-data and descent datum are on different root data")
         what = "restricted a-data" if self.restricted else "a-data"
+        keys, values = _keys(self.system)[0], self.values
         for k in range(1, descent.order):      # sigma^0 is the identity
             act = descent.restricted_action(k, self.system) if self.restricted \
-                else _root_images(descent.datum, descent.root_action(k).perm)
-            for coords, v in self.values.items():
-                if self.values[act[coords]] != descent.field_apply(k, v):
-                    raise ADataError(f"{what} not Galois-equivariant at {coords}, sigma^{k}")
+                else descent.root_action(k).perm
+            for r, v, w in zip(keys, values, map(values.__getitem__, act)):
+                if w != descent.field_apply(k, v):
+                    raise ADataError(f"{what} not Galois-equivariant at {r.coords}, sigma^{k}")
 
     def is_special(self) -> bool:
         if not self.restricted:
             raise ADataError("specialness is a condition on restricted a-data")
-        rrs = self.system
-        for v, rr in rrs.restricted.items():
-            dbl = tuple(2 * c for c in v)
-            if dbl in rrs.restricted and self.values[dbl] != self.values[v]:
-                return False
-        return True
+        values = self.values
+        return all(values[j] == v for v, j in zip(values, self.system._res_double))
 
     # -- derived data ---------------------------------------------------------------
 
@@ -135,114 +155,101 @@ class ADatum:
             raise ADataError("the halved variant is built from restricted a-data")
         if not self.is_special():
             raise ADataError("a-data is not special: a(2*beta) != a(beta) somewhere")
-        rrs = self.system
-        values = {v: (a * self.half if rrs.restricted[v].rtype == R3 else a)
-                  for v, a in self.values.items()}
-        return ADatum(values, self.one, self.half, rrs)
+        return ADatum._of(tuple(a * self.half if rr.rtype == R3 else a for a, rr
+                                in zip(self.values, self.system._res_roots)),
+                          self.one, self.half, self.system)
 
     def pullback(self) -> "ADatum":
         """View restricted a-data as automorphism-invariant a-data on the
         full root system through the restriction map."""
         if not self.restricted:
             raise ADataError("pullback starts from restricted a-data")
-        rrs = self.system
-        values = {}
-        for r in rrs.datum.roots:
-            values[r.coords] = self.values[rrs.restrict_root(r.coords)]
-        return ADatum(values, self.one, self.half, rrs.datum)
+        return ADatum._of(tuple(map(self.values.__getitem__, self.system._res_of)),
+                          self.one, self.half, self.system.datum)
 
     def translate(self, mu: WeylElement) -> "ADatum":
         """a'(alpha) = a(mu(alpha)); the transport of the same abstract a-data
         through a normalizer-adjusted conjugator."""
         if self.restricted:
             raise ADataError("translation acts on full a-data")
-        images = _root_images(mu.datum, mu.perm)
-        values = {coords: self.values[images[coords]] for coords in self.values}
-        return ADatum(values, self.one, self.half, self.system)
+        return ADatum._of(tuple(map(self.values.__getitem__, mu.perm)),
+                          self.one, self.half, self.system)
 
 
-def _root_images(datum: RootDatum, perm: Sequence[int]) -> Dict[tuple, tuple]:
-    """The image of each root under the permutation perm of root indices."""
-    roots = datum.roots
-    return {r.coords: roots[j].coords for r, j in zip(roots, perm)}
+def _keys(system):
+    """The keys of system's a-data in order, with ``coords`` and ``positive``;
+    the index of each key by its coordinates; the index of its negative."""
+    if isinstance(system, RestrictedRootSystem):
+        return system._res_roots, system._res_position, system._res_negation
+    return system.roots, system.root_index, system._negation
 
 
-def _signed_values(pos_values: Dict[tuple, object], positive: Sequence[tuple],
-                   what: str) -> Dict[tuple, object]:
-    """a-data on every root from its values on the positive ones, which must
-    be given on each positive root and on nothing else."""
-    values = {}
-    for v in positive:
-        if v not in pos_values:
-            raise ADataError(f"missing a-datum at {what} {v}")
-        values[v] = pos_values[v]
-        values[tuple(-c for c in v)] = -pos_values[v]
-    for key in pos_values:
-        if key not in positive:
-            raise ADataError(f"a-datum given at {key}, which is not a positive {what}")
-    return values
+def _as_dict(values) -> dict:
+    try:
+        return dict(values)
+    except (TypeError, ValueError):
+        raise ADataError(f"values must map root coordinates to a-values, "
+                         f"not {type(values).__name__}") from None
 
 
-def _adata_classes(system, descent, theta, special=False):
-    """The classes of a-data keys and the Galois generator's signed
-    permutation of them.  Keys are the roots of a RootDatum (walked by
-    index) or the restricted roots of a RestrictedRootSystem.  Negation
-    links keys with sign -1; theta on full data, and doubling on special
-    restricted data, with sign +1.  Classes are numbered in order of their
-    least key, the start.  Returns each key's (class, sign against its
-    start) and the (class, sign) of the generator's image of each start.
-    A theta that omega_T does not commute with is refused: it would merge
-    classes that the Galois action does not permute."""
+def _negated(v, coords):
+    """-v, for an a-value v at coords: an invertible coefficient."""
+    try:
+        if v:
+            return -v
+    except TypeError:
+        pass
+    raise ADataError(f"a-datum at {coords} is {v!r}, not an invertible coefficient")
+
+
+def _key_moves(system, descent, theta, special: bool):
+    """The a-data keys of system by coordinates; the moves linking them as
+    (index table, sign): negation, -1, and theta on full or doubling on
+    special restricted data, +1; and the Galois generator's permutation of
+    them.  A theta that omega_T does not commute with is refused."""
+    keys, _, negation = _keys(system)
     if theta is not None and not theta.is_identity:
         descent.validate_theta_compatible(theta)
-    restricted = isinstance(system, RestrictedRootSystem)
-    if restricted:
-        keys = sorted(system.restricted)
-        moves = [({v: tuple(-c for c in v) for v in keys}, -1)]
-        if special:
-            pair = {}
-            for v in keys:
-                dbl = tuple(2 * c for c in v)
-                if dbl in system.restricted:
-                    pair[v], pair[dbl] = dbl, v
-            moves.append(({v: pair.get(v, v) for v in keys}, 1))
-        sigma = descent.restricted_action(1, system)
+    if isinstance(system, RestrictedRootSystem):
+        same, sigma = [system._res_double] * special, descent.restricted_action(1, system)
     else:
-        roots = system.roots
-        keys = sorted(range(len(roots)), key=lambda j: roots[j].coords)
-        moves = [(system._negation, -1)]
-        if theta is not None and not theta.is_identity:
-            moves.append((theta.root_perm, 1))
-        sigma = descent.root_action(1 % descent.order).perm
-    of, starts = {}, []
-    for start in keys:
-        if start in of:
+        same, sigma = [] if theta is None else [theta.root_perm], descent.root_action(1).perm
+    return (sorted(range(len(keys)), key=lambda j: keys[j].coords),
+            [(negation, -1)] + [(table, 1) for table in same], sigma)
+
+
+def _adata_classes(order: Sequence[int], moves, sigma: Sequence[int]):
+    """The classes of a-data keys under the moves, numbered in order of
+    their least key in ``order``, the start.  Returns each key's (class,
+    sign against its start), by key index, and the (class, sign) of sigma's
+    image of each start."""
+    of, starts = [None] * len(order), []
+    for start in order:
+        if of[start] is not None:
             continue
-        of[start] = (len(starts), 1)
+        of[start], frontier = (len(starts), 1), [start]
         starts.append(start)
-        frontier = [start]
         while frontier:
             v = frontier.pop()
             c, s = of[v]
             for table, sign in moves:
                 w = table[v]
-                if w not in of:
+                if of[w] is None:
                     of[w] = (c, s * sign)
                     frontier.append(w)
-    images = [of[sigma[s]] for s in starts]
-    return (of if restricted else {r.coords: of[j] for j, r in enumerate(roots)}), images
+    return of, [of[sigma[s]] for s in starts]
 
 
 def _symbolic_adata(datum, descent, theta):
     """Symbolic a-data, one symbol a1, a2, ... per root class in the order of
     its start, and the coefficient action the Galois generator induces."""
-    classes, images = _adata_classes(datum, descent, theta)
+    classes, images = _adata_classes(*_key_moves(datum, descent, theta, False))
     names = [f"a{c + 1}" for c in range(len(images))]
     action = SignedSymbolMap({names[c]: (s, names[img]) for c, (img, s) in enumerate(images)}) \
         if descent.order > 1 else IdentityAction()
     units = {(c, s): SymUnit.gen(names[c], 1, s) for c in range(len(names)) for s in (1, -1)}
-    values = {v: units[cs] for v, cs in classes.items()}
-    return ADatum(values, SymUnit.one(), SymUnit.half(), datum), action
+    return ADatum._of(tuple(map(units.__getitem__, classes)), SymUnit.one(), SymUnit.half(),
+                      datum), action
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +352,22 @@ class DescentDatum:
         """The transported action on the ambient torus coordinates."""
         return self.galois_on_torus_pinned(k, t).weyl_apply(self.root_action(k).weyl)
 
-    def restricted_action(self, k: int, rrs: RestrictedRootSystem) -> Dict[tuple, tuple]:
-        """sigma^k on the restricted roots: the image of each, read off the
-        restrictions of sigma^k applied to its whole fiber.  sigma^k acts
-        there only when it maps each fiber into one; else DescentError."""
+    def restricted_action(self, k: int, rrs: RestrictedRootSystem) -> Tuple[int, ...]:
+        """sigma^k on the restricted roots as a permutation of their indices,
+        read off the image of each fiber: sigma^k acts there only when it maps
+        each fiber into one; else DescentError."""
         k %= self.order
-        roots, index, perm = self.datum.roots, self.datum.root_index, self._powers[k].perm
-        out = {}
-        for v, rr in rrs.restricted.items():
-            images = {rrs.restrict_root(roots[perm[index[c]]].coords) for c in rr.orbit}
-            if len(images) != 1:
-                raise DescentError(f"sigma^{k} does not act on the restricted roots: the "
-                                   f"fiber of {v} restricts to {sorted(images)}")
-            out[v] = images.pop()
-        return out
+        res, perm = rrs._res_of, self._powers[k].perm
+        out = [0] * len(rrs._res_roots)
+        for j, i in enumerate(res):
+            out[i] = res[perm[j]]
+        bad = [i for j, i in enumerate(res) if res[perm[j]] != out[i]]
+        if bad:
+            keys, b = rrs._res_roots, min(bad)
+            images = {keys[res[perm[j]]].coords for j, i in enumerate(res) if i == b}
+            raise DescentError(f"sigma^{k} does not act on the restricted roots: the "
+                               f"fiber of {keys[b].coords} restricts to {sorted(images)}")
+        return tuple(out)
 
     def __repr__(self):
         return (f"DescentDatum(Z/{self.order}, omega={self.omega_T!r}, "
@@ -533,7 +542,7 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
     The result is equivariant by construction and checked where it is used."""
     if descent.order not in (1, 2):
         raise DescentError("quadratic-extension a-data needs a group of order <= 2")
-    classes, images = _adata_classes(system, descent, theta, special)
+    classes, images = _adata_classes(*_key_moves(system, descent, theta, special))
     base = [None] * len(images)
     for c, (img, sign) in enumerate(images):
         if base[c] is None:     # else c is the partner of an earlier class
@@ -541,8 +550,8 @@ def equivariant_quad_adata(system, descent: "DescentDatum", fieldq: QuadField,
             base[c] = x if descent.order == 2 and (img, sign) == (c, 1) else fieldq.gen() * x
             if img != c:
                 base[img] = fieldq.conj(base[c]) if sign == 1 else -fieldq.conj(base[c])
-    values = {v: base[c] if s == 1 else -base[c] for v, (c, s) in classes.items()}
-    return ADatum(values, fieldq.one(), fieldq.half(), system)
+    return ADatum._of(tuple(base[c] if s == 1 else -base[c] for c, s in classes),
+                      fieldq.one(), fieldq.half(), system)
 
 
 def _random_torus_matrix(ctx: MatrixContext, rng: random.Random,
@@ -704,8 +713,8 @@ def lift_discrepancy(rrs: RestrictedRootSystem, omega: WeylElement,
     if one is None:
         one, half = Fraction(1), Fraction(1, 2)
     return TorusElement.coroot_product(rrs.datum.rank, (
-        (r.coroot, half) for r in omega.inversions
-        if rrs.restricted[rrs.restrict_root(r.coords)].rtype == R3), one)
+        (r.coroot, half) for j, r in enumerate(rrs.datum.positive_roots)
+        if omega.inverts(j) and rrs._res_roots[rrs._res_of[j]].rtype == R3), one)
 
 
 def check_nn_prime(rrs: RestrictedRootSystem, omega: WeylElement,
@@ -759,10 +768,9 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
         raise ADataError("comparison starts from restricted a-data")
     special_adata.validate_equivariant(descent)
     descent.validate_theta_compatible(theta)
-    one = special_adata.one
+    one, values, res = special_adata.one, special_adata.values, rrs._res_roots
 
-    tilde = special_adata.tilde()
-    tilde_full = tilde.pullback()
+    tilde_full, plain_full = special_adata.tilde().pullback(), special_adata.pullback()
     m = m_cocycle(datum, descent, tilde_full, theta=theta)
 
     m_prime: Dict[int, TitsElement] = {}
@@ -770,28 +778,21 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
     for k in range(descent.order):
         omega_k = descent.root_action(k).weyl
         # the inverse of sigma^k is sigma^{-k}, since the descent datum is valid
-        torus = TorusElement.coroot_product(datum.rank, (
-            (rrs.restricted[beta].coroot, special_adata[beta])
-            for beta in rrs.res_inversions(descent.restricted_action(-k, rrs))), one)
-        torus_parts[k] = torus
+        torus = torus_parts[k] = TorusElement.coroot_product(datum.rank, (
+            (res[i].coroot, values[i])
+            for i in rrs.res_inversions(descent.restricted_action(-k, rrs))), one)
         disc = lift_discrepancy(rrs, omega_k, one, special_adata.half)
         m_prime[k] = TitsElement(torus * disc, omega_k)
 
         # intermediate identity from the coroot comparison: the unhalved
         # torus part over the ambient inversion set equals the restricted one
-        plain = TorusElement.coroot_product(datum.rank, (
-            (r.coroot, special_adata[rrs.restrict_root(r.coords)])
-            for r in omega_k.inversions), one)
-        if plain != torus:
-            raise ADataError(
-                f"restricted coroot identity fails at sigma^{k}")
+        if x_of(datum, omega_k, plain_full) != torus:
+            raise ADataError(f"restricted coroot identity fails at sigma^{k}")
 
-    equal = all(m[k] == m_prime[k] for k in range(descent.order))
-    if not equal:
+    if any(m[k] != m_prime[k] for k in range(descent.order)):
         raise ADataError("the twisted and fixed-subgroup cocycles differ at the m-level")
 
-    matrix_checked = False
-    t_cocycle = None
+    matrix_checked, t_cocycle = False, None
     if ctx is not None:
         # rebuild the fixed-subgroup side genuinely: its own pinned lift
         realized = {}
@@ -800,8 +801,7 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
                              fixed_group_lift(ctx, rrs, descent.root_action(k).weyl))
             realized[k] = realize(ctx, m[k])
             if not mat_eq(lifted, realized[k]):
-                raise RealizationError(
-                    f"matrix comparison fails at sigma^{k}")
+                raise RealizationError(f"matrix comparison fails at sigma^{k}")
         matrix_checked = True
         if realization is not None:
             t_cocycle = _cocycle(datum, descent, tilde_full, theta, realization, m, realized)

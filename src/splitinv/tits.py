@@ -212,8 +212,9 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
 def x_of(datum: RootDatum, w: WeylElement, adata) -> TorusElement:
     """The torus element prod_{alpha in R(w)} a_alpha^{alpha_vee}, where R(w)
     consists of the positive roots sent negative by w^{-1}."""
-    return TorusElement.coroot_product(
-        datum.rank, ((r.coroot, adata[r.coords]) for r in w.inversions), adata.one)
+    return TorusElement.coroot_product(datum.rank, (
+        (r.coroot, adata.values[j]) for j, r in enumerate(datum.positive_roots)
+        if w.inverts(j)), adata.one)
 
 
 def m_cocycle(datum: RootDatum, descent, adata,

@@ -1110,6 +1110,34 @@ class TestRestrictionTables:
             assert _indecomposables_are(cand_t, pos, rrs.res_rank) == (cand == indecomposable)
             assert indecomposables_by_subtraction(cand_t, pos) == (cand == indecomposable)
 
+    # the index tables against coordinates: the restriction of each root
+    # through its dense pairings, and minus, twice and half of each
+    # restricted root as tuples
+    @pytest.mark.parametrize("label,families,perm", RESTRICTED_CASES)
+    def test_index_tables_are_the_coordinate_maps(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        keys = list(rrs.restricted)
+        assert keys == sorted(keys) == [rr.coords for rr in rrs._res_roots]
+        assert [keys[i] for i in rrs._res_of] == \
+            [rrs.restrict_weight(_dense_pairings(d, r.coords)) for r in d.roots]
+        for i, v in enumerate(keys):
+            assert keys[rrs._res_negation[i]] == tuple(-c for c in v)
+            multiples = [w for w in keys if tuple(2 * c for c in v) == w
+                         or tuple(2 * c for c in w) == v]
+            assert keys[rrs._res_double[i]] == (multiples[0] if multiples else v)
+            assert rrs._res_position[v] == i
+
+    # the pairing reads one coordinate per orbit, so a cocharacter that theta
+    # does not fix is refused rather than paired
+    def test_pairing_refuses_a_cocharacter_theta_does_not_fix(self):
+        d = build_root_datum([("A", 3)])
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, [2, 1, 0]))
+        assert rrs.pair_restricted((1, 0), (1, 0, 1)) == 1
+        for cochar in ((1, 0, 0), (0, 0, 1), (1, 1, 2)):
+            with pytest.raises(RootDatumError, match="cocharacter is not theta-fixed"):
+                rrs.pair_restricted((1, 0), cochar)
+
     @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
     def test_levi_roots_are_the_support_scan(self, label, families, perm):
         d = build_root_datum(families)

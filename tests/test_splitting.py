@@ -27,6 +27,8 @@ from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
                                 sample_h_twisted, verify_borel_independence)
 from splitinv.tits import TitsElement, TorusElement
 
+import coord_adata
+
 ONE = Fraction(1)
 
 
@@ -95,6 +97,29 @@ class TestADatum:
                                   ONE, Fraction(1, 2))
         with pytest.raises(ADataError, match="different root data"):
             ad.validate_equivariant(DescentDatum(other, 1, other.identity_weyl()))
+
+    # a-data are invertible coefficients given as a dict: anything else is
+    # refused naming the values, a bad value naming its root
+    @pytest.mark.parametrize("values", [None, [1, 2], 5])
+    def test_values_must_be_a_dict(self, values):
+        with pytest.raises(ADataError, match="values must map root coordinates"):
+            ADatum(values, ONE, Fraction(1, 2), self.d)
+        with pytest.raises(ADataError, match="values must map root coordinates"):
+            ADatum.from_positive(self.d, values, ONE, Fraction(1, 2))
+
+    @pytest.mark.parametrize("bad", ["x", None, 0, Fraction(0), QuadField(5).zero()])
+    def test_a_value_must_be_an_invertible_coefficient(self, bad):
+        pos = {(1, 0): ONE, (0, 1): bad, (1, 1): ONE}
+        message = f"a-datum at (0, 1) is {bad!r}, not an invertible coefficient"
+        with pytest.raises(ADataError, match=re.escape(message)):
+            ADatum.from_positive(self.d, pos, ONE, Fraction(1, 2))
+        with pytest.raises(ADataError, match=re.escape(message)):
+            ADatum({**pos, (-1, 0): -ONE, (0, -1): ONE, (-1, -1): -ONE},
+                   ONE, Fraction(1, 2), self.d)
+
+    def test_restricted_a_value_must_be_invertible(self):
+        with pytest.raises(ADataError, match=re.escape("a-datum at (2,) is 0")):
+            ADatum.restricted_from_positive(self.rrs, {(1,): ONE, (2,): 0}, ONE, Fraction(1, 2))
 
     @pytest.mark.parametrize("system", [None, "restricted"])
     def test_system_must_be_a_root_system(self, system):
@@ -192,7 +217,7 @@ class TestDescentDatum:
         desc = desc.with_field_action(action)
         assert desc.field_action is action and action.order == action_order
         for k in range(-1, 2 * order + 1):
-            for v in adata.values.values():
+            for v in adata.values:
                 want = v
                 for _ in range(k % order):
                     want = action(want)
@@ -886,8 +911,8 @@ class TestSymbolicAData:
         for desc in descents:
             adata, action = _symbolic_adata(d, desc, theta)
             values, mapping = _canon_symbolic(d, desc, theta)
-            assert list(adata.values) == [r.coords for r in d.roots]
-            assert {c: (u.sign, u.exps) for c, u in adata.values.items()} == \
+            assert len(adata.values) == len(d.roots)
+            assert {r.coords: (adata[r.coords].sign, adata[r.coords].exps) for r in d.roots} == \
                 {c: (sgn, ((sym, 1),)) for c, (sgn, sym) in values.items()}
             assert action.mapping == mapping
 
@@ -922,7 +947,8 @@ def _census_case(d, theta, rrs, omega, f, rng):
     # a_c -> value[c] maps the symbolic a-data onto the pulled-back values,
     # one value per class up to sign, and the symbolic action onto conjugation
     full, value = spec.pullback(), {}
-    for coords, unit in sym.values.items():
+    for coords in (r.coords for r in d.roots):
+        unit = sym[coords]
         (name, _), = unit.exps
         assert value.setdefault(name, unit.sign * full[coords]) == unit.sign * full[coords]
     for name, (sign, image) in sym_desc.field_action.mapping.items():
@@ -946,3 +972,93 @@ def test_census_of_involutions(name, families, perm):
             failures.append(((name, omega.word), repr(exc)))
     assert failures == []
     assert len(involutions) == CENSUS_INVOLUTIONS[name]
+
+
+# ---------------------------------------------------------------------------
+# a-data by index against the coordinate-dict reference
+# ---------------------------------------------------------------------------
+
+def _outcome(call):
+    """The ADataError message call raises, or None."""
+    try:
+        call()
+    except ADataError as exc:
+        return str(exc)
+    return None
+
+
+def _by_coords(adata, system):
+    return {v: adata[v] for v in coord_adata.key_order(system)}
+
+
+class TestAgainstCoordinateAData:
+    # the theta-fixed descents of TestSymbolicAData at order 2 over Q(sqrt 5):
+    # omega_T the longest element, 1, or a Levi's longest element
+    @staticmethod
+    def _cases(families, perm):
+        d = build_root_datum(families)
+        theta = PinnedAutomorphism(d, perm)
+        rrs = restrict_root_system(d, theta)
+        f = QuadField(5)
+        omegas = [d.longest_element(), d.identity_weyl()] + list(rrs.levi_longest.values())
+        return d, theta, rrs, f, [DescentDatum(d, 2, w, field_action=QuadConj(f))
+                                  for w in omegas]
+
+    @pytest.mark.parametrize("label,families,perm", SYMBOLIC_CASES)
+    def test_quad_adata_is_the_reference_value_by_value(self, label, families, perm):
+        d, theta, rrs, f, descents = self._cases(families, perm)
+        twist = None if theta.is_identity else theta
+        for n, desc in enumerate(descents):
+            for system, special in ((d, False), (rrs, False), (rrs, True)):
+                got = equivariant_quad_adata(system, desc, f, random.Random(n), special, twist)
+                want = coord_adata.quad_adata(system, desc, f, random.Random(n), special, twist)
+                assert _by_coords(got, system) == want
+
+    @pytest.mark.parametrize("label,families,perm", SYMBOLIC_CASES)
+    def test_translate_pullback_tilde_and_specialness(self, label, families, perm):
+        d, theta, rrs, f, descents = self._cases(families, perm)
+        fixed = rrs.fixed_weyl_subgroup()
+        for n, desc in enumerate(descents):
+            full = equivariant_quad_adata(d, desc, f, random.Random(n),
+                                          theta=None if theta.is_identity else theta)
+            values = _by_coords(full, d)
+            for mu in fixed:
+                assert _by_coords(full.translate(mu), d) == coord_adata.translate(values, mu)
+            for special in (False, True):
+                res = equivariant_quad_adata(rrs, desc, f, random.Random(n), special)
+                values = _by_coords(res, rrs)
+                assert res.is_special() == coord_adata.is_special(values, rrs)
+                assert _by_coords(res.pullback(), d) == coord_adata.pullback(values, rrs)
+                if special:
+                    halved = coord_adata.tilde(values, rrs, f.half())
+                    assert _by_coords(res.tilde(), rrs) == halved
+                    assert res.tilde().is_special() == coord_adata.is_special(halved, rrs)
+
+    # valid data passes both checks, and with the values at one root and its
+    # negative doubled (the negation rule still holds) both sides refuse
+    # alike, naming the same root: the reference dicts are in key order
+    @pytest.mark.parametrize("label,families,perm", SYMBOLIC_CASES)
+    def test_validation_refuses_the_same_corruptions(self, label, families, perm):
+        d, theta, rrs, f, descents = self._cases(families, perm)
+        twist = None if theta.is_identity else theta
+        refused = 0
+        for n, desc in enumerate(descents):
+            for system, special in ((d, False), (rrs, True)):
+                valid = _by_coords(equivariant_quad_adata(system, desc, f, random.Random(n),
+                                                          special, twist), system)
+                for key in [None] + [v for v in valid if max(v) > 0]:
+                    values = dict(valid)
+                    if key is not None:
+                        values[key], values[coord_adata.negate(key)] = \
+                            2 * values[key], 2 * values[coord_adata.negate(key)]
+                    adata = ADatum(values, f.one(), f.half(), system)
+                    got = _outcome(lambda: adata.validate_equivariant(desc))
+                    assert got == _outcome(
+                        lambda: coord_adata.validate_equivariant(values, system, desc))
+                    refused += got is not None
+                    assert key is not None or got is None
+                    if system is d and twist is not None:
+                        got = _outcome(lambda: adata.validate_twisted(theta))
+                        assert got == _outcome(lambda: coord_adata.validate_twisted(values, theta))
+                        assert key is not None or got is None
+        assert refused
