@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -25,6 +24,9 @@ from .suites import CheckRecord, run_suite
 
 
 def _digest(obj) -> str:
+    # imported here: hashlib loads OpenSSL (about 3.7 MiB resident), and only
+    # reports need it, not every importer of this module
+    import hashlib
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 

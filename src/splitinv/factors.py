@@ -1,12 +1,19 @@
 """Endoscopic sign data on restricted roots, the membership predicate for
 the endoscopic coroot system, the a-data change sign, and the formal
-exponent calculus for the corrected transfer-factor variants."""
+exponent calculus for the corrected transfer-factor variants.
+
+Sign data is keyed by restricted-root index, as a-data is: each Galois
+orbit carries its restricted indices, the values are read once into
+integer exponent pairs in index order, the inverse check compares those
+integers, and the sign readers go through the table of symmetric orbits
+that the constructor builds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 from .coeffs import LocalPlace, quad_norm_sign
 from .errors import FactorError
@@ -22,6 +29,8 @@ from .splitting import DescentDatum
 class RestrictedOrbit:
     members: Tuple[tuple, ...]
     symmetric: bool
+    # the members' restricted indices, in the same (ascending) order
+    indices: Tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def representative(self) -> tuple:
@@ -30,15 +39,19 @@ class RestrictedOrbit:
 
 def restricted_galois_orbits(rrs: RestrictedRootSystem,
                              descent: DescentDatum) -> Tuple[RestrictedOrbit, ...]:
-    """Orbits of the Galois action on restricted roots; an orbit is symmetric
-    when it contains the negative of each member."""
-    acts = [descent.restricted_action(k, rrs) for k in range(descent.order)]
+    """Orbits of the Galois action on restricted roots, each once, in order of
+    its least index; an orbit is symmetric when it contains the negative of
+    each member, that is, of one member, since the action is linear."""
+    acts = [descent.restricted_action(k, rrs) for k in range(1, descent.order)]
     keys, negation = rrs._res_roots, rrs._res_negation
-    orbits = [{act[i] for act in acts} for i in range(len(keys))]
-    # each orbit once, at its least index: in sorted order of least members
-    return tuple(RestrictedOrbit(tuple(keys[w].coords for w in sorted(orbit)),
-                                 all(negation[w] in orbit for w in orbit))
-                 for i, orbit in enumerate(orbits) if min(orbit) == i)
+    out, seen = [], set()
+    for i in range(len(keys)):
+        if i not in seen:
+            orbit = tuple(sorted({i, *(act[i] for act in acts)}))
+            seen.update(orbit)
+            out.append(RestrictedOrbit(tuple(keys[w].coords for w in orbit),
+                                       negation[i] in orbit, orbit))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -108,41 +121,73 @@ def _new_root(e: Fraction) -> RootOfUnity:
 
 class EndoscopicSignDatum:
     """The values of the orbit-summed coroots on the endoscopic sign element,
-    together with a local quadratic extension for every symmetric orbit."""
+    together with a local quadratic extension for every symmetric orbit.
+
+    The constructor reads the values once into exponent pairs (numerator,
+    denominator) in restricted-index order, checks them there, and keeps
+    for each symmetric orbit the row (orbit, divisible, comes from the
+    endoscopic group, place) that the sign readers below go through."""
 
     def __init__(self, rrs: RestrictedRootSystem, descent: DescentDatum,
                  values: Mapping[tuple, RootOfUnity],
                  places: Mapping[Tuple[tuple, ...], LocalPlace]):
         self.rrs = rrs
         self.descent = descent
+        self.values = _rekeyed("values", values, tuple)
+        self.places = _rekeyed("places", places, lambda k: tuple(sorted(k)))
         self.orbits = restricted_galois_orbits(rrs, descent)
-        self.values = {tuple(k): v for k, v in values.items()}
-        self.places = {tuple(sorted(k)): p for k, p in places.items()}
         self._validate()
 
     def _validate(self):
-        rrs = self.rrs
-        for v in rrs.restricted:
-            if v not in self.values:
-                raise FactorError(f"missing sign value at restricted root {v}")
-        for v, val in self.values.items():
-            if v not in rrs.restricted:
-                raise FactorError(f"sign value at {v}, which is not a restricted root")
-            neg = tuple(-c for c in v)
-            if self.values[neg] != val.inv():
-                raise FactorError(f"sign values at {v} and {neg} are not inverse")
+        res, values = self.rrs._res_roots, self.values
+        for rr in res:
+            if rr.coords not in values:
+                raise FactorError(f"missing sign value at restricted root {rr.coords}")
+        row = [values[rr.coords] for rr in res]
+        if len(values) != len(res) or not all(isinstance(v, RootOfUnity) for v in row):
+            self._raise_key_fault()
+        # the value at -beta is the inverse of the one at beta: f = -e mod 1
+        exps = [(v.exponent.numerator, v.exponent.denominator) for v in row]
+        inverse = [(-n % d, d) for n, d in exps]
+        if not all(inverse[i] == exps[j] for i, j in enumerate(self.rrs._res_negation)
+                   if i < j):
+            self._raise_key_fault()
+        symmetric = []
         for orbit in self.orbits:
-            vals = {self.values[w] for w in orbit.members}
+            vals = {exps[w] for w in orbit.indices}
             if len(vals) != 1:
                 raise FactorError(f"sign value not constant on the orbit {orbit.members}")
-            val = vals.pop()
             if orbit.symmetric:
-                if not (val.is_one or val.is_minus_one):
+                val = vals.pop()
+                if val not in (_ONE, _MINUS_ONE):
                     raise FactorError(
                         f"value on the symmetric orbit {orbit.members} is not a sign")
                 if orbit.members not in self.places:
                     raise FactorError(
                         f"symmetric orbit {orbit.members} carries no local place")
+                place = self.places[orbit.members]
+                if not isinstance(place, LocalPlace):
+                    raise FactorError(f"places: the place of the symmetric orbit "
+                                      f"{orbit.members} is {place!r}, not a LocalPlace")
+                divisible = res[orbit.indices[0]].rtype == R3
+                from_h = val == (_MINUS_ONE if divisible else _ONE)
+                symmetric.append((orbit, divisible, from_h, place))
+        self._symmetric = tuple(symmetric)
+
+    def _raise_key_fault(self):
+        """The first fault of the key, type and inverse checks, in the order
+        of the values: called only once one of them has failed."""
+        restricted, values = self.rrs.restricted, self.values
+        for v, val in values.items():
+            if v not in restricted:
+                raise FactorError(f"sign value at {v}, which is not a restricted root")
+            if not isinstance(val, RootOfUnity):
+                raise FactorError(f"values: the sign value at {v} is {val!r}, "
+                                  f"not a RootOfUnity")
+            neg = tuple(-c for c in v)
+            if values[neg] != val.inv():
+                raise FactorError(f"sign values at {v} and {neg} are not inverse")
+        raise AssertionError("no key fault found")
 
     def value(self, beta) -> RootOfUnity:
         try:
@@ -155,6 +200,20 @@ class EndoscopicSignDatum:
 
     def symmetric_orbits(self) -> Tuple[RestrictedOrbit, ...]:
         return tuple(o for o in self.orbits if o.symmetric)
+
+
+_ONE, _MINUS_ONE = (0, 1), (1, 2)   # the exponent pairs of 1 and -1
+
+
+def _rekeyed(name: str, mapping, key) -> dict:
+    """A copy of the mapping with each key passed through key; FactorError
+    naming the argument when it is no mapping or a key does not convert."""
+    if not isinstance(mapping, Mapping):
+        raise FactorError(f"{name}: need a mapping, got {type(mapping).__name__}")
+    try:
+        return {key(k): v for k, v in mapping.items()}
+    except TypeError as exc:
+        raise FactorError(f"{name}: a key is not a tuple of coordinates ({exc})") from None
 
 
 def comes_from_h(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum,
@@ -174,18 +233,16 @@ def adata_change_sign(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum
     """The sign picked up by the refined first factor when the a-data is
     multiplied by b: the product of the local norm-sign characters of b over
     the symmetric orbits that are (divisible and from the endoscopic group)
-    or (indivisible and not from it)."""
+    or (indivisible and not from it).  The orbits' types and values are
+    those of the sign datum's own restricted root system."""
     out = 1
-    for orbit in sign_datum.symmetric_orbits():
-        beta = orbit.representative
-        divisible = rrs.rtype(beta) == R3
-        member = comes_from_h(rrs, sign_datum, beta)
-        if divisible != member:
+    for orbit, divisible, from_h, place in sign_datum._symmetric:
+        if divisible != from_h:
             continue
         b_val = _orbit_value(b, orbit)
         if b_val == 0:
             raise FactorError(f"zero a-data multiplier on {orbit.members}")
-        out *= quad_norm_sign(b_val, sign_datum.place(orbit))
+        out *= quad_norm_sign(b_val, place)
     return out
 
 
@@ -203,13 +260,9 @@ def delta_i_ratio(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum) ->
     the norm-sign characters of 2 over the symmetric divisible orbits coming
     from the endoscopic group."""
     out = 1
-    for orbit in sign_datum.symmetric_orbits():
-        beta = orbit.representative
-        if rrs.rtype(beta) != R3:
-            continue
-        if not comes_from_h(rrs, sign_datum, beta):
-            continue
-        out *= quad_norm_sign(2, sign_datum.place(orbit))
+    for _, divisible, from_h, place in sign_datum._symmetric:
+        if divisible and from_h:
+            out *= quad_norm_sign(2, place)
     return out
 
 

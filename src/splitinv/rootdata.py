@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -625,15 +626,20 @@ class RestrictedRootSystem:
         # fundamental-weight basis of X*(T), so the quotient is free on the
         # theta-orbits, with restrict_weight as the quotient map.
         self._build_roots()
-        # image of each simple restricted reflection in Omega^theta: the
-        # longest element of the Levi attached to the restricted line
-        self.levi_longest: Dict[Vec, WeylElement] = {}
+        self._fixed_weyl_cache: Optional[Tuple[WeylElement, ...]] = None
+
+    @cached_property
+    def levi_longest(self) -> Dict[Vec, WeylElement]:
+        """The image of each simple restricted reflection in Omega^theta: the
+        longest element of the Levi attached to the restricted line, by
+        simple restricted root, built and checked theta-fixed on first read."""
+        out = {}
         for beta in self.simple_restricted:
             w = levi_component(self, beta).longest
-            if not theta.commutes_with(w):
+            if not self.theta.commutes_with(w):
                 raise RootDatumError("restricted reflection image not theta-fixed")
-            self.levi_longest[beta] = w
-        self._fixed_weyl_cache: Optional[Tuple[WeylElement, ...]] = None
+            out[beta] = w
+        return out
 
     # restriction of a character given by fundamental-weight coordinates
     # (the quotient map onto the coinvariant lattice in orbit coordinates)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splitinv import cli, suites
+from splitinv import cli, rootdata, suites
 from splitinv.cli import main
 from splitinv.rootdata import (PinnedAutomorphism, RestrictedRootSystem, build_root_datum,
                                restrict_root_system)
@@ -448,6 +448,17 @@ class TestRestrict:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["fixed_weyl_order"] == 8
 
+    def test_reads_no_levi_component(self, tmp_path, capsys, monkeypatch):
+        # the Levi longest elements are built on first read, and restrict
+        # reports only the restricted roots and |W^theta|
+        def broken(rrs, beta):
+            raise AssertionError("Levi component built")
+
+        monkeypatch.setattr(rootdata, "levi_component", broken)
+        path = write(tmp_path, {"datum": [["A", 5]], "theta": {"perm": [5, 4, 3, 2, 1]}})
+        assert main(["restrict", path]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["fixed_weyl_order"] == 48
+
     def test_a13_flip_order_from_the_restricted_type(self, tmp_path, capsys, monkeypatch):
         # C7: 2^7 * 7! = 645120 elements, reported without enumerating them
         def broken(self):
@@ -465,6 +476,18 @@ class TestRestrict:
                                 "theta": {"perm": list(range(9, 0, -1))}})
         assert main(["restrict", path]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["fixed_weyl_order"] == 3840
+
+
+def test_import_loads_no_openssl():
+    # hashlib is imported where a report digest is made: every importer of
+    # the module would otherwise hold OpenSSL's libcrypto resident
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, splitinv.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestFileErrors:

@@ -20,6 +20,8 @@ from splitinv.rootdata import (PinnedAutomorphism, build_root_datum,
                                restrict_root_system)
 from splitinv.splitting import DescentDatum
 
+import sign_reference as ref
+
 ONE, MINUS = RootOfUnity.one(), RootOfUnity.minus_one()
 
 
@@ -107,6 +109,188 @@ class TestSignDatum:
         values = {(1,): ONE, (-1,): ONE, (2,): MINUS, (-2,): MINUS}
         with pytest.raises(FactorError):
             EndoscopicSignDatum(rrs, desc, values, {})
+
+
+class TestSignDatumRefusals:
+    """Every malformed argument ends in FactorError at construction, naming
+    the argument, or the root or orbit concerned."""
+
+    def _inputs(self):
+        rrs, desc = a2_flip_setup()
+        values = {(1,): ONE, (-1,): ONE, (2,): MINUS, (-2,): MINUS}
+        places = {o.members: LocalPlace.padic(5, 2)
+                  for o in restricted_galois_orbits(rrs, desc)}
+        return rrs, desc, values, places
+
+    def test_values_none(self):
+        rrs, desc, _, places = self._inputs()
+        with pytest.raises(FactorError, match="^values: need a mapping, got NoneType$"):
+            EndoscopicSignDatum(rrs, desc, None, places)
+
+    def test_places_none(self):
+        rrs, desc, values, _ = self._inputs()
+        with pytest.raises(FactorError, match="^places: need a mapping, got NoneType$"):
+            EndoscopicSignDatum(rrs, desc, values, None)
+
+    def test_fraction_value(self):
+        rrs, desc, values, places = self._inputs()
+        values[(1,)] = Fraction(1, 2)
+        with pytest.raises(FactorError, match=re.escape(
+                "values: the sign value at (1,) is Fraction(1, 2), not a RootOfUnity")):
+            EndoscopicSignDatum(rrs, desc, values, places)
+
+    def test_int_value(self):
+        rrs, desc, values, places = self._inputs()
+        values[(2,)] = 1
+        with pytest.raises(FactorError, match=re.escape(
+                "values: the sign value at (2,) is 1, not a RootOfUnity")):
+            EndoscopicSignDatum(rrs, desc, values, places)
+
+    def test_str_place(self):
+        rrs, desc, values, places = self._inputs()
+        places[((-2,), (2,))] = "5"
+        with pytest.raises(FactorError, match=re.escape(
+                "places: the place of the symmetric orbit ((-2,), (2,)) is '5', "
+                "not a LocalPlace")):
+            EndoscopicSignDatum(rrs, desc, values, places)
+
+    @pytest.mark.parametrize("name", ["values", "places"])
+    def test_key_that_is_no_tuple(self, name):
+        rrs, desc, values, places = self._inputs()
+        args = {"values": values, "places": places}
+        args[name][7] = None
+        with pytest.raises(FactorError, match=f"^{name}: a key is not a tuple"):
+            EndoscopicSignDatum(rrs, desc, **args)
+
+
+PLACE_POOL = (LocalPlace.real(-1), LocalPlace.padic(2, 5), LocalPlace.padic(2, -1),
+              LocalPlace.padic(3, -1), LocalPlace.padic(5, 2), LocalPlace.padic(7, 3))
+ZETA3, ZETA6 = RootOfUnity.make(Fraction(1, 3)), RootOfUnity.make(Fraction(1, 6))
+
+
+@pytest.fixture(scope="module")
+def flip_descents():
+    """(rrs, descent) on the A2, A4 and A6 flips, for omega_T = w0 and for
+    the Levi longest element of the first simple restricted root."""
+    out = []
+    for n in (2, 4, 6):
+        d = build_root_datum([("A", n)])
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, list(range(n - 1, -1, -1))))
+        for w in (d.longest_element(), rrs.levi_longest[rrs.simple_restricted[0]]):
+            out.append((rrs, DescentDatum(d, 2, w)))
+    return out
+
+
+def _random_sign_data(rng, orbits):
+    values, places = {}, {}
+    for members, symmetric in orbits:
+        if members[0] in values:
+            continue
+        val = rng.choice((ONE, MINUS)) if symmetric else \
+            RootOfUnity.make(Fraction(rng.randrange(6), 6))
+        for w in members:
+            values[w] = val
+            values[tuple(-c for c in w)] = val.inv()
+        if symmetric:
+            places[members] = rng.choice(PLACE_POOL)
+    return values, places
+
+
+def _drop_key(rng, orbits, values, places):
+    del values[rng.choice(sorted(values))]
+
+
+def _extra_key(rng, orbits, values, places):
+    # three times a root and its negative, their values not inverse
+    items = list(values.items())
+    v = tuple(3 * c for c in items[0][0])
+    for key, val in ((v, ONE), (tuple(-c for c in v), ZETA6)):
+        items.insert(rng.randrange(len(items) + 1), (key, val))
+    values.clear()
+    values.update(items)
+
+
+def _broken_inverse(rng, orbits, values, places):
+    v = rng.choice(sorted(values))
+    values[v] = values[v] * ZETA6
+
+
+def _non_constant_orbit(rng, orbits, values, places):
+    members = rng.choice([m for m, _ in orbits if len(m) > 1] or [m for m, _ in orbits])
+    w = rng.choice(members)
+    values[w] = values[w] * ZETA3
+    values[tuple(-c for c in w)] = values[w].inv()
+
+
+def _zeta3_on_symmetric(rng, orbits, values, places):
+    for w in rng.choice([m for m, sym in orbits if sym]):
+        values[w] = ZETA3
+
+
+def _missing_place(rng, orbits, values, places):
+    del places[rng.choice(sorted(places))]
+
+
+CORRUPTIONS = (_drop_key, _extra_key, _broken_inverse, _non_constant_orbit,
+               _zeta3_on_symmetric, _missing_place)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except FactorError as exc:
+        return "FactorError", str(exc)
+
+
+class TestAgainstCoordinateReference:
+    """The index-keyed sign datum against the coordinate-keyed rules of
+    ``sign_reference``: the same orbits, and on random and corrupted sign
+    data the same signs or FactorError with the same message."""
+
+    def test_orbits(self, flip_descents):
+        for rrs, desc in flip_descents:
+            orbits = restricted_galois_orbits(rrs, desc)
+            assert [(o.members, o.symmetric) for o in orbits] == list(ref.galois_orbits(rrs, desc))
+            for o in orbits:
+                assert o.members == tuple(rrs._res_roots[i].coords for i in o.indices)
+
+    @pytest.mark.parametrize("corrupt", [None, *CORRUPTIONS, "two"],
+                             ids=lambda c: c if isinstance(c, str) or c is None
+                             else c.__name__.strip("_"))
+    def test_same_signs_or_same_fault(self, flip_descents, corrupt):
+        rng = random.Random(corrupt if isinstance(corrupt, str) else
+                            getattr(corrupt, "__name__", "clean"))
+        for rrs, desc in flip_descents:
+            orbits = ref.galois_orbits(rrs, desc)
+            half = half_on_divisible(rrs)
+            for _ in range(12):
+                values, places = _random_sign_data(rng, orbits)
+                steps = rng.sample(CORRUPTIONS, 2) if corrupt == "two" else \
+                    [corrupt] if corrupt else []
+                for step in steps:
+                    step(rng, orbits, values, places)
+                b = {}
+                for members, _ in orbits:
+                    x = Fraction(rng.randint(0 if rng.random() < 0.1 else 1, 12),
+                                 rng.randint(1, 12))
+                    b.update((w, x) for w in members)
+
+                def new():
+                    sd = EndoscopicSignDatum(rrs, desc, dict(values), dict(places))
+                    return (delta_i_ratio(rrs, sd), adata_change_sign(rrs, sd, half),
+                            _outcome(lambda: adata_change_sign(rrs, sd, b)))
+
+                def old():
+                    ref.validate(rrs, orbits, values, places)
+                    return (ref.delta_i_ratio(rrs, orbits, values, places),
+                            ref.adata_change_sign(rrs, orbits, values, places, half),
+                            _outcome(lambda: ref.adata_change_sign(rrs, orbits, values,
+                                                                   places, b)))
+
+                got, want = _outcome(new), _outcome(old)
+                assert got == want, (steps, values, places)
+                if corrupt != "two":   # two corruptions may undo each other
+                    assert (got[0] == "FactorError") == (corrupt is not None)
 
 
 class TestComesFromH:
