@@ -12,12 +12,13 @@ Three kinds of scalars are used throughout the package:
   (a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1 (Cohen, A Course in
   Computational Algebraic Number Theory, 4.2): sums and products run on
   plain ints with one gcd each, and the normal form is unique, so equality
-  compares integers.  ``matoracle.mat_mul`` multiplies Q(sqrt(d)) matrices
-  on those integers: it reads a QuadNum's integers in place (``quad_parts``
-  for an int or a Fraction entry) and builds each nonzero result entry in
-  place with one gcd, as ``_reduced`` does;
+  compares integers (``matoracle.mat_mul`` multiplies on them in place);
 * the sign characters of local class field theory for quadratic extensions,
   computed through the Hilbert symbol over Q_p and R.
+
+An exact number is an int that is not a bool, or a Fraction; nothing else is
+read.  Q, Q(sqrt(d)) and F_p convert through ``_rational``, ``_quad`` and
+``_fp``, which ``embed``, the operators and ``quad_parts`` call.
 """
 
 from __future__ import annotations
@@ -25,11 +26,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import CoefficientError, PlaceError
 
 Rat = Union[int, Fraction]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x) -> bool:
+    return isinstance(x, Fraction) or _is_int(x)
+
+
+def _rational(x, error, what: str = "value") -> Fraction:
+    """x as a Fraction, or error naming x when it is not an exact number."""
+    if not _is_rational(x):
+        raise error(f"need a rational {what} (an int or a Fraction), got {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,38 +209,34 @@ class RationalField:
         return Fraction(1)
 
     def embed(self, x: Rat):
-        return Fraction(x)
+        return _rational(x, CoefficientError)
 
     def half(self):
         return Fraction(1, 2)
 
 
 class _FieldElement:
-    """The operators an exact field element derives from its class's
-    ``_coerce`` (an element of the same field, an int or a Fraction as one,
-    else None), ``__add__``, ``__neg__``, ``__mul__`` and ``inv``."""
+    """The operators an exact field element derives from its class's ``_coerce``
+    (its field's conversion, None for a foreign type), ``__add__``, ``__neg__``,
+    ``__mul__`` and ``inv``; none re-enters the operator protocol."""
 
     __slots__ = ()
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rmul__(self, other):
-        return self * other
 
     def __sub__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else self * o.inv()
 
     def __rtruediv__(self, other):
-        return self.inv() * other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inv()
 
 
 class QuadNum(_FieldElement):
@@ -239,9 +251,9 @@ class QuadNum(_FieldElement):
     __slots__ = ("_v",)  # the tuple (a, b, c, d)
 
     def __new__(cls, u: Rat, v: Rat, d: int) -> "QuadNum":
-        if isinstance(d, bool) or not isinstance(d, int):   # as PrimeField checks p
+        if not _is_int(d):
             raise CoefficientError(f"d={d!r} is not an integer")
-        u, v = Fraction(u), Fraction(v)
+        u, v = _rational(u, CoefficientError), _rational(v, CoefficientError)
         return _reduced(u.numerator * v.denominator, v.numerator * u.denominator,
                         u.denominator * v.denominator, d)
 
@@ -268,15 +280,7 @@ class QuadNum(_FieldElement):
         return Fraction(self._v[1], self._v[2])
 
     def _coerce(self, other):
-        if isinstance(other, QuadNum):
-            if other._v[3] != self._v[3]:
-                raise CoefficientError("mixed quadratic extensions")
-            return other
-        if isinstance(other, int):
-            return _new_quad(other, 0, 1, self._v[3])
-        if isinstance(other, Fraction):
-            return _new_quad(other.numerator, 0, other.denominator, self._v[3])
-        return None
+        return _quad(other, self._v[3])
 
     # zero operands return at once: most entries of the oracle's matrices
     # are zero
@@ -306,6 +310,8 @@ class QuadNum(_FieldElement):
         if not (oa or ob):
             return o
         return _reduced(a * oa + d * b * ob, a * ob + b * oa, c * oc, d)
+
+    __radd__, __rmul__ = __add__, __mul__     # both commute
 
     def __neg__(self):
         a, b, c, d = self._v
@@ -374,19 +380,25 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadNum:
     return _new_quad(a, b, c, d)
 
 
-def quad_parts(x, d: int) -> Tuple[int, int, int, int]:
-    """The integers (a, b, c, d) of x as an element of Q(sqrt(d)): a QuadNum
-    as stored, an int or a Fraction as a rational (b = 0).  Raises
-    CoefficientError for a QuadNum of another d."""
+def _quad(x, d: int) -> Optional[QuadNum]:
+    """x in Q(sqrt(d)), or None for a foreign type; CoefficientError for another d."""
     if isinstance(x, QuadNum):
         if x._v[3] != d:
             raise CoefficientError("mixed quadratic extensions")
-        return x._v
-    if isinstance(x, int):
-        return (x, 0, 1, d)
-    if isinstance(x, Fraction):
-        return (x.numerator, 0, x.denominator, d)
-    raise CoefficientError(f"{x!r} is not an element of Q(sqrt({d}))")
+        return x
+    return _new_quad(x.numerator, 0, x.denominator, d) if _is_rational(x) else None
+
+
+def _embedded(x, y, name: str):
+    """y, a field's conversion of x; CoefficientError naming x if it is None."""
+    if y is None:
+        raise CoefficientError(f"{x!r} is not an element of {name}")
+    return y
+
+
+def quad_parts(x, d: int) -> Tuple[int, int, int, int]:
+    """The integers (a, b, c, d) of x as an element of Q(sqrt(d))."""
+    return _embedded(x, _quad(x, d), f"Q(sqrt({d}))")._v
 
 
 class QuadField:
@@ -409,11 +421,7 @@ class QuadField:
         return self._one
 
     def embed(self, x):
-        if isinstance(x, QuadNum):
-            if x.d != self.d:
-                raise CoefficientError("mixed quadratic extensions")
-            return x
-        return QuadNum(x, 0, self.d)
+        return _embedded(x, _quad(x, self.d), self.name)
 
     def gen(self):
         return _new_quad(0, 1, 1, self.d)
@@ -427,46 +435,41 @@ class QuadField:
 
 @dataclass(frozen=True)
 class Fp(_FieldElement):
-    """Element of the prime field F_p, p odd."""
+    """Element 0 <= v < p of F_p, p odd: the constructor checks it, results build in place."""
 
     v: int
     p: int
 
+    def __post_init__(self):
+        _check_prime(self.p, CoefficientError, odd=True)
+        if not (_is_int(self.v) and 0 <= self.v < self.p):
+            raise CoefficientError(f"need an int v with 0 <= v < p={self.p}, got {self.v!r}")
+
     def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise CoefficientError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return Fp(other % self.p, self.p)
-        if isinstance(other, Fraction):
-            return _fraction_mod(other, self.p)
-        return None
+        return _fp(other, self.p)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp((self.v + o.v) % self.p, self.p)
+        return NotImplemented if o is None else _new_fp((self.v + o.v) % self.p, self.p)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp((self.v * o.v) % self.p, self.p)
+        return NotImplemented if o is None else _new_fp(self.v * o.v % self.p, self.p)
+
+    __radd__, __rmul__ = __add__, __mul__     # both commute
 
     def __neg__(self):
-        return Fp((-self.v) % self.p, self.p)
+        return _new_fp((-self.v) % self.p, self.p)
 
     def inv(self) -> "Fp":
         if self.v == 0:
             raise CoefficientError("inverse of zero in F_p")
-        return Fp(pow(self.v, -1, self.p), self.p)
+        return _new_fp(pow(self.v, -1, self.p), self.p)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        return Fp(pow(self.v, k, self.p), self.p)
+        return _new_fp(pow(self.v, k, self.p), self.p)
 
     def __eq__(self, other):
         # only elements of the same field compare equal: an int equal to
@@ -485,11 +488,25 @@ class Fp(_FieldElement):
         return f"{self.v}(mod {self.p})"
 
 
-def _fraction_mod(x: Fraction, p: int) -> Fp:
-    """The image of x in F_p, which exists when p does not divide its denominator."""
+def _new_fp(v: int, p: int) -> Fp:
+    """The Fp v (mod p) of a v already in normal form."""
+    x = object.__new__(Fp)
+    object.__setattr__(x, "v", v)
+    object.__setattr__(x, "p", p)
+    return x
+
+
+def _fp(x, p: int) -> Optional[Fp]:
+    """x in F_p, or None for a foreign type; CoefficientError for another p."""
+    if isinstance(x, Fp):
+        if x.p != p:
+            raise CoefficientError("mixed prime fields")
+        return x
+    if not _is_rational(x):
+        return None
     if x.denominator % p == 0:
         raise CoefficientError(f"{x} has no image in F_{p}: p={p} divides its denominator")
-    return Fp(x.numerator * pow(x.denominator, -1, p) % p, p)
+    return _new_fp(x.numerator * pow(x.denominator, -1, p) % p, p)
 
 
 class PrimeField:
@@ -497,35 +514,34 @@ class PrimeField:
     constructions downstream divide by 2."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise CoefficientError(f"p={p!r} is not an integer")
-        if p == 2:
-            raise CoefficientError("characteristic 2 not supported: 2 is not invertible")
-        if p >= PRIME_BOUND:
-            raise CoefficientError(f"p={p} is not below the primality bound {PRIME_BOUND}")
-        if p < 3 or not _is_prime(p):
-            raise CoefficientError(f"p={p} is not an odd prime")
+        _check_prime(p, CoefficientError, odd=True)
         self.p = p
         self.char = p
         self.name = f"F_{p}"
 
     def zero(self):
-        return Fp(0, self.p)
+        return _new_fp(0, self.p)
 
     def one(self):
-        return Fp(1, self.p)
+        return _new_fp(1, self.p)
 
     def embed(self, x):
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise CoefficientError("mixed prime fields")
-            return x
-        if isinstance(x, Fraction):
-            return _fraction_mod(x, self.p)
-        return Fp(int(x) % self.p, self.p)
+        return _embedded(x, _fp(x, self.p), self.name)
 
     def half(self):
-        return Fp(pow(2, -1, self.p), self.p)
+        return _new_fp(pow(2, -1, self.p), self.p)
+
+
+def _check_prime(p, error, odd: bool = False) -> None:
+    """error naming p unless p is a prime int below PRIME_BOUND (and odd)."""
+    if not _is_int(p):
+        raise error(f"p={p!r} is not an integer")
+    if p >= PRIME_BOUND:
+        raise error(f"p={p} is not below the primality bound {PRIME_BOUND}")
+    if not _is_prime(p):
+        raise error(f"p={p} is not prime")
+    if odd and p == 2:
+        raise error("characteristic 2 not supported: 2 is not invertible")
 
 
 def _is_square_int(n: int) -> bool:
@@ -589,15 +605,10 @@ class LocalPlace:
     d: Optional[int] = None  # non-square class defining the extension
 
     def __post_init__(self):
-        p = self.p
-        if p is None:
-            return
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise PlaceError(f"p={p!r} is not an integer")
-        if p >= PRIME_BOUND:
-            raise PlaceError(f"p={p} is not below the primality bound {PRIME_BOUND}")
-        if not _is_prime(p):
-            raise PlaceError(f"p={p} is not prime")
+        if self.p is not None:
+            _check_prime(self.p, PlaceError)
+        if self.d is not None and not _is_int(self.d):
+            raise PlaceError(f"d={self.d!r} is not an integer")
 
     @staticmethod
     def real(d: Optional[int] = None) -> "LocalPlace":
@@ -650,7 +661,7 @@ def hilbert_symbol(a: Rat, b: Rat, place: LocalPlace) -> int:
     Returns +1 iff a is a norm from the quadratic etale algebra obtained by
     adjoining sqrt(b); symmetric and bimultiplicative.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a, PlaceError), _rational(b, PlaceError)
     if a == 0 or b == 0:
         raise PlaceError("Hilbert symbol requires nonzero arguments")
     if place.is_real:
@@ -680,7 +691,7 @@ def hilbert_symbol_bruteforce(a: Rat, b: Rat, place: LocalPlace) -> int:
     primitive solution of z^2 = a*x^2 + b*y^2 to sufficient p-adic precision
     (mod p^3 for odd p, mod 2^6 at p=2).
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a, PlaceError), _rational(b, PlaceError)
     if a == 0 or b == 0:
         raise PlaceError("Hilbert symbol requires nonzero arguments")
     if place.is_real:
@@ -728,7 +739,7 @@ def _int_val(n: int, p: int, cap: int) -> int:
 
 def is_square_at(x: Rat, place: LocalPlace) -> bool:
     """Whether x is a square in the completion at the place."""
-    x = Fraction(x)
+    x = _rational(x, PlaceError)
     if x == 0:
         raise PlaceError("square test of zero")
     if place.is_real:
@@ -752,7 +763,6 @@ def quad_norm_sign(x: Rat, place: LocalPlace) -> int:
         raise PlaceError("place carries no quadratic extension datum d")
     if is_square_at(place.d, place):
         raise PlaceError(f"d={place.d} is a square at {place}; extension is not quadratic")
-    x = Fraction(x)
-    if x == 0:
+    if _rational(x, PlaceError) == 0:
         raise PlaceError("sign character of zero")
     return hilbert_symbol(x, place.d, place)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .coeffs import LocalPlace, quad_norm_sign
+from .coeffs import LocalPlace, _rational, quad_norm_sign
 from .errors import FactorError
 from .rootdata import RestrictedRootSystem, R3
 from .splitting import DescentDatum
@@ -72,10 +72,9 @@ class RootOfUnity:
 
     @staticmethod
     def make(exponent) -> "RootOfUnity":
-        try:
-            e = Fraction(exponent)
-        except (TypeError, ValueError, OverflowError):
-            raise FactorError(f"need a rational exponent, got {exponent!r}") from None
+        """exp(2 pi i e) for an exact rational e, an int that is not a bool or a
+        Fraction, reduced mod 1; FactorError naming anything else."""
+        e = _rational(exponent, FactorError, "exponent")
         return _new_root(e - (e.numerator // e.denominator))
 
     @staticmethod
@@ -131,6 +130,12 @@ class EndoscopicSignDatum:
     def __init__(self, rrs: RestrictedRootSystem, descent: DescentDatum,
                  values: Mapping[tuple, RootOfUnity],
                  places: Mapping[Tuple[tuple, ...], LocalPlace]):
+        if not isinstance(rrs, RestrictedRootSystem):
+            raise FactorError(f"rrs: need a RestrictedRootSystem, got {type(rrs).__name__}")
+        if not isinstance(descent, DescentDatum):
+            raise FactorError(f"descent: need a DescentDatum, got {type(descent).__name__}")
+        if descent.datum.cartan != rrs.datum.cartan:
+            raise FactorError("descent: on another root datum than rrs (Cartan matrices differ)")
         self.rrs = rrs
         self.descent = descent
         self.values = _rekeyed("values", values, tuple)
@@ -216,10 +221,25 @@ def _rekeyed(name: str, mapping, key) -> dict:
         raise FactorError(f"{name}: a key is not a tuple of coordinates ({exc})") from None
 
 
+def _check_system(rrs, sign_datum: EndoscopicSignDatum) -> None:
+    """FactorError unless rrs is the sign datum's restricted root system, or
+    one rebuilt equal to it: the same Cartan matrix and theta permutation."""
+    if not isinstance(sign_datum, EndoscopicSignDatum):
+        raise FactorError(f"sign_datum: need an EndoscopicSignDatum, "
+                          f"got {type(sign_datum).__name__}")
+    own = sign_datum.rrs
+    if rrs is not own and not (isinstance(rrs, RestrictedRootSystem)
+                               and rrs.datum.cartan == own.datum.cartan
+                               and rrs.theta.perm == own.theta.perm):
+        raise FactorError("rrs: not the restricted root system of the sign datum "
+                          "(another Cartan matrix or theta permutation)")
+
+
 def comes_from_h(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum,
                  beta) -> bool:
     """Whether a restricted root contributes a coroot orbit to the endoscopic
     group: value +1 for indivisible types, value -1 for divisible ones."""
+    _check_system(rrs, sign_datum)
     beta = tuple(beta)
     rtype = rrs.rtype(beta)
     val = sign_datum.value(beta)
@@ -234,7 +254,8 @@ def adata_change_sign(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum
     multiplied by b: the product of the local norm-sign characters of b over
     the symmetric orbits that are (divisible and from the endoscopic group)
     or (indivisible and not from it).  The orbits' types and values are
-    those of the sign datum's own restricted root system."""
+    those of the sign datum's own restricted root system, which rrs must be."""
+    _check_system(rrs, sign_datum)
     out = 1
     for orbit, divisible, from_h, place in sign_datum._symmetric:
         if divisible != from_h:
@@ -247,7 +268,7 @@ def adata_change_sign(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum
 
 
 def _orbit_value(b: Mapping[tuple, Fraction], orbit: RestrictedOrbit) -> Fraction:
-    vals = {Fraction(b[w]) for w in orbit.members if w in b}
+    vals = {_rational(b[w], FactorError, "multiplier") for w in orbit.members if w in b}
     if not vals:
         raise FactorError(f"no multiplier given on the orbit {orbit.members}")
     if len(vals) != 1:
@@ -258,7 +279,8 @@ def _orbit_value(b: Mapping[tuple, Fraction], orbit: RestrictedOrbit) -> Fractio
 def delta_i_ratio(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum) -> int:
     """Ratio of the refined first factor to the classical one: the product of
     the norm-sign characters of 2 over the symmetric divisible orbits coming
-    from the endoscopic group."""
+    from the endoscopic group; rrs must be the sign datum's system."""
+    _check_system(rrs, sign_datum)
     out = 1
     for _, divisible, from_h, place in sign_datum._symmetric:
         if divisible and from_h:

@@ -13,7 +13,7 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .coeffs import QuadField, QuadNum, RationalField, _reduced, quad_parts
-from .errors import CoefficientError, RealizationError
+from .errors import RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
 
@@ -52,15 +52,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _nonzero_parts(row, d: int) -> list:
-    """(column, a, b, c) for each nonzero entry (a + b*sqrt(d))/c of row.  A
-    QuadNum's integers are read in place; any other entry goes through
-    ``quad_parts``.  Every entry, zeros included, is checked, so an entry of
-    another d or outside the field raises CoefficientError."""
+    """(column, a, b, c) for each nonzero entry (a + b*sqrt(d))/c of row.  The
+    integers of a QuadNum of this d are read in place; any other entry goes
+    through ``quad_parts``.  Every entry, zeros included, is checked, so an
+    entry of another d or outside the field raises CoefficientError."""
     out = []
     for j, x in enumerate(row):
-        p = x._v if type(x) is QuadNum else quad_parts(x, d)
-        if p[3] != d:
-            raise CoefficientError("mixed quadratic extensions")
+        p = x._v if type(x) is QuadNum and x._v[3] == d else quad_parts(x, d)
         if p[0] or p[1]:
             out.append((j, p[0], p[1], p[2]))
     return out
@@ -242,19 +240,10 @@ class MatrixContext:
         """Diagonal matrix of a simple-coroot coordinate vector."""
         if t.rank != self.n - 1:
             raise RealizationError("rank mismatch")
-        try:
-            coords = [self.field.embed(c) if not isinstance(c, type(self.field.one()))
-                      else c for c in t.coords]
-        except TypeError:
-            raise RealizationError(
-                "torus coordinates cannot be embedded into the context field") from None
-        diag = []
-        prev = self.field.one()
-        for i in range(self.n - 1):
-            diag.append(coords[i] / prev if i else coords[0])
-            prev = coords[i]
-        diag.append(self.field.one() / prev)
-        zero = self.field.zero()
+        # entry i is t_i / t_(i-1), t_0 = t_n = 1; embed keeps a field element as it is
+        one, zero = self.field.one(), self.field.zero()
+        coords = [self.field.embed(c) for c in t.coords]
+        diag = [c / prev for c, prev in zip(coords + [one], [one] + coords)]
         return tuple(tuple(diag[i] if i == j else zero for j in range(self.n))
                      for i in range(self.n))
 

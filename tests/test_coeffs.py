@@ -6,16 +6,21 @@ import itertools
 import math
 import pickle
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splitinv.coeffs import (PRIME_BOUND, Fp, LocalPlace, PrimeField, QuadField, QuadNum,
-                             SignedSymbolMap, SymUnit, _is_prime, hilbert_symbol,
-                             hilbert_symbol_bruteforce, is_square_at,
-                             legendre_symbol, quad_norm_sign)
-from splitinv.errors import CoefficientError, PlaceError
+                             RationalField, SignedSymbolMap, SymUnit, _is_prime,
+                             hilbert_symbol, hilbert_symbol_bruteforce, is_square_at,
+                             legendre_symbol, quad_norm_sign, quad_parts)
+from splitinv.errors import CoefficientError, FactorError, PlaceError
+from splitinv.factors import (EndoscopicSignDatum, RootOfUnity, adata_change_sign,
+                              restricted_galois_orbits)
+from splitinv.rootdata import PinnedAutomorphism, RootDatum, restrict_root_system
+from splitinv.splitting import DescentDatum
 
 nonzero_rational = st.fractions(min_value=-30, max_value=30).filter(lambda x: x != 0)
 
@@ -247,6 +252,10 @@ coefficient = st.one_of(
     st.builds(QuadNum, small_fraction, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
               st.sampled_from([5, -1])),
     st.builds(lambda k, p: Fp(k % p, p), st.integers(-6, 6), st.sampled_from([3, 5])),
+    # embed reads any int or Fraction whose denominator p does not divide
+    st.sampled_from([3, 5]).flatmap(
+        lambda p: st.one_of(st.integers(), st.fractions().filter(lambda k: k.denominator % p))
+        .map(PrimeField(p).embed)),
 )
 
 
@@ -359,6 +368,14 @@ class TestFieldElementOperators:
             with pytest.raises(CoefficientError):
                 op()
 
+    # a reflected operator once re-entered the + protocol, so an Fp and a
+    # QuadNum handed the operation back and forth until RecursionError
+    @pytest.mark.parametrize("x, y", [(Fp(1, 5), QuadNum(1, 1, 5)), (QuadNum(1, 1, 5), Fp(1, 5))])
+    def test_elements_of_different_fields_raise_type_error(self, x, y):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+            with pytest.raises(TypeError):
+                op()
+
     @pytest.mark.parametrize("x", [QuadNum(1, 1, 5), Fp(2, 5)])
     @pytest.mark.parametrize("other", [1.5, "x"])
     def test_float_or_str_operand_raises_type_error(self, x, other):
@@ -367,6 +384,138 @@ class TestFieldElementOperators:
                    lambda: x / other, lambda: other / x):
             with pytest.raises(TypeError):
                 op()
+
+
+def _a2_flip_sign_datum():
+    """The A2 flip under omega_T = w0, +1 on the short and -1 on the long
+    restricted roots: the one orbit adata_change_sign reads is the long one."""
+    datum = RootDatum([("A", 2)])
+    rrs = restrict_root_system(datum, PinnedAutomorphism(datum, [1, 0]))
+    desc = DescentDatum(datum, 2, datum.longest_element())
+    values = {(1,): RootOfUnity.one(), (-1,): RootOfUnity.one(),
+              (2,): RootOfUnity.minus_one(), (-2,): RootOfUnity.minus_one()}
+    places = {o.members: LocalPlace.padic(5, 2)
+              for o in restricted_galois_orbits(rrs, desc) if o.symmetric}
+    return rrs, EndoscopicSignDatum(rrs, desc, values, places)
+
+
+_RRS, _SIGNS = _a2_flip_sign_datum()
+_PLACE = LocalPlace.padic(5, 2)
+
+# every exact-number entry point: its call on one input, its error class, and
+# the kinds of input it reads ("own" is an element of its own field)
+RATIONAL, FIELD = ("int", "Fraction"), ("int", "Fraction", "own")
+ENTRY_POINTS = {
+    "RationalField.embed": (RationalField().embed, CoefficientError, RATIONAL),
+    "QuadNum(u, v, d)": (lambda x: QuadNum(x, 1, 5), CoefficientError, RATIONAL),
+    "hilbert_symbol a": (lambda x: hilbert_symbol(x, 5, _PLACE), PlaceError, RATIONAL),
+    "hilbert_symbol b": (lambda x: hilbert_symbol(5, x, _PLACE), PlaceError, RATIONAL),
+    "hilbert_symbol_bruteforce": (lambda x: hilbert_symbol_bruteforce(x, 5, _PLACE),
+                                  PlaceError, RATIONAL),
+    "is_square_at": (lambda x: is_square_at(x, _PLACE), PlaceError, RATIONAL),
+    "quad_norm_sign": (lambda x: quad_norm_sign(x, _PLACE), PlaceError, RATIONAL),
+    "RootOfUnity.make": (RootOfUnity.make, FactorError, RATIONAL),
+    "a-data multiplier": (lambda x: adata_change_sign(_RRS, _SIGNS, dict.fromkeys(
+        _RRS.restricted, x)), FactorError, RATIONAL),
+    "QuadField.embed": (QuadField(5).embed, CoefficientError, FIELD),
+    "PrimeField.embed": (PrimeField(5).embed, CoefficientError, FIELD),
+    "quad_parts": (lambda x: quad_parts(x, 5), CoefficientError, FIELD),
+    "Fp(v, p)": (lambda x: Fp(x, 5), CoefficientError, ("int",)),
+    # None is the real place, or no quadratic extension
+    "LocalPlace p": (LocalPlace, PlaceError, ("int", "None")),
+    "LocalPlace d": (lambda x: LocalPlace(5, x), PlaceError, ("int", "None")),
+}
+# each input with its int or Fraction spelling
+OWN = {"QuadField.embed": QuadNum(Fraction(3, 2), 0, 5), "PrimeField.embed": Fp(4, 5),
+       "quad_parts": QuadNum(Fraction(3, 2), 0, 5)}
+SPELLING = {"QuadField.embed": Fraction(3, 2), "PrimeField.embed": Fraction(3, 2),
+            "quad_parts": Fraction(3, 2)}
+INPUTS = {"int": 3, "Fraction": Fraction(3, 2), "bool": True, "float": 1.5, "str": "3/2",
+          "None": None, "Decimal": Decimal("1.5"), "other d": QuadNum(1, 1, 2),
+          "other p": Fp(3, 7), "SymUnit": SymUnit.gen("a")}
+
+
+class TestExactNumberRule:
+    """An exact number is an int that is not a bool, or a Fraction; each
+    field converts through one function.  Every entry point answers what the
+    int or Fraction spelling gives, or raises its own error class."""
+
+    @pytest.mark.parametrize("name, kind", [(name, kind) for name in ENTRY_POINTS
+                                            for kind in INPUTS] + [(name, "own") for name in OWN])
+    def test_entry_point(self, name, kind):
+        call, error, reads = ENTRY_POINTS[name]
+        x = OWN[name] if kind == "own" else INPUTS[kind]
+        if kind not in reads:
+            with pytest.raises(error):
+                call(x)
+            return
+        got = call(x)
+        spelled = call(SPELLING[name] if kind == "own" else x)
+        assert got == spelled and type(got) is type(spelled)
+        if kind == "int" and "Fraction" in reads:
+            # an int and the equal Fraction give the same value of the same type
+            as_fraction = call(Fraction(x))
+            assert got == as_fraction and type(got) is type(as_fraction)
+
+    def test_a_float_is_not_read_as_its_binary_fraction(self):
+        # 0.04 = (1/5)^2, but the float 0.04 is not 1/25
+        assert is_square_at(Fraction(1, 25), LocalPlace.padic(5))
+        with pytest.raises(PlaceError, match="0.04"):
+            is_square_at(0.04, LocalPlace.padic(5))
+        with pytest.raises(CoefficientError, match="2.5"):
+            PrimeField(5).embed(2.5)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from([RationalField(), QuadField(5), QuadField(-1), PrimeField(5),
+                            PrimeField(7)]),
+           st.one_of(st.integers(), st.fractions(), st.booleans(), st.floats(), st.none(),
+                     st.text(max_size=3), st.decimals(),
+                     st.builds(QuadNum, small_fraction, small_fraction,
+                               st.sampled_from([5, -1, 2])),
+                     st.builds(Fp, st.integers(0, 2), st.sampled_from([3, 5, 7])),
+                     st.builds(SymUnit.gen, st.sampled_from("ab"))))
+    def test_embed_is_zero_plus(self, field, x):
+        own = type(field.zero())
+        try:
+            want = field.zero() + x
+        except (TypeError, CoefficientError) as exc:
+            want = exc
+        if isinstance(x, (own, Fraction)) or type(x) is int:
+            if isinstance(want, Exception):
+                # another d or p, or a denominator p divides: both refuse
+                assert isinstance(want, CoefficientError)
+                with pytest.raises(CoefficientError):
+                    field.embed(x)
+                return
+            got = field.embed(x)
+            assert got == want and type(got) is type(want)
+            return
+        with pytest.raises(CoefficientError):
+            field.embed(x)
+        if own is not Fraction:         # Fraction's own + reads floats and more
+            assert isinstance(want, TypeError)
+
+    @pytest.mark.parametrize("v, p", [(5, 5), (-1, 5), (Fraction(1), 5), (True, 5), (1.0, 5),
+                                      (1, 9), (1, 2), (1, 5.0), (1, True), (1, PRIME_BOUND + 2)])
+    def test_fp_constructor_checks_the_normal_form(self, v, p):
+        with pytest.raises(CoefficientError):
+            Fp(v, p)
+
+    # the field's operations build their results in place: each must be in
+    # the normal form the constructor checks
+    @settings(max_examples=200)
+    @given(st.sampled_from([3, 5, 7, 101]), st.integers(), st.integers(), st.integers(-4, 4),
+           st.fractions(max_denominator=20))
+    def test_in_place_results_are_in_normal_form(self, p, a, b, k, q):
+        f = PrimeField(p)
+        x, y = f.embed(a), f.embed(b)
+        results = [f.zero(), f.one(), f.half(), x, -x, x + y, x - y, x * y, 3 - x, 2 * x]
+        if y:
+            results += [x / y, 1 / y, y.inv(), y ** k]
+        if q.denominator % p:
+            results.append(f.embed(q))
+        for z in results:
+            assert Fp(z.v, z.p) == z
 
 
 wide_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=24)

@@ -163,6 +163,71 @@ class TestSignDatumRefusals:
             EndoscopicSignDatum(rrs, desc, **args)
 
 
+def a4_flip_setup():
+    d = build_root_datum([("A", 4)])
+    rrs = restrict_root_system(d, PinnedAutomorphism(d, [3, 2, 1, 0]))
+    return rrs, DescentDatum(d, 2, d.longest_element())
+
+
+class TestSystemChecks:
+    """The sign datum's constructor checks its root system and descent, and
+    its readers refuse a restricted root system other than the sign datum's
+    (a rebuilt equal one is the same system)."""
+
+    def test_rrs_that_is_no_restricted_root_system(self):
+        _, desc = a2_flip_setup()
+        with pytest.raises(FactorError, match="^rrs: need a RestrictedRootSystem, got NoneType$"):
+            EndoscopicSignDatum(None, desc, {}, {})
+
+    def test_descent_that_is_no_descent_datum(self):
+        rrs, _ = a2_flip_setup()
+        with pytest.raises(FactorError, match="^descent: need a DescentDatum, got NoneType$"):
+            EndoscopicSignDatum(rrs, None, {}, {})
+
+    def test_descent_on_another_cartan_matrix(self):
+        # the A2 flip's system with an A4 descent once ended in IndexError
+        rrs, _ = a2_flip_setup()
+        _, desc4 = a4_flip_setup()
+        with pytest.raises(FactorError, match="^descent: on another root datum than rrs"):
+            EndoscopicSignDatum(rrs, desc4, {}, {})
+
+    @staticmethod
+    def _readers(rrs, sd):
+        half = half_on_divisible(a2_flip_setup()[0])
+        return (lambda: delta_i_ratio(rrs, sd),
+                lambda: adata_change_sign(rrs, sd, half),
+                lambda: comes_from_h(rrs, sd, (2,)))
+
+    def test_readers_refuse_no_system(self):
+        # delta_i_ratio(None, sd) once answered 1
+        sd = sign_datum(*a2_flip_setup(), ONE, MINUS, LocalPlace.padic(5, 2))
+        for read in self._readers(None, sd):
+            with pytest.raises(FactorError, match="^rrs: not the restricted root system"):
+                read()
+
+    def test_readers_refuse_another_system(self):
+        sd = sign_datum(*a2_flip_setup(), ONE, MINUS, LocalPlace.padic(5, 2))
+        a2 = sd.rrs.datum
+        for rrs in (a4_flip_setup()[0],       # another Cartan matrix
+                    restrict_root_system(a2, PinnedAutomorphism.identity(a2))):  # theta
+            for read in self._readers(rrs, sd):
+                with pytest.raises(FactorError, match="^rrs: not the restricted root system"):
+                    read()
+
+    def test_readers_refuse_what_is_no_sign_datum(self):
+        rrs, _ = a2_flip_setup()
+        for read in self._readers(rrs, None):
+            with pytest.raises(FactorError, match="^sign_datum: need an EndoscopicSignDatum"):
+                read()
+
+    def test_readers_accept_a_rebuilt_equal_system(self):
+        sd = sign_datum(*a2_flip_setup(), ONE, MINUS, LocalPlace.padic(5, 2))
+        rebuilt, _ = a2_flip_setup()
+        assert rebuilt is not sd.rrs
+        for own, other in zip(self._readers(sd.rrs, sd), self._readers(rebuilt, sd)):
+            assert own() == other()
+
+
 PLACE_POOL = (LocalPlace.real(-1), LocalPlace.padic(2, 5), LocalPlace.padic(2, -1),
               LocalPlace.padic(3, -1), LocalPlace.padic(5, 2), LocalPlace.padic(7, 3))
 ZETA3, ZETA6 = RootOfUnity.make(Fraction(1, 3)), RootOfUnity.make(Fraction(1, 6))

@@ -46,6 +46,22 @@ class TestRealize:
         assert m == frozen([[6, 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 2)]])
         assert ctx.torus_coords_of_diagonal(m) == t
 
+    # the torus matrix embeds every coordinate: an element of the context
+    # field is kept as it is, an int or a Fraction is read as its value, and
+    # anything else is refused (F_5 once read the float 2.5 as 2)
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(5)],
+                             ids=["Q", "Q(sqrt 5)", "F_5"])
+    def test_torus_coordinates_are_embedded(self, field):
+        ctx = MatrixContext(3, field)
+        want = tuple(tuple(field.embed(v) for v in row)
+                     for row in ((6, 0, 0), (0, Fraction(1, 3), 0), (0, 0, Fraction(1, 2))))
+        for coords in ((6, 2), (Fraction(6), Fraction(2)), (field.embed(6), field.embed(2))):
+            m = ctx.torus_matrix(TorusElement(coords))
+            assert m == want and all(type(x) is type(field.one()) for row in m for x in row)
+        for bad in (2.5, "2", True):
+            with pytest.raises(CoefficientError):
+                ctx.torus_matrix(TorusElement((6, bad)))
+
     @pytest.mark.parametrize("n,count", [(4, 300), (6, 60)])
     def test_multiplicative_random(self, n, count):
         rng = random.Random(0)
