@@ -24,9 +24,10 @@ read.  Q, Q(sqrt(d)) and F_p convert through ``_rational``, ``_quad`` and
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import CoefficientError, PlaceError
 
@@ -148,10 +149,19 @@ class SignedSymbolMap:
     """
 
     def __init__(self, mapping: Mapping[str, Tuple[int, str]]):
-        self.mapping = {k: (int(s), n) for k, (s, n) in mapping.items()}
-        for s, _ in self.mapping.values():
-            if s not in (1, -1):
-                raise CoefficientError("symbol image sign must be +-1")
+        if not isinstance(mapping, Mapping):
+            raise CoefficientError(f"symbol map {mapping!r} is not a mapping")
+        for name, image in mapping.items():
+            if not isinstance(name, str):
+                raise CoefficientError(f"symbol {name!r} is not a str")
+            if not isinstance(image, tuple) or len(image) != 2:
+                raise CoefficientError(f"symbol {name!r}: image {image!r} is not a "
+                                       "(sign, symbol) pair")
+            if not _is_int(image[0]) or image[0] not in (1, -1):
+                raise CoefficientError(f"symbol {name!r}: sign {image[0]!r} is not the int 1 or -1")
+            if not isinstance(image[1], str):
+                raise CoefficientError(f"symbol {name!r}: image {image[1]!r} is not a str")
+        self.mapping = dict(mapping)
 
     def __call__(self, u: SymUnit) -> SymUnit:
         # (s * img)^e = s^e * img^e: exponents add up per image symbol
@@ -627,6 +637,13 @@ class LocalPlace:
         return f"LocalPlace({base}" + (f", d={self.d})" if self.d is not None else ")")
 
 
+def _checked_place(place) -> LocalPlace:
+    """place, or PlaceError naming it when it is not a LocalPlace."""
+    if not isinstance(place, LocalPlace):
+        raise PlaceError(f"place {place!r} is not a LocalPlace")
+    return place
+
+
 def _valuation(x: Fraction, p: int) -> Tuple[int, Fraction]:
     """Return (v_p(x), unit part)."""
     if x == 0:
@@ -661,6 +678,7 @@ def hilbert_symbol(a: Rat, b: Rat, place: LocalPlace) -> int:
     Returns +1 iff a is a norm from the quadratic etale algebra obtained by
     adjoining sqrt(b); symmetric and bimultiplicative.
     """
+    place = _checked_place(place)
     a, b = _rational(a, PlaceError), _rational(b, PlaceError)
     if a == 0 or b == 0:
         raise PlaceError("Hilbert symbol requires nonzero arguments")
@@ -691,6 +709,7 @@ def hilbert_symbol_bruteforce(a: Rat, b: Rat, place: LocalPlace) -> int:
     primitive solution of z^2 = a*x^2 + b*y^2 to sufficient p-adic precision
     (mod p^3 for odd p, mod 2^6 at p=2).
     """
+    place = _checked_place(place)
     a, b = _rational(a, PlaceError), _rational(b, PlaceError)
     if a == 0 or b == 0:
         raise PlaceError("Hilbert symbol requires nonzero arguments")
@@ -739,6 +758,7 @@ def _int_val(n: int, p: int, cap: int) -> int:
 
 def is_square_at(x: Rat, place: LocalPlace) -> bool:
     """Whether x is a square in the completion at the place."""
+    place = _checked_place(place)
     x = _rational(x, PlaceError)
     if x == 0:
         raise PlaceError("square test of zero")
@@ -759,7 +779,7 @@ def quad_norm_sign(x: Rat, place: LocalPlace) -> int:
     Equals +1 exactly on local norms from the extension by sqrt(d); this is
     the character associated to the extension by local class field theory.
     """
-    if place.d is None:
+    if _checked_place(place).d is None:
         raise PlaceError("place carries no quadratic extension datum d")
     if is_square_at(place.d, place):
         raise PlaceError(f"d={place.d} is a square at {place}; extension is not quadratic")

@@ -237,7 +237,7 @@ class RootDatum:
     def weyl_group(self) -> Tuple["WeylElement", ...]:
         """All Weyl elements (cached), if |W| is within WEYL_BUDGET."""
         if self._weyl_cache is None:
-            _check_enumerable(self, "|W|", weyl_group_order(self.cartan))
+            _check_enumerable(self, "|W|", _weyl_order(self._heights[:self.n_positive]))
             self._weyl_cache = _closure(
                 self.identity_weyl(), [self.simple_reflection(i) for i in range(self.rank)])
         return self._weyl_cache
@@ -424,6 +424,14 @@ def _check_enumerable(datum: RootDatum, what: str, order: int) -> None:
     if order > WEYL_BUDGET:
         raise RootDatumError(f"datum {datum!r}: {what} = {order} is above the "
                              f"enumeration budget of {WEYL_BUDGET}")
+
+
+def _weyl_order(heights: Sequence[int]) -> int:
+    """|W| of a reduced root system from the heights of its positive roots:
+    the product of (h + 1) / h over them, the Poincare series
+    sum_w t^l(w) = prod (1 - t^(h+1)) / (1 - t^h) at t = 1 (Macdonald 1972,
+    The Poincare series of a Coxeter group), exact in integers."""
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def _closure(identity: WeylElement, gens: Sequence[WeylElement]) -> Tuple[WeylElement, ...]:
@@ -747,12 +755,17 @@ class RestrictedRootSystem:
         return self._fixed_weyl_cache
 
     def fixed_weyl_order(self) -> int:
-        """|Omega^theta|, which is the order of the Weyl group of the
-        restricted root system, read off the type of its Cartan matrix
-        <beta_j, beta_i_vee> without enumerating the group."""
-        simple = self.simple_restricted
-        return weyl_group_order([[self._pair(b, self.restricted[a].coroot)
-                                  for b in simple] for a in simple])
+        """|Omega^theta|, the order of the Weyl group of the restricted root
+        system, from the heights of its positive roots without enumerating
+        the group.  Restriction is linear and sends alpha_i to the simple
+        restricted root of its theta-orbit, so a root sum_i c_i alpha_i
+        restricts to a root of height sum_i c_i over the simple restricted
+        roots: every root of a fiber has the height of the restricted root.
+        The R3 roots are the divisible ones; without them the system is
+        reduced, with the same simple roots and the same Weyl group
+        (W(BC_n) = W(B_n)), and ``_weyl_order`` applies to it."""
+        return _weyl_order([sum(rr.orbit[0]) for rr in self._res_roots
+                            if rr.positive and rr.rtype != R3])
 
     def res_word_of(self, w: WeylElement) -> Tuple[int, ...]:
         """Reduced word in simple restricted reflections (indices into
@@ -837,30 +850,6 @@ def levi_component(rrs: RestrictedRootSystem, beta) -> LeviComponent:
     return LeviComponent(roots, components, kind, datum._longest_in(nodes))
 
 
-def weyl_group_order(cartan: Sequence[Sequence[int]]) -> int:
-    """Order of the Weyl group of a Cartan matrix, as the product over its
-    irreducible components (Bourbaki, Lie Groups VI, Plates I-IX): (k+1)! for
-    A_k, 2^k k! for B_k and C_k, 2^(k-1) k! for D_k and 12 for G_2.  Any
-    other matrix raises RootDatumError."""
-    n = len(cartan)
-    bonds: Dict[Tuple[int, int], int] = {}     # i < j -> a_ij a_ji, for linked i, j
-    for i in range(n):
-        if cartan[i][i] != 2:
-            raise RootDatumError(f"Cartan matrix has {cartan[i][i]} on the diagonal")
-        for j in range(i + 1, n):
-            a, b = cartan[i][j], cartan[j][i]
-            if a or b:
-                if not (a < 0 and b < 0 and a * b <= 3):
-                    raise RootDatumError(
-                        f"Cartan entries {a}, {b} at {i}, {j} are not of finite type")
-                bonds[i, j] = a * b
-    order = 1
-    for comp in _diagram_pieces(range(n), lambda i, j: (min(i, j), max(i, j)) in bonds):
-        order *= _component_weyl_order(
-            len(comp), {e: m for e, m in bonds.items() if e[0] in comp})
-    return order
-
-
 def _diagram_pieces(nodes: Sequence[int], linked) -> List[set]:
     """The connected pieces of the graph on nodes whose edges are the pairs
     with linked(i, j), each found by a walk from its least node."""
@@ -878,31 +867,3 @@ def _diagram_pieces(nodes: Sequence[int], linked) -> List[set]:
         seen |= piece
         pieces.append(piece)
     return pieces
-
-
-def _component_weyl_order(k: int, bonds: Dict[Tuple[int, int], int]) -> int:
-    """Weyl group order of a connected Dynkin diagram with k nodes, given by
-    its bonds (pair of nodes -> a_ij a_ji)."""
-    fact = math.factorial(k)
-    degree: Dict[int, int] = {}
-    for i, j in bonds:
-        degree[i] = degree.get(i, 0) + 1
-        degree[j] = degree.get(j, 0) + 1
-    doubles = [e for e, m in bonds.items() if m == 2]
-    top = max(degree.values(), default=0)
-    branches = [i for i, d in degree.items() if d == 3]
-    # finite type needs a tree, and a triple bond only occurs in G_2
-    if len(bonds) == k - 1 and (k == 2 or 3 not in bonds.values()):
-        if 3 in bonds.values():
-            return 12                                   # G_2
-        if top <= 2 and not doubles:
-            return fact * (k + 1)                       # A_k: a path
-        if top <= 2 and len(doubles) == 1 and 1 in (degree[i] for i in doubles[0]):
-            return 2 ** k * fact                        # B_k, C_k: the double bond at an end
-        if top == 3 and not doubles and len(branches) == 1:
-            b = branches[0]
-            if sum(degree[i + j - b] == 1 for i, j in bonds if b in (i, j)) >= 2:
-                return 2 ** (k - 1) * fact              # D_k: two arms of length 1
-    raise RootDatumError(f"Dynkin diagram with bonds {sorted(bonds.items())} "
-                         "is not of type A, B, C, D or G2")
-

@@ -449,30 +449,27 @@ class Realization:
                                     field_action=QuadConj(f))
 
     def _weyl_from_monomial(self, u) -> Tuple[WeylElement, list]:
-        """The Weyl element whose lift has the zero pattern of u, read off a
-        bubble sort of perm, and perm: u is nonzero exactly at (perm[j], j)."""
-        f = self.ctx.field
-        n = self.ctx.n
+        """The Weyl element whose lift has the zero pattern of u, and perm:
+        u is nonzero exactly at (perm[j], j), so it sends e_j to a multiple
+        of e_perm[j] and its Weyl element sends alpha_i = e_i - e_{i+1} to
+        e_perm[i] - e_perm[i+1], the code of +-(alpha_a + ... + alpha_{b-1})
+        for a, b those two indices in order."""
+        zero, n = self.ctx.field.zero(), self.ctx.n
         perm = [None] * n
         for j in range(n):
-            nz = [i for i in range(n) if u[i][j] != f.zero()]
+            nz = [i for i in range(n) if u[i][j] != zero]
             if len(nz) != 1:
                 raise RealizationError(
                     "h does not transport a Galois-stable torus: h^{-1} sigma(h) "
                     "is not monomial")
             perm[j] = nz[0]
-        word = []
-        p = list(perm)
-        while p != sorted(p):  # each swap removes one inversion
-            for i in range(n - 1):
-                if p[i] > p[i + 1]:
-                    p[i], p[i + 1] = p[i + 1], p[i]
-                    word.append(i)
-                    break
-        from .rootdata import analyze_weyl
-        omega = analyze_weyl(self.ctx.datum, tuple(reversed(word)))
+        datum = self.ctx.datum
+        codes = datum._simple_codes
+        omega = WeylElement._from_perms(datum, *datum._perms_of(
+            [sum(codes[a:b]) if a < b else -sum(codes[b:a])
+             for a, b in zip(perm, perm[1:])]))
         pattern = self.ctx.weyl_lift_matrix(omega)
-        if not all((pattern[i][j] != f.zero()) == (u[i][j] != f.zero())
+        if not all((pattern[i][j] != zero) == (u[i][j] != zero)
                    for i in range(n) for j in range(n)):
             raise RealizationError("could not match the Weyl part of h^{-1} sigma(h)")
         return omega, perm

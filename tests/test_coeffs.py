@@ -784,3 +784,50 @@ def test_is_square_at():
     assert not is_square_at(2, LocalPlace.padic(2))
     assert is_square_at(17, LocalPlace.padic(2))  # 17 = 1 mod 8
     assert not is_square_at(5, LocalPlace.padic(5))
+
+
+# each local symbol refuses a place that is not a LocalPlace, naming it,
+# before it reads the place's prime or its d
+@pytest.mark.parametrize("call", [lambda place: hilbert_symbol(2, 3, place),
+                                  lambda place: hilbert_symbol_bruteforce(2, 3, place),
+                                  lambda place: is_square_at(2, place),
+                                  lambda place: quad_norm_sign(2, place)],
+                         ids=["hilbert_symbol", "hilbert_symbol_bruteforce", "is_square_at",
+                              "quad_norm_sign"])
+@pytest.mark.parametrize("place", [5, "real", None, {"p": 5}], ids=["int", "str", "None", "dict"])
+def test_local_symbols_refuse_a_place_that_is_not_a_local_place(call, place):
+    with pytest.raises(PlaceError, match=re.escape(f"place {place!r} is not a LocalPlace")):
+        call(place)
+
+
+class TestSignedSymbolMapInput:
+    """A signed symbol map is a mapping from symbols to (sign, symbol) pairs,
+    the sign the int 1 or -1; anything else is refused naming the symbol,
+    never truncated or read as an int."""
+
+    @pytest.mark.parametrize("mapping, message", [
+        (None, "symbol map None is not a mapping"),
+        ([("a", (1, "a"))], "is not a mapping"),
+        ({"a": 5}, "symbol 'a': image 5 is not a (sign, symbol) pair"),
+        ({"a": (1, "a", "b")}, "symbol 'a': image (1, 'a', 'b') is not a (sign, symbol) pair"),
+        ({"a": [1, "a"]}, "symbol 'a': image [1, 'a'] is not a (sign, symbol) pair"),
+        ({"a": (1.9, "a")}, "symbol 'a': sign 1.9 is not the int 1 or -1"),
+        ({"a": (1.0, "a")}, "symbol 'a': sign 1.0 is not the int 1 or -1"),
+        ({"a": (True, "a")}, "symbol 'a': sign True is not the int 1 or -1"),
+        ({"a": ("-1", "a")}, "symbol 'a': sign '-1' is not the int 1 or -1"),
+        ({"a": (2, "a")}, "symbol 'a': sign 2 is not the int 1 or -1"),
+        ({"a": (1, 5)}, "symbol 'a': image 5 is not a str"),
+        ({5: (1, "a")}, "symbol 5 is not a str"),
+    ])
+    def test_refused(self, mapping, message):
+        with pytest.raises(CoefficientError, match=re.escape(message)):
+            SignedSymbolMap(mapping)
+
+    def test_accepted_maps_and_their_powers(self):
+        source = {"a": (-1, "b"), "b": (1, "c"), "c": (1, "a")}
+        m = SignedSymbolMap(source)
+        source["a"] = (1, "a")          # the map holds its own copy
+        assert m.mapping == {"a": (-1, "b"), "b": (1, "c"), "c": (1, "a")}
+        assert m.order == 6
+        assert m.power(3).mapping == {"a": (-1, "a"), "b": (-1, "b"), "c": (-1, "c")}
+        assert m.power(0).mapping == {"a": (1, "a"), "b": (1, "b"), "c": (1, "c")}

@@ -17,7 +17,8 @@ from permutation_kernel import HEIGHT_CASES, longest_by_permutations, word_by_pe
 from root_search import AllRootsTables, indecomposables_by_subtraction
 from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, RootDatum, WeylElement,
                                _indecomposables_are, analyze_weyl, build_root_datum,
-                               levi_component, restrict_root_system, weyl_group_order)
+                               levi_component, restrict_root_system)
+from weyl_order_reference import weyl_group_order
 
 
 def is_root(d, coords):
