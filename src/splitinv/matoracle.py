@@ -145,9 +145,12 @@ def _eliminate(work: List[list], col: int, prow: int) -> None:
 def mat_det_inv(a: Matrix, field):
     """Gauss-Jordan over an exact field: det(a) and a^-1 from one
     elimination, or zero and None when a is singular.  The determinant is
-    the product of the pivots, negated once per row swap."""
+    the product of the pivots, negated once per row swap.  Each entry is
+    read through ``field.embed``, so an int is exact and a float or a
+    foreign entry raises CoefficientError."""
     n = len(a)
-    work = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(n, field))]
+    work = [[field.embed(x) for x in row] + list(idrow)
+            for row, idrow in zip(a, mat_identity(n, field))]
     det = field.one()
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)

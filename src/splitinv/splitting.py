@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeffs import IdentityAction, QuadConj, QuadField, SignedSymbolMap, SymUnit
-from .errors import ADataError, DescentError, RealizationError, RootDatumError
+from .coeffs import IdentityAction, QuadConj, QuadField, SignedSymbolMap, SymUnit, _is_int
+from .errors import (ADataError, CoefficientError, DescentError, RealizationError,
+                     RootDatumError)
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
                         mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul,
                         mat_prod, mat_scalar, pinned_factor, realize,
@@ -264,13 +265,25 @@ class DescentDatum:
     a Weyl twist, a diagram automorphism, and a coefficient automorphism.
 
     The constructor validates: a DescentDatum that exists is a homomorphism
-    from Z/order, so its consumers do not check it again.
+    from Z/order, so its consumers do not check it again.  An argument of
+    the wrong kind is refused by name: order an int (not a bool), omega_T a
+    Weyl element and sigma_T a pinned automorphism of datum, field_action a
+    coefficient action.
     """
 
     def __init__(self, datum: RootDatum, order: int, omega_T: WeylElement,
                  sigma_T: Optional[PinnedAutomorphism] = None, field_action=None):
+        if not _is_int(order):
+            raise DescentError(f"group order {order!r} is not an int")
         if order not in _ALLOWED_ORDERS:
             raise DescentError(f"group order {order} not in {_ALLOWED_ORDERS}")
+        if not isinstance(datum, RootDatum):
+            raise DescentError(f"datum {datum!r} is not a RootDatum")
+        if not (isinstance(omega_T, WeylElement) and omega_T.datum is datum):
+            raise DescentError(f"omega_T {omega_T!r} is not a Weyl element of the datum")
+        if sigma_T is not None and not (isinstance(sigma_T, PinnedAutomorphism)
+                                        and sigma_T.datum is datum):
+            raise DescentError(f"sigma_T {sigma_T!r} is not a pinned automorphism of the datum")
         self.datum = datum
         self.order = order
         self.omega_T = omega_T
@@ -284,6 +297,9 @@ class DescentDatum:
         to divide the group order, and its powers 0 .. order - 1, each one
         map: only a SignedSymbolMap has order above 2."""
         action = field_action if field_action is not None else IdentityAction()
+        if not isinstance(action, (IdentityAction, QuadConj, SignedSymbolMap)):
+            raise DescentError(f"field_action {field_action!r} is not a coefficient action "
+                               "(IdentityAction, QuadConj or SignedSymbolMap)")
         fo = action.order
         if self.order % fo:
             raise DescentError("coefficient action order does not divide the group order")
@@ -399,12 +415,15 @@ class SplittingCocycle:
         return "T" if self.theta is None else "T^theta"
 
     def verify(self) -> None:
-        """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them."""
+        """Checks a t-level cocycle; m_cocycle checks m-level values as it builds them.
+        The cocycle identity tests the value at sigma^0 for 1 and multiplies
+        the pairs j, k >= 1; theta-fixedness is tested from sigma^1 on, since
+        1 is theta-fixed."""
         verify_cocycle_identity(self.values, self.descent.order,
                                 self.descent.galois_on_torus_twisted)
         if self.theta is not None:
-            for k, v in self.values.items():
-                if not v.theta_fixed(self.theta):
+            for k in range(1, self.descent.order):
+                if not self.values[k].theta_fixed(self.theta):
                     raise ADataError(f"value at sigma^{k} is not theta-fixed")
 
     def fixed_coords(self, k: int) -> tuple:
@@ -426,10 +445,17 @@ class Realization:
     def __init__(self, ctx: MatrixContext, h, use_theta: bool = False):
         if not isinstance(ctx.field, QuadField):
             raise RealizationError("realizations need a quadratic coefficient field")
+        f, n = ctx.field, ctx.n
+        if not (isinstance(h, (tuple, list)) and len(h) == n and all(
+                isinstance(row, (tuple, list)) and len(row) == n for row in h)):
+            raise RealizationError(f"h {h!r} is not a {n} x {n} matrix")
+        try:
+            h = tuple(tuple(map(f.embed, row)) for row in h)
+        except CoefficientError as exc:
+            raise RealizationError(f"h has an entry outside {f.name}: {exc}") from None
         self.ctx = ctx
         self.h = h
         self.use_theta = use_theta
-        f = ctx.field
         det, self.h_inv = mat_det_inv(h, f)
         if det != f.one():
             raise RealizationError("h does not have determinant 1")
@@ -593,7 +619,14 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
     m-level without a realization, t-level with one.  With theta other than
     the identity, the conjugator and every t-matrix must be theta-fixed.  m
     is m_cocycle(datum, descent, adata, theta) and realized[k] is
-    realize(ctx, m[k]); each is computed here unless the caller has it."""
+    realize(ctx, m[k]) for k >= 1; each is computed here unless the caller
+    has it.
+
+    m_cocycle has checked m(1) = 1, so t(1) = h h^-1: that product is
+    computed once and must be the identity, and t(1) is stored as the ones
+    and the identity matrix, with no transport and no theta-fixedness test.
+    Each t(sigma^k), k >= 1, is transported, compared with h diag h^-1 and,
+    when twisted, tested for theta-fixedness."""
     if (realization is not None and theta is not None
             and not (theta.is_identity or realization.use_theta)):
         raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
@@ -612,9 +645,13 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
         raise RealizationError("matrix realizations model split groups only")
     if descent.order != 2:
         raise RealizationError("matrix realizations carry an order-2 Galois group")
-    values: Dict[int, TorusElement] = {}
-    matrices: Dict[int, tuple] = {}
-    for k in range(descent.order):
+    f = ctx.field
+    identity = mat_identity(ctx.n, f)
+    if not mat_eq(mat_mul(realization.h, realization.h_inv), identity):
+        raise RealizationError("t(sigma^0) = h h^-1 is not the identity")
+    values: Dict[int, TorusElement] = {0: TorusElement.ones(datum.rank, f.one())}
+    matrices: Dict[int, tuple] = {0: identity}
+    for k in range(1, descent.order):
         mk = realized[k] if realized is not None else realize(ctx, m[k])
         diag = realization.transported_diagonal(mk, k)
         values[k] = ctx.torus_coords_of_diagonal(diag)
@@ -626,7 +663,7 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
     out = SplittingCocycle(values, descent, datum, theta, matrices)
     out.verify()
     if theta is not None and not theta.is_identity:
-        for k in range(descent.order):
+        for k in range(1, descent.order):
             if not ctx.theta_fixed(matrices[k]):
                 raise RealizationError(f"matrix t(sigma^{k}) is not theta-fixed")
     return out
@@ -685,9 +722,10 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     realization_prime = Realization(ctx, h_prime, use_theta=realization.use_theta)
     c2 = _cocycle(datum, descent_prime, adata_prime, theta, realization_prime, m_prime)
     w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
+    w_inv = mat_inv(w_mat, f)
     for k in range(descent.order):
         sigma_w = ctx.galois_apply(w_mat, k)
-        want = mat_prod(c1.matrices[k], mat_inv(w_mat, f), sigma_w)
+        want = mat_prod(c1.matrices[k], w_inv, sigma_w)
         if not mat_eq(c2.matrices[k], want):
             raise RealizationError(
                 f"matrix coboundary identity fails at sigma^{k}")
@@ -736,8 +774,10 @@ class CompareReport:
 
     ``t_prime_matrices[k]`` is h lifted[k] sigma^k(h)^-1, with lifted[k] the
     fixed-subgroup lift.  The comparison has checked that lifted[k] equals
-    realize(m(sigma^k)), so this is the product of equal factors that the
-    t-level cocycle forms: it is ``t_cocycle.matrices``, not a recomputation.
+    realize(m(sigma^k)) for k >= 1, so this is the product of equal factors
+    that the t-level cocycle forms: it is ``t_cocycle.matrices``, not a
+    recomputation.  At sigma^0 both lifts are 1, m(1) = 1 being checked, and
+    the matrix is the identity, which the t-level has checked h h^-1 to be.
     """
 
     m_values: Dict[int, TitsElement]
@@ -791,9 +831,10 @@ def compare_fixed_vs_twisted(rrs: RestrictedRootSystem, descent: DescentDatum,
 
     matrix_checked, t_cocycle = False, None
     if ctx is not None:
-        # rebuild the fixed-subgroup side genuinely: its own pinned lift
+        # rebuild the fixed-subgroup side genuinely: its own pinned lift; at
+        # sigma^0 both sides are realize(1), m(1) = 1 being checked
         realized = {}
-        for k in range(descent.order):
+        for k in range(1, descent.order):
             lifted = mat_mul(realize(ctx, torus_parts[k]),
                              fixed_group_lift(ctx, rrs, descent.root_action(k).weyl))
             realized[k] = realize(ctx, m[k])

@@ -225,7 +225,9 @@ def m_cocycle(datum: RootDatum, descent, adata,
 
     Checks the a-data for Galois equivariance (and theta-invariance when a
     pinned automorphism is supplied), then the cocycle identity against the
-    descent datum's Galois action and theta-fixedness of every value.
+    descent datum's Galois action, which tests m(1) = 1 directly and
+    multiplies the pairs j, k >= 1 only, and theta-fixedness of every value
+    but m(1) = 1.
     """
     adata.validate_equivariant(descent)
     if theta is not None and not theta.is_identity:
@@ -237,19 +239,41 @@ def m_cocycle(datum: RootDatum, descent, adata,
         values[k] = TitsElement(x_of(datum, w, adata), w)
     verify_cocycle_identity(values, descent.order, descent.galois_on_tits)
     if theta is not None:
-        for k, mk in values.items():
-            if not mk.theta_fixed(theta):
+        for k in range(1, descent.order):
+            if not values[k].theta_fixed(theta):
                 raise ADataError(f"m(sigma^{k}) is not theta-fixed")
     return values
 
 
 def verify_cocycle_identity(values: Dict[int, object], order: int, act) -> None:
     """Check values[j + k] = values[j] * act(j, values[k]) for j, k mod order,
-    act(j, v) applying sigma^j; a failure names the pair and both sides."""
-    for j in range(order):
-        for k in range(order):
+    act(j, v) applying sigma^j; a failure names the pair and both sides.
+
+    The pairs with j = 0 or k = 0 come down to values[0] = 1, which is
+    tested directly and, failing, named as (sigma^0, sigma^0).  act(0, .)
+    is the identity, and each act(j, .) is an automorphism (the Galois
+    action on the normalizer, ``galois_on_tits``, or on the torus,
+    ``galois_on_torus_twisted``), so it fixes 1 and is injective.  The
+    j = 0 row reads values[k] = values[0] * values[k], which holds exactly
+    when values[0] = 1; the k = 0 column reads values[j] = values[j] *
+    act(j, values[0]), that is act(j, values[0]) = 1, which by injectivity
+    holds exactly when values[0] = 1.  The products left are the pairs
+    j, k in 1 .. order - 1: (order - 1)^2 of them in place of order^2.
+    """
+    if not _is_one(values[0]):
+        raise ADataError(f"cocycle identity fails at (sigma^0, sigma^0): "
+                         f"the value at sigma^0 is {values[0]}, not 1")
+    for j in range(1, order):
+        for k in range(1, order):
             lhs = values[(j + k) % order]
             rhs = values[j] * act(j, values[k])
             if lhs != rhs:
                 raise ADataError(
                     f"cocycle identity fails at (sigma^{j}, sigma^{k}): {lhs} != {rhs}")
+
+
+def _is_one(v) -> bool:
+    """v is 1: a torus point whose coordinates are all one, or t n(1) for such a t."""
+    if isinstance(v, TitsElement):
+        return v.weyl.is_identity and v.torus.is_one
+    return v.is_one

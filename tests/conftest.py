@@ -10,7 +10,7 @@ from splitinv.tits import TitsElement, TorusElement
 def negated_galois_on_tits(monkeypatch):
     """DescentDatum.galois_on_tits with a fault put in: the first torus
     coordinate of every image negated, so the m-level cocycle identity
-    fails already at (sigma^0, sigma^0)."""
+    fails at (sigma^1, sigma^1), the first pair that applies the action."""
     honest = DescentDatum.galois_on_tits
 
     def faulty(self, k, x):

@@ -305,7 +305,7 @@ class TestInvariant:
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert check["name"] == "invariant/cocycle-and-fixedness"
         assert not check["pass"]
-        assert "cocycle identity fails at (sigma^0, sigma^0)" in check["counterexample"]
+        assert "cocycle identity fails at (sigma^1, sigma^1)" in check["counterexample"]
 
     def test_value_not_theta_fixed_is_reported(self, tmp_path, capsys, monkeypatch):
         # equivariant for omega_T = w0 but a(alpha_1) != a(alpha_2), with the

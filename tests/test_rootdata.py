@@ -163,7 +163,7 @@ class TestWeyl:
 
 class TestWeylBudget:
     """W and W^theta are enumerated only up to WEYL_BUDGET elements; the
-    order is read off the type first, so a refusal enumerates nothing."""
+    order is read off the root heights first, so a refusal enumerates nothing."""
 
     @staticmethod
     def no_closure(monkeypatch):

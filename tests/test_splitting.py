@@ -423,7 +423,7 @@ class TestLambdaTwisted:
         coc = lambda_twisted(d, theta, desc, adata)
         assert (coc.level, coc.ambient) == ("m", "T^theta")
         request.getfixturevalue("negated_galois_on_tits")
-        with pytest.raises(ADataError, match=r"\(sigma\^0, sigma\^0\)"):
+        with pytest.raises(ADataError, match=r"\(sigma\^1, sigma\^1\)"):
             lambda_twisted(d, theta, desc, adata)
 
     def test_m_level_theta_fixedness_still_checked(self, monkeypatch):
@@ -539,7 +539,7 @@ class TestCompare:
         return ctx, rrs, h, real, spec
 
     # the comparison builds the m-level cocycle once and realizes each of its
-    # values once, for its own matrix check and for the t-level
+    # values past sigma^0 once, for its own matrix check and for the t-level
     @pytest.mark.parametrize("n, dval", [(3, 5), (4, -1), (5, 5)])
     def test_m_cocycle_and_its_matrices_computed_once(self, monkeypatch, n, dval):
         ctx, rrs, _, real, spec = self.matrix_case(n, dval)
@@ -558,7 +558,7 @@ class TestCompare:
         monkeypatch.setattr(splitting, "realize", counted_realize)
         rep = compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
         assert rep.t_cocycle is not None
-        assert calls == {"m_cocycle": 1, "realize_m": real.descent.order}
+        assert calls == {"m_cocycle": 1, "realize_m": real.descent.order - 1}
 
     # one descent operation checks equivariance twice: the special a-data in
     # the comparison and its halved pull-back in m_cocycle
@@ -582,7 +582,7 @@ class TestCompare:
         with pytest.raises(RealizationError, match="conjugator fixed by the automorphism"):
             compare_fixed_vs_twisted(rrs, plain.descent, spec, ctx=ctx, realization=plain)
         monkeypatch.setattr(ctx, "theta_fixed", lambda g: False)
-        with pytest.raises(RealizationError, match=r"matrix t\(sigma\^0\) is not theta-fixed"):
+        with pytest.raises(RealizationError, match=r"matrix t\(sigma\^1\) is not theta-fixed"):
             compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
 
     def test_non_special_rejected(self):
