@@ -333,15 +333,17 @@ class QuadNum(_FieldElement):
         return Fraction(a * a - d * b * b, c * c)
 
     def inv(self) -> "QuadNum":
-        nrm = self.norm()
-        if not nrm:
-            raise CoefficientError("inverse of zero in Q(sqrt(d))")
-        # 1/x = conj(x)/N(x); with N(x) = p/q this is (a - b*sqrt(d))*q/(c*p)
+        """1/x = c*(a - b*sqrt(d))/(a^2 - d*b^2) for x = (a + b*sqrt(d))/c,
+        on the integers: the sign of a^2 - d*b^2 moves to the numerator, so
+        the denominator is positive, and one gcd gives the normal form.  The
+        form is unique, so these are the integers of conj(x)/N(x)."""
         a, b, c, d = self._v
-        p, q = nrm.numerator, nrm.denominator
-        if p < 0:
-            p, q = -p, -q
-        return _reduced(a * q, -b * q, c * p, d)
+        n = a * a - d * b * b
+        if not n:
+            raise CoefficientError("inverse of zero in Q(sqrt(d))")
+        if n < 0:
+            return _reduced(-c * a, c * b, -n, d)
+        return _reduced(c * a, -c * b, n, d)
 
     def __pow__(self, k: int):
         a, b, c, d = (self if k >= 0 else self.inv())._v

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .coeffs import QuadField, QuadNum, RationalField, _reduced, quad_parts
+from .coeffs import QuadField, QuadNum, RationalField, _new_quad, _reduced, quad_parts
 from .errors import RealizationError
 from .rootdata import PinnedAutomorphism, WeylElement, build_root_datum
 from .tits import TitsElement, TorusElement
@@ -31,8 +31,17 @@ def mat_identity(n: int, field) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
+def _shape(m) -> str:
+    """'rxc' for r rows of c entries each, 'ragged r-row' when the rows differ."""
+    widths = set(map(len, m))
+    if len(widths) > 1:
+        return f"ragged {len(m)}-row"
+    return f"{len(m)}x{widths.pop() if widths else 0}"
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a*b.
+    """The product a*b of an n x k and a k x m matrix, n, k, m >= 1; any
+    other pair of shapes raises RealizationError naming both.
 
     When the first entry of a or b is a QuadNum, the product is
     ``_quad_mat_mul``, which reads the integers of each entry in place and
@@ -43,6 +52,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     operations read as a higher peak RSS (ROADMAP item 1); that path waits
     for the harness to change.
     """
+    if set(map(len, a)) != {len(b)} or len(set(map(len, b))) != 1 or not b[0]:
+        raise RealizationError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
     a00, b00 = a[0][0], b[0][0]
     if isinstance(a00, QuadNum) or isinstance(b00, QuadNum):
         return _quad_mat_mul(a, b, a00.d if isinstance(a00, QuadNum) else b00.d)
@@ -102,6 +113,44 @@ def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
     return tuple(out)
 
 
+def _quad_theta_fixed(g: Matrix, d: int) -> bool:
+    """Whether g J g^T = J over Q(sqrt(d)) for the signed antidiagonal J of
+    ``MatrixContext``, from the entries i <= j (i < j for even n; see
+    ``MatrixContext.theta_fixed``).  M[i][j] = sum_k (-1)^(n-1-k) g[i][k]
+    g[j][n-1-k] is summed on the integers of the nonzero entries, as in
+    ``_quad_mat_mul``, to (A + B*sqrt(d))/C, which equals J[i][j] exactly
+    when B = 0 and A = J[i][j]*C; no sum is reduced.  Every entry is read
+    through ``_nonzero_parts``, so one outside the field raises
+    CoefficientError."""
+    n = len(g)
+    rows = [_nonzero_parts(row, d) for row in g]
+    # flipped[j][k]: the integers of (-1)^(n-1-k) g[j][n-1-k]; with
+    # col = n-1-k the sign is (-1)^col
+    flipped = [{n - 1 - col: (-a, -b, c) if col % 2 else (a, b, c) for col, a, b, c in row}
+               for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1 - n % 2, n):
+            fj = flipped[j]
+            ta, tb, tc = 0, 0, 1
+            for k, xa, xb, xc in row:
+                y = fj.get(k)
+                if y is not None:
+                    ya, yb, yc = y
+                    pa, pb, pc = xa * ya + d * xb * yb, xa * yb + xb * ya, xc * yc
+                    if pc == tc:
+                        ta += pa
+                        tb += pb
+                    else:
+                        q = gcd(tc, pc)
+                        s, u = pc // q, tc // q
+                        ta, tb, tc = ta * s + pa * u, tb * s + pb * u, tc * s
+            # J[i][j] is (-1)^j on the antidiagonal j = n-1-i and 0 elsewhere
+            want = (-tc if j % 2 else tc) if i + j == n - 1 else 0
+            if tb or ta != want:
+                return False
+    return True
+
+
 def mat_prod(*ms: Matrix) -> Matrix:
     out = ms[0]
     for m in ms[1:]:
@@ -114,7 +163,8 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Entrywise equality; matrices of different shapes are unequal."""
+    return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
 def mat_scalar(a: Matrix, c) -> Matrix:
@@ -147,8 +197,11 @@ def mat_det_inv(a: Matrix, field):
     elimination, or zero and None when a is singular.  The determinant is
     the product of the pivots, negated once per row swap.  Each entry is
     read through ``field.embed``, so an int is exact and a float or a
-    foreign entry raises CoefficientError."""
+    foreign entry raises CoefficientError; a matrix that is not square
+    raises RealizationError naming its shape."""
     n = len(a)
+    if set(map(len, a)) - {n}:
+        raise RealizationError(f"cannot invert a {_shape(a)} matrix: it is not square")
     work = [[field.embed(x) for x in row] + list(idrow)
             for row, idrow in zip(a, mat_identity(n, field))]
     det = field.one()
@@ -251,6 +304,7 @@ class MatrixContext:
                      for i in range(self.n))
 
     def torus_coords_of_diagonal(self, m: Matrix) -> TorusElement:
+        self._check_square(m, "torus_coords_of_diagonal")
         if any(m[i][j] for i in range(self.n) for j in range(self.n) if i != j):
             raise RealizationError("matrix is not diagonal")
         acc = self.field.one()
@@ -273,24 +327,47 @@ class MatrixContext:
         return self.torus_matrix(TorusElement.coroot_product(
             len(coroot_coords), [(coroot_coords, self.field.embed(value))], self.field.one()))
 
+    def _check_square(self, g: Matrix, what: str) -> None:
+        """RealizationError naming what and the shape of g unless g is n x n."""
+        n = self.n
+        if len(g) != n or set(map(len, g)) != {n}:
+            raise RealizationError(f"{what} takes a {n}x{n} matrix on SL({n}), "
+                                   f"not a {_shape(g)} matrix")
+
     # -- theta ----------------------------------------------------------------
 
     def theta_apply(self, g: Matrix) -> Matrix:
         if self.J is None:
             raise RealizationError("context carries no automorphism")
+        self._check_square(g, "theta_apply")
         return mat_prod(self.J, mat_transpose(mat_inv(g, self.field)), self._J_inv)
 
     def theta_fixed(self, g: Matrix) -> bool:
         """Whether g is fixed by theta, tested as g J g^T = J with no inverse:
         that is theta(g) = J (g^T)^{-1} J^{-1} = g multiplied out, and it
-        forces det(g) = +-1, so a singular g is never fixed."""
+        forces det(g) = +-1, so a singular g is never fixed.
+
+        Over Q(sqrt(d)) only the entries i <= j of M = g J g^T are formed
+        (``_quad_theta_fixed``).  The one entry of row i of J is
+        J[i][n-1-i] = (-1)^(n-1-i), so J^T[i][n-1-i] = J[n-1-i][i] = (-1)^i
+        and J^T = (-1)^(n-1) J: J is symmetric for odd n and antisymmetric
+        for even n.  Then M^T = g J^T g^T = (-1)^(n-1) M, so M - J has the
+        symmetry of J: its entry (j, i) is (-1)^(n-1) times its entry
+        (i, j), so M = J exactly when the entries i <= j agree.  For even n,
+        M[i][i] = -M[i][i] is zero, as is every diagonal entry of J (in the
+        sum over k the terms k and n-1-k cancel), so only i < j is read.
+        Over Q and F_p the product is formed in full."""
         if self.J is None:
             raise RealizationError("context carries no automorphism")
+        self._check_square(g, "theta_fixed")
+        if isinstance(self.field, QuadField):
+            return _quad_theta_fixed(g, self.field.d)
         return mat_eq(mat_prod(g, self.J, mat_transpose(g)), self.J)
 
     def dtheta_apply(self, x: Matrix) -> Matrix:
         if self.J is None:
             raise RealizationError("context carries no automorphism")
+        self._check_square(x, "dtheta_apply")
         return mat_scalar(mat_prod(self.J, mat_transpose(x), self._J_inv),
                           -self.field.one())
 
@@ -306,11 +383,24 @@ class MatrixContext:
 
     def galois_apply(self, g: Matrix, k: int = 1) -> Matrix:
         """sigma^k applied to each entry: sigma conjugates Q(sqrt(d)) and is
-        trivial on Q and F_p, which carry no conjugation."""
+        trivial on Q and F_p, which carry no conjugation.  Over Q(sqrt(d))
+        the integers (a, b, c) of each entry are read in place, through
+        ``quad_parts`` for an int or a Fraction (which refuses an entry
+        outside the field), and the conjugate is (a, -b, c); a QuadNum with
+        b = 0 is its own conjugate and is kept."""
+        self._check_square(g, "galois_apply")
         f = self.field
-        if k % 2 and isinstance(f, QuadField):
-            return tuple(tuple(map(f.conj, row)) for row in g)
-        return g
+        if not (k % 2 and isinstance(f, QuadField)):
+            return g
+        d = f.d
+        out = []
+        for row in g:
+            new_row = []
+            for x in row:
+                a, b, c, _ = x._v if type(x) is QuadNum and x._v[3] == d else quad_parts(x, d)
+                new_row.append(x if not b and type(x) is QuadNum else _new_quad(a, -b, c, d))
+            out.append(tuple(new_row))
+        return tuple(out)
 
     def __repr__(self):
         tail = ", twisted" if self.twisted else ""

@@ -685,7 +685,13 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
                               realization: Optional[Realization] = None) -> BorelReport:
     """Replace the implicit Borel subgroup through a normalizer element with
     Weyl image mu and confirm that the two cocycles differ by the coboundary
-    of the x(mu) witness."""
+    of the x(mu) witness.
+
+    Both identities are checked at k >= 1 only.  ``m_cocycle`` has checked
+    m(1) = m'(1) = 1, so at k = 0 the m-level identity reads
+    n(mu) n(mu)^-1 = x(mu)^-1 x(mu), that is 1 = 1; ``_cocycle`` has checked
+    that both t(1) are the identity, so the matrix identity reads
+    1 = 1 w^-1 w as well."""
     if theta is not None and not theta.commutes_with(mu):
         raise RootDatumError("mu is not fixed by the automorphism")
     one = adata.one
@@ -705,7 +711,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     # the two cocycles differ by the coboundary of the witness for the
     # transported torus action
     lift = tits_lift(datum, mu, one)
-    for k in range(descent.order):
+    for k in range(1, descent.order):
         lhs = lift * m_prime[k] * descent.galois_on_tits(k, lift).inverse()
         coboundary = witness.inv() * descent.galois_on_torus_twisted(k, witness)
         rhs = TitsElement(coboundary, datum.identity_weyl()) * m[k]
@@ -723,7 +729,7 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     c2 = _cocycle(datum, descent_prime, adata_prime, theta, realization_prime, m_prime)
     w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
     w_inv = mat_inv(w_mat, f)
-    for k in range(descent.order):
+    for k in range(1, descent.order):
         sigma_w = ctx.galois_apply(w_mat, k)
         want = mat_prod(c1.matrices[k], w_inv, sigma_w)
         if not mat_eq(c2.matrices[k], want):
