@@ -32,10 +32,6 @@ class RestrictedOrbit:
     # the members' restricted indices, in the same (ascending) order
     indices: Tuple[int, ...] = field(compare=False, repr=False)
 
-    @property
-    def representative(self) -> tuple:
-        return min(self.members)
-
 
 def restricted_galois_orbits(rrs: RestrictedRootSystem,
                              descent: DescentDatum) -> Tuple[RestrictedOrbit, ...]:
@@ -202,9 +198,6 @@ class EndoscopicSignDatum:
 
     def place(self, orbit: RestrictedOrbit) -> LocalPlace:
         return self.places[orbit.members]
-
-    def symmetric_orbits(self) -> Tuple[RestrictedOrbit, ...]:
-        return tuple(o for o in self.orbits if o.symmetric)
 
 
 _ONE, _MINUS_ONE = (0, 1), (1, 2)   # the exponent pairs of 1 and -1

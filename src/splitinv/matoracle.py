@@ -159,6 +159,10 @@ def mat_prod(*ms: Matrix) -> Matrix:
 
 
 def mat_transpose(a: Matrix) -> Matrix:
+    """The transpose of an n x m matrix, n, m >= 1; any other shape raises
+    RealizationError naming it."""
+    if len(set(map(len, a))) != 1 or not a[0]:
+        raise RealizationError(f"cannot transpose a {_shape(a)} matrix")
     return tuple(zip(*a))
 
 
@@ -172,6 +176,11 @@ def mat_scalar(a: Matrix, c) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    """a + b for two n x m matrices, n, m >= 1; any other pair of shapes
+    raises RealizationError naming both."""
+    widths = set(map(len, a))
+    if len(a) != len(b) or len(widths) != 1 or widths != set(map(len, b)) or not a[0]:
+        raise RealizationError(f"cannot add a {_shape(a)} matrix and a {_shape(b)} matrix")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 

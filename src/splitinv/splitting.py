@@ -445,10 +445,10 @@ class Realization:
     def __init__(self, ctx: MatrixContext, h, use_theta: bool = False):
         if not isinstance(ctx.field, QuadField):
             raise RealizationError("realizations need a quadratic coefficient field")
-        f, n = ctx.field, ctx.n
-        if not (isinstance(h, (tuple, list)) and len(h) == n and all(
-                isinstance(row, (tuple, list)) and len(row) == n for row in h)):
-            raise RealizationError(f"h {h!r} is not a {n} x {n} matrix")
+        f = ctx.field
+        if not (isinstance(h, (tuple, list)) and all(isinstance(row, (tuple, list)) for row in h)):
+            raise RealizationError(f"h {h!r} is not a matrix: it is not a tuple or list of rows")
+        ctx._check_square(h, "h for Realization")
         try:
             h = tuple(tuple(map(f.embed, row)) for row in h)
         except CoefficientError as exc:

@@ -1,9 +1,6 @@
 """Torus coordinates, the normalizer model built on canonical Weyl lifts,
 and the cocycle building blocks x(zeta) and m(sigma).
 
-Each product prod v^mu over cocharacters mu is ``TorusElement.coroot_product``;
-the Tits product and ``tits_cocycle`` sum a 2-torsion mu as integers first.
-
 A torus point is a coordinate vector over the simple coroots; a normalizer
 point is a pair (torus part, Weyl part) standing for t * n(w), where n(w) is
 the canonical lift along any reduced word.  Products are normalized by
@@ -13,18 +10,33 @@ GTM 231, ch. 4); a closed-form expression for the resulting 2-torsion cocycle
 is exported separately and is cross-checked against explicit matrix models
 by the test suites.
 
+One helper, ``_torus_product``, builds w(t) (``TorusElement.weyl_apply``),
+prod v^mu over cocharacters mu (``TorusElement.coroot_product``) and the
+torus parts of the Tits product and its inverse: coordinate j is
+left_j * prod_i c_i^{e_ij} * (-1)^{mu_j}, multiplied once.  Over ints and
+Fractions the numerators and denominators are integer products and each
+coordinate becomes one Fraction, with one gcd; symbolic units sum their
+exponents in ``SymUnit.product``; any other field multiplies left to right.
+So a 2-torsion mu is summed as integers first, and t1 w1(t2) (-1)^mu is
+formed in one pass once mu is known.
+
 A product with n(1) on either side peels nothing: (t1, 1)(t2, w2) is
 (t1 t2, w2) and (t1, w1)(t2, 1) is (t1 w1(t2), w1), since no letter crosses
 a wall against n(1).  The 2-torsion correction (-1)^mu negates the
 coordinates where mu is odd.
+
+The inverse takes one peel and no Tits product.  Peeling a reduced word of
+w^-1 onto n(w) gives n(w^-1) n(w) = (-1)^nu; then n(w)^-1 = (-1)^nu n(w^-1),
+and (t n(w))^-1 = n(w)^-1 t^-1 = w^-1(t^-1) (-1)^nu n(w^-1).  The same nu is
+w^-1(mu) for n(w) n(w^-1) = (-1)^mu, since n(w^-1) n(w) is n(w) n(w^-1)
+conjugated by n(w^-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import mul
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffs import SymUnit
 from .errors import ADataError, RootDatumError
@@ -44,16 +56,9 @@ class TorusElement:
     @staticmethod
     def coroot_product(rank: int, factors: Iterable, one) -> "TorusElement":
         """prod v^mu over the (cocharacter mu, value v) pairs, read off mu's
-        nonzero entries; a coordinate that no factor reaches is one.  Each
-        coordinate gathers its powers v^e and is multiplied once: a symbolic
-        one by the n-ary ``SymUnit.product``, any other left to right."""
-        terms = [[] for _ in range(rank)]
-        for mu, v in factors:
-            for j, e in enumerate(mu):
-                if e:
-                    terms[j].append(v if e == 1 else v ** e)
-        product = SymUnit.product if isinstance(one, SymUnit) else partial(reduce, mul)
-        return TorusElement(tuple(product(t) if t else one for t in terms))
+        nonzero entries; a coordinate that no factor reaches is one."""
+        mus, values = tuple(zip(*factors)) or ((), ())
+        return _torus_product(rank, values, map(enumerate, mus), one=one)
 
     @property
     def rank(self) -> int:
@@ -70,18 +75,9 @@ class TorusElement:
 
     def weyl_apply(self, w: WeylElement) -> "TorusElement":
         """w(t): the coordinate on alpha_i_vee moves to w(alpha_i_vee), read
-        as sparse (index, exponent) rows; a negative exponent raises the
-        coordinate's inverse, taken once."""
-        out = [None] * len(self.coords)
-        for c, row in zip(self.coords, w.coroot_rows()):
-            inv = None
-            for j, e in row:
-                if e < 0 and inv is None:
-                    inv = c ** -1
-                f = c if e == 1 else c ** e if e > 0 else inv if e == -1 else inv ** -e
-                # the coroot rows form an invertible matrix: every j is hit
-                out[j] = f if out[j] is None else out[j] * f
-        return TorusElement(tuple(out))
+        as sparse (index, exponent) rows."""
+        # the coroot rows form an invertible matrix: every coordinate is hit
+        return _torus_product(len(self.coords), self.coords, w.coroot_rows())
 
     def diagram_apply(self, g: PinnedAutomorphism) -> "TorusElement":
         out = [None] * len(self.coords)
@@ -112,6 +108,78 @@ def _value_is_one(c) -> bool:
     return c == one
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _torus_product(rank: int, values: Sequence, rows: Iterable, left: Optional[Sequence] = None,
+                   mu: Optional[Sequence[int]] = None, one=None) -> TorusElement:
+    """The torus point with coordinates left[j] * prod c^e * (-1)^mu[j], the
+    product over each value c with its row and the (j, e) entries of that
+    row, e = 0 adding nothing.  No left is all ones, no mu all zeros, and a
+    coordinate that nothing reaches is one.
+
+    Each coordinate is multiplied once.  When every value, left coordinate
+    and one is an int or a Fraction, its numerator and denominator are
+    integer products and one Fraction is built from them, which reduces by
+    one gcd and raises ZeroDivisionError for a zero value under a negative
+    exponent.  Symbolic units gather their powers for the n-ary
+    ``SymUnit.product``.  Any other value is multiplied left to right, its
+    inverse taken once."""
+    kinds = set(map(type, values))
+    if left is not None:
+        kinds.update(map(type, left))
+    if one is not None:
+        kinds.add(type(one))
+    if kinds <= _RATIONAL:
+        if left is None:
+            nums, dens = [1] * rank, [1] * rank
+        else:
+            nums = [c.numerator for c in left]
+            dens = [c.denominator for c in left]
+        for c, row in zip(values, rows):
+            n, d = c.numerator, c.denominator
+            for j, e in row:
+                if e == 1:
+                    nums[j] *= n
+                    dens[j] *= d
+                elif e > 0:
+                    nums[j] *= n ** e
+                    dens[j] *= d ** e
+                elif e:
+                    nums[j] *= d ** -e
+                    dens[j] *= n ** -e
+        if mu is not None:
+            nums = [-x if m % 2 else x for x, m in zip(nums, mu)]
+        return TorusElement(tuple(map(Fraction, nums, dens)))
+    if kinds == {SymUnit}:
+        terms = [[] for _ in range(rank)] if left is None else [[c] for c in left]
+        for c, row in zip(values, rows):
+            for j, e in row:
+                if e:
+                    terms[j].append(c if e == 1 else c ** e)
+        out = [t[0] if len(t) == 1 else SymUnit.product(t) if t else one for t in terms]
+    else:
+        out = [None] * rank if left is None else list(left)
+        for c, row in zip(values, rows):
+            inv = None
+            for j, e in row:
+                if e == 1:
+                    f = c
+                elif e > 0:
+                    f = c ** e
+                elif e:
+                    if inv is None:
+                        inv = c ** -1
+                    f = inv if e == -1 else inv ** -e
+                else:
+                    continue
+                out[j] = f if out[j] is None else out[j] * f
+        out = [one if x is None else x for x in out]
+    if mu is not None:
+        out = [-x if m % 2 else x for x, m in zip(out, mu)]
+    return TorusElement(tuple(out))
+
+
 @dataclass(frozen=True)
 class TitsElement:
     """Normalizer point t * n(w) in normal form."""
@@ -124,40 +192,31 @@ class TitsElement:
         return self.weyl.datum
 
     def __mul__(self, other: "TitsElement") -> "TitsElement":
-        """(t1, w1)(t2, w2) resolved through the canonical-lift 2-cocycle."""
+        """(t1, w1)(t2, w2) = t1 w1(t2) (-1)^mu n(w1 w2), resolved through the
+        canonical-lift 2-cocycle: mu is peeled first, then the torus part is
+        built in one pass."""
         if other.weyl.datum is not self.weyl.datum:
             raise RootDatumError("Tits elements from different data")
         if self.weyl.is_identity:
             return TitsElement(self.torus * other.torus, other.weyl)
-        datum = self.datum
-        t = self.torus * other.torus.weyl_apply(self.weyl)
+        t2, rows = other.torus.coords, self.weyl.coroot_rows()
         if other.weyl.is_identity:
-            return TitsElement(t, self.weyl)
-        # peel the letters of w1 onto n(w2) from the right; a letter crosses a
-        # wall exactly when it is a left descent of the running product v
-        # (the height h_i of v^{-1} alpha_i is negative) and then contributes
-        # (-1)^{alpha_i_vee}; the correction is (-1)^mu.  s_i acts on the
-        # heights through row i of the Cartan matrix, on mu through its transpose.
-        mu = [0] * datum.rank
-        h = datum._simple_heights(other.weyl.inv_perm)    # of the running v = s ... s w2
-        rows, dual = datum.cartan_rows, datum.dual_rows
-        for i in reversed(self.weyl.word):
-            # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
-            hi = h[i]
-            mu[i] += (hi < 0) - sum(c * mu[j] for j, c in dual[i])
-            for j, c in rows[i]:
-                h[j] -= c * hi
-        return TitsElement(TorusElement(tuple(-c if m % 2 else c for c, m in zip(t.coords, mu))),
+            return TitsElement(_torus_product(len(t2), t2, rows, self.torus.coords), self.weyl)
+        mu = _peel(self.datum, reversed(self.weyl.word), other.weyl.inv_perm)
+        return TitsElement(_torus_product(len(t2), t2, rows, self.torus.coords, mu),
                            self.weyl * other.weyl)
 
     def inverse(self) -> "TitsElement":
-        rough = TitsElement(self.torus.inv().weyl_apply(self.weyl.inverse()),
-                            self.weyl.inverse())
-        defect = (self * rough).torus  # self * rough is torus-valued
-        # rough * defect^-1: no letter of w^-1 crosses a wall against n(1),
-        # so the product is the torus part moved through w^-1
-        return TitsElement(rough.torus * defect.inv().weyl_apply(rough.weyl),
-                           rough.weyl)
+        """w^-1(t^-1) (-1)^nu n(w^-1), with n(w^-1) n(w) = (-1)^nu peeled from
+        the letters of w, a reduced word of w^-1 read from its right end.
+        A zero coordinate raises ZeroDivisionError, whatever its exponents."""
+        if not all(self.torus.coords):
+            raise ZeroDivisionError(f"{self.torus!r} has a zero coordinate and no inverse")
+        w, w_inv = self.weyl, self.weyl.inverse()
+        nu = _peel(self.datum, w.word, w.inv_perm)
+        t = self.torus.coords
+        rows = ([(j, -e) for j, e in row] for row in w_inv.coroot_rows())
+        return TitsElement(_torus_product(len(t), t, rows, mu=nu), w_inv)
 
     def theta_apply(self, theta: PinnedAutomorphism) -> "TitsElement":
         return TitsElement(self.torus.diagram_apply(theta), theta.act_weyl(self.weyl))
@@ -169,10 +228,30 @@ class TitsElement:
         return f"({self.torus!r}, {self.weyl!r})"
 
 
+def _peel(datum: RootDatum, letters: Iterable[int], inv_perm: Sequence[int]) -> List[int]:
+    """mu with n(w1) n(w2) = (-1)^mu n(w1 w2), for letters a reduced word of w1
+    read from its right end and inv_perm the permutation of w2^-1.
+
+    Each letter is peeled onto the running product v = s ... s w2.  It
+    crosses a wall exactly when it is a left descent of v (the height h_i of
+    v^{-1} alpha_i is negative) and then contributes (-1)^{alpha_i_vee}.
+    s_i acts on the heights through row i of the Cartan matrix, on mu
+    through its transpose."""
+    mu = [0] * datum.rank
+    h = datum._simple_heights(inv_perm)
+    rows, dual = datum.cartan_rows, datum.dual_rows
+    for i in letters:
+        # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
+        hi = h[i]
+        mu[i] += (hi < 0) - sum(c * mu[j] for j, c in dual[i])
+        for j, c in rows[i]:
+            h[j] -= c * hi
+    return mu
+
+
 def tits_lift(datum: RootDatum, omega: WeylElement, one=None) -> TitsElement:
     """Canonical lift n(omega) of a Weyl element (product of the simple
     lifts along any reduced word; well defined by the braid property)."""
-    from fractions import Fraction
     if one is None:
         one = Fraction(1)
     if omega.datum is not datum:

@@ -12,9 +12,10 @@ from quad_reference import (galois_apply_by_field_conj, inv_by_fraction,
                             theta_fixed_by_full_product)
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
-from splitinv.matoracle import (MatrixContext, mat_det_inv, mat_eq, mat_identity, mat_mul)
+from splitinv.matoracle import (MatrixContext, mat_add, mat_det_inv, mat_eq, mat_identity,
+                                mat_mul, mat_transpose)
 from splitinv.rootdata import restrict_root_system
-from splitinv.splitting import sample_h_twisted
+from splitinv.splitting import Realization, sample_h_twisted
 
 DS = [5, -1, 2, -3, 7]
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
@@ -174,6 +175,22 @@ class TestWrongShapes:
         ("mat_mul of an empty matrix", lambda: mat_mul((), I3), "0x0 matrix by a 3x3"),
         ("mat_mul by a ragged matrix", lambda: mat_mul(I2, (I2[0], I2[1][:1])),
          "2x2 matrix by a ragged 2-row"),
+        ("mat_add over Q", lambda: mat_add(mat_identity(2, RationalField()),
+                                           mat_identity(3, RationalField())),
+         "2x2 matrix and a 3x3"),
+        ("mat_add 1x2 and 2x1", lambda: mat_add(((1, 2),), ((1,), (2,))), "1x2 matrix and a 2x1"),
+        ("mat_add of empty matrices", lambda: mat_add((), ()), "0x0 matrix and a 0x0"),
+        ("mat_add of a ragged matrix", lambda: mat_add((I2[0], I2[1][:1]), I2),
+         "ragged 2-row matrix and a 2x2"),
+        ("mat_transpose of a ragged matrix", lambda: mat_transpose((I3[0], I3[1][:2], I3[2])),
+         "ragged 3-row"),
+        ("mat_transpose of an empty matrix", lambda: mat_transpose(()), "0x0"),
+        ("mat_transpose of empty rows", lambda: mat_transpose(((), ())), "2x0"),
+        ("Realization of a 2x2 h", lambda: Realization(SL3, I2), "3x3 matrix on SL.3., not a 2x2"),
+        ("Realization of an empty h", lambda: Realization(SL3, ()), "not a 0x0"),
+        ("Realization of h None", lambda: Realization(SL3, None), "None is not a matrix"),
+        ("Realization of a string h", lambda: Realization(SL3, "abc"), "'abc' is not a matrix"),
+        ("Realization of an int h", lambda: Realization(SL3, 3), "3 is not a matrix"),
     ]
 
     @pytest.mark.parametrize("call, shape", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -186,3 +203,5 @@ class TestWrongShapes:
         assert mat_det_inv(((2, 1), (1, 1)), RationalField()) == \
             (Fraction(1), ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2))))
         assert mat_mul(((1, 2, 3),), ((1,), (1,), (1,))) == ((6,),)
+        assert mat_add(((1, 2),), ((3, 4),)) == ((4, 6),)
+        assert mat_transpose(((1, 2, 3),)) == ((1,), (2,), (3,))

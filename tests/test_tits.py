@@ -382,6 +382,65 @@ class TestProductShortCuts:
                 x * y
 
 
+def three_step_inverse(d, x, one):
+    """(t n(w))^-1 by the route the library took before its one-peel
+    inverse: the rough inverse w^-1(t^-1) n(w^-1), the torus-valued defect
+    x * rough, and rough * defect^-1, which peels no letter since the defect
+    sits over n(1).  Moves and products go through the dense formula and the
+    letter-by-letter route, not through the library's torus product."""
+    w_inv = x.weyl.inverse()
+    rough = TitsElement(dense_weyl_apply(x.torus.inv(), w_inv, one), w_inv)
+    defect = letter_by_letter(d, x, rough, one)
+    assert defect.weyl.is_identity
+    return TitsElement(rough.torus * dense_weyl_apply(defect.torus.inv(), w_inv, one), w_inv)
+
+
+class TestInverse:
+    """The inverse w^-1(t^-1) (-1)^nu n(w^-1), nu from one peel, agrees with
+    the three-step route on whole Weyl groups, value and entry type."""
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("kind", ["fraction", "quad", "symunit"])
+    def test_matches_the_three_step_route(self, spec, kind):
+        d = build_root_datum([spec])
+        rng = random.Random(f"inverse{spec}{kind}")
+        signs = set()
+        for w in d.weyl_group():
+            one, coords = TestWeylApply.coordinates(kind, d.rank, rng)
+            x = TitsElement(TorusElement(tuple(coords)), w)
+            got = x.inverse()
+            assert got == three_step_inverse(d, x, one), w
+            assert [type(c) for c in got.torus.coords] == [type(one)] * d.rank
+            moved = dense_weyl_apply(x.torus.inv(), w.inverse(), one)
+            signs.add(got.torus != moved)
+        assert signs == {True, False}     # odd and even nu both met
+
+    def test_int_coordinates_become_fractions(self):
+        d = build_root_datum([("B", 3)])
+        rng = random.Random(7)
+        for w in d.weyl_group():
+            coords = tuple(rng.choice([-4, -1, 2, 3]) for _ in range(d.rank))
+            x = TitsElement(TorusElement(coords), w)
+            got = x.inverse()
+            want = three_step_inverse(
+                d, TitsElement(TorusElement(tuple(map(Fraction, coords))), w), ONE)
+            assert got == want, w
+            assert all(type(c) is Fraction for c in got.torus.coords)
+            assert x * got == tits_lift(d, d.identity_weyl(), ONE)
+
+    def test_a_zero_coordinate_raises(self):
+        # under the identity the zero meets exponent -1; under w0, which sends
+        # each simple coroot to a negative one, it meets exponent +1
+        d = build_root_datum([("A", 3)])
+        for w in (d.identity_weyl(), d.longest_element()):
+            x = TitsElement(TorusElement((Fraction(2, 3), 0, Fraction(-1, 2))), w)
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        # the one Fraction built per coordinate has denominator zero
+        with pytest.raises(ZeroDivisionError):
+            x.torus.weyl_apply(d.simple_reflection(1))
+
+
 class TestHeightPeel:
     """The Tits product peels by the heights of the simple-root images; the
     per-letter permutation peel it replaced agrees on random pairs, the
