@@ -41,17 +41,10 @@ def _shape(m) -> str:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a*b of an n x k and a k x m matrix, n, k, m >= 1; any
-    other pair of shapes raises RealizationError naming both.
-
-    When the first entry of a or b is a QuadNum, the product is
-    ``_quad_mat_mul``, which reads the integers of each entry in place and
-    pays only for pairs of nonzero entries.  Over Q and F_p every entry
-    stays the generic sum of products, zeros included.  Skipping the zeros
-    there speeds up the Weyl-matrix products of the Tits checks, but the
-    benchmark harness keeps data for every operation it completes, so more
-    operations read as a higher peak RSS (ROADMAP item 1); that path waits
-    for the harness to change.
-    """
+    other pair of shapes raises RealizationError naming both.  It is
+    ``_quad_mat_mul`` when the first entry of a or b is a QuadNum; over Q
+    and F_p each entry is the sum of all k products (skipping zeros reads as
+    more peak RSS in the benchmark, ROADMAP item 1)."""
     if set(map(len, a)) != {len(b)} or len(set(map(len, b))) != 1 or not b[0]:
         raise RealizationError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
     a00, b00 = a[0][0], b[0][0]
@@ -75,22 +68,14 @@ def _nonzero_parts(row, d: int) -> list:
     return out
 
 
-def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
-    """a*b over Q(sqrt(d)), row by row (Gustavson 1978, ACM TOMS 4(3)): for
-    each nonzero a[i][t], the products with the nonzero entries of row t of b
-    are added into per-column integer numerators over a running denominator,
-    the lcm so far.  Each column that got a nonzero total becomes one QuadNum
-    in place, with one gcd and no further call, as ``_reduced`` would build
-    it.  The (a, b, c) normal form is unique, so every entry has the
-    integers of the generic sum of QuadNum products, bit for bit; an entry
-    with no nonzero total is the zero (0, 0, 1, d)."""
-    m = len(b[0])
-    b_rows = [_nonzero_parts(row, d) for row in b]
-    zero = _reduced(0, 0, 1, d)
-    out = []
-    for row in a:
+def _quad_rows(a_rows, b_rows, m: int, d: int):
+    """The rows of a*b over Q(sqrt(d)), from the rows of a and of the
+    m-column b as ``_nonzero_parts`` reads them, as integer lists (A, B, C):
+    (A[j] + B[j]*sqrt(d))/C[j], C[j] > 0, unreduced, sums each product of a
+    nonzero a[i][t] with row t of b over a running lcm (Gustavson 1978)."""
+    for row in a_rows:
         ta, tb, tc = [0] * m, [0] * m, [1] * m
-        for t, xa, xb, xc in _nonzero_parts(row, d):
+        for t, xa, xb, xc in row:
             for j, ya, yb, yc in b_rows[t]:
                 pa, pb, pc = xa * ya + d * xb * yb, xa * yb + xb * ya, xc * yc
                 c = tc[j]
@@ -101,6 +86,16 @@ def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
                     g = gcd(c, pc)
                     s, u = pc // g, c // g
                     ta[j], tb[j], tc[j] = ta[j] * s + pa * u, tb[j] * s + pb * u, c * s
+        yield ta, tb, tc
+
+
+def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
+    """a*b over Q(sqrt(d)): each nonzero total of ``_quad_rows`` becomes one
+    QuadNum in place with one gcd, as ``_reduced`` builds it, so every entry
+    has the integers of the generic sum of QuadNum products, bit for bit."""
+    zero, out = _reduced(0, 0, 1, d), []
+    b_rows = [_nonzero_parts(row, d) for row in b]
+    for ta, tb, tc in _quad_rows((_nonzero_parts(row, d) for row in a), b_rows, len(b[0]), d):
         new_row = []
         for ea, eb, ec in zip(ta, tb, tc):
             x = zero
@@ -111,44 +106,6 @@ def _quad_mat_mul(a: Matrix, b: Matrix, d: int) -> Matrix:
             new_row.append(x)
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def _quad_theta_fixed(g: Matrix, d: int) -> bool:
-    """Whether g J g^T = J over Q(sqrt(d)) for the signed antidiagonal J of
-    ``MatrixContext``, from the entries i <= j (i < j for even n; see
-    ``MatrixContext.theta_fixed``).  M[i][j] = sum_k (-1)^(n-1-k) g[i][k]
-    g[j][n-1-k] is summed on the integers of the nonzero entries, as in
-    ``_quad_mat_mul``, to (A + B*sqrt(d))/C, which equals J[i][j] exactly
-    when B = 0 and A = J[i][j]*C; no sum is reduced.  Every entry is read
-    through ``_nonzero_parts``, so one outside the field raises
-    CoefficientError."""
-    n = len(g)
-    rows = [_nonzero_parts(row, d) for row in g]
-    # flipped[j][k]: the integers of (-1)^(n-1-k) g[j][n-1-k]; with
-    # col = n-1-k the sign is (-1)^col
-    flipped = [{n - 1 - col: (-a, -b, c) if col % 2 else (a, b, c) for col, a, b, c in row}
-               for row in rows]
-    for i, row in enumerate(rows):
-        for j in range(i + 1 - n % 2, n):
-            fj = flipped[j]
-            ta, tb, tc = 0, 0, 1
-            for k, xa, xb, xc in row:
-                y = fj.get(k)
-                if y is not None:
-                    ya, yb, yc = y
-                    pa, pb, pc = xa * ya + d * xb * yb, xa * yb + xb * ya, xc * yc
-                    if pc == tc:
-                        ta += pa
-                        tb += pb
-                    else:
-                        q = gcd(tc, pc)
-                        s, u = pc // q, tc // q
-                        ta, tb, tc = ta * s + pa * u, tb * s + pb * u, tc * s
-            # J[i][j] is (-1)^j on the antidiagonal j = n-1-i and 0 elsewhere
-            want = (-tc if j % 2 else tc) if i + j == n - 1 else 0
-            if tb or ta != want:
-                return False
-    return True
 
 
 def mat_prod(*ms: Matrix) -> Matrix:
@@ -278,16 +235,12 @@ class MatrixContext:
         if twisted:
             perm = tuple(n - 2 - i for i in range(n - 1))
             self.theta = PinnedAutomorphism(self.datum, perm)
-            one = self.field.one()
-            zero = self.field.zero()
-            self.J = tuple(tuple((one if (n - 1 - i) % 2 == 0 else -one)
-                                 if j == n - 1 - i else zero
+            one, zero = self.field.one(), self.field.zero()
+            self.J = tuple(tuple((-one if (n - 1 - i) % 2 else one) if j == n - 1 - i else zero
                                  for j in range(n)) for i in range(n))
-            self._J_inv = mat_inv(self.J, self.field)
             self._check_pinning_preserved()
         else:
-            self.theta = None
-            self.J = None
+            self.theta = self.J = None
 
     # -- pinning -------------------------------------------------------------
 
@@ -345,40 +298,53 @@ class MatrixContext:
 
     # -- theta ----------------------------------------------------------------
 
+    def _flip(self, x: Matrix, negate: bool = False) -> Matrix:
+        """J x^T J^-1 (negated if negate is set), with entry (i, j) equal to
+        (-1)^(i+j) x[n-1-j][n-1-i]: the one entry of row i of J is J[i][n-1-i]
+        = (-1)^(n-1-i), so J^2 = (-1)^(n-1), J^-1 = (-1)^(n-1) J, and the sign
+        of J[i][n-1-i] J^-1[n-1-j][j] is (-1)^((n-1-i) + (n-1) + j) = (-1)^(i+j).
+        Entries are moved, and negated where the sign is -1, never embedded."""
+        n = self.n
+        return tuple(tuple(-x[n - 1 - j][n - 1 - i] if (i + j + negate) % 2
+                           else x[n - 1 - j][n - 1 - i] for j in range(n)) for i in range(n))
+
     def theta_apply(self, g: Matrix) -> Matrix:
+        """J (g^-1)^T J^-1, the flip of g^-1; a singular g raises RealizationError."""
         if self.J is None:
             raise RealizationError("context carries no automorphism")
         self._check_square(g, "theta_apply")
-        return mat_prod(self.J, mat_transpose(mat_inv(g, self.field)), self._J_inv)
+        return self._flip(mat_inv(g, self.field))
 
     def theta_fixed(self, g: Matrix) -> bool:
-        """Whether g is fixed by theta, tested as g J g^T = J with no inverse:
-        that is theta(g) = J (g^T)^{-1} J^{-1} = g multiplied out, and it
-        forces det(g) = +-1, so a singular g is never fixed.
-
-        Over Q(sqrt(d)) only the entries i <= j of M = g J g^T are formed
-        (``_quad_theta_fixed``).  The one entry of row i of J is
-        J[i][n-1-i] = (-1)^(n-1-i), so J^T[i][n-1-i] = J[n-1-i][i] = (-1)^i
-        and J^T = (-1)^(n-1) J: J is symmetric for odd n and antisymmetric
-        for even n.  Then M^T = g J^T g^T = (-1)^(n-1) M, so M - J has the
-        symmetry of J: its entry (j, i) is (-1)^(n-1) times its entry
-        (i, j), so M = J exactly when the entries i <= j agree.  For even n,
-        M[i][i] = -M[i][i] is zero, as is every diagonal entry of J (in the
-        sum over k the terms k and n-1-k cancel), so only i < j is read.
-        Over Q and F_p the product is formed in full."""
+        """Whether theta(g) = g, tested as g J g^T J^-1 = 1 with no inverse (so
+        a singular g is never fixed): over Q and F_p as g, embedded, times its
+        flip; over Q(sqrt(d)) as the ``_quad_rows`` of g and its flip, which
+        must be those of 1 (B = 0, A[i] = C[i], every other A zero).  There g
+        is flipped on its integer rows, (k, a, b, c) of row r to row n-1-k,
+        column n-1-r, sign (-1)^(k+r): flipping QuadNums cost descent 4.5-8 %."""
         if self.J is None:
             raise RealizationError("context carries no automorphism")
         self._check_square(g, "theta_fixed")
-        if isinstance(self.field, QuadField):
-            return _quad_theta_fixed(g, self.field.d)
-        return mat_eq(mat_prod(g, self.J, mat_transpose(g)), self.J)
+        f, n = self.field, self.n
+        if not isinstance(f, QuadField):
+            g = tuple(tuple(map(f.embed, row)) for row in g)
+            return mat_eq(mat_mul(g, self._flip(g)), mat_identity(n, f))
+        rows, flipped = [_nonzero_parts(row, f.d) for row in g], [[] for _ in range(n)]
+        for r, row in enumerate(rows):
+            for k, a, b, c in row:
+                flipped[n - 1 - k].append((n - 1 - r, -a, -b, c) if (k + r) % 2
+                                          else (n - 1 - r, a, b, c))
+        for i, (ta, tb, tc) in enumerate(_quad_rows(rows, flipped, n, f.d)):
+            if any(tb) or ta[i] != tc[i] or any(ta[:i]) or any(ta[i + 1:]):
+                return False
+        return True
 
     def dtheta_apply(self, x: Matrix) -> Matrix:
+        """d theta(x) = -J x^T J^-1, the negated flip of x."""
         if self.J is None:
             raise RealizationError("context carries no automorphism")
         self._check_square(x, "dtheta_apply")
-        return mat_scalar(mat_prod(self.J, mat_transpose(x), self._J_inv),
-                          -self.field.one())
+        return self._flip(x, negate=True)
 
     def _check_pinning_preserved(self):
         for i in range(self.n - 1):
@@ -392,11 +358,9 @@ class MatrixContext:
 
     def galois_apply(self, g: Matrix, k: int = 1) -> Matrix:
         """sigma^k applied to each entry: sigma conjugates Q(sqrt(d)) and is
-        trivial on Q and F_p, which carry no conjugation.  Over Q(sqrt(d))
-        the integers (a, b, c) of each entry are read in place, through
-        ``quad_parts`` for an int or a Fraction (which refuses an entry
-        outside the field), and the conjugate is (a, -b, c); a QuadNum with
-        b = 0 is its own conjugate and is kept."""
+        trivial on Q and F_p.  Over Q(sqrt(d)) the conjugate of (a, b, c),
+        read in place or through ``quad_parts`` (which refuses an entry
+        outside the field), is (a, -b, c); a QuadNum with b = 0 is kept."""
         self._check_square(g, "galois_apply")
         f = self.field
         if not (k % 2 and isinstance(f, QuadField)):
@@ -418,9 +382,8 @@ class MatrixContext:
 
 def _generic_probe(ctx: MatrixContext) -> Matrix:
     # an invertible matrix with distinct entries, to witness identities
-    vals = [[ctx.field.embed(1 if i == j else 0) + ctx.field.embed((i + 2 * j) % 3)
-             for j in range(ctx.n)] for i in range(ctx.n)]
-    m = tuple(tuple(row) for row in vals)
+    m = tuple(tuple(ctx.field.embed(int(i == j) + (i + 2 * j) % 3) for j in range(ctx.n))
+              for i in range(ctx.n))
     if not mat_det(m, ctx.field):
         m = mat_add(m, mat_identity(ctx.n, ctx.field))
     return m
@@ -632,9 +595,8 @@ def verify_appendix(ctx: MatrixContext, rng=None) -> List[Tuple[str, bool]]:
                    mat_eq(n3p, adprime(ctx, ((0, 1), (-1, 0))))))
 
     # theta swaps the two rank-1 pinnings
-    ok = True
-    for g2 in (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1))):
-        ok = ok and mat_eq(ctx.theta_apply(block_embed(ctx, 0, g2)), block_embed(ctx, 1, g2))
+    ok = all(mat_eq(ctx.theta_apply(block_embed(ctx, 0, g2)), block_embed(ctx, 1, g2))
+             for g2 in (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1))))
     checks.append(("theta composed with the first rank-1 pinning is the second", ok))
 
     # fixed points of theta in the Weyl group

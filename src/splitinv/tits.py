@@ -65,6 +65,9 @@ class TorusElement:
         return len(self.coords)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
+        if len(self.coords) != len(other.coords):
+            raise RootDatumError(f"cannot multiply the rank-{self.rank} {self!r} "
+                                 f"by the rank-{other.rank} {other!r}")
         return TorusElement(tuple(a * b for a, b in zip(self.coords, other.coords)))
 
     def inv(self) -> "TorusElement":
@@ -186,6 +189,11 @@ class TitsElement:
 
     torus: TorusElement
     weyl: WeylElement
+
+    def __post_init__(self):
+        if self.torus.rank != self.weyl.datum.rank:
+            raise RootDatumError(f"the rank-{self.torus.rank} {self.torus!r} does not pair "
+                                 f"with {self.weyl!r} of {self.weyl.datum!r}")
 
     @property
     def datum(self) -> RootDatum:

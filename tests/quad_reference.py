@@ -1,10 +1,13 @@
-"""Reference Q(sqrt d) routines of the matrix oracle.
+"""Reference routines of the matrix oracle.
 
 The library inverts a QuadNum on its integers, conjugates a matrix by
-negating each entry's b in place, and tests theta-fixedness over Q(sqrt d)
-from the upper triangle of g J g^T.  These are the rules it used before:
-the inverse through the norm as a ``Fraction``, the field's conjugation
-applied to each entry, and the full product g J g^T compared entry by
+negating each entry's b in place, and applies the pinned automorphism as a
+signed anti-transpose (``MatrixContext._flip``): theta(g) is the flip of
+g^-1, d theta(x) the negated flip of x, and theta-fixedness is g times its
+flip equal to 1, read on the integer rows over Q(sqrt d).  These are the
+rules it used before: the inverse through the norm as a ``Fraction``, the
+field's conjugation applied to each entry, J (g^-1)^T J^-1 and -J x^T J^-1
+as sums of field products, and the full product g J g^T compared entry by
 entry with J.  They share no code with the new rules, so the tests compare
 the two.
 """
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 from splitinv.coeffs import QuadField, QuadNum
 from splitinv.errors import CoefficientError
+from splitinv.matoracle import mat_inv
 
 
 def inv_by_fraction(x: QuadNum) -> QuadNum:
@@ -42,3 +46,23 @@ def theta_fixed_by_full_product(ctx, g) -> bool:
     m = [[sum((gj[i][t] * g[j][t] for t in range(n)), f.zero()) for j in range(n)]
          for i in range(n)]
     return all(m[i][j] == J[i][j] for i in range(n) for j in range(n))
+
+
+def _conjugate_by_j(ctx, x):
+    """J x^T J^-1 as sums of field products, with J^-1 = J^T since J is a
+    signed permutation matrix."""
+    n, f, J = ctx.n, ctx.field, ctx.J
+    jxt = [[sum((J[i][t] * x[j][t] for t in range(n)), f.zero()) for j in range(n)]
+           for i in range(n)]
+    return tuple(tuple(sum((jxt[i][t] * J[j][t] for t in range(n)), f.zero()) for j in range(n))
+                 for i in range(n))
+
+
+def theta_apply_by_j_products(ctx, g):
+    """theta(g) = J (g^-1)^T J^-1, g^-1 from the library's ``mat_inv``."""
+    return _conjugate_by_j(ctx, mat_inv(g, ctx.field))
+
+
+def dtheta_apply_by_j_products(ctx, x):
+    """d theta(x) = -J x^T J^-1."""
+    return tuple(tuple(-y for y in row) for row in _conjugate_by_j(ctx, x))

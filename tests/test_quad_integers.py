@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quad_reference import (galois_apply_by_field_conj, inv_by_fraction,
+from quad_reference import (dtheta_apply_by_j_products, galois_apply_by_field_conj,
+                            inv_by_fraction, theta_apply_by_j_products,
                             theta_fixed_by_full_product)
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
-from splitinv.matoracle import (MatrixContext, mat_add, mat_det_inv, mat_eq, mat_identity,
-                                mat_mul, mat_transpose)
+from splitinv.matoracle import (MatrixContext, mat_add, mat_det, mat_det_inv, mat_eq,
+                                mat_identity, mat_mul, mat_transpose)
 from splitinv.rootdata import restrict_root_system
 from splitinv.splitting import Realization, sample_h_twisted
 
@@ -137,6 +138,115 @@ class TestThetaFixed:
         g[1][2] = QuadNum(1, 1, -1)
         with pytest.raises(CoefficientError, match="mixed quadratic extensions"):
             ctx.theta_fixed(g)
+
+
+FLIP_FIELDS = [RationalField(), PrimeField(7), QuadField(5), QuadField(-1)]
+FLIP_IDS = ["Q", "F7", "Q(sqrt5)", "Q(sqrt-1)"]
+
+
+def _random_matrix(f, n, rng):
+    """n x n field elements a/b with |a| <= 3, b <= 3, zeros among them, plus
+    a multiple of sqrt(d) in about half the entries over Q(sqrt d)."""
+    def entry():
+        x = f.embed(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if isinstance(f, QuadField) and rng.random() < 0.5:
+            x = x + f.gen() * rng.randint(-2, 2)
+        return x
+    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+
+
+def _typed(m):
+    return [[(type(x), getattr(x, "_v", x)) for x in row] for row in m]
+
+
+class TestThetaFlip:
+    """theta_apply and dtheta_apply, the signed anti-transposes of g^-1 and
+    of x, against J (g^-1)^T J^-1 and -J x^T J^-1 summed as field products:
+    the same values and entry types for n = 2..7; and the theta test on
+    products that differ from 1 only off the diagonal or only in sqrt(d)."""
+
+    @pytest.mark.parametrize("field", FLIP_FIELDS, ids=FLIP_IDS)
+    def test_theta_apply_matches_the_j_products(self, field):
+        rng = random.Random(f"theta {field.name}")
+        for n in range(2, 8):
+            ctx = MatrixContext(n, field, twisted=True)
+            checked = 0
+            while checked < 4:
+                g = _random_matrix(field, n, rng)
+                if not mat_det(g, field):
+                    continue
+                got = ctx.theta_apply(g)
+                assert _typed(got) == _typed(theta_apply_by_j_products(ctx, g))
+                assert mat_eq(ctx.theta_apply(got), g)
+                checked += 1
+
+    @pytest.mark.parametrize("field", FLIP_FIELDS, ids=FLIP_IDS)
+    def test_dtheta_apply_matches_the_j_products(self, field):
+        rng = random.Random(f"dtheta {field.name}")
+        for n in range(2, 8):
+            ctx = MatrixContext(n, field, twisted=True)
+            for _ in range(4):
+                x = _random_matrix(field, n, rng)
+                got = ctx.dtheta_apply(x)
+                assert _typed(got) == _typed(dtheta_apply_by_j_products(ctx, x))
+                assert mat_eq(ctx.dtheta_apply(got), x)
+
+    @pytest.mark.parametrize("field", FLIP_FIELDS, ids=FLIP_IDS)
+    def test_a_singular_g_is_refused_and_never_fixed(self, field):
+        for n in range(2, 8):
+            ctx = MatrixContext(n, field, twisted=True)
+            g = list(mat_identity(n, field))
+            g[-1] = g[0]
+            with pytest.raises(RealizationError, match="singular matrix"):
+                ctx.theta_apply(g)
+            assert not ctx.theta_fixed(g)
+
+    @pytest.mark.parametrize("field", FLIP_FIELDS, ids=FLIP_IDS)
+    def test_errors_come_in_order(self, field):
+        """No automorphism first, then the shape, then the arithmetic."""
+        untwisted, twisted = MatrixContext(3, field), MatrixContext(3, field, twisted=True)
+        zero2 = ((field.zero(),) * 2,) * 2
+        for name in ("theta_apply", "theta_fixed", "dtheta_apply"):
+            for g in (mat_identity(3, field), zero2):
+                with pytest.raises(RealizationError, match="context carries no automorphism"):
+                    getattr(untwisted, name)(g)
+            with pytest.raises(RealizationError, match="3x3 matrix on SL.3., not a 2x2"):
+                getattr(twisted, name)(zero2)
+
+    @pytest.mark.parametrize("d", [5, -1])
+    def test_a_product_off_one_only_in_sqrt_d_is_not_fixed(self, d):
+        """diag(c, 1, ..., 1) times its flip is diag(c, 1, ..., 1, c); for
+        c = 1 + sqrt(d) its rows agree with those of 1 in A and C."""
+        f = QuadField(d)
+        c = f.one() + f.gen()
+        for n in range(2, 8):
+            ctx = MatrixContext(n, f, twisted=True)
+            g = tuple(tuple((c if i == 0 else f.one()) if i == j else f.zero() for j in range(n))
+                      for i in range(n))
+            assert not ctx.theta_fixed(g) and not theta_fixed_by_full_product(ctx, g)
+
+    @pytest.mark.parametrize("field", FLIP_FIELDS, ids=FLIP_IDS)
+    def test_a_product_off_one_only_off_the_diagonal_is_not_fixed(self, field):
+        """1 + E_01 times its flip 1 - E_(n-2)(n-1) has diagonal 1 and, for
+        n >= 3, nonzero entries off it; in SL(2), where g J g^T = det(g) J,
+        it is fixed."""
+        for n in range(2, 8):
+            ctx = MatrixContext(n, field, twisted=True)
+            g = [list(row) for row in mat_identity(n, field)]
+            g[0][1] = field.one()
+            assert ctx.theta_fixed(g) is theta_fixed_by_full_product(ctx, g) is (n == 2)
+
+    def test_entries_of_another_quadratic_field_are_refused(self):
+        """The theta test reads g in the context's Q(sqrt 5), whatever field
+        the entries claim."""
+        ctx = MatrixContext(3, QuadField(5), twisted=True)
+        with pytest.raises(CoefficientError, match="mixed quadratic extensions"):
+            ctx.theta_fixed(MatrixContext(3, QuadField(-1), twisted=True).J)
+
+    def test_int_entries_over_f7_are_read_in_the_field(self):
+        ctx = MatrixContext(4, PrimeField(7), twisted=True)
+        assert ctx.theta_fixed(tuple(tuple(8 * (i == j) for j in range(4)) for i in range(4)))
+        assert not ctx.theta_fixed(tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4)))
 
 
 class TestMatEq:

@@ -382,6 +382,36 @@ class TestProductShortCuts:
                 x * y
 
 
+class TestWrongRank:
+    """A torus point whose rank is not the datum's is refused by name: in a
+    product of torus points, and where a Tits element is built, so neither
+    the Tits product nor the inverse ever reads one."""
+
+    def test_tits_product_with_a_wrong_rank_factor(self):
+        d = build_root_datum([("A", 3)])
+        e, s1 = d.identity_weyl(), d.simple_reflection(0)
+        with pytest.raises(RootDatumError,
+                           match=r"rank-2 t\(2, 3\) does not pair with w\[e\] of RootDatum\(A3\)"):
+            TitsElement(TorusElement((2, 3)), e) * TitsElement(TorusElement((2, 3, 5)), s1)
+        with pytest.raises(RootDatumError, match=r"rank-4 t\(2, 3, 5, 7\) .* w\[1\]"):
+            TitsElement(TorusElement((2, 3, 5)), e) * TitsElement(TorusElement((2, 3, 5, 7)), s1)
+
+    def test_torus_product_of_two_ranks(self):
+        for x, y, want in (((2,), (2, 3), r"rank-1 t\(2,\) by the rank-2 t\(2, 3\)"),
+                           ((2, 3), (2,), r"rank-2 t\(2, 3\) by the rank-1 t\(2,\)")):
+            with pytest.raises(RootDatumError, match=want):
+                TorusElement(x) * TorusElement(y)
+        assert TorusElement((2, 3)) * TorusElement((5, 7)) == TorusElement((10, 21))
+
+    def test_no_inverse_of_a_wrong_rank_point(self):
+        d = build_root_datum([("A", 3)])
+        for w in (d.identity_weyl(), d.simple_reflection(0), d.longest_element()):
+            with pytest.raises(RootDatumError, match=r"rank-2 t\(2, 3\) does not pair"):
+                TitsElement(TorusElement((2, 3)), w).inverse()
+            x = TitsElement(TorusElement((Fraction(2), Fraction(3), Fraction(5))), w)
+            assert x * x.inverse() == tits_lift(d, d.identity_weyl(), ONE)
+
+
 def three_step_inverse(d, x, one):
     """(t n(w))^-1 by the route the library took before its one-peel
     inverse: the rough inverse w^-1(t^-1) n(w^-1), the torus-valued defect
