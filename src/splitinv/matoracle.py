@@ -141,35 +141,34 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _eliminate(work: List[list], col: int, prow: int) -> None:
-    """Scale row prow of work to a pivot 1 in column col and clear column col
-    from every other row, touching only the nonzero entries of the pivot row
-    (subtracting a zero multiple changes no value)."""
+def _eliminate(work: List[list], col: int, prow: int, first: int = 0) -> None:
+    """Clear column col from the rows from first on but prow, by row prow
+    scaled to pivot 1, writing only where the pivot row is nonzero right of
+    col: no column up to col is read again, so it keeps stale entries."""
     pivot = work[prow]
     inv_p = pivot[col] ** -1
-    for j, x in enumerate(pivot):
-        if x:
-            pivot[j] = x * inv_p
-    support = [(j, y) for j, y in enumerate(pivot) if y]
-    for r, row in enumerate(work):
+    support = [(j, x * inv_p) for j, x in enumerate(pivot[col + 1:], col + 1) if x]
+    for j, y in support:
+        pivot[j] = y
+    for r, row in enumerate(work[first:], first):
         f = row[col]
         if r != prow and f:
             for j, y in support:
                 row[j] = row[j] - f * y
 
 
-def mat_det_inv(a: Matrix, field):
-    """Gauss-Jordan over an exact field: det(a) and a^-1 from one
-    elimination, or zero and None when a is singular.  The determinant is
-    the product of the pivots, negated once per row swap.  Each entry is
-    read through ``field.embed``, so an int is exact and a float or a
-    foreign entry raises CoefficientError; a matrix that is not square
-    raises RealizationError naming its shape."""
+def _pivots(a: Matrix, field, inverse: bool):
+    """det(a), and a^-1 if inverse is set (zero and None if a is singular):
+    Gauss-Jordan on [a | 1], or forward elimination on a alone, clearing
+    only the rows below each pivot.  det is the product of the pivots,
+    negated per row swap.  Entries go through ``field.embed`` (an int is
+    exact, a float raises CoefficientError); a non-square a RealizationError."""
     n = len(a)
     if set(map(len, a)) - {n}:
         raise RealizationError(f"cannot invert a {_shape(a)} matrix: it is not square")
-    work = [[field.embed(x) for x in row] + list(idrow)
-            for row, idrow in zip(a, mat_identity(n, field))]
+    work = [[field.embed(x) for x in row] for row in a]
+    for row, idrow in zip(work, mat_identity(n, field) if inverse else ()):
+        row.extend(idrow)
     det = field.one()
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
@@ -179,8 +178,16 @@ def mat_det_inv(a: Matrix, field):
             work[col], work[piv] = work[piv], work[col]
             det = -det
         det = det * work[col][col]
-        _eliminate(work, col, col)
-    return det, tuple(tuple(row[n:]) for row in work)
+        if inverse or col < n - 1:
+            _eliminate(work, col, col, 0 if inverse else col + 1)
+    return det, tuple(tuple(row[n:]) for row in work) if inverse else None
+
+
+def mat_det_inv(a: Matrix, field):
+    """det(a) and a^-1, or zero and None, by Gauss-Jordan: the route for a
+    matrix not known to be theta-fixed (a theta-fixed g has g^-1 = J g^T
+    J^-1, its flip, which is how ``Realization`` inverts one)."""
+    return _pivots(a, field, True)
 
 
 def mat_inv(a: Matrix, field) -> Matrix:
@@ -191,7 +198,8 @@ def mat_inv(a: Matrix, field) -> Matrix:
 
 
 def mat_det(a: Matrix, field):
-    return mat_det_inv(a, field)[0]
+    """det(a) from the pivots of forward elimination on a alone."""
+    return _pivots(a, field, False)[0]
 
 
 def exp_nilpotent(x: Matrix, field) -> Matrix:

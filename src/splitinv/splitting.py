@@ -26,7 +26,7 @@ from .coeffs import IdentityAction, QuadConj, QuadField, SignedSymbolMap, SymUni
 from .errors import (ADataError, CoefficientError, DescentError, RealizationError,
                      RootDatumError)
 from .matoracle import (MatrixContext, exp_nilpotent, fixed_group_lift,
-                        mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul,
+                        mat_det, mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul,
                         mat_prod, mat_scalar, pinned_factor, realize,
                         restricted_root_vectors, sl2_embed)
 from .rootdata import (PinnedAutomorphism, RestrictedRootSystem,
@@ -440,7 +440,9 @@ class SplittingCocycle:
 
 class Realization:
     """A conjugating element h with (Borel, torus) transported to the pinned
-    pair, over a quadratic extension with its order-2 Galois action."""
+    pair, over a quadratic extension with its order-2 Galois action.  With
+    use_theta, h times its flip J h^T J^-1 must be 1, so h^-1 is the flip
+    and det(h) comes from forward elimination; else both from Gauss-Jordan."""
 
     def __init__(self, ctx: MatrixContext, h, use_theta: bool = False):
         if not isinstance(ctx.field, QuadField):
@@ -456,14 +458,14 @@ class Realization:
         self.ctx = ctx
         self.h = h
         self.use_theta = use_theta
-        det, self.h_inv = mat_det_inv(h, f)
-        if det != f.one():
-            raise RealizationError("h does not have determinant 1")
-        if use_theta:
-            if not ctx.twisted:
-                raise RealizationError("context carries no automorphism")
+        if use_theta:   # an untwisted ctx raises "context carries no automorphism"
             if not ctx.theta_fixed(h):
                 raise RealizationError("h is not fixed by the automorphism")
+            det, self.h_inv = mat_det(h, f), ctx._flip(h)
+        else:
+            det, self.h_inv = mat_det_inv(h, f)
+        if det != f.one():
+            raise RealizationError("h does not have determinant 1")
         u = mat_mul(self.h_inv, ctx.galois_apply(h, 1))
         self.omega, perm = self._weyl_from_monomial(u)
         # u e_j = u[perm[j]][j] e_perm[j], so u^-1 has 1/u[perm[j]][j] at (j, perm[j])
@@ -528,6 +530,8 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
     depend on the context alone and are built once per context.  With rrs
     restricted along theta = 1 this is the untwisted sampler."""
     f = ctx.field
+    if not isinstance(f, QuadField):
+        raise RealizationError(f"sample_h_twisted samples over Q(sqrt d) only, not over {f.name}")
     factors = [pinned_factor(ctx, rrs, beta, ("seed", conj),
                              lambda: _seed_block(ctx, rrs, beta, conj))
                for beta, conj in seeds]
@@ -622,9 +626,10 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
     realize(ctx, m[k]) for k >= 1; each is computed here unless the caller
     has it.
 
-    m_cocycle has checked m(1) = 1, so t(1) = h h^-1: that product is
-    computed once and must be the identity, and t(1) is stored as the ones
-    and the identity matrix, with no transport and no theta-fixedness test.
+    m_cocycle has checked m(1) = 1, so t(1) = h h^-1: that product, a check
+    on the stored h^-1 however it was built, is computed once and must be
+    the identity, and t(1) is stored as the ones and the identity matrix,
+    with no transport and no theta-fixedness test.
     Each t(sigma^k), k >= 1, is transported, compared with h diag h^-1 and,
     when twisted, tested for theta-fixedness."""
     if (realization is not None and theta is not None
@@ -691,7 +696,8 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     m(1) = m'(1) = 1, so at k = 0 the m-level identity reads
     n(mu) n(mu)^-1 = x(mu)^-1 x(mu), that is 1 = 1; ``_cocycle`` has checked
     that both t(1) are the identity, so the matrix identity reads
-    1 = 1 w^-1 w as well."""
+    1 = 1 w^-1 w as well.  Given theta, the witness matrix w is tested for
+    theta-fixedness first and inverted by its flip; else by ``mat_inv``."""
     if theta is not None and not theta.commutes_with(mu):
         raise RootDatumError("mu is not fixed by the automorphism")
     one = adata.one
@@ -728,15 +734,18 @@ def verify_borel_independence(datum: RootDatum, descent: DescentDatum, adata: AD
     realization_prime = Realization(ctx, h_prime, use_theta=realization.use_theta)
     c2 = _cocycle(datum, descent_prime, adata_prime, theta, realization_prime, m_prime)
     w_mat = mat_prod(realization.h, realize(ctx, witness), realization.h_inv)
-    w_inv = mat_inv(w_mat, f)
+    if theta is None:
+        w_inv = mat_inv(w_mat, f)
+    elif ctx.theta_fixed(w_mat):
+        w_inv = ctx._flip(w_mat)        # w_mat times its flip is 1, just checked
+    else:
+        raise RealizationError("matrix witness is not theta-fixed")
     for k in range(1, descent.order):
         sigma_w = ctx.galois_apply(w_mat, k)
         want = mat_prod(c1.matrices[k], w_inv, sigma_w)
         if not mat_eq(c2.matrices[k], want):
             raise RealizationError(
                 f"matrix coboundary identity fails at sigma^{k}")
-    if theta is not None and not ctx.theta_fixed(w_mat):
-        raise RealizationError("matrix witness is not theta-fixed")
     return BorelReport(witness, c1, c2)
 
 
@@ -783,7 +792,8 @@ class CompareReport:
     realize(m(sigma^k)) for k >= 1, so this is the product of equal factors
     that the t-level cocycle forms: it is ``t_cocycle.matrices``, not a
     recomputation.  At sigma^0 both lifts are 1, m(1) = 1 being checked, and
-    the matrix is the identity, which the t-level has checked h h^-1 to be.
+    the matrix is the identity, which the t-level has checked h h^-1 to be,
+    h^-1 being the flip of h when h is theta-fixed.
     """
 
     m_values: Dict[int, TitsElement]

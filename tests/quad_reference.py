@@ -9,10 +9,12 @@ rules it used before: the inverse through the norm as a ``Fraction``, the
 field's conjugation applied to each entry, J (g^-1)^T J^-1 and -J x^T J^-1
 as sums of field products, and the full product g J g^T compared entry by
 entry with J.  They share no code with the new rules, so the tests compare
-the two.
+the two.  The determinant, which the library takes from the pivots of an
+elimination, is kept here as the Leibniz sum over permutations.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from splitinv.coeffs import QuadField, QuadNum
 from splitinv.errors import CoefficientError
@@ -66,3 +68,16 @@ def theta_apply_by_j_products(ctx, g):
 def dtheta_apply_by_j_products(ctx, x):
     """d theta(x) = -J x^T J^-1."""
     return tuple(tuple(-y for y in row) for row in _conjugate_by_j(ctx, x))
+
+
+def det_by_leibniz(a, field):
+    """det(a) as the sum over permutations p of sign(p) prod a[i][p[i]], each
+    entry read through ``field.embed``; n! terms, for small n only."""
+    n, total = len(a), field.zero()
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = field.one()
+        for i in range(n):
+            term = term * field.embed(a[i][p[i]])
+        total = total + (-term if inversions % 2 else term)
+    return total

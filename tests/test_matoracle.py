@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quad_reference import det_by_leibniz
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
 from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, block_embed, exp_nilpotent,
-                                fixed_group_lift, fixed_group_simple_lift, mat_det, mat_eq,
-                                mat_identity, mat_inv, mat_mul, mat_prod, realize,
-                                restricted_root_vectors, verify_appendix)
+                                fixed_group_lift, fixed_group_simple_lift, mat_det,
+                                mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul, mat_prod,
+                                realize, restricted_root_vectors, verify_appendix)
 from splitinv.rootdata import restrict_root_system
 from splitinv.tits import TitsElement, TorusElement, tits_lift
 
@@ -338,6 +339,30 @@ class TestSparseElimination:
             assert mat_eq(mat_mul(a, got), mat_identity(n, field))
             inverted += 1
         assert singular  # the draws are sparse enough to hit singular matrices
+
+    # mat_det is forward elimination on a alone: the Leibniz sum, the first
+    # value of mat_det_inv, and zero on singular draws
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(7)],
+                             ids=["Q", "Q(sqrt5)", "F7"])
+    def test_mat_det_matches_the_leibniz_sum(self, field):
+        rng = random.Random(5)
+        kind = type(field.one())
+        counts = {True: 0, False: 0}
+        while min(counts.values()) < 10:
+            n = rng.randint(1, 5)
+            a = tuple(tuple(_random_entry(rng, field) for _ in range(n)) for _ in range(n))
+            got = mat_det(a, field)
+            assert got == det_by_leibniz(a, field) == mat_det_inv(a, field)[0]
+            assert type(got) is kind
+            counts[bool(got)] += 1
+
+    @pytest.mark.parametrize("a", [((2, 0), (0, 3)), ((0, 1), (1, 0)), ((1, 2), (2, 4)),
+                                   ((1, 2, 0), (0, 1, 3), (4, 0, 1)),
+                                   ((0, 0, 1, 0), (0, 2, 0, 0), (3, 0, 0, 1), (0, 1, 0, 5))])
+    def test_mat_det_of_an_int_matrix_is_a_fraction(self, a):
+        got = mat_det(a, RationalField())
+        assert type(got) is Fraction
+        assert got == det_by_leibniz(a, RationalField())
 
 
 class TestPinningCache:

@@ -10,7 +10,8 @@ import pytest
 
 import splitinv.splitting as splitting
 import splitinv.suites as suites
-from splitinv.coeffs import LocalPlace, QuadConj, QuadField, SignedSymbolMap, SymUnit
+from splitinv.coeffs import (LocalPlace, PrimeField, QuadConj, QuadField, RationalField,
+                             SignedSymbolMap, SymUnit)
 from splitinv.errors import (ADataError, DescentError, RealizationError, RootDatumError,
                              SplitinvError)
 from splitinv.factors import EndoscopicSignDatum, RootOfUnity, restricted_galois_orbits
@@ -28,6 +29,7 @@ from splitinv.splitting import (ADatum, DescentDatum, Realization, _h2_seed,
 from splitinv.tits import TitsElement, TorusElement
 
 import coord_adata
+from test_matoracle import dense_inverse
 
 ONE = Fraction(1)
 
@@ -743,6 +745,39 @@ class TestRealizationShortcuts:
             Realization(ctx, h, use_theta=True)
         Realization(ctx, h)  # the same h without the automorphism is fine
 
+    # a theta-fixed h is inverted by its flip J h^T J^-1, once theta_fixed
+    # has found h times its flip to be 1; the determinant still decides
+    FLIP_CASES = [(n, d) for n in range(2, 8) for d in (5, -1)]
+
+    @pytest.mark.parametrize("n, d", FLIP_CASES)
+    def test_h_inv_is_the_gauss_jordan_inverse(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        rng = random.Random(10 * n + d)
+        for seeds in descent_seed_sets(rrs):
+            real = Realization(ctx, sample_h_twisted(ctx, rrs, rng, seeds), use_theta=True)
+            assert entries(real.h_inv) == entries(dense_inverse(real.h, ctx.field))
+
+    @pytest.mark.parametrize("n, d", [c for c in FLIP_CASES if c[0] % 2])
+    def test_minus_h_is_fixed_with_determinant_minus_one(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        f = ctx.field
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        minus_h = mat_scalar(sample_h_twisted(ctx, rrs, random.Random(n)), -f.one())
+        assert ctx.theta_fixed(minus_h) and mat_det(minus_h, f) == -f.one()
+        with pytest.raises(RealizationError, match="determinant 1"):
+            Realization(ctx, minus_h, use_theta=True)
+
+    @pytest.mark.parametrize("n, d", FLIP_CASES)
+    def test_a_singular_h_is_not_fixed(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        h = list(mat_identity(n, ctx.field))
+        h[-1] = h[0]
+        with pytest.raises(RealizationError, match="not fixed by the automorphism"):
+            Realization(ctx, h, use_theta=True)
+        with pytest.raises(RealizationError, match="determinant 1"):
+            Realization(ctx, h)
+
     @pytest.mark.parametrize("n, d", CASES)
     def test_sigma_h_inv_is_the_inverse_of_sigma_h(self, n, d):
         ctx = MatrixContext(n, QuadField(d), twisted=True)
@@ -843,6 +878,19 @@ class TestContextFactors:
                 assert entries(m) == entries(want)
                 seen.add(key[0])
         assert seen == {"seed", True, False}
+
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_refused_outside_a_quadratic_field_before_any_draw(self, field, seeded):
+        ctx = MatrixContext(3, field, twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        seeds = descent_seed_sets(rrs)[0] if seeded else []
+        rng = random.Random(0)
+        state = rng.getstate()
+        msg = f"sample_h_twisted samples over Q(sqrt d) only, not over {field.name}"
+        with pytest.raises(RealizationError, match=re.escape(msg)):
+            sample_h_twisted(ctx, rrs, rng, seeds)
+        assert rng.getstate() == state
 
 
 # ---------------------------------------------------------------------------
