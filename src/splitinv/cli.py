@@ -14,20 +14,39 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .coeffs import LocalPlace, QuadConj, QuadField, QuadNum, hilbert_symbol
-from .errors import SplitinvError
+from .errors import CheckRecord, SplitinvError
 from .factors import build_factor_expression, chi_invariance_check
 from .rootdata import (PinnedAutomorphism, RootDatum, _int_field, analyze_weyl,
                        restrict_root_system)
 from .splitting import ADatum, DescentDatum, lambda_twisted, lambda_untwisted, \
     _symbolic_adata
-from .suites import CheckRecord, run_suite
+
+# CPython's own SHA-256, as random.py takes its sha512: hashlib would load
+# OpenSSL's libcrypto, about 3.5 MiB resident, for one digest per report
+try:
+    from _sha2 import sha256 as _sha256             # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256       # CPython 3.10 and 3.11
+    except ImportError:
+        _sha256 = None
 
 
 def _digest(obj) -> str:
-    # imported here: hashlib loads OpenSSL (about 3.7 MiB resident), and only
-    # reports need it, not every importer of this module
-    import hashlib
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of obj's sorted-key JSON.
+    hashlib gives the same bytes; it is imported here, and only where no
+    built-in module is, so that no importer of this module holds OpenSSL."""
+    sha256 = _sha256
+    if sha256 is None:
+        from hashlib import sha256
+    return sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def run_suite(name: str, seed: int = 0) -> List[CheckRecord]:
+    """splitinv.suites.run_suite, imported at the first call: only verify
+    runs a suite, so restrict and invariant never load them."""
+    from . import suites
+    return suites.run_suite(name, seed)
 
 
 def _report(command: List[str], checks: List[CheckRecord], seed: Optional[int],

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the check record shared across the package."""
+
+from dataclasses import dataclass
 
 
 class SplitinvError(ValueError):
@@ -31,3 +33,27 @@ class RealizationError(SplitinvError):
 
 class FactorError(SplitinvError):
     """Invalid endoscopic sign datum or factor-expression input."""
+
+
+@dataclass
+class CheckRecord:
+    """One named check of a report: what the command-line reports list under
+    "checks", for a verification suite and for restrict and invariant alike."""
+    name: str
+    passed: bool
+    expected: object = None
+    actual: object = None
+    counterexample: object = None
+    inputs: object = None
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "pass": self.passed}
+        if self.inputs is not None:
+            out["inputs"] = repr(self.inputs)
+        if self.expected is not None:
+            out["expected"] = repr(self.expected)
+        if self.actual is not None:
+            out["actual"] = repr(self.actual)
+        if not self.passed and self.counterexample is not None:
+            out["counterexample"] = repr(self.counterexample)
+        return out

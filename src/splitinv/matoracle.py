@@ -165,7 +165,8 @@ def _pivots(a: Matrix, field, inverse: bool):
     exact, a float raises CoefficientError); a non-square a RealizationError."""
     n = len(a)
     if set(map(len, a)) - {n}:
-        raise RealizationError(f"cannot invert a {_shape(a)} matrix: it is not square")
+        what = "invert" if inverse else "take the determinant of"
+        raise RealizationError(f"cannot {what} a {_shape(a)} matrix: it is not square")
     work = [[field.embed(x) for x in row] for row in a]
     for row, idrow in zip(work, mat_identity(n, field) if inverse else ()):
         row.extend(idrow)

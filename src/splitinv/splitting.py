@@ -442,7 +442,13 @@ class Realization:
     """A conjugating element h with (Borel, torus) transported to the pinned
     pair, over a quadratic extension with its order-2 Galois action.  With
     use_theta, h times its flip J h^T J^-1 must be 1, so h^-1 is the flip
-    and det(h) comes from forward elimination; else both from Gauss-Jordan."""
+    and det(h) comes from forward elimination; else both from Gauss-Jordan.
+
+    For even n the det(h) = 1 check cannot fail on a theta-fixed h: there
+    J^T = -J, so h J h^T = J makes h symplectic for the form J, and
+    Pf(h J h^T) = det(h) Pf(J) gives det(h) = 1.  The check stays as a
+    cross-check of theta_fixed.  Only odd n, where J is symmetric and -h is
+    fixed with determinant -1, can fail it."""
 
     def __init__(self, ctx: MatrixContext, h, use_theta: bool = False):
         if not isinstance(ctx.field, QuadField):

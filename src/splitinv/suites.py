@@ -8,14 +8,13 @@ the acceptance tests assert on them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .coeffs import (LocalPlace, PrimeField, QuadConj, QuadField,
                      SignedSymbolMap, SymUnit, hilbert_symbol,
                      hilbert_symbol_bruteforce, quad_norm_sign)
-from .errors import CoefficientError, SplitinvError
+from .errors import CheckRecord, CoefficientError, SplitinvError
 from .factors import (EndoscopicSignDatum, RootOfUnity, adata_change_sign,
                       build_factor_expression, chi_invariance_check, comes_from_h,
                       delta_d_via_inverse_chi, delta_i_ratio, half_on_divisible,
@@ -30,28 +29,6 @@ from .splitting import (ADatum, DescentDatum, Realization, check_nn_prime,
                         sample_h_twisted, verify_borel_independence)
 from .tits import (TitsElement, TorusElement, lift_along_word,
                    tits_cocycle, tits_lift)
-
-
-@dataclass
-class CheckRecord:
-    name: str
-    passed: bool
-    expected: object = None
-    actual: object = None
-    counterexample: object = None
-    inputs: object = None
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed}
-        if self.inputs is not None:
-            out["inputs"] = repr(self.inputs)
-        if self.expected is not None:
-            out["expected"] = repr(self.expected)
-        if self.actual is not None:
-            out["actual"] = repr(self.actual)
-        if not self.passed and self.counterexample is not None:
-            out["counterexample"] = repr(self.counterexample)
-        return out
 
 
 def _check(records: List[CheckRecord], name: str, fn: Callable[[], object],

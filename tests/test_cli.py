@@ -490,6 +490,73 @@ def test_import_loads_no_openssl():
     assert proc.stdout.strip() == "False"
 
 
+def run_fresh(code):
+    """The standard output of code run in a fresh interpreter with src/ on
+    its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def hashlib_digest(command):
+    return hashlib.sha256(json.dumps(command, sort_keys=True).encode()).hexdigest()[:16]
+
+
+class TestInputDigest:
+    """A report's input_digest is the first 16 hex digits of the SHA-256 of
+    the command's sorted-key JSON, whichever module computes it."""
+
+    @pytest.mark.parametrize("argv", [["restrict"], ["invariant"],
+                                      ["verify", "--suite", "appendix"]])
+    def test_matches_hashlib(self, tmp_path, capsys, argv):
+        if argv[0] != "verify":
+            argv = argv + [write(tmp_path, A2_FLIP_SCENARIO)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == [argv[0], argv[-1]]
+        assert report["input_digest"] == hashlib_digest(report["command"])
+
+    def test_hashlib_fallback_gives_the_same_digest(self, tmp_path):
+        # with no built-in SHA-256 module, _digest imports hashlib
+        path = write(tmp_path, A2_FLIP_SCENARIO)
+        code = ("import contextlib, io, json, sys\n"
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from splitinv import cli\n"
+                "out = io.StringIO()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                f"    assert cli.main(['restrict', {path!r}]) == 0\n"
+                "print(json.dumps([cli._sha256 is None, '_hashlib' in sys.modules,\n"
+                "                  json.loads(out.getvalue())['input_digest']]))\n")
+        assert json.loads(run_fresh(code)) == [True, True,
+                                               hashlib_digest(["restrict", path])]
+
+
+class TestWhatACommandLoads:
+    """restrict and invariant load neither OpenSSL nor the verification
+    suites; verify loads the suites."""
+
+    LOADED = ("print(json.dumps({m: m in sys.modules "
+              "for m in ('_hashlib', 'splitinv.suites')}))\n")
+
+    def run(self, argv):
+        code = ("import contextlib, io, json, sys\n"
+                "from splitinv.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv!r}) == 0\n" + self.LOADED)
+        return json.loads(run_fresh(code))
+
+    @pytest.mark.parametrize("command", ["restrict", "invariant"])
+    def test_report_loads_no_openssl_and_no_suites(self, tmp_path, command):
+        path = write(tmp_path, A2_FLIP_SCENARIO)
+        assert self.run([command, path]) == {"_hashlib": False, "splitinv.suites": False}
+
+    def test_verify_loads_the_suites(self):
+        assert self.run(["verify", "--suite", "appendix"])["splitinv.suites"] is True
+
+
 class TestFileErrors:
     """An unreadable scenario file or an unwritable --out path exits 2 with
     one line naming the file or the argument, never a traceback."""

@@ -364,6 +364,24 @@ class TestSparseElimination:
         assert type(got) is Fraction
         assert got == det_by_leibniz(a, RationalField())
 
+    # a non-square matrix is refused by the name of what was asked of it
+    NON_SQUARE = [(((1, 2, 3), (4, 5, 6)), "2x3"), (((1, 2), (3, 4), (5, 6)), "3x2"),
+                  (((1, 2), (3,)), "ragged 2-row")]
+
+    @pytest.mark.parametrize("a, shape", NON_SQUARE)
+    def test_mat_det_of_a_non_square_matrix_names_the_determinant(self, a, shape):
+        with pytest.raises(RealizationError) as info:
+            mat_det(a, RationalField())
+        assert str(info.value) == \
+            f"cannot take the determinant of a {shape} matrix: it is not square"
+
+    @pytest.mark.parametrize("invert", [mat_inv, mat_det_inv])
+    @pytest.mark.parametrize("a, shape", NON_SQUARE)
+    def test_inverse_of_a_non_square_matrix_names_the_inverse(self, a, shape, invert):
+        with pytest.raises(RealizationError) as info:
+            invert(a, RationalField())
+        assert str(info.value) == f"cannot invert a {shape} matrix: it is not square"
+
 
 class TestPinningCache:
     CASES = [(n, f) for n in (3, 4, 5, 6) for f in (RationalField(), QuadField(5))]
