@@ -49,22 +49,6 @@ def run_suite(name: str, seed: int = 0) -> List[CheckRecord]:
     return suites.run_suite(name, seed)
 
 
-def _report(command: List[str], checks: List[CheckRecord], seed: Optional[int],
-            result=None, timing: Optional[float] = None) -> dict:
-    out = {
-        "command": command,
-        "input_digest": _digest(command),
-        "seed": seed,
-        "checks": [c.to_dict() for c in checks],
-        "pass": all(c.passed for c in checks),
-    }
-    if result is not None:
-        out["result"] = result
-    if timing is not None:
-        out["wall_time_s"] = round(timing, 3)
-    return out
-
-
 def _write_out(out_path: str, text: str, mode: str = "w") -> None:
     """Write text to --out; "" in mode "a" tests the path and keeps its file."""
     try:
@@ -124,6 +108,35 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write_report(args, command: List[str], checks: List[CheckRecord], t0: float,
+                  seed: Optional[int] = None, result=None) -> int:
+    """Emit the report of verify, restrict or invariant, begun at time t0, to
+    args.out or standard output, and return its exit code: 0 when every
+    check passed, else 1."""
+    report = {
+        "command": command,
+        "input_digest": _digest(command),
+        "seed": seed,
+        "checks": [c.to_dict() for c in checks],
+        "pass": all(c.passed for c in checks),
+    }
+    if result is not None:
+        report["result"] = result
+    if args.timing:
+        report["wall_time_s"] = round(time.time() - t0, 3)
+    _emit(report, args.out)
+    return 0 if report["pass"] else 1
+
+
+def _checked(name: str, compute):
+    """compute()'s value and the check of that name; a SplitinvError it
+    raises gives None and the failed check, with the error message."""
+    try:
+        return compute(), CheckRecord(name, True)
+    except SplitinvError as exc:
+        return None, CheckRecord(name, False, counterexample=str(exc))
+
+
 class ScenarioError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"field {field!r}: {message}")
@@ -163,15 +176,22 @@ def _integer(raw, field: str) -> int:
     return raw
 
 
+def _at(field: str, compute):
+    """compute(), with a SplitinvError it raises re-raised as a ScenarioError
+    at field."""
+    try:
+        return compute()
+    except SplitinvError as exc:
+        raise ScenarioError(field, str(exc)) from None
+
+
 def _automorphism(datum: RootDatum, raw, field: str) -> PinnedAutomorphism:
     """The pinned automorphism with 1-based simple-root permutation raw, the
     list read at field: theta.perm or galois.sigma_T."""
     if not isinstance(raw, list):
         raise ScenarioError(field, f"expected a list of 1-based simple-root indices, got {raw!r}")
-    try:
-        return PinnedAutomorphism(datum, [_int_field(p, "perm") - 1 for p in raw])
-    except SplitinvError as exc:
-        raise ScenarioError(field, str(exc)) from None
+    return _at(field, lambda: PinnedAutomorphism(
+        datum, [_int_field(p, "perm") - 1 for p in raw]))
 
 
 def _parse_datum(doc: dict):
@@ -198,18 +218,12 @@ def _parse_galois(doc: dict, datum: RootDatum, fieldq: Optional[QuadField]) -> D
     word = gal.get("omega_T", [])
     if not isinstance(word, list):
         raise ScenarioError("galois.omega_T", "expected a list of 1-based indices")
-    try:
-        omega = analyze_weyl(datum, [_integer(i, "galois.omega_T") for i in word],
-                             one_based=True)
-    except SplitinvError as exc:
-        raise ScenarioError("galois.omega_T", str(exc)) from None
+    omega = _at("galois.omega_T", lambda: analyze_weyl(
+        datum, [_integer(i, "galois.omega_T") for i in word], one_based=True))
     sigma_doc = gal.get("sigma_T")
     sigma = None if sigma_doc is None else _automorphism(datum, sigma_doc, "galois.sigma_T")
-    try:
-        return DescentDatum(datum, order, omega, sigma,
-                            QuadConj(fieldq) if fieldq is not None else None)
-    except SplitinvError as exc:
-        raise ScenarioError("galois", str(exc)) from None
+    return _at("galois", lambda: DescentDatum(
+        datum, order, omega, sigma, QuadConj(fieldq) if fieldq is not None else None))
 
 
 def _number(raw) -> Fraction:
@@ -242,21 +256,16 @@ def cmd_invariant(args) -> int:
         raise ScenarioError("adata.mode", "missing")
     gal = _object(doc, "galois", "galois") or {}
     fdoc = _object(gal, "field", "galois.field")
-    checks: List[CheckRecord] = []
     if adoc["mode"] == "symbolic":
         descent = _parse_galois(doc, datum, None)
-        try:
-            adata, action = _symbolic_adata(datum, descent, None if theta.is_identity else theta)
-            descent = descent.with_field_action(action)
-        except SplitinvError as exc:
-            raise ScenarioError("galois", str(exc)) from None
+        adata, action = _at("galois", lambda: _symbolic_adata(
+            datum, descent, None if theta.is_identity else theta))
+        descent = _at("galois", lambda: descent.with_field_action(action))
     elif adoc["mode"] == "values":
         if not fdoc or "d" not in fdoc:
             raise ScenarioError("galois.field.d", "missing (required for value mode)")
-        try:
-            fieldq = QuadField(_integer(fdoc["d"], "galois.field.d"))
-        except SplitinvError as exc:
-            raise ScenarioError("galois.field.d", str(exc)) from None
+        fieldq = _at("galois.field.d",
+                     lambda: QuadField(_integer(fdoc["d"], "galois.field.d")))
         descent = _parse_galois(doc, datum, fieldq)
         raw = adoc.get("values")
         if not isinstance(raw, dict):
@@ -275,64 +284,37 @@ def cmd_invariant(args) -> int:
                 raise ScenarioError("adata.values", f"keys {key_of[coords]!r} and {key!r} "
                                     f"both name the root {coords}")
             values[coords], key_of[coords] = val, key
-        try:
-            adata = ADatum.from_positive(datum, values, fieldq.one(), fieldq.half())
-        except SplitinvError as exc:
-            raise ScenarioError("adata.values", str(exc)) from None
+        adata = _at("adata.values", lambda: ADatum.from_positive(
+            datum, values, fieldq.one(), fieldq.half()))
     else:
         raise ScenarioError("adata.mode", f"unknown mode {adoc['mode']!r}")
 
-    def run():
-        if theta.is_identity:
-            return lambda_untwisted(datum, descent, adata)
-        return lambda_twisted(datum, theta, descent, adata)
-
-    t0 = time.time()
-    try:
-        cocycle = run()
-        ok = True
-        detail = None
-    except SplitinvError as exc:
-        ok, detail = False, str(exc)
-        cocycle = None
-    checks.append(CheckRecord("invariant/cocycle-and-fixedness", ok,
-                              counterexample=detail))
-    result = None
-    if cocycle is not None:
-        result = {
-            "level": cocycle.level,
-            "ambient": cocycle.ambient,
+    def cocycle() -> dict:
+        c = lambda_untwisted(datum, descent, adata) if theta.is_identity \
+            else lambda_twisted(datum, theta, descent, adata)
+        return {
+            "level": c.level,
+            "ambient": c.ambient,
             "values": {
                 str(k): {
-                    "torus": [repr(c) for c in v.torus.coords],
+                    "torus": [repr(x) for x in v.torus.coords],
                     "weyl": [i + 1 for i in v.weyl.word],
                 }
-                for k, v in cocycle.values.items()
+                for k, v in c.values.items()
             },
         }
-    report = _report(["invariant", args.scenario], checks, None, result,
-                     time.time() - t0 if args.timing else None)
-    _emit(report, args.out)
-    return 0 if all(c.passed for c in checks) else 1
+
+    t0 = time.time()
+    result, check = _checked("invariant/cocycle-and-fixedness", cocycle)
+    return _write_report(args, ["invariant", args.scenario], [check], t0, result=result)
 
 
 def cmd_restrict(args) -> int:
-    doc = _load_scenario(args.scenario)
-    datum, theta = _parse_datum(doc)
-    t0 = time.time()
-    checks: List[CheckRecord] = []
-    try:
+    datum, theta = _parse_datum(_load_scenario(args.scenario))
+
+    def restricted() -> dict:
         rrs = restrict_root_system(datum, theta)
-        # |W^theta| from the restricted type; W^theta is never enumerated here
-        weyl_order = rrs.fixed_weyl_order()
-        ok = True
-        detail = None
-    except SplitinvError as exc:
-        rrs, ok, detail = None, False, str(exc)
-    checks.append(CheckRecord("restrict/construction", ok, counterexample=detail))
-    result = None
-    if rrs is not None:
-        result = {
+        return {
             "restricted_roots": [
                 {"coords": list(v), "type": rr.rtype, "positive": rr.positive,
                  "orbit": [list(c) for c in rr.orbit]}
@@ -340,27 +322,21 @@ def cmd_restrict(args) -> int:
             ],
             "simple": [list(v) for v in rrs.simple_restricted],
             "reduced": rrs.is_reduced,
-            "fixed_weyl_order": weyl_order,
+            # |W^theta| from the restricted type; W^theta is never enumerated here
+            "fixed_weyl_order": rrs.fixed_weyl_order(),
         }
-    report = _report(["restrict", args.scenario], checks, None, result,
-                     time.time() - t0 if args.timing else None)
-    _emit(report, args.out)
-    return 0 if ok else 1
+
+    t0 = time.time()
+    result, check = _checked("restrict/construction", restricted)
+    return _write_report(args, ["restrict", args.scenario], [check], t0, result=result)
 
 
 def cmd_verify(args) -> int:
     if args.out:   # an unwritable --out is found before the suite runs
         _write_out(args.out, "", "a")
     t0 = time.time()
-    try:
-        checks = run_suite(args.suite, args.seed)
-    except SplitinvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = _report(["verify", args.suite], checks, args.seed, None,
-                     time.time() - t0 if args.timing else None)
-    _emit(report, args.out)
-    return 0 if all(c.passed for c in checks) else 1
+    return _write_report(args, ["verify", args.suite], run_suite(args.suite, args.seed), t0,
+                         seed=args.seed)
 
 
 def _parse_arg(name: str, raw: str, parse):
@@ -408,26 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact splitting-invariant computations and verification suites")
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    def report_parser(name: str, fn, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--timing", action="store_true",
+                        help="include wall time (breaks byte-level determinism)")
+        sp.set_defaults(fn=fn)
+        return sp
+
+    v = report_parser("verify", cmd_verify, "run a verification suite")
     v.add_argument("--suite", default="all",
                    choices=["steinberg", "tits", "nn", "main", "aa", "appendix", "all"])
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None)
-    v.add_argument("--timing", action="store_true",
-                   help="include wall time (breaks byte-level determinism)")
-    v.set_defaults(fn=cmd_verify)
-
-    i = sub.add_parser("invariant", help="compute a splitting cocycle from a scenario file")
-    i.add_argument("scenario")
-    i.add_argument("--out", default=None)
-    i.add_argument("--timing", action="store_true")
-    i.set_defaults(fn=cmd_invariant)
-
-    r = sub.add_parser("restrict", help="restricted root system report")
-    r.add_argument("scenario")
-    r.add_argument("--out", default=None)
-    r.add_argument("--timing", action="store_true")
-    r.set_defaults(fn=cmd_restrict)
+    for name, fn, summary in (
+            ("invariant", cmd_invariant, "compute a splitting cocycle from a scenario file"),
+            ("restrict", cmd_restrict, "restricted root system report")):
+        report_parser(name, fn, summary).add_argument("scenario")
 
     h = sub.add_parser("hilbert", help="Hilbert symbol at a place of Q")
     h.add_argument("a")

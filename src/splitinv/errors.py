@@ -44,12 +44,9 @@ class CheckRecord:
     expected: object = None
     actual: object = None
     counterexample: object = None
-    inputs: object = None
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "pass": self.passed}
-        if self.inputs is not None:
-            out["inputs"] = repr(self.inputs)
         if self.expected is not None:
             out["expected"] = repr(self.expected)
         if self.actual is not None:

@@ -93,6 +93,8 @@ class RootOfUnity:
         return _new_root(1 - self.exponent if self.exponent else self.exponent)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
+        if not isinstance(other, RootOfUnity):
+            return NotImplemented
         e = self.exponent + other.exponent
         return _new_root(e - 1 if e >= 1 else e)
 
@@ -171,8 +173,7 @@ class EndoscopicSignDatum:
                     raise FactorError(f"places: the place of the symmetric orbit "
                                       f"{orbit.members} is {place!r}, not a LocalPlace")
                 divisible = res[orbit.indices[0]].rtype == R3
-                from_h = val == (_MINUS_ONE if divisible else _ONE)
-                symmetric.append((orbit, divisible, from_h, place))
+                symmetric.append((orbit, divisible, _from_h(divisible, val), place))
         self._symmetric = tuple(symmetric)
 
     def _raise_key_fault(self):
@@ -190,17 +191,15 @@ class EndoscopicSignDatum:
                 raise FactorError(f"sign values at {v} and {neg} are not inverse")
         raise AssertionError("no key fault found")
 
-    def value(self, beta) -> RootOfUnity:
-        try:
-            return self.values[tuple(beta)]
-        except KeyError:
-            raise FactorError(f"no sign value at {tuple(beta)}") from None
-
-    def place(self, orbit: RestrictedOrbit) -> LocalPlace:
-        return self.places[orbit.members]
-
 
 _ONE, _MINUS_ONE = (0, 1), (1, 2)   # the exponent pairs of 1 and -1
+
+
+def _from_h(divisible: bool, exponent: Tuple[int, int]) -> bool:
+    """The membership rule, on the exponent pair of a sign value: an orbit
+    comes from the endoscopic group when its value is -1 if it is
+    divisible, 1 if not."""
+    return exponent == (_MINUS_ONE if divisible else _ONE)
 
 
 def _rekeyed(name: str, mapping, key) -> dict:
@@ -233,12 +232,12 @@ def comes_from_h(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum,
     """Whether a restricted root contributes a coroot orbit to the endoscopic
     group: value +1 for indivisible types, value -1 for divisible ones."""
     _check_system(rrs, sign_datum)
-    beta = tuple(beta)
-    rtype = rrs.rtype(beta)
-    val = sign_datum.value(beta)
-    if rtype == R3:
-        return val.is_minus_one
-    return val.is_one
+    try:
+        rr = rrs.restricted[tuple(beta)]
+    except (KeyError, TypeError):
+        raise FactorError(f"beta: {beta!r} is not a restricted root") from None
+    e = sign_datum.values[rr.coords].exponent
+    return _from_h(rr.rtype == R3, (e.numerator, e.denominator))
 
 
 def adata_change_sign(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum,
@@ -249,6 +248,8 @@ def adata_change_sign(rrs: RestrictedRootSystem, sign_datum: EndoscopicSignDatum
     or (indivisible and not from it).  The orbits' types and values are
     those of the sign datum's own restricted root system, which rrs must be."""
     _check_system(rrs, sign_datum)
+    if not isinstance(b, Mapping):
+        raise FactorError(f"b: need a mapping, got {type(b).__name__}")
     out = 1
     for orbit, divisible, from_h, place in sign_datum._symmetric:
         if divisible != from_h:
@@ -326,9 +327,6 @@ class FactorExpression:
         for k, e in other.exponents:
             acc[k] = acc.get(k, 0) + e
         return FactorExpression(tuple((k, acc[k]) for k in TERMS if acc.get(k)))
-
-    def inv(self) -> "FactorExpression":
-        return FactorExpression(tuple((k, -e) for k, e in self.exponents))
 
     def invert_chi_data(self) -> "FactorExpression":
         """Rewrite the expression at the inverse character data: the second

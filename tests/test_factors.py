@@ -382,6 +382,44 @@ class TestComesFromH:
             assert len(flags) == 1
 
 
+@pytest.fixture(params=[MINUS, ONE], ids=["contributing", "non-contributing"])
+def a2_sign_datum(request):
+    """The A2 flip at an unramified 5-adic place, with the value -1 or 1 on
+    its divisible orbit: that orbit contributes to adata_change_sign in the
+    first case and no orbit does in the second."""
+    rrs, desc = a2_flip_setup()
+    sd = sign_datum(rrs, desc, ONE, request.param, LocalPlace.padic(5, 2))
+    five = {v: Fraction(5) for v in rrs.restricted}
+    assert adata_change_sign(rrs, sd, five) == (-1 if request.param == MINUS else 1)
+    return rrs, sd
+
+
+class TestForeignArguments:
+    """comes_from_h, adata_change_sign and the product of roots of unity
+    refuse an argument of the wrong kind by its type, not by a KeyError or
+    AttributeError from deeper in, and not by an answer."""
+
+    @pytest.mark.parametrize("beta", [(5,), (1, 0), (), None, 2, [[1]]])
+    def test_comes_from_h_refuses_what_is_no_restricted_root(self, a2_sign_datum, beta):
+        rrs, sd = a2_sign_datum
+        with pytest.raises(FactorError, match=re.escape(f"beta: {beta!r} is not a restricted root")):
+            comes_from_h(rrs, sd, beta)
+
+    @pytest.mark.parametrize("b", [None, 5, [((2,), Fraction(5))], "b"])
+    def test_change_sign_refuses_a_multiplier_that_is_no_mapping(self, a2_sign_datum, b):
+        rrs, sd = a2_sign_datum
+        with pytest.raises(FactorError, match=f"^b: need a mapping, got {type(b).__name__}$"):
+            adata_change_sign(rrs, sd, b)
+
+    @pytest.mark.parametrize("other", [2, Fraction(1, 2), None, "x"])
+    def test_product_with_a_foreign_operand_is_a_type_error(self, a2_sign_datum, other):
+        _, sd = a2_sign_datum
+        for z in sd.values.values():
+            assert z * z.inv() == ONE
+            with pytest.raises(TypeError):
+                z * other
+
+
 class TestChangeSign:
     def test_trivial_multiplier(self):
         rrs, desc = a2_flip_setup()

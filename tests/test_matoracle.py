@@ -13,7 +13,7 @@ from splitinv.errors import CoefficientError, RealizationError
 from splitinv.matoracle import (MatrixContext, ad, adprime, block_embed, exp_nilpotent,
                                 fixed_group_lift, fixed_group_simple_lift, mat_det,
                                 mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul, mat_prod,
-                                realize, restricted_root_vectors, verify_appendix)
+                                realize, restricted_root_vectors, sl2_embed, verify_appendix)
 from splitinv.rootdata import restrict_root_system
 from splitinv.tits import TitsElement, TorusElement, tits_lift
 
@@ -428,6 +428,31 @@ class TestPinningCache:
         for beta in others:
             with pytest.raises(RealizationError, match="not a simple restricted root"):
                 restricted_root_vectors(ctx, rrs, beta)
+
+
+class TestSl2EmbedAtZeroCorner:
+    """sl2_embed writes an SL(2) point with a = 0 through the fixed group's
+    Weyl lift, and one with a != 0 as lower * torus * upper; the two agree
+    when the image of g = g1 g2, with a = 0, is the product of the images
+    of g1 and g2, with a != 0."""
+
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(7)],
+                             ids=["Q", "Q(sqrt5)", "F7"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_homomorphism_through_a_zero_corner(self, n, field):
+        ctx = MatrixContext(n, field, twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        for u, v, s in ((1, 1, 1), (2, 3, -1), (Fraction(1, 2), -1, 3)):
+            t = -u * v / Fraction(s)          # u v + s t = 0
+            g1 = ((u, s), (0, 1 / Fraction(u)))
+            g2 = ((v, 0), (t, 1 / Fraction(v)))
+            g = ((0, s / Fraction(v)), (t / u, 1 / Fraction(u * v)))
+            for beta in rrs.simple_restricted:
+                image = sl2_embed(ctx, rrs, beta, g)
+                assert mat_eq(image, mat_mul(sl2_embed(ctx, rrs, beta, g1),
+                                             sl2_embed(ctx, rrs, beta, g2))), (beta, u, v, s)
+                assert ctx.theta_fixed(image), (beta, u, v, s)
+                assert mat_det(image, field) == field.one(), (beta, u, v, s)
 
 
 class TestAppendixVerification:
