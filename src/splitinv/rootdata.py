@@ -311,7 +311,8 @@ class WeylElement:
     permutations the same way: the codes of the w(alpha_j) through w <- w s_i,
     one Cartan row per letter, then ``RootDatum._perms_of`` once."""
 
-    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows")
+    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows",
+                 "_negated_rows", "_inverse")
 
     def __init__(self):
         raise RootDatumError("use datum.simple_reflection / analyze_weyl to build Weyl elements")
@@ -325,6 +326,8 @@ class WeylElement:
         self._word = None
         self._inversions = None
         self._coroot_rows = None
+        self._negated_rows = None
+        self._inverse = None
         return self
 
     # -- group structure ----------------------------------------------------
@@ -332,12 +335,19 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.datum is not self.datum:
             raise RootDatumError("Weyl elements from different data")
-        return WeylElement._from_perms(self.datum,
-                                       tuple(map(self.perm.__getitem__, other.perm)),
-                                       tuple(map(other.inv_perm.__getitem__, self.inv_perm)))
+        # a comprehension composes the permutations in half the time of
+        # tuple(map(perm.__getitem__, ...)) under CPython 3.11
+        perm, inv = self.perm, other.inv_perm
+        return WeylElement._from_perms(self.datum, tuple([perm[j] for j in other.perm]),
+                                       tuple([inv[j] for j in self.inv_perm]))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement._from_perms(self.datum, self.inv_perm, self.perm)
+        """w^-1, built on the first call and kept, with the caches it fills.
+        The link runs one way: w^-1 does not keep w, and its own inverse is a
+        new element equal to w, so no reference cycle forms."""
+        if self._inverse is None:
+            self._inverse = WeylElement._from_perms(self.datum, self.inv_perm, self.perm)
+        return self._inverse
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.datum is other.datum \
@@ -365,6 +375,15 @@ class WeylElement:
             self._coroot_rows = tuple(tuple((j, e) for j, e in enumerate(img) if e)
                                       for img in self.coroot_images())
         return self._coroot_rows
+
+    def _negated_coroot_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """-w(alpha_i_vee) for each simple index i: the rows of ``coroot_rows``
+        with every exponent negated (cached).  ``TitsElement.inverse`` takes t
+        to w(t^-1) by them, for w the inverse of its Weyl part."""
+        if self._negated_rows is None:
+            self._negated_rows = tuple(tuple((j, -e) for j, e in row)
+                                       for row in self.coroot_rows())
+        return self._negated_rows
 
     def act_weight(self, weight: Vec) -> Vec:
         """Action on the fundamental-weight coordinates of a character:
@@ -735,7 +754,10 @@ class RestrictedRootSystem:
         return tuple(sorted(v for v, rr in self.restricted.items() if rr.positive))
 
     def rtype(self, res_coords: Vec) -> str:
-        return self.restricted[tuple(res_coords)].rtype
+        try:
+            return self.restricted[tuple(res_coords)].rtype
+        except KeyError:
+            raise RootDatumError(f"{tuple(res_coords)} is not a restricted root") from None
 
     @property
     def is_reduced(self) -> bool:

@@ -29,7 +29,13 @@ The inverse takes one peel and no Tits product.  Peeling a reduced word of
 w^-1 onto n(w) gives n(w^-1) n(w) = (-1)^nu; then n(w)^-1 = (-1)^nu n(w^-1),
 and (t n(w))^-1 = n(w)^-1 t^-1 = w^-1(t^-1) (-1)^nu n(w^-1).  The same nu is
 w^-1(mu) for n(w) n(w^-1) = (-1)^mu, since n(w^-1) n(w) is n(w) n(w^-1)
-conjugated by n(w^-1).
+conjugated by n(w^-1).  The Weyl element keeps what the inverse reads:
+``WeylElement.inverse`` builds w^-1 on the first call and returns that
+element after, and w^-1 keeps its coroot rows negated, the exponents that
+take t to w^-1(t^-1).  So a second inverse over the same w rebuilds
+neither.  The link runs from w to w^-1 only: w^-1 holds no reference to w,
+and its own inverse is a new element equal to w, so no reference cycle
+forms and an element is freed with its last reference.
 """
 
 from __future__ import annotations
@@ -140,11 +146,14 @@ def _torus_product(rank: int, values: Sequence, rows: Iterable, left: Optional[S
             nums = [c.numerator for c in left]
             dens = [c.denominator for c in left]
         for c, row in zip(values, rows):
-            n, d = c.numerator, c.denominator
+            n, d = c.as_integer_ratio()
             for j, e in row:
                 if e == 1:
                     nums[j] *= n
                     dens[j] *= d
+                elif e == -1:
+                    nums[j] *= d
+                    dens[j] *= n
                 elif e > 0:
                     nums[j] *= n ** e
                     dens[j] *= d ** e
@@ -223,8 +232,7 @@ class TitsElement:
         w, w_inv = self.weyl, self.weyl.inverse()
         nu = _peel(self.datum, w.word, w.inv_perm)
         t = self.torus.coords
-        rows = ([(j, -e) for j, e in row] for row in w_inv.coroot_rows())
-        return TitsElement(_torus_product(len(t), t, rows, mu=nu), w_inv)
+        return TitsElement(_torus_product(len(t), t, w_inv._negated_coroot_rows(), mu=nu), w_inv)
 
     def theta_apply(self, theta: PinnedAutomorphism) -> "TitsElement":
         return TitsElement(self.torus.diagram_apply(theta), theta.act_weyl(self.weyl))
@@ -251,7 +259,10 @@ def _peel(datum: RootDatum, letters: Iterable[int], inv_perm: Sequence[int]) -> 
     for i in letters:
         # mu <- s_i(mu), plus alpha_i_vee when s_i v < v
         hi = h[i]
-        mu[i] += (hi < 0) - sum(c * mu[j] for j, c in dual[i])
+        m = mu[i] + (hi < 0)
+        for j, c in dual[i]:
+            m -= c * mu[j]
+        mu[i] = m
         for j, c in rows[i]:
             h[j] -= c * hi
     return mu
@@ -282,14 +293,19 @@ def tits_cocycle(datum: RootDatum, w1: WeylElement, w2: WeylElement, one) -> Tor
                                                  (w1 w2)^{-1} alpha > 0}.
 
     Derived by induction on reduced words and pinned against explicit matrix
-    models; the product multiplication does not use it.
+    models; the product multiplication does not use it.  The roots of the
+    set are read off the inverse permutations of w1 and w1 w2 and their
+    coroots summed into one integer vector; a coordinate is -one where the
+    sum is odd and one where it is even.
     """
-    w12 = w1 * w2
-    mu = [0] * datum.rank
-    for j in range(datum.n_positive):
-        if w1.inverts(j) and not w12.inverts(j):
-            mu = [m + k for m, k in zip(mu, datum.roots[j].coroot)]
-    return TorusElement.coroot_product(datum.rank, [([m % 2 for m in mu], -one)], one)
+    npos = datum.n_positive
+    # alpha with w1^-1 alpha < 0 and (w1 w2)^-1 alpha > 0
+    crossed = [r.coroot for r, a, b in zip(datum.positive_roots, w1.inv_perm, (w1 * w2).inv_perm)
+               if a >= npos > b]
+    minus = -one
+    # the zero column keeps rank columns when no root is crossed
+    return TorusElement(tuple(minus if sum(col) % 2 else one
+                              for col in zip([0] * datum.rank, *crossed)))
 
 
 # ---------------------------------------------------------------------------

@@ -1234,3 +1234,54 @@ class TestSimpleReflectionsOnFirstUse:
             assert main([command, str(path)]) == 0
             assert json.loads(capsys.readouterr().out)["pass"]
         assert read == []
+
+
+class TestRtypeRefusal:
+    """rtype answers for every restricted root and names any other
+    coordinates in a RootDatumError, as restrict_root does."""
+
+    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    def test_every_restricted_root_has_its_type(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        for v, rr in rrs.restricted.items():
+            assert rrs.rtype(v) == rrs.rtype(list(v)) == rr.rtype
+
+    @pytest.mark.parametrize("label,families,perm", LADDER_CASES)
+    def test_a_non_root_is_refused_by_name(self, label, families, perm):
+        d = build_root_datum(families)
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, perm))
+        top = max(map(max, rrs.restricted))
+        for v in ((0,) * rrs.res_rank, (top + 1,) * rrs.res_rank, (1,) * (rrs.res_rank + 1), ()):
+            with pytest.raises(RootDatumError, match=re.escape(f"{v} is not a restricted root")):
+                rrs.rtype(v)
+
+    def test_the_a2_flip_refuses_5(self):
+        d = build_root_datum([("A", 2)])
+        rrs = restrict_root_system(d, PinnedAutomorphism(d, [1, 0]))
+        with pytest.raises(RootDatumError, match=r"\(5,\) is not a restricted root"):
+            rrs.rtype((5,))
+
+
+class TestInverseCache:
+    """w.inverse() is built once and kept; the link runs one way, so the
+    inverse of the inverse is a new element equal to w."""
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    def test_inverse_is_kept_and_one_way(self, spec):
+        d = build_root_datum([spec])
+        for w in d.weyl_group():
+            w_inv = w.inverse()
+            assert w.inverse() is w_inv
+            assert w_inv.perm == w.inv_perm and w_inv.inv_perm == w.perm
+            assert (w * w_inv).is_identity and (w_inv * w).is_identity
+            back = w_inv.inverse()
+            assert back == w and back is not w
+            assert back.inverse() is not w_inv and back.inverse() == w_inv
+
+    def test_negated_rows_negate_the_coroot_rows(self):
+        d = build_root_datum([("B", 3)])
+        for w in d.weyl_group():
+            neg = w._negated_coroot_rows()
+            assert w._negated_coroot_rows() is neg
+            assert neg == tuple(tuple((j, -e) for j, e in row) for row in w.coroot_rows())

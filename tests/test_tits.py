@@ -1,7 +1,9 @@
 """Canonical lifts: braid property, the 2-torsion cocycle, x(zeta), and the
 normalizer-valued Galois cocycle."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from permutation_kernel import HEIGHT_CASES, tits_product_by_permutations
 from splitinv.coeffs import QuadField, SignedSymbolMap, SymUnit
 from splitinv.errors import ADataError, RootDatumError
 from splitinv.matoracle import MatrixContext, mat_eq, mat_mul, realize
-from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, analyze_weyl,
+from splitinv.rootdata import (PinnedAutomorphism, RootAutomorphism, WeylElement, analyze_weyl,
                                build_root_datum, restrict_root_system)
 from splitinv.splitting import ADatum, DescentDatum
 from splitinv.tits import (TitsElement, TorusElement, lift_along_word, m_cocycle,
@@ -66,6 +68,31 @@ class TestLifts:
                     prod = tits_lift(d, w1) * tits_lift(d, w2)
                     assert prod.weyl == w1 * w2
                     assert prod.torus == tits_cocycle(d, w1, w2, ONE)
+
+    @pytest.mark.parametrize("spec", [("B", 3), ("C", 3)])
+    def test_cocycle_closed_form_exhaustive_rank_3(self, spec):
+        d = build_root_datum([spec])
+        group = d.weyl_group()
+        lifts = [tits_lift(d, w) for w in group]
+        for w1, x1 in zip(group, lifts):
+            for w2, x2 in zip(group, lifts):
+                prod = x1 * x2
+                assert prod.weyl == w1 * w2
+                assert prod.torus == tits_cocycle(d, w1, w2, ONE), (w1, w2)
+
+    def test_cocycle_closed_form_d4_sampled(self):
+        # every w1 of W(D4) against a seeded sample of w2, the identity and w0 included
+        d = build_root_datum([("D", 4)])
+        group = d.weyl_group()
+        rng = random.Random("closed-form-D4")
+        sample = rng.sample(group, 64) + [d.identity_weyl(), d.longest_element()]
+        lifts = {w2: tits_lift(d, w2) for w2 in sample}
+        for w1 in group:
+            x1 = tits_lift(d, w1)
+            for w2 in sample:
+                prod = x1 * lifts[w2]
+                assert prod.weyl == w1 * w2
+                assert prod.torus == tits_cocycle(d, w1, w2, ONE), (w1, w2)
 
     def test_pinned_equivariance(self):
         d = build_root_datum([("A", 3)])
@@ -469,6 +496,69 @@ class TestInverse:
         # the one Fraction built per coordinate has denominator zero
         with pytest.raises(ZeroDivisionError):
             x.torus.weyl_apply(d.simple_reflection(1))
+
+
+class _WeakWeyl(WeylElement):
+    """A Weyl element that a weakref can point to (WeylElement has no
+    __weakref__ slot); it inherits every method, the caches included."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestCachedInverse:
+    """The Weyl part of an inverse is the cached w^-1 of the first call, and
+    a second inverse of the same Weyl element reads that cache; the cache
+    points one way, so an inverted element dies with its last reference
+    even with the cycle collector off."""
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("kind", ["fraction", "quad", "symunit"])
+    def test_every_element_inverted_twice(self, spec, kind):
+        d = build_root_datum([spec])
+        rng = random.Random(f"twice{spec}{kind}")
+        for w in d.weyl_group():
+            one, coords1 = TestWeylApply.coordinates(kind, d.rank, rng)
+            _, coords2 = TestWeylApply.coordinates(kind, d.rank, rng)
+            x1 = TitsElement(TorusElement(tuple(coords1)), w)
+            x2 = TitsElement(TorusElement(tuple(coords2)), w)
+            first = x1.inverse()          # builds and keeps w^-1 and its rows
+            second = x2.inverse()         # reads them
+            assert second.weyl is first.weyl is w.inverse()
+            assert x1.inverse() == first
+            # the reference route runs after the library's calls, so that
+            # the library's first call is the one that fills the cache
+            assert first == three_step_inverse(d, x1, one), w
+            assert second == three_step_inverse(d, x2, one), w
+            for got in (first, second):
+                assert [type(c) for c in got.torus.coords] == [type(one)] * d.rank
+
+    @staticmethod
+    def _dies_when_dropped(d, link_back=False):
+        w0 = d.longest_element()
+        w = _WeakWeyl._from_perms(d, w0.perm, w0.inv_perm)
+        x = TitsElement(TorusElement(tuple(Fraction(k + 2, 3) for k in range(d.rank))), w)
+        y = x.inverse()
+        assert y.inverse() == x and (x * y).weyl.is_identity and (y * x).weyl.is_identity
+        assert w.inverse() is y.weyl and w.word and w.coroot_rows()
+        if link_back:
+            y.weyl._inverse = w       # the cycle the cache must not make
+        ref = weakref.ref(w)
+        del w, x, y
+        return ref() is None
+
+    @pytest.mark.parametrize("spec", [("A", 3), ("D", 4)])
+    def test_no_reference_cycle(self, spec):
+        d = build_root_datum([spec])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert self._dies_when_dropped(d)
+            # the check sees a cycle: a back-link keeps the element alive
+            assert not self._dies_when_dropped(d, link_back=True)
+        finally:
+            gc.collect()
+            if enabled:
+                gc.enable()
 
 
 class TestHeightPeel:
