@@ -311,8 +311,7 @@ class WeylElement:
     permutations the same way: the codes of the w(alpha_j) through w <- w s_i,
     one Cartan row per letter, then ``RootDatum._perms_of`` once."""
 
-    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows",
-                 "_negated_rows", "_inverse")
+    __slots__ = ("datum", "perm", "inv_perm", "_word", "_inversions", "_coroot_rows")
 
     def __init__(self):
         raise RootDatumError("use datum.simple_reflection / analyze_weyl to build Weyl elements")
@@ -326,8 +325,6 @@ class WeylElement:
         self._word = None
         self._inversions = None
         self._coroot_rows = None
-        self._negated_rows = None
-        self._inverse = None
         return self
 
     # -- group structure ----------------------------------------------------
@@ -342,12 +339,7 @@ class WeylElement:
                                        tuple([inv[j] for j in self.inv_perm]))
 
     def inverse(self) -> "WeylElement":
-        """w^-1, built on the first call and kept, with the caches it fills.
-        The link runs one way: w^-1 does not keep w, and its own inverse is a
-        new element equal to w, so no reference cycle forms."""
-        if self._inverse is None:
-            self._inverse = WeylElement._from_perms(self.datum, self.inv_perm, self.perm)
-        return self._inverse
+        return WeylElement._from_perms(self.datum, self.inv_perm, self.perm)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.datum is other.datum \
@@ -372,18 +364,12 @@ class WeylElement:
         """w(alpha_i_vee) for each simple index i as its nonzero (index,
         exponent) entries (cached)."""
         if self._coroot_rows is None:
-            self._coroot_rows = tuple(tuple((j, e) for j, e in enumerate(img) if e)
-                                      for img in self.coroot_images())
+            # list comprehensions, not generators, into tuple(): a fresh
+            # element (every inverse's w^-1) builds its rows in 2/3 the time
+            roots, perm = self.datum.roots, self.perm
+            self._coroot_rows = tuple([tuple([(j, e) for j, e in enumerate(roots[perm[s]].coroot) if e])
+                                       for s in self.datum.simple_index])
         return self._coroot_rows
-
-    def _negated_coroot_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """-w(alpha_i_vee) for each simple index i: the rows of ``coroot_rows``
-        with every exponent negated (cached).  ``TitsElement.inverse`` takes t
-        to w(t^-1) by them, for w the inverse of its Weyl part."""
-        if self._negated_rows is None:
-            self._negated_rows = tuple(tuple((j, -e) for j, e in row)
-                                       for row in self.coroot_rows())
-        return self._negated_rows
 
     def act_weight(self, weight: Vec) -> Vec:
         """Action on the fundamental-weight coordinates of a character:

@@ -29,13 +29,11 @@ The inverse takes one peel and no Tits product.  Peeling a reduced word of
 w^-1 onto n(w) gives n(w^-1) n(w) = (-1)^nu; then n(w)^-1 = (-1)^nu n(w^-1),
 and (t n(w))^-1 = n(w)^-1 t^-1 = w^-1(t^-1) (-1)^nu n(w^-1).  The same nu is
 w^-1(mu) for n(w) n(w^-1) = (-1)^mu, since n(w^-1) n(w) is n(w) n(w^-1)
-conjugated by n(w^-1).  The Weyl element keeps what the inverse reads:
-``WeylElement.inverse`` builds w^-1 on the first call and returns that
-element after, and w^-1 keeps its coroot rows negated, the exponents that
-take t to w^-1(t^-1).  So a second inverse over the same w rebuilds
-neither.  The link runs from w to w^-1 only: w^-1 holds no reference to w,
-and its own inverse is a new element equal to w, so no reference cycle
-forms and an element is freed with its last reference.
+conjugated by n(w^-1).  The torus part w^-1(t^-1) reads the coroot rows of
+w^-1 with their exponents negated inside ``_torus_product``; over ints and
+Fractions that swaps each value's numerator and denominator, so no negated
+rows are built.  Nothing is kept between calls: w^-1 and its rows are
+built on each one.
 """
 
 from __future__ import annotations
@@ -121,11 +119,13 @@ _RATIONAL = frozenset((int, Fraction))
 
 
 def _torus_product(rank: int, values: Sequence, rows: Iterable, left: Optional[Sequence] = None,
-                   mu: Optional[Sequence[int]] = None, one=None) -> TorusElement:
+                   mu: Optional[Sequence[int]] = None, one=None,
+                   invert: bool = False) -> TorusElement:
     """The torus point with coordinates left[j] * prod c^e * (-1)^mu[j], the
     product over each value c with its row and the (j, e) entries of that
     row, e = 0 adding nothing.  No left is all ones, no mu all zeros, and a
-    coordinate that nothing reaches is one.
+    coordinate that nothing reaches is one.  With invert, every exponent e
+    is read as -e, so w(t^-1) takes the rows of w.
 
     Each coordinate is multiplied once.  When every value, left coordinate
     and one is an int or a Fraction, its numerator and denominator are
@@ -147,6 +147,8 @@ def _torus_product(rank: int, values: Sequence, rows: Iterable, left: Optional[S
             dens = [c.denominator for c in left]
         for c, row in zip(values, rows):
             n, d = c.as_integer_ratio()
+            if invert:
+                n, d = d, n
             for j, e in row:
                 if e == 1:
                     nums[j] *= n
@@ -163,6 +165,8 @@ def _torus_product(rank: int, values: Sequence, rows: Iterable, left: Optional[S
         if mu is not None:
             nums = [-x if m % 2 else x for x, m in zip(nums, mu)]
         return TorusElement(tuple(map(Fraction, nums, dens)))
+    if invert:
+        rows = [[(j, -e) for j, e in row] for row in rows]
     if kinds == {SymUnit}:
         terms = [[] for _ in range(rank)] if left is None else [[c] for c in left]
         for c, row in zip(values, rows):
@@ -232,7 +236,7 @@ class TitsElement:
         w, w_inv = self.weyl, self.weyl.inverse()
         nu = _peel(self.datum, w.word, w.inv_perm)
         t = self.torus.coords
-        return TitsElement(_torus_product(len(t), t, w_inv._negated_coroot_rows(), mu=nu), w_inv)
+        return TitsElement(_torus_product(len(t), t, w_inv.coroot_rows(), mu=nu, invert=True), w_inv)
 
     def theta_apply(self, theta: PinnedAutomorphism) -> "TitsElement":
         return TitsElement(self.torus.diagram_apply(theta), theta.act_weyl(self.weyl))

@@ -500,15 +500,15 @@ class TestInverse:
 
 class _WeakWeyl(WeylElement):
     """A Weyl element that a weakref can point to (WeylElement has no
-    __weakref__ slot); it inherits every method, the caches included."""
+    __weakref__ slot); it inherits every method and cache."""
 
     __slots__ = ("__weakref__",)
 
 
-class TestCachedInverse:
-    """The Weyl part of an inverse is the cached w^-1 of the first call, and
-    a second inverse of the same Weyl element reads that cache; the cache
-    points one way, so an inverted element dies with its last reference
+class TestInverseTwice:
+    """A second inverse of the same Weyl element reads the word and rows the
+    first one left on w and builds w^-1 afresh; both agree with the
+    three-step route, and an inverted element dies with its last reference
     even with the cycle collector off."""
 
     @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -521,27 +521,28 @@ class TestCachedInverse:
             _, coords2 = TestWeylApply.coordinates(kind, d.rank, rng)
             x1 = TitsElement(TorusElement(tuple(coords1)), w)
             x2 = TitsElement(TorusElement(tuple(coords2)), w)
-            first = x1.inverse()          # builds and keeps w^-1 and its rows
+            first = x1.inverse()          # fills the word and rows of w
             second = x2.inverse()         # reads them
-            assert second.weyl is first.weyl is w.inverse()
+            assert second.weyl == first.weyl == w.inverse()
             assert x1.inverse() == first
             # the reference route runs after the library's calls, so that
-            # the library's first call is the one that fills the cache
+            # the library's first call is the one that fills the caches
             assert first == three_step_inverse(d, x1, one), w
             assert second == three_step_inverse(d, x2, one), w
             for got in (first, second):
                 assert [type(c) for c in got.torus.coords] == [type(one)] * d.rank
 
     @staticmethod
-    def _dies_when_dropped(d, link_back=False):
+    def _dies_when_dropped(d, keep_cycle=False):
         w0 = d.longest_element()
         w = _WeakWeyl._from_perms(d, w0.perm, w0.inv_perm)
         x = TitsElement(TorusElement(tuple(Fraction(k + 2, 3) for k in range(d.rank))), w)
         y = x.inverse()
         assert y.inverse() == x and (x * y).weyl.is_identity and (y * x).weyl.is_identity
-        assert w.inverse() is y.weyl and w.word and w.coroot_rows()
-        if link_back:
-            y.weyl._inverse = w       # the cycle the cache must not make
+        assert w.inverse() == y.weyl and w.word and w.coroot_rows()
+        if keep_cycle:
+            held = [w]
+            held.append(held)         # a cycle that holds w
         ref = weakref.ref(w)
         del w, x, y
         return ref() is None
@@ -553,8 +554,8 @@ class TestCachedInverse:
         gc.disable()
         try:
             assert self._dies_when_dropped(d)
-            # the check sees a cycle: a back-link keeps the element alive
-            assert not self._dies_when_dropped(d, link_back=True)
+            # the check sees a cycle: one that holds the element keeps it alive
+            assert not self._dies_when_dropped(d, keep_cycle=True)
         finally:
             gc.collect()
             if enabled:
