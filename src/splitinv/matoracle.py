@@ -356,13 +356,15 @@ class MatrixContext:
         return self._flip(x, negate=True)
 
     def _check_pinning_preserved(self):
+        """d theta permutes the X_{alpha_i} as theta does, and theta^2 = 1: as
+        theta(g) = flip(g^-1) and flip(x^-1) = flip(x)^-1, theta^2 = flip^2."""
         for i in range(self.n - 1):
             img = self.dtheta_apply(self.unit_upper(i))
             want = self.unit_upper(self.theta.perm[i])
             if not mat_eq(img, want):
                 raise RealizationError("automorphism does not preserve the pinning")
-        gt2 = self.theta_apply(self.theta_apply(_generic_probe(self)))
-        if not mat_eq(gt2, _generic_probe(self)):
+        probe = _generic_probe(self)
+        if not mat_eq(self._flip(self._flip(probe)), probe):
             raise RealizationError("automorphism does not square to the identity")
 
     def galois_apply(self, g: Matrix, k: int = 1) -> Matrix:
@@ -390,12 +392,9 @@ class MatrixContext:
 
 
 def _generic_probe(ctx: MatrixContext) -> Matrix:
-    # an invertible matrix with distinct entries, to witness identities
-    m = tuple(tuple(ctx.field.embed(int(i == j) + (i + 2 * j) % 3) for j in range(ctx.n))
-              for i in range(ctx.n))
-    if not mat_det(m, ctx.field):
-        m = mat_add(m, mat_identity(ctx.n, ctx.field))
-    return m
+    # a matrix with no symmetry of its own, to witness identities
+    return tuple(tuple(ctx.field.embed(int(i == j) + (i + 2 * j) % 3) for j in range(ctx.n))
+                 for i in range(ctx.n))
 
 
 def realize(ctx: MatrixContext, x) -> Matrix:
@@ -535,12 +534,15 @@ def fixed_group_simple_lift(ctx: MatrixContext, rrs, beta) -> Matrix:
 
 def fixed_group_lift(ctx: MatrixContext, rrs, omega: WeylElement) -> Matrix:
     """Lift of a theta-fixed Weyl element through the fixed subgroup's own
-    pinning, along a reduced word in simple restricted reflections."""
-    word = rrs.res_word_of(omega)
-    if not word:
-        return mat_identity(ctx.n, ctx.field)
-    return mat_prod(*(fixed_group_simple_lift(ctx, rrs, rrs.simple_restricted[gi])
-                      for gi in word))
+    pinning, along a reduced word in simple restricted reflections; built
+    once per context, keyed by theta's and omega's permutations."""
+    key = (rrs.theta.perm, omega.perm)
+    out = ctx._lift_cache.get(key)
+    if out is None:
+        out = ctx._lift_cache[key] = mat_prod(mat_identity(ctx.n, ctx.field), *(
+            fixed_group_simple_lift(ctx, rrs, rrs.simple_restricted[gi])
+            for gi in rrs.res_word_of(omega)))
+    return out
 
 
 def sl2_embed(ctx: MatrixContext, rrs, beta, g2: Sequence[Sequence]) -> Matrix:

@@ -443,6 +443,8 @@ class Realization:
     pair, over a quadratic extension with its order-2 Galois action.  With
     use_theta, h times its flip J h^T J^-1 must be 1, so h^-1 is the flip
     and det(h) comes from forward elimination; else both from Gauss-Jordan.
+    The flip test has multiplied h by that h^-1: ``_flip_pair`` keeps both
+    objects, so that ``_cocycle`` need not multiply them again.
 
     For even n the det(h) = 1 check cannot fail on a theta-fixed h: there
     J^T = -J, so h J h^T = J makes h symplectic for the form J, and
@@ -470,6 +472,7 @@ class Realization:
             det, self.h_inv = mat_det(h, f), ctx._flip(h)
         else:
             det, self.h_inv = mat_det_inv(h, f)
+        self._flip_pair = (h, self.h_inv) if use_theta else None
         if det != f.one():
             raise RealizationError("h does not have determinant 1")
         u = mat_mul(self.h_inv, ctx.galois_apply(h, 1))
@@ -548,8 +551,9 @@ def sample_h_twisted(ctx: MatrixContext, rrs: RestrictedRootSystem, rng: random.
         x, _, y = restricted_root_vectors(ctx, rrs, b)
         upper = rng.random() < 0.5
         c = rng.randint(-2, 2)
-        left.append(pinned_factor(ctx, rrs, b, (upper, c), lambda: exp_nilpotent(
-            mat_scalar(x if upper else y, f.embed(c)), f)))
+        if c:   # exp(0 X) = 1 is left out; the draws are the same
+            left.append(pinned_factor(ctx, rrs, b, (upper, c), lambda: exp_nilpotent(
+                mat_scalar(x if upper else y, f.embed(c)), f)))
     right = _random_torus_matrix(ctx, rng, theta=rrs.theta)
     return mat_prod(*left, *factors, right)
 
@@ -632,12 +636,14 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
     realize(ctx, m[k]) for k >= 1; each is computed here unless the caller
     has it.
 
-    m_cocycle has checked m(1) = 1, so t(1) = h h^-1: that product, a check
-    on the stored h^-1 however it was built, is computed once and must be
-    the identity, and t(1) is stored as the ones and the identity matrix,
-    with no transport and no theta-fixedness test.
-    Each t(sigma^k), k >= 1, is transported, compared with h diag h^-1 and,
-    when twisted, tested for theta-fixedness."""
+    m_cocycle has checked m(1) = 1, so t(1) = h h^-1, which must be the
+    identity: computed here for any h or h^-1 but the two objects the flip
+    test of the Realization multiplied (``_flip_pair``).  t(1) is stored as
+    the ones and the identity matrix, with no transport and no
+    theta-fixedness test.  Each t(sigma^k), k >= 1, is transported and,
+    when twisted, tested for theta-fixedness: h h^-1 = 1, so h cancels on
+    the left of h mk sigma^k(h^-1) = h diag h^-1, and mk sigma^k(h^-1) =
+    diag h^-1 is compared, t(sigma^k) being h times it (3 products, not 4)."""
     if (realization is not None and theta is not None
             and not (theta.is_identity or realization.use_theta)):
         raise RealizationError("twisted cocycles need a conjugator fixed by the automorphism")
@@ -657,8 +663,10 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
     if descent.order != 2:
         raise RealizationError("matrix realizations carry an order-2 Galois group")
     f = ctx.field
-    identity = mat_identity(ctx.n, f)
-    if not mat_eq(mat_mul(realization.h, realization.h_inv), identity):
+    identity, h, h_inv = mat_identity(ctx.n, f), realization.h, realization.h_inv
+    pair = realization._flip_pair
+    if not (pair and pair[0] is h and pair[1] is h_inv) \
+            and not mat_eq(mat_mul(h, h_inv), identity):
         raise RealizationError("t(sigma^0) = h h^-1 is not the identity")
     values: Dict[int, TorusElement] = {0: TorusElement.ones(datum.rank, f.one())}
     matrices: Dict[int, tuple] = {0: identity}
@@ -666,11 +674,10 @@ def _cocycle(datum, descent, adata, theta, realization, m=None,
         mk = realized[k] if realized is not None else realize(ctx, m[k])
         diag = realization.transported_diagonal(mk, k)
         values[k] = ctx.torus_coords_of_diagonal(diag)
-        honest = mat_prod(realization.h, mk, realization.sigma_h_inv(k))
-        expected = mat_prod(realization.h, diag, realization.h_inv)
-        if not mat_eq(honest, expected):
+        right = mat_mul(mk, realization.sigma_h_inv(k))
+        if not mat_eq(right, mat_mul(diag, h_inv)):
             raise RealizationError("transport inconsistency in the t-level cocycle")
-        matrices[k] = honest
+        matrices[k] = mat_mul(h, right)
     out = SplittingCocycle(values, descent, datum, theta, matrices)
     out.verify()
     if theta is not None and not theta.is_identity:

@@ -1,5 +1,6 @@
 """The cocycle identity with sigma^0 checked once, against the all-pairs
-reference; t(sigma^0) = h h^-1 tested directly at the t-level; exact
+reference; t(sigma^0) = h h^-1 tested directly at the t-level, unless the
+flip test of the Realization made that product; the transport check; exact
 inverses from ``mat_det_inv``; and the constructors on the cocycle path
 refusing a malformed argument by name."""
 
@@ -15,9 +16,10 @@ from splitinv.matoracle import (MatrixContext, mat_det_inv, mat_eq, mat_identity
                                 mat_scalar)
 from splitinv.rootdata import (PinnedAutomorphism, analyze_weyl, build_root_datum,
                                restrict_root_system)
+import splitinv.splitting as splitting
 from splitinv.splitting import (DescentDatum, Realization, _symbolic_adata,
                                 compare_fixed_vs_twisted, equivariant_quad_adata,
-                                lambda_twisted, sample_h_twisted)
+                                lambda_twisted, lambda_untwisted, sample_h_twisted)
 from splitinv.tits import (TitsElement, TorusElement, m_cocycle, tits_lift,
                            verify_cocycle_identity)
 
@@ -148,6 +150,63 @@ def test_h_inverse_off_by_a_scalar_fails_at_sigma_0(n, dval, scalar):
         compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
     with pytest.raises(RealizationError, match=message):
         lambda_twisted(ctx.datum, ctx.theta, real.descent, spec.tilde().pullback(), real)
+
+
+# u_1^-1 doubled doubles the transported diagonal: h m(sigma) sigma(h)^-1 is
+# then not h diag h^-1, nor, h cancelled on the left, is m(sigma) sigma(h^-1)
+# equal to diag h^-1
+@pytest.mark.parametrize("n,dval", [(3, 5), (4, -1), (5, 5), (6, -1)])
+def test_doubled_u_inverse_is_a_transport_inconsistency(n, dval):
+    ctx, rrs, real, spec = _twisted_comparison(n, dval)
+    real._u_inv = (real._u_inv[0], mat_scalar(real._u_inv[1], ctx.field.embed(2)))
+    message = "^transport inconsistency in the t-level cocycle$"
+    with pytest.raises(RealizationError, match=message):
+        compare_fixed_vs_twisted(rrs, real.descent, spec, ctx=ctx, realization=real)
+    with pytest.raises(RealizationError, match=message):
+        lambda_twisted(ctx.datum, ctx.theta, real.descent, spec.tilde().pullback(), real)
+
+
+def _products_of(monkeypatch, run):
+    """The (id(a), id(b)) of every mat_mul(a, b) the splitting module makes in run()."""
+    seen, mul = [], splitting.mat_mul
+
+    def counted(a, b):
+        seen.append((id(a), id(b)))
+        return mul(a, b)
+    monkeypatch.setattr(splitting, "mat_mul", counted)
+    run()
+    monkeypatch.setattr(splitting, "mat_mul", mul)
+    return seen
+
+
+# the flip test of a theta-fixed Realization has multiplied h by h^-1, so
+# t(sigma^0) = h h^-1 is not multiplied again for those two objects; it is
+# for any h or h^-1 put in after construction and on the Gauss-Jordan route
+@pytest.mark.parametrize("n,dval", [(3, 5), (4, -1), (5, 5)])
+def test_sigma_0_product_runs_unless_the_flip_test_made_it(n, dval, monkeypatch):
+    ctx, rrs, real, spec = _twisted_comparison(n, dval)
+    adata = spec.tilde().pullback()
+
+    def twisted():
+        return lambda_twisted(ctx.datum, ctx.theta, real.descent, adata, real)
+
+    want = twisted().matrices
+    pair = (id(real.h), id(real.h_inv))
+    assert pair not in _products_of(monkeypatch, twisted)
+    real.h = mat_mul(real.h, mat_identity(n, ctx.field))    # equal, not the same object
+    assert (id(real.h), id(real.h_inv)) in _products_of(monkeypatch, twisted)
+    assert twisted().matrices == want
+    real.h = mat_scalar(real.h, -ctx.field.one())
+    with pytest.raises(RealizationError, match=r"t\(sigma\^0\) = h h\^-1 is not the identity"):
+        twisted()
+    plain = Realization(ctx, mat_scalar(real.h, -ctx.field.one()))
+    assert plain._flip_pair is None
+
+    def untwisted():
+        return lambda_untwisted(ctx.datum, plain.descent, adata, plain)
+
+    assert (id(plain.h), id(plain.h_inv)) in _products_of(monkeypatch, untwisted)
+    assert untwisted().matrices == want
 
 
 def test_sigma_0_not_one_is_named():

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quad_reference import det_by_leibniz
 from splitinv.coeffs import PrimeField, QuadField, QuadNum, RationalField
-from splitinv.errors import CoefficientError, RealizationError
+from splitinv.errors import CoefficientError, RealizationError, RootDatumError
 from splitinv.matoracle import (MatrixContext, ad, adprime, block_embed, exp_nilpotent,
                                 fixed_group_lift, fixed_group_simple_lift, mat_det,
                                 mat_det_inv, mat_eq, mat_identity, mat_inv, mat_mul, mat_prod,
                                 realize, restricted_root_vectors, sl2_embed, verify_appendix)
 from splitinv.rootdata import restrict_root_system
+from splitinv.splitting import check_nn_prime
 from splitinv.tits import TitsElement, TorusElement, tits_lift
 
 F1 = Fraction(1)
@@ -142,6 +143,24 @@ class TestTheta:
     def test_theta_preserves_pinning(self):
         for n in (3, 4, 5, 6):
             MatrixContext(n, twisted=True)  # construction checks the pinning
+
+    # the probe of theta^2 = flip^2 = 1 is 5x5 and singular over F_7: it
+    # need not be invertible, since flip^2 takes no inverse
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5), PrimeField(7)],
+                             ids=["Q", "Q(sqrt5)", "F7"])
+    def test_flip_that_is_not_an_involution_is_refused(self, n, field):
+        """A flip that doubles the diagonal is right on the root vectors,
+        which have none, but flip^2 multiplies the diagonal by 4."""
+        class DoubledDiagonal(MatrixContext):
+            def _flip(self, x, negate=False):
+                out = super()._flip(x, negate)
+                return tuple(tuple(v + v if i == j else v for j, v in enumerate(row))
+                             for i, row in enumerate(out))
+
+        assert MatrixContext(n, field, twisted=True).theta is not None
+        with pytest.raises(RealizationError, match="^automorphism does not square to the identity$"):
+            DoubledDiagonal(n, field, twisted=True)
 
     def test_sl3_theta_matrix_matches(self):
         ctx = MatrixContext(3, twisted=True)
@@ -428,6 +447,37 @@ class TestPinningCache:
         for beta in others:
             with pytest.raises(RealizationError, match="not a simple restricted root"):
                 restricted_root_vectors(ctx, rrs, beta)
+
+
+class TestFixedGroupLiftCache:
+    """fixed_group_lift keeps each lift in the context's ``_lift_cache``,
+    keyed by the permutations of theta and omega, beside the Weyl lifts."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("field", [RationalField(), QuadField(5)], ids=["Q", "Q(sqrt5)"])
+    def test_cached_lift_is_the_product_along_the_word(self, n, field):
+        ctx = MatrixContext(n, field, twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        # built apart: equal permutations, other objects
+        apart = MatrixContext(n, field, twisted=True)
+        rrs_apart = restrict_root_system(apart.datum, apart.theta)
+        omegas = rrs.fixed_weyl_subgroup()
+        assert len(omegas) == {3: 2, 4: 8, 5: 8, 6: 48, 7: 48}[n]
+        for omega in omegas:
+            fresh = mat_identity(n, field)
+            for gi in rrs.res_word_of(omega):
+                fresh = mat_mul(fresh, fixed_group_simple_lift(
+                    apart, rrs_apart, rrs_apart.simple_restricted[gi]))
+            got = fixed_group_lift(ctx, rrs, omega)
+            assert got == fresh
+            assert fixed_group_lift(ctx, rrs, omega) is got
+            twin = next(w for w in rrs_apart.fixed_weyl_subgroup() if w.perm == omega.perm)
+            assert twin is not omega and fixed_group_lift(ctx, rrs_apart, twin) is got
+        # the Weyl lifts share the cache: the lifts of w0 still differ by the
+        # half-coroot product
+        check_nn_prime(rrs, ctx.datum.longest_element(), ctx)
+        with pytest.raises(RootDatumError, match="not in the fixed Weyl subgroup"):
+            fixed_group_lift(ctx, rrs, ctx.datum.simple_reflection(0))    # theta moves it
 
 
 class TestSl2EmbedAtZeroCorner:

@@ -814,9 +814,10 @@ def uncached_seed_block(ctx, rrs, beta, conj):
     return mat_prod(c, block, mat_inv(c, ctx.field))
 
 
-def uncached_sample_h_twisted(ctx, rrs, rng, seeds):
+def uncached_sample_h_twisted(ctx, rrs, rng, seeds, coefficients=None):
     """sample_h_twisted with every factor rebuilt, drawing from rng in the
-    same order."""
+    same order; the unipotent factors exp(0 X) = 1 are kept.  The c of each
+    exp(c X) is appended to the list coefficients when one is given."""
     f = ctx.field
     factors = [uncached_seed_block(ctx, rrs, beta, conj) for beta, conj in seeds]
     left = []
@@ -825,7 +826,10 @@ def uncached_sample_h_twisted(ctx, rrs, rng, seeds):
         b = betas[rng.randrange(len(betas))]
         x, _, y = restricted_root_vectors(ctx, rrs, b)
         gen = x if rng.random() < 0.5 else y
-        left.append(exp_nilpotent(mat_scalar(gen, f.embed(rng.randint(-2, 2))), f))
+        c = rng.randint(-2, 2)
+        if coefficients is not None:
+            coefficients.append(c)
+        left.append(exp_nilpotent(mat_scalar(gen, f.embed(c)), f))
     right = splitting._random_torus_matrix(ctx, rng, theta=rrs.theta)
     return mat_prod(*left, *factors, right)
 
@@ -855,6 +859,24 @@ class TestContextFactors:
                     MatrixContext(n, QuadField(d), twisted=True), rrs,
                     random.Random(op_seed), seeds)
                 assert entries(got) == entries(want) == entries(rebuilt)
+
+    # the factors exp(0 X) = 1 are left out of the product, not out of the
+    # draws: h and the generator's final state are the reference's, which
+    # keeps them, over the descent benchmark's sizes, fields and seed sets
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [5, -1])
+    def test_identity_factors_left_out_give_the_same_h(self, n, d):
+        ctx = MatrixContext(n, QuadField(d), twisted=True)
+        rrs = restrict_root_system(ctx.datum, ctx.theta)
+        coefficients = []
+        for i, seeds in enumerate(descent_seed_sets(rrs)):
+            for seed in range(5):
+                rng, ref = random.Random(100 * seed + i), random.Random(100 * seed + i)
+                got = sample_h_twisted(ctx, rrs, rng, seeds)
+                want = uncached_sample_h_twisted(ctx, rrs, ref, seeds, coefficients)
+                assert entries(got) == entries(want)
+                assert rng.getstate() == ref.getstate()
+        assert coefficients.count(0) >= 3
 
     @pytest.mark.parametrize("n, d", CASES)
     def test_cached_factors_equal_fresh_ones(self, n, d):
